@@ -156,7 +156,8 @@ def cmd_fleet(args) -> int:
             {"fleet": result.curve}, "fleet cost-capacity curve",
             x_label="cumulative t cement/yr", y_label="$/t CO2"))
     if args.sensitivity:
-        sens = fleet_mod.sensitivity_sweep(plants, template, scenario, args.profiles)
+        sens = fleet_mod.sensitivity_sweep(plants, template, scenario, args.profiles,
+                                           workers=workers)
         reports.write_sensitivity_csv(out / "sensitivity_curves.csv", sens)
         (out / "sensitivity_curves.svg").write_text(reports.curves_svg(
             {"baseline": sens.baseline, **sens.curves},

@@ -224,19 +224,23 @@ class SensitivityCurves:
 def sensitivity_sweep(plants: list[PlantSite], template: SystemSpec, scenario: Scenario,
                       profiles_dir: str | Path,
                       parameters: tuple[str, ...] = SENSITIVITY_PARAMETERS,
-                      delta: float = 0.20) -> SensitivityCurves:
-    """One-at-a-time +/-delta capex perturbations, with a min-max envelope."""
+                      delta: float = 0.20, workers: int = 1) -> SensitivityCurves:
+    """One-at-a-time +/-delta capex perturbations, with a min-max envelope.
+
+    Every fleet run solves its plants with `workers` processes (see run_fleet).
+    """
     for p in parameters:
         if p not in SENSITIVITY_PARAMETERS:
             raise ValueError(
                 f"unknown sensitivity parameter {p!r}; valid: {SENSITIVITY_PARAMETERS}")
-    baseline = run_fleet(plants, template, scenario, profiles_dir).curve
+    baseline = run_fleet(plants, template, scenario, profiles_dir, workers).curve
     curves: dict[str, list[tuple[float, float]]] = {}
     for p in parameters:
         for sign, label in ((1.0 + delta, f"{p}:+{delta:.0%}"),
                             (1.0 - delta, f"{p}:-{delta:.0%}")):
             perturbed = _perturbed_template(template, p, sign)
-            curves[label] = run_fleet(plants, perturbed, scenario, profiles_dir).curve
+            curves[label] = run_fleet(plants, perturbed, scenario, profiles_dir,
+                                      workers).curve
     envelope = []
     all_curves = [baseline] + list(curves.values())
     for capacity, _ in baseline:

@@ -247,21 +247,15 @@ def network_svg(sol: NetworkSolution, surface: CostSurface,
     on top."""
     cell = max(4, min(24, 600 // max(surface.ncols, surface.nrows)))
     margin = 20
-    finite = [surface.cells[r, c] for r in range(surface.nrows)
-              for c in range(surface.ncols)
-              if surface.traversable(surface.index(r, c))]
-    peak = max(finite) if finite else 1.0
-    body = []
-    for r in range(surface.nrows):
-        for c in range(surface.ncols):
-            if surface.traversable(surface.index(r, c)):
-                shade = int(round(235 - 155 * surface.cells[r, c] / peak)) if peak else 235
-                fill = f"rgb({shade},{shade},{shade})"
-            else:
-                fill = "rgb(40,40,40)"
-            body.append(f'<rect x="{margin + c * cell}" y="{margin + r * cell}" '
-                        f'width="{cell}" height="{cell}" fill="{fill}" '
-                        f'stroke="none"/>')
+    open_ = ~surface.is_nodata
+    peak = surface.cells[open_].max() if open_.any() else 1.0
+    grey = np.full(surface.cells.shape, 40)
+    # np.rint rounds half to even, as round() does
+    grey[open_] = np.rint(235 - 155 * surface.cells[open_] / peak) if peak else 235
+    body = [f'<rect x="{margin + c * cell}" y="{margin + r * cell}" '
+            f'width="{cell}" height="{cell}" fill="rgb({g},{g},{g})" '
+            f'stroke="none"/>'
+            for r, row in enumerate(grey.tolist()) for c, g in enumerate(row)]
 
     def centre(index):
         r, c = surface.rowcol(index)

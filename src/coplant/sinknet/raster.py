@@ -49,10 +49,6 @@ class CostSurface:
     def rowcol(self, cell: int) -> tuple[int, int]:
         return divmod(cell, self.ncols)
 
-    def cost(self, cell: int) -> float:
-        r, c = self.rowcol(cell)
-        return float(self.cells[r, c])
-
     def traversable(self, cell: int) -> bool:
         r, c = self.rowcol(cell)
         return self.cells[r, c] != self.nodata

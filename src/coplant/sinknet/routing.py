@@ -2,19 +2,33 @@
 
 8-neighbor movement; stepping between adjacent cells costs the mean of the
 two cell multipliers times the cell size (times sqrt(2) on diagonals).
-Nodata cells are hard barriers.  Ties break toward the smaller cell index,
-which makes paths deterministic across platforms.
+Nodata cells are hard barriers; zero-cost cells are ordinary, free steps.
+The surface becomes one sparse graph and scipy's Dijkstra searches it from
+the source, so a path's cost is the sum of its step costs in path order.
+Among equal-cost paths the one kept is the predecessor tree scipy's
+Dijkstra builds from the source: deterministic for a given scipy, but not
+tied to cell indices.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from coplant.sinknet.raster import CostSurface
 
 SQRT2 = math.sqrt(2.0)
+
+# (slice of the first cell, slice of its neighbour, distance factor) for the
+# four undirected step directions: east, south, south-east, south-west
+_STEPS = ((np.s_[:, :-1], np.s_[:, 1:], 1.0),
+          (np.s_[:-1, :], np.s_[1:, :], 1.0),
+          (np.s_[:-1, :-1], np.s_[1:, 1:], SQRT2),
+          (np.s_[:-1, 1:], np.s_[1:, :-1], SQRT2))
 
 
 class UnreachableError(ValueError):
@@ -23,19 +37,34 @@ class UnreachableError(ValueError):
         self.cells = (a, b)
 
 
-def _neighbors(surface: CostSurface, cell: int):
-    r, c = surface.rowcol(cell)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < surface.nrows and 0 <= nc < surface.ncols:
-                yield surface.index(nr, nc), (SQRT2 if dr and dc else 1.0)
+def _cost_graph(surface: CostSurface) -> csr_array:
+    """Directed 8-neighbour step graph of the surface; nodata cells have no
+    edges.  Zero-cost steps stay explicit edges (the routing tests pin it)."""
+    cells, open_ = surface.cells, ~surface.is_nodata
+    index = np.arange(surface.n_cells, dtype=np.int32).reshape(cells.shape)
+    tails, heads, weights = [], [], []
+    for a, b, diag in _STEPS:
+        keep = open_[a] & open_[b]
+        u, v = index[a][keep], index[b][keep]
+        w = 0.5 * (cells[a][keep] + cells[b][keep]) * surface.cell_size * diag
+        tails += [u, v]
+        heads += [v, u]
+        weights += [w, w]
+    return csr_array((np.concatenate(weights),
+                      (np.concatenate(tails), np.concatenate(heads))),
+                     shape=(surface.n_cells, surface.n_cells))
 
 
-def step_cost(surface: CostSurface, a: int, b: int, diag_factor: float) -> float:
-    return 0.5 * (surface.cost(a) + surface.cost(b)) * surface.cell_size * diag_factor
+def _walk(pred: np.ndarray, a: int, b: int) -> list[int]:
+    """Cells from a to b along the predecessor tree of a search from a;
+    empty when a == b."""
+    if a == b:
+        return []
+    path = [b]
+    while path[-1] != a:
+        path.append(int(pred[path[-1]]))
+    path.reverse()
+    return path
 
 
 def least_cost_path(surface: CostSurface, a: int, b: int) -> tuple[list[int], float]:
@@ -48,37 +77,11 @@ def least_cost_path(surface: CostSurface, a: int, b: int) -> tuple[list[int], fl
             raise ValueError(f"cell {cell} outside the surface")
         if not surface.traversable(cell):
             raise ValueError(f"cell {cell} is nodata")
-    if a == b:
-        return [], 0.0
-
-    dist = {a: 0.0}
-    prev: dict[int, int] = {}
-    heap = [(0.0, a)]
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        if u == b:
-            break
-        done.add(u)
-        for v, diag in _neighbors(surface, u):
-            if v in done or not surface.traversable(v):
-                continue
-            nd = d + step_cost(surface, u, v, diag)
-            old = dist.get(v)
-            # ties resolve toward the smaller cell index via the heap ordering
-            if old is None or nd < old:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if b not in dist:
+    dist, pred = dijkstra(_cost_graph(surface), indices=a,
+                          return_predecessors=True)
+    if math.isinf(dist[b]):
         raise UnreachableError(a, b)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path, dist[b]
+    return _walk(pred, a, b), float(dist[b])
 
 
 @dataclass(frozen=True)
@@ -118,13 +121,10 @@ class ReachabilityReport:
 
 
 def _path_length_km(surface: CostSurface, path: list[int]) -> float:
-    length = 0.0
-    for u, v in zip(path, path[1:]):
-        ru, cu = surface.rowcol(u)
-        rv, cv = surface.rowcol(v)
-        diag = SQRT2 if (ru != rv and cu != cv) else 1.0
-        length += surface.cell_size * diag
-    return length
+    rows, cols = np.divmod(np.asarray(path), surface.ncols)
+    diag = (np.diff(rows) != 0) & (np.diff(cols) != 0)
+    # summed step by step in path order (cumsum), not pairwise as np.sum would
+    return float(np.cumsum(surface.cell_size * np.where(diag, SQRT2, 1.0))[-1])
 
 
 def build_candidates(surface: CostSurface, sources: list[SourceNode],
@@ -137,19 +137,20 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
     for node in list(sources) + list(sinks):
         if not surface.traversable(node.cell):
             raise ValueError(f"node {node.id} sits on a nodata cell")
+    graph = _cost_graph(surface)
     edges: list[CandidateEdge] = []
     reached_sources: set[str] = set()
     reached_sinks: set[str] = set()
     for src in sources:
+        dist, pred = dijkstra(graph, indices=src.cell, return_predecessors=True)
         for snk in sinks:
-            try:
-                path, cost = least_cost_path(surface, src.cell, snk.cell)
-            except UnreachableError:
+            if math.isinf(dist[snk.cell]):
                 continue
+            path = _walk(pred, src.cell, snk.cell)
             edges.append(CandidateEdge(
                 source_id=src.id, sink_id=snk.id, path=tuple(path),
                 length_km=_path_length_km(surface, path) if path else 0.0,
-                terrain_cost=cost))
+                terrain_cost=float(dist[snk.cell])))
             reached_sources.add(src.id)
             reached_sinks.add(snk.id)
     report = ReachabilityReport(

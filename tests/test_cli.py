@@ -110,6 +110,27 @@ def test_fleet(workspace, tmp_path):
     assert (out / "cost_capacity_curve.csv").exists()
 
 
+def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
+    """COPLANT_WORKERS reaches the baseline run and all 7 sensitivity runs."""
+    from coplant import fleet
+    calls = []
+
+    def fake_run_fleet(plants, template, scenario, profiles_dir, workers=1):
+        calls.append(workers)
+        return fleet.FleetResult(per_plant=[], curve=[(1.0, 2.0)])
+
+    monkeypatch.setattr(fleet, "run_fleet", fake_run_fleet)
+    monkeypatch.setenv("COPLANT_WORKERS", "2")
+    plants = tmp_path / "plants.csv"
+    plants.write_text("id,lat,lon,clinker_tpd,solar_ref,wind_ref\n"
+                      "P1,30,110,4000,s1,w1\n")
+    code = run(["fleet", "--spec", workspace / "system.cfg",
+                "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                "--profiles", tmp_path, "--sensitivity", "-o", tmp_path / "out"])
+    assert code == 0
+    assert calls == [2] * 8
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert cli.main(["solve"]) == 2

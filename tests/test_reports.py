@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from coplant.reports import (
     write_cost_breakdown_csv,
     write_hourly_balances_csv,
 )
+from coplant.sinknet.network import NetworkSolution
+from coplant.sinknet.raster import CostSurface
 
 
 class TestHeatmap:
@@ -107,3 +111,38 @@ def test_curves_svg_requires_points():
         reports.curves_svg({}, "t")
     svg = reports.curves_svg({"a": [(0, 1), (1, 2)]}, "t")
     assert "polyline" in svg
+
+
+def _cell_rects(cells):
+    """(x, y, grey) of every raster cell drawn by network_svg."""
+    cells = np.asarray(cells, dtype=float)
+    surface = CostSurface(ncols=cells.shape[1], nrows=cells.shape[0],
+                          cell_size=1.0, origin=(0.0, 0.0), nodata=-9999.0,
+                          cells=cells)
+    empty = NetworkSolution(source_flows={}, routes=[], sink_inflows={}, target=0.0,
+                            cost_capture=0.0, cost_pipeline=0.0,
+                            cost_sequestration=0.0)
+    rects = re.findall(r'<rect x="(\d+)" y="(\d+)" width="24" height="24" '
+                       r'fill="rgb\((\d+),(\d+),(\d+)\)" stroke="none"/>',
+                       reports.network_svg(empty, surface))
+    assert all(r == g == b for _, _, r, g, b in rects)
+    return [(int(x), int(y), int(r)) for x, y, r, _, _ in rects]
+
+
+def test_network_svg_cell_fills():
+    """Grey level 235 - 155 * cost / peak, rounded half to even; nodata is 40.
+    The expected fills were produced by the per-cell loop this replaced."""
+    rects = _cell_rects([[1, 3, -9999, 5], [310, -9999, 0, 77.7],
+                         [12.25, 150, 200, 2]])
+    # peak 310 puts costs 1, 3 and 5 exactly on .5: 234.5, 233.5, 232.5
+    assert [g for _, _, g in rects] == [234, 234, 40, 232, 80, 40, 235, 196,
+                                        229, 160, 135, 234]
+    assert [(x, y) for x, y, _ in rects] == [
+        (20 + 24 * c, 20 + 24 * r) for r in range(3) for c in range(4)]
+
+
+def test_network_svg_flat_and_empty_rasters():
+    # all-zero raster: peak 0, every cell at the lightest shade
+    assert [g for _, _, g in _cell_rects(np.zeros((2, 3)))] == [235] * 6
+    # all-nodata raster: the peak falls back to 1.0 and every cell is dark
+    assert [g for _, _, g in _cell_rects(np.full((2, 2), -9999.0))] == [40] * 4

@@ -23,7 +23,6 @@ from coplant.sinknet.routing import (
     UnreachableError,
     build_candidates,
     least_cost_path,
-    step_cost,
 )
 from coplant.domain import DomainError
 from coplant.fleet import PlantSite
@@ -81,9 +80,11 @@ class TestRaster:
 # ------------------------------------------------------------------ routing
 
 def exhaustive_path_oracle(surface, a, b):
-    """Min-cost simple path by depth-first enumeration with pruning."""
+    """Min-cost simple path by depth-first enumeration with pruning.
+
+    A step costs the mean of the two cell multipliers times the cell size,
+    times sqrt(2) on diagonals, summed along the path from a."""
     best = [math.inf]
-    n = surface.ncols * surface.nrows
 
     def neighbors(cell):
         r, c = surface.rowcol(cell)
@@ -95,7 +96,9 @@ def exhaustive_path_oracle(surface, a, b):
                 if 0 <= rr < surface.nrows and 0 <= cc < surface.ncols:
                     v = surface.index(rr, cc)
                     if surface.traversable(v):
-                        yield v, (SQRT2 if dr and dc else 1.0)
+                        diag = SQRT2 if dr and dc else 1.0
+                        yield v, (0.5 * (surface.cells[r, c] + surface.cells[rr, cc])
+                                  * surface.cell_size * diag)
 
     def dfs(cell, cost, seen):
         if cost >= best[0]:
@@ -103,9 +106,9 @@ def exhaustive_path_oracle(surface, a, b):
         if cell == b:
             best[0] = cost
             return
-        for v, diag in neighbors(cell):
+        for v, step in neighbors(cell):
             if v not in seen:
-                dfs(v, cost + step_cost(surface, cell, v, diag), seen | {v})
+                dfs(v, cost + step, seen | {v})
 
     dfs(a, 0.0, {a})
     return best[0]
@@ -177,6 +180,29 @@ class TestRouting:
         a, b = surface.index(0, 0), surface.index(4, 4)
         assert least_cost_path(surface, a, b) == least_cost_path(surface, a, b)
 
+    def test_equal_cost_tie_pinned(self):
+        """Two paths from (0,0) to (2,1) cost 1 + sqrt(2); the kept one is the
+        predecessor scipy's Dijkstra picks searching from the source."""
+        surface = make_surface(np.ones((3, 3)))
+        path, cost = least_cost_path(surface, surface.index(0, 0),
+                                     surface.index(2, 1))
+        assert cost == 1.0 + SQRT2
+        assert path == [surface.index(0, 0), surface.index(1, 0),
+                        surface.index(2, 1)]
+
+    def test_zero_cost_row_traversable(self):
+        """A zero-multiplier row is a free corridor, not a barrier."""
+        surface = make_surface([[1, 1, 1], [0, 0, 0], [1, 1, 1]])
+        path, cost = least_cost_path(surface, 0, 8)
+        assert (path, cost) == ([0, 3, 4, 5, 8], 1.0)
+        assert cost == exhaustive_path_oracle(surface, 0, 8)
+
+    def test_all_zero_raster(self):
+        surface = make_surface(np.zeros((3, 3)))
+        path, cost = least_cost_path(surface, 0, 8)
+        assert (path, cost) == ([0, 4, 8], 0.0)
+        assert cost == exhaustive_path_oracle(surface, 0, 8)
+
 
 class TestCandidates:
     def test_pair_counts(self):
@@ -190,6 +216,33 @@ class TestCandidates:
         assert report.ok
         edges1, report1 = build_candidates(surface, sources[:1], sinks[:1])
         assert len(edges1) == 1
+
+    def test_matches_least_cost_path(self):
+        """Searching once per source gives every pair the same corridor, cost
+        and length as a search for that pair alone."""
+        rng = np.random.default_rng(4711)
+        cells = np.round(rng.uniform(0.5, 5.0, size=(12, 12)), 1)
+        cells[rng.random((12, 12)) < 0.15] = -9999.0
+        cells[1, 1] = cells[3, 9] = cells[10, 2] = cells[6, 6] = cells[11, 11] = 2.0
+        surface = make_surface(cells, cell_size=2.5)
+        sources = [SourceNode(id=f"S{i}", cell=surface.index(r, c), capturable=10,
+                              eq_capture_cost=30)
+                   for i, (r, c) in enumerate([(1, 1), (3, 9), (6, 6)])]
+        sinks = [SinkNode(id=f"K{j}", cell=surface.index(r, c), capacity=10,
+                          sequestration_cost=5)
+                 for j, (r, c) in enumerate([(10, 2), (11, 11), (6, 6)])]
+        edges, report = build_candidates(surface, sources, sinks)
+        assert report.ok and len(edges) == 9
+        by_pair = {(e.source_id, e.sink_id): e for e in edges}
+        for src in sources:
+            for snk in sinks:
+                edge = by_pair[src.id, snk.id]
+                path, cost = least_cost_path(surface, src.cell, snk.cell)
+                assert edge.path == tuple(path)
+                assert edge.terrain_cost == cost
+                steps = [SQRT2 if (u // 12 != v // 12 and u % 12 != v % 12) else 1.0
+                         for u, v in zip(path, path[1:])]
+                assert edge.length_km == pytest.approx(2.5 * sum(steps))
 
     def test_unreachable_reported(self):
         cells = np.ones((3, 3))
