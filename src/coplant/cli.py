@@ -2,7 +2,9 @@
 
 Subcommands: solve, sweep, fleet, netopt, report.  Exit codes:
 0 success, 2 usage error, 3 input validation error, 4 infeasible or
-unbounded model, 5 file I/O error.
+unbounded model, 5 file I/O error, 6 solver failure (HiGHS ended with a
+status other than optimal, infeasible or unbounded) or every plant of a
+fleet failed.
 
 COPLANT_WORKERS sets the process count for fleet runs (default 1).
 """
@@ -15,9 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-from coplant import configio, costing, dispatch, reports
+from coplant import configio, costing, dispatch, fleet, lp, reports
 from coplant.domain import Commodity, DomainError
-from coplant.lp import LpStatusError, LpValidationError
+from coplant.lp import LpSolverError, LpStatusError, LpValidationError
 from coplant.sinknet.network import (
     NetworkInfeasible,
     select_network,
@@ -30,6 +32,7 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_IO = 5
+EXIT_SOLVER = 6
 
 
 class CliError(Exception):
@@ -91,11 +94,13 @@ def cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
     spec = _load_system(args.system, scenario.horizon_hours)
     out = _out_dir(args.out)
+    problem = dispatch.build_lp(spec, scenario)
     if args.mps:
         from coplant.mps import export_lp
-        lp = dispatch.build_lp(spec, scenario)
-        Path(args.mps).write_text(export_lp(lp, rename=True))
-    sol = dispatch.solve_dispatch(spec, scenario)
+        Path(args.mps).write_text(export_lp(problem, rename=True))
+    res = lp.solve_lp(problem)
+    res.require_optimal()
+    sol = dispatch.extract_solution(spec, scenario, res)
     reports.save_solution(out / "solution.json", sol)
     _write_solution_reports(out, spec, scenario, sol)
     print(f"objective {sol.objective:.6g} $/yr; reports in {out}")
@@ -137,17 +142,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    from coplant import fleet as fleet_mod
     scenario = _load_scenario(args.scenario)
     template = _load_system(args.system, scenario.horizon_hours)
     try:
-        plants = fleet_mod.load_plants(args.plants)
+        plants = fleet.load_plants(args.plants)
     except FileNotFoundError as exc:
         raise CliError(str(exc), EXIT_IO) from None
     workers = int(os.environ.get("COPLANT_WORKERS", "1"))
     out = _out_dir(args.out)
-    result = fleet_mod.run_fleet(plants, template, scenario, args.profiles,
-                                 workers=workers)
+    result = fleet.run_fleet(plants, template, scenario, args.profiles,
+                             workers=workers)
     reports.write_fleet_results_csv(out / "fleet_results.csv", result)
     reports.write_cost_capacity_curve_csv(out / "cost_capacity_curve.csv",
                                           result.curve)
@@ -156,8 +160,8 @@ def cmd_fleet(args) -> int:
             {"fleet": result.curve}, "fleet cost-capacity curve",
             x_label="cumulative t cement/yr", y_label="$/t CO2"))
     if args.sensitivity:
-        sens = fleet_mod.sensitivity_sweep(plants, template, scenario, args.profiles,
-                                           workers=workers)
+        sens = fleet.sensitivity_sweep(result, template, scenario, args.profiles,
+                                       workers=workers)
         reports.write_sensitivity_csv(out / "sensitivity_curves.csv", sens)
         (out / "sensitivity_curves.svg").write_text(reports.curves_svg(
             {"baseline": sens.baseline, **sens.curves},
@@ -285,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
             NetworkInfeasible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (LpSolverError, fleet.FleetFailedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (configio.ConfigError, DomainError, LpValidationError,
             RasterFormatError, reports.ReportError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -72,10 +72,6 @@ def _is_pinned(unit: ConversionUnit, scenario: Scenario) -> bool:
     return False
 
 
-def _effective_ramp(unit: ConversionUnit) -> float:
-    return unit.ramp_frac_per_hour
-
-
 @dataclass
 class DispatchIndex:
     """Deterministic variable numbering shared by builder and extractor."""
@@ -288,7 +284,7 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
             if u.min_load_frac > 0:
                 lp.add_constraint(f"lb:{u.id}:{t}",
                                   [(a, 1.0), (cap, -u.min_load_frac)], GE, 0.0)
-        ramp = _effective_ramp(u)
+        ramp = u.ramp_frac_per_hour
         if not pinned and ramp < 1.0:
             for t in range(T - 1):
                 a0, a1 = idx.act[u.id] + t, idx.act[u.id] + t + 1

@@ -20,6 +20,7 @@ from pathlib import Path
 from coplant.costing import solution_abatement_cost
 from coplant.dispatch import HOURS_PER_YEAR, solve_dispatch
 from coplant.domain import RenewableSource, Scenario, SystemSpec
+from coplant.lp import LpStatusError
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +35,10 @@ SENSITIVITY_PARAMETERS = ("solar_capex", "wind_capex", "electrolyzer_capex")
 
 class PlantsSchemaError(ValueError):
     pass
+
+
+class FleetFailedError(RuntimeError):
+    """Every plant of a non-empty fleet failed to solve."""
 
 
 @dataclass(frozen=True)
@@ -149,28 +154,64 @@ def _site_spec(template: SystemSpec, scenario: Scenario, plant: PlantSite,
 
 
 def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
-                 profiles_dir: str | Path) -> PlantResult:
+                 profiles_dir: str | Path, both_modes: bool = True) -> PlantResult:
+    """Solve one site and price its abatement in the scenario's own mode.
+
+    With both_modes the other flexibility mode is solved too, for the
+    flexible/inflexible cost ratio; without it the ratio is nan.  Unreadable
+    or short profiles and invalid or infeasible site models are recorded in
+    PlantResult.error as "<ExceptionType>: <message>"; anything else raises.
+    """
+    modes = ("flexible", "inflexible") if both_modes else (scenario.flexibility_mode,)
     try:
         solar = load_profile(profiles_dir, plant.solar_profile_ref, scenario.horizon_hours)
         wind = load_profile(profiles_dir, plant.wind_profile_ref, scenario.horizon_hours)
         spec = _site_spec(template, scenario, plant, solar, wind)
-        flex = solve_dispatch(spec, dataclasses.replace(scenario, flexibility_mode="flexible"))
-        inflex = solve_dispatch(spec, dataclasses.replace(scenario,
-                                                          flexibility_mode="inflexible"))
-        scn = scenario
-        abate = solution_abatement_cost(
-            flex if scenario.flexibility_mode == "flexible" else inflex,
-            spec, scn, include_transport=False)
-        return PlantResult(
-            plant=plant,
-            abatement=abate,
-            cement_capacity=plant.cement_demand_tph(scenario) * HOURS_PER_YEAR,
-            flex_inflex_ratio=flex.objective / inflex.objective,
-        )
-    except Exception as exc:  # per-plant failures must not sink the batch
+        sols = {mode: solve_dispatch(spec, dataclasses.replace(scenario, flexibility_mode=mode))
+                for mode in modes}
+        abate = solution_abatement_cost(sols[scenario.flexibility_mode], spec, scenario,
+                                        include_transport=False)
+    except (OSError, ValueError, LpStatusError) as exc:  # must not sink the batch
         logger.warning("plant %s failed: %s", plant.id, exc)
         return PlantResult(plant=plant, abatement=float("nan"), cement_capacity=0.0,
-                           flex_inflex_ratio=float("nan"), error=str(exc))
+                           flex_inflex_ratio=float("nan"),
+                           error=f"{type(exc).__name__}: {exc}")
+    return PlantResult(
+        plant=plant,
+        abatement=abate,
+        cement_capacity=plant.cement_demand_tph(scenario) * HOURS_PER_YEAR,
+        flex_inflex_ratio=(sols["flexible"].objective / sols["inflexible"].objective
+                           if both_modes else float("nan")),
+    )
+
+
+def _solve_jobs(jobs: list[tuple], workers: int) -> list[PlantResult]:
+    """Run `_solve_plant` on each argument tuple, in order.
+
+    With workers > 1 the jobs share one process pool.
+    """
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_solve_plant, *zip(*jobs)))
+    return [_solve_plant(*job) for job in jobs]
+
+
+def _cost_capacity_curve(results: list[PlantResult]) -> list[tuple[float, float]]:
+    """Cumulative capacity against abatement, cheapest plant first.
+
+    Ties in abatement break by plant id.  Raises FleetFailedError when there
+    are results and none of them succeeded.
+    """
+    succeeded = [r for r in results if r.error is None]
+    if results and not succeeded:
+        raise FleetFailedError("every plant in the fleet failed; see per-plant errors")
+    curve = []
+    cumulative = 0.0
+    for r in sorted(succeeded, key=lambda r: (r.abatement, r.plant.id)):
+        cumulative += r.cement_capacity
+        curve.append((cumulative, r.abatement))
+    return curve
 
 
 def run_fleet(plants: list[PlantSite], template: SystemSpec, scenario: Scenario,
@@ -182,24 +223,9 @@ def run_fleet(plants: list[PlantSite], template: SystemSpec, scenario: Scenario,
     pool; the result order is still by plant id.
     """
     ordered = sorted(plants, key=lambda p: p.id)
-    if workers > 1 and len(ordered) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _solve_plant, [template] * len(ordered), [scenario] * len(ordered),
-                ordered, [str(profiles_dir)] * len(ordered)))
-    else:
-        results = [_solve_plant(template, scenario, p, profiles_dir)
-                   for p in ordered]
-    succeeded = [r for r in results if r.error is None]
-    if plants and not succeeded:
-        raise RuntimeError("every plant in the fleet failed; see per-plant errors")
-    curve = []
-    cumulative = 0.0
-    for r in sorted(succeeded, key=lambda r: (r.abatement, r.plant.id)):
-        cumulative += r.cement_capacity
-        curve.append((cumulative, r.abatement))
-    return FleetResult(per_plant=results, curve=curve)
+    results = _solve_jobs([(template, scenario, p, str(profiles_dir)) for p in ordered],
+                          workers)
+    return FleetResult(per_plant=results, curve=_cost_capacity_curve(results))
 
 
 def _perturbed_template(template: SystemSpec, parameter: str, factor: float) -> SystemSpec:
@@ -221,26 +247,38 @@ class SensitivityCurves:
     envelope: list[tuple[float, float, float]]     # (capacity, min, max) pointwise
 
 
-def sensitivity_sweep(plants: list[PlantSite], template: SystemSpec, scenario: Scenario,
+def sensitivity_sweep(result: FleetResult, template: SystemSpec, scenario: Scenario,
                       profiles_dir: str | Path,
                       parameters: tuple[str, ...] = SENSITIVITY_PARAMETERS,
                       delta: float = 0.20, workers: int = 1) -> SensitivityCurves:
-    """One-at-a-time +/-delta capex perturbations, with a min-max envelope.
+    """One-at-a-time +/-delta capex perturbations of a solved fleet, with a
+    min-max envelope.
 
-    Every fleet run solves its plants with `workers` processes (see run_fleet).
+    `result` is the baseline `run_fleet` of the same fleet, template and
+    scenario; its curve is the baseline curve.  Each perturbed fleet solves
+    only the scenario's own flexibility mode, and only for the plants that
+    succeeded at baseline: a capex change moves cost coefficients, not the
+    feasible set.  All perturbed solves form one job list, run with
+    `workers` processes as in run_fleet.
     """
     for p in parameters:
         if p not in SENSITIVITY_PARAMETERS:
             raise ValueError(
                 f"unknown sensitivity parameter {p!r}; valid: {SENSITIVITY_PARAMETERS}")
-    baseline = run_fleet(plants, template, scenario, profiles_dir, workers).curve
-    curves: dict[str, list[tuple[float, float]]] = {}
+    plants = [r.plant for r in result.per_plant if r.error is None]
+    labels, jobs = [], []
     for p in parameters:
         for sign, label in ((1.0 + delta, f"{p}:+{delta:.0%}"),
                             (1.0 - delta, f"{p}:-{delta:.0%}")):
             perturbed = _perturbed_template(template, p, sign)
-            curves[label] = run_fleet(plants, perturbed, scenario, profiles_dir,
-                                      workers).curve
+            labels.append(label)
+            jobs += [(perturbed, scenario, plant, str(profiles_dir), False)
+                     for plant in plants]
+    results = _solve_jobs(jobs, workers)
+    n = len(plants)
+    curves = {label: _cost_capacity_curve(results[i * n:(i + 1) * n])
+              for i, label in enumerate(labels)}
+    baseline = result.curve
     envelope = []
     all_curves = [baseline] + list(curves.values())
     for capacity, _ in baseline:

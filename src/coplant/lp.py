@@ -35,6 +35,11 @@ class LpStatusError(RuntimeError):
         self.status = status
 
 
+class LpSolverError(RuntimeError):
+    """HiGHS stopped without proving optimality, infeasibility or unboundedness
+    (iteration limit, numerical trouble, ...)."""
+
+
 @dataclass
 class Variable:
     name: str
@@ -114,7 +119,8 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     """Minimize the problem; deterministic for a fixed input.
 
     Returns a solution with status 'optimal', 'infeasible' or 'unbounded'.
-    Raises LpValidationError for malformed problems.
+    Raises LpValidationError for malformed problems and LpSolverError for any
+    other solver outcome.
     """
     problem.validate()
     n = problem.n_variables
@@ -162,8 +168,8 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         return LpSolution(status="infeasible")
     if res.status == 3:
         return LpSolution(status="unbounded")
-    if res.status != 0:  # pragma: no cover - solver internal failures
-        raise RuntimeError(f"LP solver failed: {res.message}")
+    if res.status != 0:
+        raise LpSolverError(f"LP solver failed (status {res.status}): {res.message}")
 
     duals = np.zeros(problem.n_constraints)
     if ub_rows:
@@ -174,9 +180,3 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
             duals[i] = m
     return LpSolution(status="optimal", x=np.asarray(res.x), objective=float(res.fun),
                       duals=duals)
-
-
-def constraint_activity(problem: LinearProgram, x: np.ndarray, row: int) -> float:
-    """Left-hand-side value of one constraint at a point."""
-    con = problem.constraints[row]
-    return float(sum(a * x[j] for j, a in con.coeffs))

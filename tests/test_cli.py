@@ -110,25 +110,103 @@ def test_fleet(workspace, tmp_path):
     assert (out / "cost_capacity_curve.csv").exists()
 
 
+def write_fleet_inputs(root, n_plants):
+    """Plants P1..Pn with their own solar and wind profiles at 48 h."""
+    profiles = root / "profiles"
+    profiles.mkdir()
+    rows = ["id,lat,lon,clinker_tpd,solar_ref,wind_ref"]
+    for i in range(1, n_plants + 1):
+        for kind, maker in (("s", reference.solar_profile),
+                            ("w", reference.wind_profile)):
+            with (profiles / f"{kind}{i}.csv").open("w") as fh:
+                fh.write("cf\n")
+                fh.writelines(f"{v:.8g}\n" for v in maker(48, i))
+        rows.append(f"P{i},30,{109 + i},{3000 + 1000 * i},s{i},w{i}")
+    plants = root / "plants.csv"
+    plants.write_text("\n".join(rows) + "\n")
+    return plants, profiles
+
+
 def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
-    """COPLANT_WORKERS reaches the baseline run and all 7 sensitivity runs."""
+    """COPLANT_WORKERS reaches the one run_fleet call and the sweep's one pool."""
     from coplant import fleet
-    calls = []
+    runs, pools = [], []
+    run_fleet = fleet.run_fleet
 
-    def fake_run_fleet(plants, template, scenario, profiles_dir, workers=1):
-        calls.append(workers)
-        return fleet.FleetResult(per_plant=[], curve=[(1.0, 2.0)])
+    def recording_run_fleet(plants, template, scenario, profiles_dir, workers=1):
+        runs.append(workers)
+        return run_fleet(plants, template, scenario, profiles_dir, workers)
 
-    monkeypatch.setattr(fleet, "run_fleet", fake_run_fleet)
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            jobs = list(zip(*iterables))
+            pools.append((self.max_workers, len(jobs)))
+            return [fn(*job) for job in jobs]
+
+    def fake_solve_plant(template, scenario, plant, profiles_dir, both_modes=True):
+        return fleet.PlantResult(plant=plant, abatement=50.0, cement_capacity=1.0,
+                                 flex_inflex_ratio=1.0)
+
+    monkeypatch.setattr(fleet, "run_fleet", recording_run_fleet)
+    monkeypatch.setattr(fleet, "_solve_plant", fake_solve_plant)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("COPLANT_WORKERS", "2")
     plants = tmp_path / "plants.csv"
     plants.write_text("id,lat,lon,clinker_tpd,solar_ref,wind_ref\n"
-                      "P1,30,110,4000,s1,w1\n")
+                      "P1,30,110,4000,s1,w1\nP2,31,111,5000,s1,w1\n")
     code = run(["fleet", "--spec", workspace / "system.cfg",
                 "--scenario", workspace / "scenario.cfg", "--plants", plants,
                 "--profiles", tmp_path, "--sensitivity", "-o", tmp_path / "out"])
     assert code == 0
-    assert calls == [2] * 8
+    assert runs == [2]
+    # the baseline pool of 2 plants, then 6 perturbed fleets x 2 plants in one pool
+    assert pools == [(2, 2), (2, 12)]
+
+
+def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monkeypatch):
+    from coplant import lp
+    calls = []
+    solve_lp = lp.solve_lp
+
+    def counting(problem):
+        calls.append(1)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    plants, profiles = write_fleet_inputs(tmp_path, 2)
+    code = run(["fleet", "--spec", workspace / "system.cfg",
+                "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                "--profiles", profiles, "--sensitivity", "-o", tmp_path / "out"])
+    assert code == 0
+    assert len(calls) == 8 * 2
+
+
+def test_solve_mps_builds_lp_once(workspace, tmp_path, monkeypatch):
+    from coplant import dispatch
+    built = []
+    build_lp = dispatch.build_lp
+
+    def counting(spec, scenario):
+        built.append(1)
+        return build_lp(spec, scenario)
+
+    monkeypatch.setattr(dispatch, "build_lp", counting)
+    mps = tmp_path / "model.mps"
+    assert run(["solve", "--spec", workspace / "system.cfg",
+                "--scenario", workspace / "scenario.cfg", "--mps", mps,
+                "-o", tmp_path / "out"]) == 0
+    assert len(built) == 1
+    assert mps.read_text().startswith("NAME")
+    assert (tmp_path / "out" / "solution.json").exists()
 
 
 class TestExitCodes:
@@ -170,3 +248,25 @@ class TestExitCodes:
         assert run(["netopt", "--surface", workspace / "cost.asc",
                     "--sources", bad, "--sinks", workspace / "sinks.csv",
                     "--target", "1", "-o", tmp_path / "x"]) == 3
+
+    def test_fleet_all_plants_failed(self, workspace, tmp_path, capsys):
+        plants, _ = write_fleet_inputs(tmp_path, 1)
+        assert run(["fleet", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                    "--profiles", tmp_path / "nonexistent",
+                    "-o", tmp_path / "x"]) == 6
+        assert "every plant in the fleet failed" in capsys.readouterr().err
+
+    def test_solver_failure(self, workspace, tmp_path, monkeypatch, capsys):
+        from scipy.optimize import OptimizeResult
+
+        from coplant import lp
+
+        def stalled(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(lp, "linprog", stalled)
+        assert run(["solve", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg",
+                    "-o", tmp_path / "x"]) == 6
+        assert "status 4" in capsys.readouterr().err

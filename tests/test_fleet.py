@@ -132,7 +132,7 @@ class TestRunFleet:
         result = run_fleet([good, bad], template, scenario, profiles)
         errors = {r.plant.id: r.error for r in result.per_plant}
         assert errors["G"] is None
-        assert errors["B"] is not None
+        assert errors["B"].startswith("FileNotFoundError: profile 'nope'")
         assert len(result.curve) == 1
 
     def test_all_failed_raises(self, fleet_env):
@@ -142,6 +142,19 @@ class TestRunFleet:
                         wind_profile_ref="w1")
         with pytest.raises(RuntimeError):
             run_fleet([bad], template, scenario, profiles)
+
+    def test_unexpected_error_propagates(self, fleet_env, monkeypatch):
+        _, profiles, scenario, template = fleet_env
+        plant = PlantSite(id="P", latitude=30, longitude=110,
+                          clinker_capacity=4000, solar_profile_ref="s1",
+                          wind_profile_ref="w1")
+
+        def broken(spec, scenario):
+            raise TypeError("a bug, not a plant failure")
+
+        monkeypatch.setattr(fleet, "solve_dispatch", broken)
+        with pytest.raises(TypeError):
+            run_fleet([plant], template, scenario, profiles)
 
     def test_better_resource_not_worse(self, fleet_env, tmp_path):
         root, _, scenario, template = fleet_env
@@ -177,7 +190,8 @@ class TestSensitivity:
     def test_unknown_parameter(self, fleet_env):
         _, profiles, scenario, template = fleet_env
         with pytest.raises(ValueError) as err:
-            sensitivity_sweep([], template, scenario, profiles,
+            sensitivity_sweep(run_fleet([], template, scenario, profiles),
+                              template, scenario, profiles,
                               parameters=("coal_capex",))
         assert "solar_capex" in str(err.value)
 
@@ -190,7 +204,8 @@ class TestSensitivity:
                       wind_profile_ref=["w1", "w2"][i % 2])
             for i in range(2)
         ]
-        sens = sensitivity_sweep(plants, template, scenario, profiles)
+        sens = sensitivity_sweep(run_fleet(plants, template, scenario, profiles),
+                                 template, scenario, profiles)
         base = dict(sens.baseline)
         for label, curve in sens.curves.items():
             costs = dict(curve)
@@ -211,7 +226,49 @@ class TestSensitivity:
         plant = PlantSite(id="P", latitude=30, longitude=110,
                           clinker_capacity=4000, solar_profile_ref="s1",
                           wind_profile_ref="w1")
-        sens = sensitivity_sweep([plant], template, scenario, profiles,
+        sens = sensitivity_sweep(run_fleet([plant], template, scenario, profiles),
+                                 template, scenario, profiles,
                                  parameters=("solar_capex",), delta=0.0)
         for curve in sens.curves.values():
             assert curve == pytest.approx(sens.baseline)
+
+    def test_failed_plant_solved_once(self, fleet_env, monkeypatch):
+        _, profiles, scenario, template = fleet_env
+        good = PlantSite(id="G", latitude=30, longitude=110,
+                         clinker_capacity=4000, solar_profile_ref="s1",
+                         wind_profile_ref="w1")
+        bad = PlantSite(id="B", latitude=30, longitude=111,
+                        clinker_capacity=4000, solar_profile_ref="nope",
+                        wind_profile_ref="w1")
+        loaded = []
+        load_profile = fleet.load_profile
+
+        def counting(profiles_dir, ref, horizon):
+            loaded.append(ref)
+            return load_profile(profiles_dir, ref, horizon)
+
+        monkeypatch.setattr(fleet, "load_profile", counting)
+        result = run_fleet([good, bad], template, scenario, profiles)
+        sens = sensitivity_sweep(result, template, scenario, profiles)
+        assert loaded.count("nope") == 1
+        capacity = next(r.cement_capacity for r in result.per_plant if r.plant.id == "G")
+        assert [c for c, _ in sens.baseline] == [capacity]
+        assert len(sens.curves) == 6
+        for curve in sens.curves.values():
+            assert [c for c, _ in curve] == [capacity]
+
+    def test_workers_match_serial(self, fleet_env):
+        _, profiles, scenario, template = fleet_env
+        plants = [
+            PlantSite(id=f"P{i}", latitude=30, longitude=110 + i,
+                      clinker_capacity=3000 + 500 * i,
+                      solar_profile_ref=["s1", "s2"][i % 2],
+                      wind_profile_ref=["w1", "w2"][i % 2])
+            for i in range(2)
+        ]
+        serial = sensitivity_sweep(run_fleet(plants, template, scenario, profiles),
+                                   template, scenario, profiles)
+        pooled = sensitivity_sweep(
+            run_fleet(plants, template, scenario, profiles, workers=2),
+            template, scenario, profiles, workers=2)
+        assert pooled == serial
