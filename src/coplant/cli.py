@@ -97,7 +97,7 @@ def cmd_solve(args) -> int:
     problem = dispatch.build_lp(spec, scenario)
     if args.mps:
         from coplant.mps import export_lp
-        Path(args.mps).write_text(export_lp(problem, rename=True))
+        Path(args.mps).write_text(export_lp(problem))
     res = lp.solve_lp(problem)
     res.require_optimal()
     sol = dispatch.extract_solution(spec, scenario, res)

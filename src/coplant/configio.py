@@ -12,6 +12,7 @@ file) or `profile_synthetic = solar:<seed>` / `wind:<seed>`.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 from coplant.domain import (
@@ -25,9 +26,6 @@ from coplant.domain import (
     SystemSpec,
     TransportCost,
 )
-
-REPEATABLE = ("unit", "storage", "renewable")
-
 
 class ConfigError(ValueError):
     pass
@@ -50,9 +48,10 @@ def parse_sections(text: str, source: str = "<config>") -> list[tuple[str, dict[
         if current is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
         if key in current:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        current[key.lower()] = value
+        current[key] = value
     return blocks
 
 
@@ -177,17 +176,19 @@ def _parse_storage(block: dict[str, str]) -> StorageUnit:
     return store
 
 
-def _load_profile_csv(path: Path, horizon: int) -> tuple[float, ...]:
-    if not path.exists():
-        raise ConfigError(f"profile file not found: {path}")
-    values = []
-    with path.open() as fh:
-        next(fh)
-        for line in fh:
-            if line.strip():
-                values.append(float(line.split(",")[0]))
+def read_profile_csv(path: Path, horizon: int) -> tuple[float, ...]:
+    """The first `horizon` values of the first column of a CSV file with one
+    header line; blank lines are skipped.
+
+    Raises ValueError for an empty, non-numeric or too short file.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
+            raise ValueError(f"profile {path} is empty")
+        values = [float(row[0]) for row in reader if any(field.strip() for field in row)]
     if len(values) < horizon:
-        raise ConfigError(f"profile {path} has {len(values)} hours, need {horizon}")
+        raise ValueError(f"profile {path} has {len(values)} hours, need {horizon}")
     return tuple(values[:horizon])
 
 
@@ -199,7 +200,13 @@ def _parse_renewable(block: dict[str, str], base_dir: Path, horizon: int) -> Ren
         raise ConfigError(
             f"renewable {rid!r} needs exactly one of profile_file / profile_synthetic")
     if profile_file is not None:
-        profile = _load_profile_csv(base_dir / profile_file, horizon)
+        path = base_dir / profile_file
+        if not path.exists():
+            raise ConfigError(f"profile file not found: {path}")
+        try:
+            profile = read_profile_csv(path, horizon)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     else:
         from coplant.reference import solar_profile, wind_profile
         try:

@@ -54,15 +54,6 @@ _KEYWORD_CATEGORIES = (
 )
 
 
-def annualize(capex: float, rate: float, lifetime: float) -> float:
-    """Annual capital charge via the capital recovery factor."""
-    if lifetime <= 0:
-        raise DomainError("lifetime must be > 0")
-    if rate < 0:
-        raise DomainError("rate must be >= 0")
-    return capex * capital_recovery_factor(rate, lifetime)
-
-
 def abatement_cost(cost_decarb: float, cost_incumbent: float,
                    emis_incumbent: float, emis_decarb: float) -> float:
     """Extra cost of the decarbonized route per tonne of CO2 avoided."""

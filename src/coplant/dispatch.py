@@ -191,47 +191,37 @@ def _validate_inputs(spec: SystemSpec, scenario: Scenario) -> None:
 
 def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     """Encode hourly commodity balances, storage dynamics, flexibility bounds
-    and the annualized cost objective."""
+    and the annualized cost objective.
+
+    Each row family is one block per commodity, unit or store.  The row
+    order is fixed (ub/lb and rup/rdn rows interleave per hour) because
+    HiGHS's pivoting, and so the vertex it returns for a degenerate optimum,
+    depends on it.
+    """
     _validate_inputs(spec, scenario)
     idx = build_index(spec, scenario)
     T = scenario.horizon_hours
     scale = HOURS_PER_YEAR / T
+    hours = np.arange(T)
     lp = LinearProgram()
     rate = scenario.discount_rate
 
+    capacity_costs = (
+        [(capital_recovery_factor(rate, u.lifetime) + u.fixed_om_frac) * u.capex
+         for u in spec.conversion_units]
+        + [(capital_recovery_factor(rate, s.lifetime) + s.fixed_om_frac) * s.capex_capacity
+           for s in spec.storage_units]
+        + [(capital_recovery_factor(rate, r.lifetime) + r.fixed_om_frac) * r.capex
+           for r in spec.renewables])
+    lp.add_columns(len(capacity_costs), cost=capacity_costs)
     for u in spec.conversion_units:
-        cost = (capital_recovery_factor(rate, u.lifetime) + u.fixed_om_frac) * u.capex
-        lp.add_variable(f"cap:{u.id}", objective=cost)
-    for s in spec.storage_units:
-        cost = (capital_recovery_factor(rate, s.lifetime) + s.fixed_om_frac) * s.capex_capacity
-        lp.add_variable(f"cap:{s.id}", objective=cost)
-    for r in spec.renewables:
-        cost = (capital_recovery_factor(rate, r.lifetime) + r.fixed_om_frac) * r.capex
-        lp.add_variable(f"cap:{r.id}", objective=cost)
-    for u in spec.conversion_units:
-        hourly = (u.var_om + spec.biomass_price * u.inputs.get(Commodity.BIOMASS, 0.0)) * scale
-        for t in range(T):
-            lp.add_variable(f"act:{u.id}:{t}", objective=hourly)
-    for s in spec.storage_units:
-        for t in range(T):
-            lp.add_variable(f"chg:{s.id}:{t}")
-    for s in spec.storage_units:
-        for t in range(T):
-            lp.add_variable(f"dis:{s.id}:{t}")
-    for s in spec.storage_units:
-        for t in range(T):
-            lp.add_variable(f"soc:{s.id}:{t}")
-    if idx.has_curtail:
-        for t in range(T):
-            lp.add_variable(f"curtail:{t}")
-    if idx.has_vent:
-        for t in range(T):
-            lp.add_variable(f"vent:{t}")
+        lp.add_columns(T, cost=(u.var_om + spec.biomass_price
+                                * u.inputs.get(Commodity.BIOMASS, 0.0)) * scale)
+    lp.add_columns(3 * len(spec.storage_units) * T)  # charge, discharge, state of charge
+    lp.add_columns((idx.has_curtail + idx.has_vent) * T)  # curtailment, O2 venting
     if idx.has_seq:
-        seq_cost = scenario.transport_cost.per_tonne * scale
-        upper = np.inf if scenario.sequestration_allowed else 0.0
-        for t in range(T):
-            lp.add_variable(f"seq:{t}", upper=upper, objective=seq_cost)
+        lp.add_columns(T, upper=np.inf if scenario.sequestration_allowed else 0.0,
+                       cost=scenario.transport_cost.per_tonne * scale)
     assert lp.n_variables == idx.n_variables
 
     balance_commodities = sorted(
@@ -239,84 +229,75 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
         key=lambda c: c.value)
 
     for c in balance_commodities:
-        for t in range(T):
-            coeffs: list[tuple[int, float]] = []
-            for u in spec.conversion_units:
-                coef = u.outputs.get(c, 0.0) - u.inputs.get(c, 0.0)
-                if coef != 0.0:
-                    coeffs.append((idx.act[u.id] + t, coef))
-            for s in spec.storage_units:
-                if s.commodity is c:
-                    coeffs.append((idx.discharge[s.id] + t, 1.0))
-                    coeffs.append((idx.charge[s.id] + t, -1.0))
-                if c is Commodity.ELECTRICITY:
-                    if s.charge_electricity > 0:
-                        coeffs.append((idx.charge[s.id] + t, -s.charge_electricity))
-                    if s.discharge_electricity > 0:
-                        coeffs.append((idx.discharge[s.id] + t, -s.discharge_electricity))
+        terms = []  # (hour, column, coefficient)
+        for u in spec.conversion_units:
+            coef = u.outputs.get(c, 0.0) - u.inputs.get(c, 0.0)
+            if coef != 0.0:
+                terms.append((hours, idx.act[u.id] + hours, coef))
+        for s in spec.storage_units:
+            if s.commodity is c:
+                terms.append((hours, idx.discharge[s.id] + hours, 1.0))
+                terms.append((hours, idx.charge[s.id] + hours, -1.0))
             if c is Commodity.ELECTRICITY:
-                for r in spec.renewables:
-                    cf = r.profile[t]
-                    if cf > 0:
-                        coeffs.append((idx.cap_renew[r.id], cf))
-                if idx.has_curtail:
-                    coeffs.append((idx.curtail + t, -1.0))
-            if c is Commodity.OXYGEN_GAS and idx.has_vent:
-                coeffs.append((idx.vent_o2 + t, -1.0))
-            if c is Commodity.CO2_SEQUESTRATION and idx.has_seq:
-                coeffs.append((idx.seq + t, -1.0))
-            rhs = 0.0
-            if c is Commodity.CEMENT:
-                rhs = spec.demand_cement
-            elif c is Commodity.METHANOL:
-                rhs = spec.demand_methanol
-            lp.add_constraint(f"bal:{c.value}:{t}", coeffs, EQ, rhs)
+                if s.charge_electricity > 0:
+                    terms.append((hours, idx.charge[s.id] + hours, -s.charge_electricity))
+                if s.discharge_electricity > 0:
+                    terms.append((hours, idx.discharge[s.id] + hours,
+                                  -s.discharge_electricity))
+        if c is Commodity.ELECTRICITY:
+            for r in spec.renewables:
+                cf = np.asarray(r.profile)
+                sunny = np.flatnonzero(cf > 0)
+                terms.append((sunny, idx.cap_renew[r.id], cf[sunny]))
+            if idx.has_curtail:
+                terms.append((hours, idx.curtail + hours, -1.0))
+        if c is Commodity.OXYGEN_GAS and idx.has_vent:
+            terms.append((hours, idx.vent_o2 + hours, -1.0))
+        if c is Commodity.CO2_SEQUESTRATION and idx.has_seq:
+            terms.append((hours, idx.seq + hours, -1.0))
+        demand = {Commodity.CEMENT: spec.demand_cement,
+                  Commodity.METHANOL: spec.demand_methanol}.get(c, 0.0)
+        lp.add_rows(EQ, np.full(T, demand), terms)
 
     for u in spec.conversion_units:
         cap = idx.cap_unit[u.id]
+        act = idx.act[u.id] + hours
         pinned = _is_pinned(u, scenario)
-        for t in range(T):
-            a = idx.act[u.id] + t
-            if pinned:
-                lp.add_constraint(f"pin:{u.id}:{t}", [(a, 1.0), (cap, -1.0)], EQ, 0.0)
-                continue
-            lp.add_constraint(f"ub:{u.id}:{t}", [(a, 1.0), (cap, -1.0)], LE, 0.0)
-            if u.min_load_frac > 0:
-                lp.add_constraint(f"lb:{u.id}:{t}",
-                                  [(a, 1.0), (cap, -u.min_load_frac)], GE, 0.0)
+        if pinned:
+            lp.add_rows(EQ, np.zeros(T), [(hours, act, 1.0), (hours, cap, -1.0)])
+        else:
+            per_hour = 2 if u.min_load_frac > 0 else 1  # ub row, then lb row
+            ub = per_hour * hours
+            terms = [(ub, act, 1.0), (ub, cap, -1.0)]
+            if per_hour == 2:
+                terms += [(ub + 1, act, 1.0), (ub + 1, cap, -u.min_load_frac)]
+            lp.add_rows(np.tile([LE, GE][:per_hour], T), np.zeros(per_hour * T), terms)
         ramp = u.ramp_frac_per_hour
         if not pinned and ramp < 1.0:
-            for t in range(T - 1):
-                a0, a1 = idx.act[u.id] + t, idx.act[u.id] + t + 1
-                lp.add_constraint(f"rup:{u.id}:{t}",
-                                  [(a1, 1.0), (a0, -1.0), (cap, -ramp)], LE, 0.0)
-                lp.add_constraint(f"rdn:{u.id}:{t}",
-                                  [(a0, 1.0), (a1, -1.0), (cap, -ramp)], LE, 0.0)
+            rup = 2 * hours[:-1]  # rup row, then rdn row
+            a0, a1 = act[:-1], act[1:]
+            lp.add_rows(LE, np.zeros(2 * (T - 1)),
+                        [(rup, a1, 1.0), (rup, a0, -1.0), (rup, cap, -ramp),
+                         (rup + 1, a0, 1.0), (rup + 1, a1, -1.0), (rup + 1, cap, -ramp)])
 
     for s in spec.storage_units:
         cap = idx.cap_store[s.id]
-        for t in range(T):
-            nxt = (t + 1) % T
-            if nxt == 0 and not s.cyclic:
-                continue
-            lp.add_constraint(
-                f"soc:{s.id}:{t}",
-                [(idx.soc[s.id] + nxt, 1.0), (idx.soc[s.id] + t, -1.0),
-                 (idx.charge[s.id] + t, -s.charge_eff),
-                 (idx.discharge[s.id] + t, 1.0 / s.discharge_eff)],
-                EQ, 0.0)
-        for t in range(T):
-            lp.add_constraint(f"socub:{s.id}:{t}",
-                              [(idx.soc[s.id] + t, 1.0), (cap, -1.0)], LE, 0.0)
+        soc = idx.soc[s.id] + hours
+        steps = hours if s.cyclic else hours[:-1]
+        lp.add_rows(EQ, np.zeros(steps.size),
+                    [(steps, np.roll(soc, -1)[steps], 1.0), (steps, soc[steps], -1.0),
+                     (steps, idx.charge[s.id] + steps, -s.charge_eff),
+                     (steps, idx.discharge[s.id] + steps, 1.0 / s.discharge_eff)])
+        lp.add_rows(LE, np.zeros(T), [(hours, soc, 1.0), (hours, cap, -1.0)])
 
     if scenario.net_zero and idx.has_seq:
-        coeffs = [(idx.seq + t, 1.0) for t in range(T)]
+        terms = [(0, idx.seq + hours, 1.0)]
         for u in spec.conversion_units:
             burden = u.co2_emitted + (u.inputs.get(Commodity.CO2_GAS, 0.0)
                                       if Commodity.METHANOL in u.outputs else 0.0)
             if burden > 0:
-                coeffs.extend((idx.act[u.id] + t, -burden) for t in range(T))
-        lp.add_constraint("netzero", coeffs, GE, 0.0)
+                terms.append((0, idx.act[u.id] + hours, -burden))
+        lp.add_rows(GE, [0.0], terms)
 
     return lp
 

@@ -17,6 +17,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
+from coplant.configio import read_profile_csv
 from coplant.costing import solution_abatement_cost
 from coplant.dispatch import HOURS_PER_YEAR, solve_dispatch
 from coplant.domain import RenewableSource, Scenario, SystemSpec
@@ -132,13 +133,7 @@ def load_profile(profiles_dir: str | Path, ref: str, horizon: int) -> tuple[floa
     path = Path(profiles_dir) / f"{ref}.csv"
     if not path.exists():
         raise FileNotFoundError(f"profile '{ref}' not found at {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        values = [float(row[0]) for row in reader if row]
-    if len(values) < horizon:
-        raise ValueError(f"profile '{ref}' has {len(values)} hours, need {horizon}")
-    return tuple(values[:horizon])
+    return read_profile_csv(path, horizon)
 
 
 def _site_spec(template: SystemSpec, scenario: Scenario, plant: PlantSite,

@@ -1,7 +1,7 @@
 """Sparse linear-program container and solver front-end.
 
 The `LinearProgram` object is the single numerical currency of the package:
-the dispatch builder, the network selector and the MPS exporter all speak it.
+the dispatch builder, the MPS exporter and importer and the solver all speak it.
 Solving is delegated to scipy's HiGHS backend behind a stable interface;
 the test suite checks it against an independent vertex-enumeration oracle.
 """
@@ -9,15 +9,14 @@ the test suite checks it against an independent vertex-enumeration oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-#: Centralized numerical tolerances.
+#: Primal and dual feasibility tolerance handed to HiGHS.
 FEASIBILITY_TOL = 1e-7
-OPTIMALITY_TOL = 1e-9
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
@@ -40,67 +39,116 @@ class LpSolverError(RuntimeError):
     (iteration limit, numerical trouble, ...)."""
 
 
-@dataclass
-class Variable:
-    name: str
-    lower: float = 0.0
-    upper: float = math.inf
-    objective: float = 0.0
-
-
-@dataclass
-class Constraint:
-    name: str
-    coeffs: list[tuple[int, float]]  # (variable index, coefficient)
-    sense: str
-    rhs: float
-
-
-@dataclass
 class LinearProgram:
-    """Minimization LP with bounded variables and sparse rows."""
+    """Minimization LP held as arrays.
 
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
+    Columns are `lower`, `upper` and `cost`; rows are `sense` and `rhs`.
+    The coefficients are kept as COO blocks, one per `add_rows` call, and
+    `matrix()` assembles them into one CSR matrix.  Column and row names are
+    held only when the caller gives them, for every block or for none.
+    """
+
+    def __init__(self) -> None:
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
+        self.cost = np.zeros(0)
+        self.sense = np.zeros(0, dtype="<U2")
+        self.rhs = np.zeros(0)
+        self.col_names: list[str] | None = None
+        self.row_names: list[str] | None = None
+        # (row, column, value) triplets, one block per add_rows call after this empty one
+        self._blocks = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
 
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return self.lower.size
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self.rhs.size
 
-    def add_variable(self, name: str, lower: float = 0.0, upper: float = math.inf,
-                     objective: float = 0.0) -> int:
-        self.variables.append(Variable(name, lower, upper, objective))
-        return len(self.variables) - 1
+    def add_columns(self, count: int, lower=0.0, upper=math.inf, cost=0.0,
+                    names: list[str] | None = None) -> int:
+        """Append `count` columns and return the index of the first.
 
-    def add_constraint(self, name: str, coeffs: list[tuple[int, float]], sense: str,
-                       rhs: float) -> int:
-        self.constraints.append(Constraint(name, list(coeffs), sense, rhs))
-        return len(self.constraints) - 1
+        `lower`, `upper` and `cost` are each one value for every new column
+        or one value per column.
+        """
+        first = self.n_variables
+        lower, upper, cost = (np.broadcast_to(np.asarray(a, dtype=float), (count,))
+                              for a in (lower, upper, cost))
+        self.col_names = _extend_names(self.col_names, names, first, count)
+        self.lower = np.concatenate([self.lower, lower])
+        self.upper = np.concatenate([self.upper, upper])
+        self.cost = np.concatenate([self.cost, cost])
+        return first
+
+    def add_rows(self, sense, rhs, terms, names: list[str] | None = None) -> int:
+        """Append one row per entry of `rhs` and return the index of the first.
+
+        `sense` is one sense for every new row or one per row.  Each term
+        `(rows, cols, vals)` puts coefficient `vals[k]` at row `rows[k]` of the
+        block (counted from 0) and column `cols[k]`; scalars are broadcast.
+        """
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        sense = np.broadcast_to(sense, rhs.shape)
+        rows, cols, vals = (np.concatenate(part) for part in
+                            zip(*(map(np.ravel, np.broadcast_arrays(*term)) for term in terms)))
+        if rows.size and (rows.min() < 0 or rows.max() >= rhs.size):
+            raise LpValidationError(f"a term addresses a row outside the block of {rhs.size}")
+        first = self.n_constraints
+        self.row_names = _extend_names(self.row_names, names, first, rhs.size)
+        self._blocks.append((rows.astype(np.intp) + first, cols.astype(np.intp),
+                             vals.astype(float)))
+        self.sense = np.concatenate([self.sense, sense])
+        self.rhs = np.concatenate([self.rhs, rhs])
+        return first
+
+    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row indices, column indices and values of every coefficient, in order."""
+        return tuple(np.concatenate(part) for part in zip(*self._blocks))
+
+    def matrix(self) -> sparse.csr_matrix:
+        """The constraint matrix; coefficients given twice for one cell are summed."""
+        rows, cols, vals = self._coo()
+        return sparse.csr_matrix((vals, (rows, cols)),
+                                 shape=(self.n_constraints, self.n_variables))
 
     def validate(self) -> None:
-        if not self.variables:
+        if not self.n_variables:
             raise LpValidationError("problem has no variables")
-        for i, v in enumerate(self.variables):
-            if math.isnan(v.lower) or math.isnan(v.upper) or not math.isfinite(v.objective):
-                raise LpValidationError(f"variable {v.name!r} (index {i}) has a non-finite field")
-            if v.lower > v.upper:
-                raise LpValidationError(
-                    f"variable {v.name!r} has reversed bounds: {v.lower} > {v.upper}")
-        n = len(self.variables)
-        for c in self.constraints:
-            if c.sense not in _SENSES:
-                raise LpValidationError(f"constraint {c.name!r} has unknown sense {c.sense!r}")
-            if not math.isfinite(c.rhs):
-                raise LpValidationError(f"constraint {c.name!r} has non-finite rhs")
-            for j, a in c.coeffs:
-                if not 0 <= j < n:
-                    raise LpValidationError(f"constraint {c.name!r} references variable index {j}")
-                if not math.isfinite(a):
-                    raise LpValidationError(f"constraint {c.name!r} has non-finite coefficient")
+        rows, cols, vals = self._coo()
+
+        def rows_with(mask: np.ndarray) -> np.ndarray:
+            out = np.zeros(self.n_constraints, dtype=bool)
+            out[rows[mask]] = True
+            return out
+
+        for bad, names, kind, what in (
+                (np.isnan(self.lower) | np.isnan(self.upper) | ~np.isfinite(self.cost),
+                 self.col_names, "variable", "has a non-finite field"),
+                (self.lower > self.upper, self.col_names, "variable", "has reversed bounds"),
+                (~np.isin(self.sense, _SENSES), self.row_names, "constraint",
+                 "has an unknown sense"),
+                (~np.isfinite(self.rhs), self.row_names, "constraint", "has a non-finite rhs"),
+                (rows_with((cols < 0) | (cols >= self.n_variables)), self.row_names,
+                 "constraint", "references a variable index out of range"),
+                (rows_with(~np.isfinite(vals)), self.row_names, "constraint",
+                 "has a non-finite coefficient")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                label = repr(names[i]) if names else str(i)
+                raise LpValidationError(f"{kind} {label} {what}")
+
+
+def _extend_names(held: list[str] | None, names: list[str] | None, first: int,
+                  count: int) -> list[str] | None:
+    """The names held after appending `count` entries at index `first`."""
+    if names is None and held is None:
+        return None
+    if names is None or (held is None and first) or len(names) != count:
+        raise LpValidationError("give one name per entry for every block, or no names")
+    return (held or []) + list(names)
 
 
 @dataclass
@@ -123,43 +171,21 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     other solver outcome.
     """
     problem.validate()
-    n = problem.n_variables
-    c = np.array([v.objective for v in problem.variables])
-    bounds = [(v.lower, None if math.isinf(v.upper) else v.upper)
-              for v in problem.variables]
-
-    ub_rows, ub_rhs, ub_map = [], [], []      # (row data, rhs, (index, sign))
-    eq_rows, eq_rhs, eq_map = [], [], []
-    for i, con in enumerate(problem.constraints):
-        sign = -1.0 if con.sense == GE else 1.0
-        data = [(j, sign * a) for j, a in con.coeffs]
-        if con.sense == EQ:
-            eq_rows.append(data)
-            eq_rhs.append(con.rhs)
-            eq_map.append(i)
-        else:
-            ub_rows.append(data)
-            ub_rhs.append(sign * con.rhs)
-            ub_map.append((i, sign))
-
-    def _matrix(rows: list) -> sparse.csr_matrix:
-        ii, jj, vv = [], [], []
-        for r, data in enumerate(rows):
-            for j, a in data:
-                ii.append(r)
-                jj.append(j)
-                vv.append(a)
-        return sparse.csr_matrix((vv, (ii, jj)), shape=(len(rows), n))
-
+    # GE rows are negated into LE rows; EQ rows keep sign 1
+    sign = np.where(problem.sense == GE, -1.0, 1.0)
+    matrix = problem.matrix()
+    matrix.data *= np.repeat(sign, np.diff(matrix.indptr))
+    rhs = sign * problem.rhs
+    eq = problem.sense == EQ
+    ub = ~eq
     kwargs = {}
-    if ub_rows:
-        kwargs["A_ub"] = _matrix(ub_rows)
-        kwargs["b_ub"] = np.array(ub_rhs)
-    if eq_rows:
-        kwargs["A_eq"] = _matrix(eq_rows)
-        kwargs["b_eq"] = np.array(eq_rhs)
+    if ub.any():
+        kwargs["A_ub"], kwargs["b_ub"] = matrix[ub], rhs[ub]
+    if eq.any():
+        kwargs["A_eq"], kwargs["b_eq"] = matrix[eq], rhs[eq]
 
-    res = linprog(c, bounds=bounds, method="highs",
+    res = linprog(problem.cost, bounds=np.column_stack([problem.lower, problem.upper]),
+                  method="highs",
                   options={"primal_feasibility_tolerance": FEASIBILITY_TOL,
                            "dual_feasibility_tolerance": FEASIBILITY_TOL},
                   **kwargs)
@@ -172,11 +198,9 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         raise LpSolverError(f"LP solver failed (status {res.status}): {res.message}")
 
     duals = np.zeros(problem.n_constraints)
-    if ub_rows:
-        for (i, sign), m in zip(ub_map, res.ineqlin.marginals):
-            duals[i] = sign * m
-    if eq_rows:
-        for i, m in zip(eq_map, res.eqlin.marginals):
-            duals[i] = m
+    if ub.any():
+        duals[ub] = sign[ub] * res.ineqlin.marginals
+    if eq.any():
+        duals[eq] = res.eqlin.marginals
     return LpSolution(status="optimal", x=np.asarray(res.x), objective=float(res.fun),
                       duals=duals)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from coplant.lp import EQ, GE, LE, LinearProgram, LpValidationError
+from coplant.lp import EQ, GE, LE, LinearProgram
 
 MAX_NAME = 8
 _ROW_TYPE = {LE: "L", GE: "G", EQ: "E"}
@@ -45,82 +45,72 @@ def _entry(f1: str, f2: str, f3: str = "", f4: str = "", f5: str = "", f6: str =
     return line.rstrip()
 
 
-def export_lp(problem: LinearProgram, name: str = "COPLANT", rename: bool = False) -> str:
+def export_lp(problem: LinearProgram, name: str = "COPLANT") -> str:
     """Serialize a validated problem to fixed-column MPS text.
 
-    With rename=False, variable/constraint names longer than the 8-character
-    field raise an error listing every offender.  With rename=True, compact
-    generated names (C0000001 / R0000001) are substituted instead, which is
-    the escape hatch for exporting large dispatch problems.
+    Columns and rows without names are written with generated ones
+    (C0000000, R0000000, ...).  Given names longer than the 8-character
+    field raise an error listing every offender, as do duplicate names.
     """
     problem.validate()
-
-    if rename:
-        var_names = [f"C{j:07d}" for j in range(problem.n_variables)]
-        row_names = [f"R{i:07d}" for i in range(problem.n_constraints)]
-    else:
-        var_names = [v.name for v in problem.variables]
-        row_names = [c.name for c in problem.constraints]
-        offenders = [n for n in var_names + row_names if len(n) > MAX_NAME]
-        if offenders:
-            raise MpsFormatError(
-                "names exceed the %d-character MPS field: %s"
-                % (MAX_NAME, ", ".join(sorted(set(offenders)))))
-        if len(set(var_names)) != len(var_names) or len(set(row_names)) != len(row_names):
-            raise MpsFormatError("duplicate names; use rename=True")
+    var_names = problem.col_names or [f"C{j:07d}" for j in range(problem.n_variables)]
+    row_names = problem.row_names or [f"R{i:07d}" for i in range(problem.n_constraints)]
+    offenders = [n for n in var_names + row_names if len(n) > MAX_NAME]
+    if offenders:
+        raise MpsFormatError(
+            "names exceed the %d-character MPS field: %s"
+            % (MAX_NAME, ", ".join(sorted(set(offenders)))))
+    if len(set(var_names)) != len(var_names) or len(set(row_names)) != len(row_names):
+        raise MpsFormatError("duplicate names")
 
     out = [f"NAME          {name}", "ROWS", _entry("N", "OBJ")]
-    for rn, con in zip(row_names, problem.constraints):
-        out.append(_entry(_ROW_TYPE[con.sense], rn))
+    for rn, sense in zip(row_names, problem.sense):
+        out.append(_entry(_ROW_TYPE[sense], rn))
 
-    # column-major coefficient map
-    by_col: list[list[tuple[str, float]]] = [[] for _ in range(problem.n_variables)]
-    for rn, con in zip(row_names, problem.constraints):
-        for j, a in con.coeffs:
-            by_col[j].append((rn, a))
-
+    by_col = problem.matrix().tocsc()
+    starts, rows, values = (a.tolist() for a in (by_col.indptr, by_col.indices, by_col.data))
     out.append("COLUMNS")
-    for j, v in enumerate(problem.variables):
-        entries = []
-        if v.objective != 0.0:
-            entries.append(("OBJ", v.objective))
-        entries.extend(by_col[j])
+    for j, (vn, cost) in enumerate(zip(var_names, problem.cost.tolist())):
+        entries = [("OBJ", cost)] if cost != 0.0 else []
+        entries.extend((row_names[i], a) for i, a in
+                       zip(rows[starts[j]:starts[j + 1]], values[starts[j]:starts[j + 1]]))
         if not entries:
             entries.append(("OBJ", 0.0))  # keep every variable visible to the parser
         for rn, a in entries:
-            out.append(_entry("", var_names[j], rn, _format_value(a)))
+            out.append(_entry("", vn, rn, _format_value(a)))
 
     out.append("RHS")
-    for rn, con in zip(row_names, problem.constraints):
-        if con.rhs != 0.0:
-            out.append(_entry("", "RHS", rn, _format_value(con.rhs)))
+    for rn, rhs in zip(row_names, problem.rhs.tolist()):
+        if rhs != 0.0:
+            out.append(_entry("", "RHS", rn, _format_value(rhs)))
 
     out.append("BOUNDS")
-    for j, v in enumerate(problem.variables):
-        if v.lower == v.upper:
-            out.append(_entry("FX", "BND", var_names[j], _format_value(v.lower)))
+    for vn, lo, up in zip(var_names, problem.lower.tolist(), problem.upper.tolist()):
+        if lo == up:
+            out.append(_entry("FX", "BND", vn, _format_value(lo)))
             continue
-        if math.isinf(v.lower) and math.isinf(v.upper):
-            out.append(_entry("FR", "BND", var_names[j]))
+        if math.isinf(lo) and math.isinf(up):
+            out.append(_entry("FR", "BND", vn))
             continue
-        if math.isinf(v.lower):
-            out.append(_entry("MI", "BND", var_names[j]))
-        elif v.lower != 0.0:
-            out.append(_entry("LO", "BND", var_names[j], _format_value(v.lower)))
-        if not math.isinf(v.upper):
-            out.append(_entry("UP", "BND", var_names[j], _format_value(v.upper)))
+        if math.isinf(lo):
+            out.append(_entry("MI", "BND", vn))
+        elif lo != 0.0:
+            out.append(_entry("LO", "BND", vn, _format_value(lo)))
+        if not math.isinf(up):
+            out.append(_entry("UP", "BND", vn, _format_value(up)))
 
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
 
 def import_lp(text: str) -> LinearProgram:
-    """Parse fixed-column MPS text back into a LinearProgram."""
-    lp = LinearProgram()
+    """Parse fixed-column MPS text back into a LinearProgram.
+
+    RANGES entries are not supported and raise MpsFormatError.
+    """
     section = None
     obj_row: str | None = None
     row_sense: dict[str, str] = {}
-    row_index: dict[str, int] = {}
     var_index: dict[str, int] = {}
     row_coeffs: dict[str, list[tuple[int, float]]] = {}
     obj_coeffs: dict[int, float] = {}
@@ -155,7 +145,6 @@ def import_lp(text: str) -> LinearProgram:
             if rtype not in _TYPE_ROW:
                 raise MpsFormatError(f"line {lineno}: unknown row type {rtype!r}")
             row_sense[rname] = _TYPE_ROW[rtype]
-            row_index[rname] = len(row_index)
             row_coeffs[rname] = []
         elif section == "COLUMNS":
             if len(fields) not in (3, 5):
@@ -203,7 +192,9 @@ def import_lp(text: str) -> LinearProgram:
                     b[0] = b[1] = value
             else:
                 raise MpsFormatError(f"line {lineno}: unknown bound type {btype!r}")
-        elif section in ("NAME", "RANGES"):
+        elif section == "RANGES":
+            raise MpsFormatError(f"line {lineno}: RANGES entries are not supported")
+        elif section == "NAME":
             continue
         else:
             raise MpsFormatError(f"line {lineno}: data outside any section")
@@ -211,12 +202,16 @@ def import_lp(text: str) -> LinearProgram:
     if not var_index:
         raise MpsFormatError("no variables found")
 
-    names = sorted(var_index, key=var_index.get)
-    for name in names:
-        j = var_index[name]
-        lo, up = bounds.get(j, (0.0, math.inf))
-        lp.add_variable(name, lower=lo, upper=up, objective=obj_coeffs.get(j, 0.0))
-    for rname in sorted(row_index, key=row_index.get):
-        lp.add_constraint(rname, row_coeffs[rname], row_sense[rname], rhs.get(rname, 0.0))
+    n = len(var_index)
+    lower, upper = zip(*(bounds.get(j, (0.0, math.inf)) for j in range(n)))
+    lp = LinearProgram()
+    lp.add_columns(n, lower=lower, upper=upper, cost=[obj_coeffs.get(j, 0.0) for j in range(n)],
+                   names=list(var_index))
+    row_names = list(row_sense)
+    if row_names:
+        lp.add_rows([row_sense[r] for r in row_names], [rhs.get(r, 0.0) for r in row_names],
+                    [(i, [j for j, _ in row_coeffs[r]], [a for _, a in row_coeffs[r]])
+                     for i, r in enumerate(row_names)],
+                    names=row_names)
     lp.validate()
     return lp

@@ -44,6 +44,9 @@ class CostSurface:
         return self.nrows * self.ncols
 
     def index(self, row: int, col: int) -> int:
+        if not (0 <= row < self.nrows and 0 <= col < self.ncols):
+            raise ValueError(f"cell (row {row}, col {col}) is outside the "
+                             f"{self.nrows}x{self.ncols} raster")
         return row * self.ncols + col
 
     def rowcol(self, cell: int) -> tuple[int, int]:

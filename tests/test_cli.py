@@ -249,6 +249,33 @@ class TestExitCodes:
                     "--sources", bad, "--sinks", workspace / "sinks.csv",
                     "--target", "1", "-o", tmp_path / "x"]) == 3
 
+    def test_solve_empty_profile(self, workspace, tmp_path, capsys):
+        system = (workspace / "system.cfg").read_text()
+        assert "profile_file = solar.csv" in system
+        (tmp_path / "sys.cfg").write_text(
+            system.replace("profile_file = solar.csv", "profile_file = empty.csv"))
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "wind.csv").write_bytes((workspace / "wind.csv").read_bytes())
+        assert run(["solve", "--spec", tmp_path / "sys.cfg",
+                    "--scenario", workspace / "scenario.cfg",
+                    "-o", tmp_path / "x"]) == 3
+        assert "empty.csv is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, col", [(0, 4), (5, 1)])
+    def test_netopt_node_outside_raster(self, tmp_path, capsys, row, col):
+        write_raster(CostSurface(ncols=3, nrows=3, cell_size=1.0, origin=(0.0, 0.0),
+                                 nodata=-9999.0, cells=np.ones((3, 3))),
+                     tmp_path / "cost.asc")
+        (tmp_path / "sources.csv").write_text(
+            f"id,row,col,capturable,capture_cost\nS1,{row},{col},1.0,1\n")
+        (tmp_path / "sinks.csv").write_text(
+            "id,row,col,capacity,sequestration_cost\nK1,2,2,1.0,1\n")
+        assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                    "--sources", tmp_path / "sources.csv",
+                    "--sinks", tmp_path / "sinks.csv",
+                    "--target", "0.5", "-o", tmp_path / "x"]) == 3
+        assert "outside the 3x3 raster" in capsys.readouterr().err
+
     def test_fleet_all_plants_failed(self, workspace, tmp_path, capsys):
         plants, _ = write_fleet_inputs(tmp_path, 1)
         assert run(["fleet", "--spec", workspace / "system.cfg",

@@ -19,6 +19,12 @@ def test_duplicate_key():
         parse_sections("[a]\nx = 1\nx = 2\n")
 
 
+@pytest.mark.parametrize("text", ["[a]\nfoo = 1\nFoo = 2\n", "[a]\nFoo = 1\nfoo = 2\n"])
+def test_duplicate_key_any_case(text):
+    with pytest.raises(ConfigError, match="duplicate key 'foo'"):
+        parse_sections(text)
+
+
 def test_missing_equals_names_line():
     with pytest.raises(ConfigError) as err:
         parse_sections("[a]\njunk line\n", source="f.cfg")
@@ -87,6 +93,14 @@ def test_profile_too_short(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_system(text, 24, base_dir=tmp_path)
     assert "24" in str(err.value)
+
+
+def test_profile_empty(tmp_path):
+    (tmp_path / "p.csv").write_text("")
+    text = ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
+            "[renewable]\nid = pv\nprofile_file = p.csv\n")
+    with pytest.raises(ConfigError, match="p.csv is empty"):
+        parse_system(text, 24, base_dir=tmp_path)
 
 
 def test_bad_coefficient_entry():

@@ -9,7 +9,6 @@ from coplant import costing, reference
 from coplant.costing import (
     CATEGORIES,
     abatement_cost,
-    annualize,
     bundle_metrics,
     cost_breakdown,
     emission_reduction,
@@ -18,28 +17,31 @@ from coplant.costing import (
     storage_cycle_counts,
     sweep_stoichiometry,
 )
-from coplant.dispatch import solve_dispatch
+from coplant.dispatch import capital_recovery_factor, solve_dispatch
 from coplant.domain import DomainError
 
 
 class TestAnnualize:
+    """Annual capital charge: capex times the capital recovery factor."""
+
     def test_crf_oracle(self):
         # independent evaluation: 1000 * 0.08*1.08^20 / (1.08^20 - 1)
-        assert annualize(1000, 0.08, 20) == pytest.approx(101.85, abs=0.005)
+        assert 1000 * capital_recovery_factor(0.08, 20) == pytest.approx(101.85, abs=0.005)
 
     def test_zero_rate_limit(self):
-        assert annualize(1000, 0.0, 20) == pytest.approx(50.0)
+        assert 1000 * capital_recovery_factor(0.0, 20) == pytest.approx(50.0)
 
     def test_zero_capex(self):
-        assert annualize(0, 0.05, 10) == 0.0
+        assert 0 * capital_recovery_factor(0.05, 10) == 0.0
 
     def test_bad_lifetime(self):
         with pytest.raises(DomainError):
-            annualize(1000, 0.08, 0)
+            capital_recovery_factor(0.08, 0)
 
     @given(st.floats(0.0, 0.3), st.floats(0.01, 0.3))
     def test_monotone_in_rate(self, r, dr):
-        assert annualize(1000, r + dr, 20) >= annualize(1000, r, 20) - 1e-9
+        assert 1000 * capital_recovery_factor(r + dr, 20) >= \
+            1000 * capital_recovery_factor(r, 20) - 1e-9
 
 
 class TestAbatement:

@@ -21,6 +21,7 @@ from coplant.domain import (
     StorageUnit,
     SystemSpec,
 )
+from coplant.lp import GE
 
 
 def toy_system(T=24):
@@ -94,14 +95,17 @@ def test_min_load_rows_reference_capacity():
     scenario = reference.netzero_scenario(horizon=24)
     spec = reference.reference_system(scenario)
     lp = build_lp(spec, scenario)
-    rows = [c for c in lp.constraints if c.name.startswith("lb:electrolyzer")]
-    assert rows, "no electrolyzer min-load rows"
     index = build_index(spec, scenario)
+    act = index.act["electrolyzer"]
+    matrix = lp.matrix()
+    # the min-load rows are the GE rows on the electrolyzer's hourly activity
+    touches = np.diff(matrix[:, act:act + 24].tocsr().indptr) > 0
+    rows = np.flatnonzero(touches & (lp.sense == GE))
+    assert rows.size == 24, "expected one electrolyzer min-load row per hour"
     cap_idx = index.cap_unit["electrolyzer"]
     for row in rows:
-        coeffs = dict(row.coeffs)
-        assert coeffs[cap_idx] == pytest.approx(0.05) or \
-            coeffs[cap_idx] == pytest.approx(-0.05)
+        coeff = matrix[row, cap_idx]
+        assert coeff == pytest.approx(0.05) or coeff == pytest.approx(-0.05)
 
 
 def test_electrolyzer_respects_min_load(netzero48):

@@ -135,6 +135,26 @@ class TestRunFleet:
         assert errors["B"].startswith("FileNotFoundError: profile 'nope'")
         assert len(result.curve) == 1
 
+    def test_empty_profile_recorded_not_fatal(self, fleet_env, tmp_path):
+        _, profiles, scenario, template = fleet_env
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "header.csv").write_text("cf\n")
+        for name in ("s1", "w1"):
+            (tmp_path / f"{name}.csv").write_bytes((profiles / f"{name}.csv").read_bytes())
+        plants = [PlantSite(id="G", latitude=30, longitude=110, clinker_capacity=4000,
+                            solar_profile_ref="s1", wind_profile_ref="w1")]
+        plants += [PlantSite(id=ref, latitude=30, longitude=111, clinker_capacity=4000,
+                             solar_profile_ref=ref, wind_profile_ref="w1")
+                   for ref in ("empty", "header")]
+        result = run_fleet(plants, template, scenario, tmp_path)
+        errors = {r.plant.id: r.error for r in result.per_plant}
+        assert errors["G"] is None
+        assert errors["empty"].startswith("ValueError: profile ")
+        assert errors["empty"].endswith("empty.csv is empty")
+        assert errors["header"].startswith("ValueError: profile ")
+        assert "has 0 hours" in errors["header"]
+        assert len(result.curve) == 1
+
     def test_all_failed_raises(self, fleet_env):
         _, profiles, scenario, template = fleet_env
         bad = PlantSite(id="B", latitude=30, longitude=111,

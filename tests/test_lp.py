@@ -35,15 +35,10 @@ def vertex_enumeration_oracle(lp: LinearProgram, tol: float = 1e-8):
     most 20 planes in 6 variables, a worst-case stack of C(20, 6) = 38,760
     subsets x 6x6 floats, about 11 MB.
     """
-    n = len(lp.variables)
-    lower = np.array([v.lower for v in lp.variables])
-    upper = np.array([v.upper for v in lp.variables])
-    rows = np.zeros((len(lp.constraints), n))
-    for j, c in enumerate(lp.constraints):
-        for idx, coef in c.coeffs:
-            rows[j, idx] += coef
-    rhs = np.array([c.rhs for c in lp.constraints])
-    sense = np.array([c.sense for c in lp.constraints], dtype=object)
+    n = lp.n_variables
+    lower, upper = lp.lower, lp.upper
+    rows = lp.matrix().toarray()
+    rhs, sense = lp.rhs, lp.sense
 
     # each variable's lower then upper bound plane, then the constraint rows
     bound_rhs = np.column_stack([lower, upper]).ravel()
@@ -64,29 +59,29 @@ def vertex_enumeration_oracle(lp: LinearProgram, tol: float = 1e-8):
         | ((sense == LE) & (lhs > rhs + tol)).any(axis=1)
         | ((sense == GE) & (lhs < rhs - tol)).any(axis=1)
         | ((sense == EQ) & (np.abs(lhs - rhs) > tol)).any(axis=1))
-    values = x[~violated] @ np.array([v.objective for v in lp.variables])
+    values = x[~violated] @ lp.cost
     return float(values.min()) if values.size else None
 
 def random_lp(rng: np.random.Generator) -> LinearProgram:
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 9))
     lp = LinearProgram()
-    for i in range(n):
-        upper = float(rng.uniform(0.5, 10.0))
-        lp.add_variable(name=f"x{i}", lower=0.0, upper=upper,
-                                 objective=float(rng.uniform(-5, 5)))
+    upper, cost = [], []
+    for _ in range(n):
+        upper.append(float(rng.uniform(0.5, 10.0)))
+        cost.append(float(rng.uniform(-5, 5)))
+    lp.add_columns(n, lower=0.0, upper=upper, cost=cost)
     for j in range(m):
         k = int(rng.integers(1, n + 1))
         idxs = rng.choice(n, size=k, replace=False)
-        coeffs = [(int(i), float(rng.uniform(-3, 3))) for i in idxs]
+        coeffs = [float(rng.uniform(-3, 3)) for _ in idxs]
         sense = [LE, GE][int(rng.integers(0, 2))]
-        lp.add_constraint(name=f"c{j}", coeffs=coeffs, sense=sense,
-                                     rhs=float(rng.uniform(-5, 10)))
+        lp.add_rows(sense, [float(rng.uniform(-5, 10))], [(0, idxs, coeffs)])
     return lp
 
 def test_trivial_box_maximum():
     lp = LinearProgram()
-    lp.add_variable(name="x", lower=0.0, upper=5.0, objective=-1.0)
+    lp.add_columns(1, lower=0.0, upper=5.0, cost=-1.0)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(5.0)
@@ -94,12 +89,8 @@ def test_trivial_box_maximum():
 
 def test_two_by_two_vertex():
     lp = LinearProgram()
-    lp.add_variable(name="x", objective=1.0)
-    lp.add_variable(name="y", objective=1.0)
-    lp.add_constraint(name="c1", coeffs=[(0, 1.0), (1, 2.0)],
-                                 sense=GE, rhs=4.0)
-    lp.add_constraint(name="c2", coeffs=[(0, 3.0), (1, 1.0)],
-                                 sense=GE, rhs=6.0)
+    lp.add_columns(2, cost=1.0)
+    lp.add_rows(GE, [4.0, 6.0], [([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 1.0])])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(1.6, abs=1e-8)
@@ -116,12 +107,9 @@ def test_equality_rows():
     without them -5.
     """
     lp = LinearProgram()
-    lp.add_variable(name="x", lower=0.0, upper=10.0, objective=-1.0)
-    lp.add_variable(name="y", lower=0.0, upper=10.0, objective=1.0)
-    lp.add_constraint(name="e1", coeffs=[(0, 2.0)], sense=EQ, rhs=4.0)
-    lp.add_constraint(name="e2", coeffs=[(1, 3.0)], sense=EQ, rhs=3.0)
-    lp.add_constraint(name="cap", coeffs=[(0, 1.0), (1, 1.0)],
-                                 sense=LE, rhs=5.0)
+    lp.add_columns(2, lower=0.0, upper=10.0, cost=[-1.0, 1.0])
+    lp.add_rows(EQ, [4.0, 3.0], [([0, 1], [0, 1], [2.0, 3.0])])
+    lp.add_rows(LE, [5.0], [(0, [0, 1], 1.0)])
     assert vertex_enumeration_oracle(lp) == pytest.approx(-1.0, abs=1e-8)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -129,9 +117,8 @@ def test_equality_rows():
 
 def test_infeasible_status():
     lp = LinearProgram()
-    lp.add_variable(name="x", objective=1.0)
-    lp.add_constraint(name="lo", coeffs=[(0, 1.0)], sense=GE, rhs=1.0)
-    lp.add_constraint(name="hi", coeffs=[(0, 1.0)], sense=LE, rhs=0.0)
+    lp.add_columns(1, cost=1.0)
+    lp.add_rows([GE, LE], [1.0, 0.0], [([0, 1], 0, 1.0)])
     assert vertex_enumeration_oracle(lp) is None
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
@@ -140,20 +127,34 @@ def test_infeasible_status():
 
 def test_unbounded_status():
     lp = LinearProgram()
-    lp.add_variable(name="x", objective=-1.0)
+    lp.add_columns(1, cost=-1.0)
     assert solve_lp(lp).status == "unbounded"
 
 def test_validation_errors():
     lp = LinearProgram()
     with pytest.raises(LpValidationError):
         solve_lp(lp)  # empty problem
-    lp.add_variable(name="x", lower=2.0, upper=1.0, objective=0.0)
+    lp.add_columns(1, lower=2.0, upper=1.0, cost=0.0)
     with pytest.raises(LpValidationError):
         solve_lp(lp)
     lp2 = LinearProgram()
-    lp2.add_variable(name="x", objective=float("nan"))
+    lp2.add_columns(1, cost=float("nan"))
     with pytest.raises(LpValidationError):
         solve_lp(lp2)
+
+def test_names_for_every_block_or_none():
+    named = LinearProgram()
+    named.add_columns(1, names=["x"])
+    with pytest.raises(LpValidationError):
+        named.add_columns(1)
+    unnamed = LinearProgram()
+    unnamed.add_columns(1)
+    with pytest.raises(LpValidationError):
+        unnamed.add_columns(1, names=["y"])
+    with pytest.raises(LpValidationError):
+        unnamed.add_rows(LE, [1.0], [(1, 0, 1.0)])  # row 1 of a one-row block
+    assert unnamed.n_variables == 1 and unnamed.n_constraints == 0
+
 
 def test_oracle_agreement_200_random_lps():
     """[PRIMARY] solver matches vertex enumeration on >=200 random LPs."""
@@ -186,25 +187,20 @@ def test_weak_duality_on_random_lps():
         # validate via the complementary-slackness-free certificate that
         # duals price the constraints consistently: recompute the objective
         # from a feasible point and check it cannot beat the optimum.
-        x = np.array([min(max(0.0, v.lower), v.upper if math.isfinite(v.upper)
-                          else v.lower) for v in lp.variables])
-        obj = sum(v.objective * xi for v, xi in zip(lp.variables, x))
+        x = np.array([min(max(0.0, lo), up if math.isfinite(up) else lo)
+                      for lo, up in zip(lp.lower, lp.upper)])
+        obj = sum(c * xi for c, xi in zip(lp.cost, x))
         feasible = all(
-            (sum(c * x[i] for i, c in con.coeffs) <= con.rhs + 1e-9
-             if con.sense == "<=" else
-             sum(c * x[i] for i, c in con.coeffs) >= con.rhs - 1e-9)
-            for con in lp.constraints)
+            (lhs <= rhs + 1e-9 if sense == "<=" else lhs >= rhs - 1e-9)
+            for lhs, rhs, sense in zip(lp.matrix() @ x, lp.rhs, lp.sense))
         if feasible:
             assert sol.objective <= obj + 1e-6 * max(1.0, abs(obj))
 
 def test_duals_reported_and_priced():
     # tight resource constraint: dual equals marginal value of rhs
     lp = LinearProgram()
-    lp.add_variable(name="x", objective=-3.0)
-    lp.add_variable(name="y", objective=-2.0)
-    lp.add_constraint(name="cap", coeffs=[(0, 1.0), (1, 1.0)],
-                                 sense=LE, rhs=4.0)
-    lp.add_constraint(name="xmax", coeffs=[(0, 1.0)], sense=LE, rhs=3.0)
+    lp.add_columns(2, cost=[-3.0, -2.0])
+    lp.add_rows(LE, [4.0, 3.0], [([0, 0, 1], [0, 1, 0], 1.0)])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-11.0)
@@ -219,12 +215,10 @@ def test_scaling_invariance_of_argmin():
         if sol.status != "optimal":
             continue
         scaled = LinearProgram()
-        for v in lp.variables:
-            scaled.add_variable(name=v.name, lower=v.lower,
-                                         upper=v.upper,
-                                         objective=10.0 * v.objective)
-        for c in lp.constraints:
-            scaled.constraints.append(c)
+        scaled.add_columns(lp.n_variables, lower=lp.lower, upper=lp.upper,
+                           cost=10.0 * lp.cost)
+        coo = lp.matrix().tocoo()
+        scaled.add_rows(lp.sense, lp.rhs, [(coo.row, coo.col, coo.data)])
         sol10 = solve_lp(scaled)
         assert sol10.status == "optimal"
         assert sol10.objective == pytest.approx(10 * sol.objective,
@@ -244,8 +238,8 @@ def test_determinism():
 def test_single_constraint_property(rhs, coef):
     """min x s.t. coef*x >= rhs, x in [0, 100] -> x = clamp(rhs/coef)."""
     lp = LinearProgram()
-    lp.add_variable(name="x", lower=0.0, upper=100.0, objective=1.0)
-    lp.add_constraint(name="c", coeffs=[(0, coef)], sense=GE, rhs=rhs)
+    lp.add_columns(1, lower=0.0, upper=100.0, cost=1.0)
+    lp.add_rows(GE, [rhs], [(0, 0, coef)])
     sol = solve_lp(lp)
     want = min(max(rhs / coef, 0.0), 100.0)
     if rhs / coef > 100.0:

@@ -1,17 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from coplant.lp import GE, LE, LinearProgram, solve_lp
+from coplant import reference
+from coplant.dispatch import build_lp
+from coplant.lp import GE, LE, LinearProgram, LpValidationError, solve_lp
 from coplant.mps import MpsFormatError, export_lp, import_lp
-from coplant.lp import LpValidationError
 
 
 def two_var_lp():
     lp = LinearProgram()
-    lp.add_variable(name="x", objective=1.0)
-    lp.add_variable(name="y", objective=1.0)
-    lp.add_constraint(name="c1", coeffs=[(0, 1.0), (1, 2.0)], sense=GE, rhs=4.0)
-    lp.add_constraint(name="c2", coeffs=[(0, 3.0), (1, 1.0)], sense=GE, rhs=6.0)
+    lp.add_columns(2, cost=1.0, names=["x", "y"])
+    lp.add_rows(GE, [4.0, 6.0], [([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 1.0])],
+                names=["c1", "c2"])
     return lp
 
 
@@ -29,19 +31,27 @@ def test_empty_problem_rejected():
 
 def test_long_names_listed():
     lp = LinearProgram()
-    lp.add_variable(name="averylongvariablename", objective=1.0)
-    lp.add_variable(name="ok", objective=1.0)
+    lp.add_columns(2, cost=1.0, names=["averylongvariablename", "ok"])
     with pytest.raises(MpsFormatError) as err:
         export_lp(lp)
     assert "averylongvariablename" in str(err.value)
 
 
-def test_rename_escape_hatch():
+def test_duplicate_names_rejected():
     lp = LinearProgram()
-    lp.add_variable(name="averylongvariablename", lower=0, upper=3, objective=-1.0)
-    text = export_lp(lp, rename=True)
-    back = import_lp(text)
-    assert solve_lp(back).objective == pytest.approx(-3.0)
+    lp.add_columns(2, cost=1.0, names=["x", "x"])
+    with pytest.raises(MpsFormatError, match="duplicate"):
+        export_lp(lp)
+
+
+def test_unnamed_lp_gets_generated_names():
+    lp = LinearProgram()
+    lp.add_columns(1, lower=0, upper=3, cost=-1.0)
+    lp.add_rows(LE, [2.5], [(0, 0, 1.0)])
+    back = import_lp(export_lp(lp))
+    assert back.col_names == ["C0000000"]
+    assert back.row_names == ["R0000000"]
+    assert solve_lp(back).objective == pytest.approx(-2.5)
 
 
 def test_round_trip_simple():
@@ -61,17 +71,19 @@ def test_round_trip_random_20x30():
         return round(float(rng.uniform(lo, hi)), 6)
 
     lp = LinearProgram()
-    for i in range(20):
-        lp.add_variable(name=f"V{i}", lower=0.0, upper=draw(1, 10),
-                        objective=draw(-2, 2))
+    upper, cost = [], []
+    for _ in range(20):
+        upper.append(draw(1, 10))
+        cost.append(draw(-2, 2))
+    lp.add_columns(20, lower=0.0, upper=upper, cost=cost,
+                   names=[f"V{i}" for i in range(20)])
     for j in range(30):
         idxs = rng.choice(20, size=3, replace=False)
         sense = [LE, GE][j % 2]
         # keep the origin feasible so the instance is guaranteed optimal
         rhs = draw(0, 6) if sense == LE else draw(-6, 0)
-        lp.add_constraint(name=f"R{j}",
-                          coeffs=[(int(i), draw(-2, 2)) for i in idxs],
-                          sense=sense, rhs=rhs)
+        lp.add_rows(sense, [rhs], [(0, idxs, [draw(-2, 2) for _ in idxs])],
+                    names=[f"R{j}"])
     orig = solve_lp(lp)
     assert orig.status == "optimal"
     back = solve_lp(import_lp(export_lp(lp)))
@@ -81,14 +93,12 @@ def test_round_trip_random_20x30():
 
 def test_round_trip_preserves_bound_kinds():
     lp = LinearProgram()
-    lp.add_variable(name="FIX", lower=2.0, upper=2.0, objective=1.0)
-    lp.add_variable(name="FREE", lower=-np.inf, upper=np.inf, objective=1.0)
-    lp.add_variable(name="NEG", lower=-5.0, upper=0.0, objective=1.0)
-    lp.add_variable(name="BOX", lower=1.0, upper=4.0, objective=-1.0)
-    lp.add_constraint(name="TIE", coeffs=[(1, 1.0)], sense=GE, rhs=-3.0)
+    lp.add_columns(4, lower=[2.0, -np.inf, -5.0, 1.0], upper=[2.0, np.inf, 0.0, 4.0],
+                   cost=[1.0, 1.0, 1.0, -1.0], names=["FIX", "FREE", "NEG", "BOX"])
+    lp.add_rows(GE, [-3.0], [(0, 1, 1.0)], names=["TIE"])
     back = import_lp(export_lp(lp))
-    assert [(v.lower, v.upper) for v in back.variables] == \
-        [(v.lower, v.upper) for v in lp.variables]
+    assert np.array_equal(back.lower, lp.lower)
+    assert np.array_equal(back.upper, lp.upper)
     assert solve_lp(back).objective == pytest.approx(solve_lp(lp).objective, abs=1e-9)
 
 
@@ -116,3 +126,37 @@ def test_fixed_columns():
     assert columns_lines, "no COLUMNS entries found"
     for line in columns_lines:
         assert line[4:12].strip(), "variable name field (col 5) empty"
+
+
+def test_ranges_rejected():
+    """min x s.t. x <= 10 with range 4 (6 <= x <= 10) has optimum 6; read
+    without its RANGES entry it would be 0."""
+    text = ("NAME          RNG\nROWS\n N  OBJ\n L  R1\nCOLUMNS\n"
+            "    X         OBJ       1\n    X         R1        1\n"
+            "RHS\n    RHS       R1        10\nRANGES\n    RNG       R1        4\n"
+            "ENDATA\n")
+    with pytest.raises(MpsFormatError, match="RANGES"):
+        import_lp(text)
+
+
+# sha256 of the MPS text of the reference plants, recorded when the LP still
+# kept one Python object per column and row; the array LP must write the same
+# bytes.
+REFERENCE_MPS_SHA256 = {
+    ("netzero", True, 24): "c3015a91a2fe626dd2763ed8f6f14c9ad8763cdbef4a4bd18d32742509c7dd95",
+    ("netzero", True, 48): "b1b58e062044add3b992062313e62ea28eb60f62287197fc791797db226daf68",
+    ("netzero", False, 24): "44b6d922b99e0776eec23bd261967e55ea3514d77255c335c6a51664fcd4ab84",
+    ("netzero", False, 48): "971e3a22037e5a4a1f74a9148a598bf88ab8c794d44c6c7774b386aed5b5d984",
+    ("noseq", True, 24): "f1a8bbec04c8ef616177de73016f4e4f0873bc16ea6ae9ff074e25211c08530a",
+    ("noseq", True, 48): "dd1afe0f7a8c5a45a27c4c5230788019886a6ee34e0cc6fc36f262cd45e4aa5b",
+    ("noseq", False, 24): "e653634db600920eabf4d754f4d48935e74bdb7b9691b684475a4a1009824a1f",
+    ("noseq", False, 48): "deebdcdc92f2518443fa8cad9d6d53a1d5d9e919b2686ebddcfe81f8da14bf34",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_MPS_SHA256))
+def test_reference_plant_mps_pinned(case):
+    kind, flexible, horizon = case
+    scenario = getattr(reference, f"{kind}_scenario")(horizon=horizon, flexible=flexible)
+    text = export_lp(build_lp(reference.reference_system(scenario), scenario))
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_MPS_SHA256[case]
