@@ -21,6 +21,7 @@ from coplant import configio, costing, dispatch, fleet, lp, reports
 from coplant.domain import Commodity, DomainError
 from coplant.lp import LpSolverError, LpStatusError, LpValidationError
 from coplant.sinknet.network import (
+    METHODS,
     NetworkInfeasible,
     select_network,
 )
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, type=float,
                    help="t CO2/yr to sequester")
     p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "heuristic"])
+                   choices=METHODS)
     p.add_argument("-o", "--out", dest="out", required=True,
                    help="output directory")
     p.set_defaults(func=cmd_netopt)

@@ -157,6 +157,9 @@ class LpSolution:
     x: np.ndarray | None = None
     objective: float = math.nan
     duals: np.ndarray | None = None  # one per constraint, when optimal
+    iterations: int = 0             # HiGHS simplex or IPM iterations
+    solver_status: int | None = None  # scipy linprog status code
+    solver_message: str = ""        # HiGHS model status as linprog reports it
 
     def require_optimal(self) -> None:
         if self.status != "optimal":
@@ -190,12 +193,14 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
                            "dual_feasibility_tolerance": FEASIBILITY_TOL},
                   **kwargs)
 
-    if res.status == 2:
-        return LpSolution(status="infeasible")
-    if res.status == 3:
-        return LpSolution(status="unbounded")
-    if res.status != 0:
+    if res.status not in (0, 2, 3):
         raise LpSolverError(f"LP solver failed (status {res.status}): {res.message}")
+    stats = dict(iterations=int(res.nit), solver_status=int(res.status),
+                 solver_message=res.message)
+    if res.status == 2:
+        return LpSolution(status="infeasible", **stats)
+    if res.status == 3:
+        return LpSolution(status="unbounded", **stats)
 
     duals = np.zeros(problem.n_constraints)
     if ub.any():
@@ -203,4 +208,4 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if eq.any():
         duals[eq] = res.eqlin.marginals
     return LpSolution(status="optimal", x=np.asarray(res.x), objective=float(res.fun),
-                      duals=duals)
+                      duals=duals, **stats)

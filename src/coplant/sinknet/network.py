@@ -7,14 +7,18 @@ source ships its flow to exactly one sink along its least-cost corridor
 allocated deterministically in ascending per-tonne cost order, so every
 assignment has a single well-defined cost; instances with at most 12
 sources are solved by exhaustive assignment enumeration, larger ones by
-greedy construction plus best-improvement local search.
+greedy construction plus best-improvement local search.  The enumeration
+runs the allocation rule on numpy blocks of assignments, with the same
+arithmetic in the same order as the scalar `evaluate`, so it picks the
+winner the one-assignment-at-a-time loop would pick.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from coplant.dispatch import capital_recovery_factor
 from coplant.domain import DomainError
@@ -24,6 +28,11 @@ from coplant.sinknet.routing import CandidateEdge, SinkNode, SourceNode
 SEQUESTRATION_PER_T_MEOH = 26.0 / 7.06
 
 EXACT_SOURCE_LIMIT = 12
+
+#: Assignments the exact search evaluates at once; bounds its working memory.
+EXACT_BLOCK = 4096
+
+METHODS = ("auto", "exact", "heuristic")
 
 
 class NetworkInfeasible(ValueError):
@@ -225,17 +234,88 @@ def _options(inst: _Instance, src_id: str) -> list[str | None]:
 
 
 def _solve_exact(inst: _Instance) -> tuple[float, NetworkSolution]:
+    """Cheapest assignment in `itertools.product` order over each source's
+    options (sources by id, the first most significant): the first feasible
+    one wins unless a later one is cheaper by more than 1e-9.
+
+    Assignments are numbered by that order and evaluated EXACT_BLOCK at a
+    time, with the arithmetic of `evaluate` in its order, so the winner is
+    the one a loop of `evaluate` calls would keep."""
     src_ids = sorted(inst.sources)
-    best: tuple[float, NetworkSolution] | None = None
-    for combo in itertools.product(*(_options(inst, s) for s in src_ids)):
-        result = inst.evaluate(dict(zip(src_ids, combo)))
-        if result is None:
-            continue
-        if best is None or result[0] < best[0] - 1e-9:
-            best = result
-    if best is None:
+    snk_ids = sorted(inst.sinks)
+    options = [_options(inst, s) for s in src_ids]
+    radix = np.array([len(o) for o in options])
+    stride = np.cumprod(np.concatenate(([1], radix[:0:-1])))[::-1]
+    n_codes = math.prod(len(o) for o in options)
+
+    # (source, option) tables; option 0 is "no sink".  `pairs` holds every
+    # (source, sink) option in the order evaluate allocates flow: ascending
+    # linear rate, ties to the lower source id.
+    shape = (len(src_ids), int(radix.max()))
+    seq, per_tonne, terrain = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    has_per_tonne = np.zeros(shape, dtype=bool)
+    pairs = []
+    for i, (s, opts) in enumerate(zip(src_ids, options)):
+        for j, k in enumerate(opts[1:], start=1):
+            edge = inst.edges[(s, k)]
+            pairs.append((inst.linear_rate(s, k), i, j, snk_ids.index(k)))
+            seq[i, j] = inst.sinks[k].sequestration_cost
+            if edge.cost_per_tonne is not None:
+                has_per_tonne[i, j] = True
+                per_tonne[i, j] = edge.cost_per_tonne
+            terrain[i, j] = edge.terrain_cost
+    pairs.sort()
+    capture = np.array([inst.sources[s].eq_capture_cost for s in src_ids], dtype=float)
+    capturable = np.array([inst.sources[s].capturable for s in src_ids], dtype=float)
+    capacity = np.array([inst.sinks[k].capacity for k in snk_ids], dtype=float)
+    classes = inst.params.classes
+    annual_factor = inst.params.annual_factor
+
+    best_cost, best_code = math.inf, None
+    for start in range(0, n_codes, EXACT_BLOCK):
+        codes = np.arange(start, min(start + EXACT_BLOCK, n_codes))
+        digit = codes // stride[:, None] % radix[:, None]      # (source, code)
+
+        # allocation: a source takes its flow when its chosen option comes up
+        remaining = np.full(codes.size, float(inst.target))
+        room = np.repeat(capacity[:, None], codes.size, axis=1)  # (sink, code)
+        flow = np.zeros(digit.shape)
+        for _, i, j, k in pairs:
+            f = np.minimum(np.minimum(capturable[i], room[k]), remaining)
+            f = np.where((digit[i] == j) & (remaining > 1e-12) & (f > 0), f, 0.0)
+            room[k] -= f
+            remaining -= f
+            flow[i] += f
+
+        # costs of the codes that reach the target, summed source by source
+        # in id order as evaluate adds them
+        feasible = np.flatnonzero(~(remaining > 1e-6))
+        flow, digit = flow[:, feasible], digit[:, feasible]
+        cost_capture, cost_pipeline, cost_seq = (np.zeros(feasible.size) for _ in range(3))
+        for i, (f, d) in enumerate(zip(flow, digit)):
+            shipped = f > 0
+            capex_km = np.ceil(f / classes[-1].capacity) * classes[-1].capex_per_km
+            for cls in reversed(classes):
+                capex_km = np.where(f <= cls.capacity, cls.capex_per_km, capex_km)
+            pipe = np.where(has_per_tonne[i, d], per_tonne[i, d] * f,
+                            capex_km * terrain[i, d] * annual_factor)
+            cost_capture += np.where(shipped, capture[i] * f, 0.0)
+            cost_pipeline += np.where(shipped, pipe, 0.0)
+            cost_seq += np.where(shipped, seq[i, d] * f, 0.0)
+        total = (cost_capture + cost_pipeline) + cost_seq
+
+        # A code that replaces the incumbent undercuts every earlier feasible
+        # code, so only those are checked one by one against the 1e-9 rule.
+        hits = total < np.fmin.accumulate(np.concatenate(([best_cost], total[:-1])))
+        if best_code is None and feasible.size:
+            hits[0] = True
+        for h in np.flatnonzero(hits):
+            if best_code is None or total[h] < best_cost - 1e-9:
+                best_cost, best_code = float(total[h]), start + int(feasible[h])
+    if best_code is None:
         raise NetworkInfeasible("no assignment reaches the target")
-    return best
+    digits = best_code // stride % radix
+    return inst.evaluate({s: opts[d] for s, opts, d in zip(src_ids, options, digits)})
 
 
 def _solve_heuristic(inst: _Instance) -> tuple[float, NetworkSolution]:
@@ -273,8 +353,10 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     """Choose sources, corridors and flows meeting the sequestration target.
 
     method: 'auto' (exact up to 12 sources, heuristic beyond), 'exact', or
-    'heuristic'.
+    'heuristic'; any other method raises DomainError.
     """
+    if method not in METHODS:
+        raise DomainError(f"unknown network method {method!r}; expected one of {METHODS}")
     if target < 0:
         raise DomainError("target must be >= 0")
     params = params or NetworkParams()

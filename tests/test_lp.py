@@ -130,6 +130,21 @@ def test_unbounded_status():
     lp.add_columns(1, cost=-1.0)
     assert solve_lp(lp).status == "unbounded"
 
+def test_solver_stats_reported(toy_scenario):
+    """The reference plant over 24 h takes simplex iterations, and the
+    solution carries them with the linprog status and message."""
+    from coplant import reference
+    from coplant.dispatch import build_lp
+    sol = solve_lp(build_lp(reference.reference_system(toy_scenario), toy_scenario))
+    assert sol.status == "optimal"
+    assert sol.iterations > 0
+    assert sol.solver_status == 0
+    assert "Optimal" in sol.solver_message
+    lp = LinearProgram()
+    lp.add_columns(1, cost=-1.0)
+    unbounded = solve_lp(lp)
+    assert unbounded.solver_status == 3 and "nbounded" in unbounded.solver_message
+
 def test_validation_errors():
     lp = LinearProgram()
     with pytest.raises(LpValidationError):

@@ -6,6 +6,7 @@ import pytest
 
 from coplant.sinknet.network import (
     DEFAULT_PIPELINE_CLASSES,
+    EXACT_BLOCK,
     CementOnlyParams,
     NetworkInfeasible,
     NetworkParams,
@@ -311,6 +312,51 @@ def brute_force_network(sources, sinks, edges, target, params=None):
     return best
 
 
+def product_order_oracle(sources, sinks, edges, target, params=None):
+    """The exact search one scalar evaluate at a time: assignments in
+    itertools.product order over each source's options (sources by id), the
+    first feasible one kept unless a later one is cheaper by more than 1e-9.
+    None when no assignment reaches the target."""
+    from coplant.sinknet.network import _make_instance, _options
+    inst = _make_instance(sources, sinks, edges, target, params or NetworkParams())
+    src_ids = sorted(inst.sources)
+    best = None
+    for combo in itertools.product(*(_options(inst, s) for s in src_ids)):
+        result = inst.evaluate(dict(zip(src_ids, combo)))
+        if result is not None and (best is None or result[0] < best[0] - 1e-9):
+            best = result
+    return best
+
+
+def corridor_instance(rng, n_sources, n_sinks, integer=False):
+    """Nodes joined by random corridors instead of a raster: about a quarter
+    of the pairs have no corridor, about a third are priced per tonne, and on
+    the larger scale flows pass the 27 Mt/yr of the largest pipe.  Sources
+    are listed out of id order.  With `integer`, amounts are ints and unit
+    costs are ints from three values each, so linear rates often tie."""
+    scale = float(rng.choice([3e6, 9e7]))
+
+    def amount():
+        value = rng.uniform(0.1, 1.0) * scale
+        return int(value) if integer else float(value)
+
+    def unit_cost(lo, hi):
+        return int(rng.integers(lo, lo + 3)) if integer else float(rng.uniform(lo, hi))
+
+    sources = [SourceNode(id=f"S{i:02d}", cell=i, capturable=amount(),
+                          eq_capture_cost=unit_cost(10, 80))
+               for i in rng.permutation(n_sources)]
+    sinks = [SinkNode(id=f"K{j}", cell=100 + j, capacity=amount(),
+                      sequestration_cost=unit_cost(2, 12))
+             for j in range(n_sinks)]
+    edges = [CandidateEdge(source_id=src.id, sink_id=snk.id, path=(src.cell, snk.cell),
+                           length_km=float(rng.uniform(5, 100)),
+                           terrain_cost=float(rng.uniform(20, 2000)),
+                           cost_per_tonne=unit_cost(1, 15) if rng.random() < 0.3 else None)
+             for src in sources for snk in sinks if rng.random() >= 0.25]
+    return sources, sinks, edges
+
+
 def random_instance(rng, n_sources, n_sinks):
     surface = make_surface(np.round(rng.uniform(0.5, 4.0, (6, 6)), 3),
                            cell_size=5.0)
@@ -377,6 +423,99 @@ class TestSelectNetwork:
             assert sol.total_cost == pytest.approx(oracle[0], abs=1e-6)
             checked += 1
         assert checked >= 20
+
+    def test_exact_blocks_match_scalar_loop(self):
+        """[PRIMARY] the block enumeration returns the very NetworkSolution
+        of the one-evaluate-per-assignment loop, or fails where it finds none."""
+        rng = np.random.default_rng(2718)
+        seen = {"per_tonne": 0, "parallel": 0, "mixed_radix": 0, "integer": 0,
+                "infeasible": 0, "blocks": 0}
+        checked = 0
+        for trial in range(60):
+            integer = trial % 3 == 0
+            n_src, n_snk = (8, 3) if trial % 12 == 0 else (
+                int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+            sources, sinks, edges = corridor_instance(rng, n_src, n_snk, integer)
+            connected = {e.source_id for e in edges}
+            max_target = min(sum(s.capturable for s in sources if s.id in connected),
+                             sum(k.capacity for k in sinks))
+            target = float(rng.uniform(0.2, 1.0)) * max_target
+            if target <= 0:
+                continue
+            oracle = product_order_oracle(sources, sinks, edges, target)
+            checked += 1
+            if oracle is None:
+                with pytest.raises(NetworkInfeasible, match="no assignment reaches"):
+                    select_network(sources, sinks, edges, target, method="exact")
+                seen["infeasible"] += 1
+                continue
+            sol = select_network(sources, sinks, edges, target, method="exact")
+            assert sol == oracle[1], f"trial {trial}"
+            radix = [1 + sum(e.source_id == s.id for e in edges) for s in sources]
+            seen["per_tonne"] += any(e.cost_per_tonne is not None for e in edges)
+            seen["parallel"] += any(r.pipe_count > 1 for r in sol.routes)
+            seen["mixed_radix"] += len(set(radix)) > 1
+            seen["integer"] += integer
+            seen["blocks"] += math.prod(radix) > EXACT_BLOCK
+        assert checked >= 50
+        assert min(seen.values()) > 0, seen
+
+    def test_exact_infeasible_assignment_space(self):
+        """Total supply and sink room both cover the target, but no source
+        fits one sink, so no assignment reaches it."""
+        src = SourceNode(id="S", cell=0, capturable=10, eq_capture_cost=30.0)
+        sinks = [SinkNode(id=k, cell=c, capacity=6, sequestration_cost=5.0)
+                 for k, c in (("K1", 1), ("K2", 2))]
+        edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
+                               length_km=1.0, terrain_cost=1.0) for k in sinks]
+        assert product_order_oracle([src], sinks, edges, 10) is None
+        with pytest.raises(NetworkInfeasible, match="no assignment reaches the target"):
+            select_network([src], sinks, edges, 10, method="exact")
+
+    def test_exact_keeps_first_feasible_at_infinite_cost(self):
+        """Every feasible assignment costs inf: the first one is kept, as the
+        scalar loop keeps it, instead of none."""
+        src = SourceNode(id="S", cell=0, capturable=10.0, eq_capture_cost=math.inf)
+        sinks = [SinkNode(id=k, cell=c, capacity=10.0, sequestration_cost=5.0)
+                 for k, c in (("K1", 1), ("K2", 2))]
+        edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
+                               length_km=1.0, terrain_cost=1.0) for k in sinks]
+        sol = select_network([src], sinks, edges, 10.0, method="exact")
+        assert sol == product_order_oracle([src], sinks, edges, 10.0)[1]
+        assert sol.sink_inflows == {"K1": 10.0}
+
+    @pytest.mark.parametrize("delta, sink", [(0.0, "K1"), (5e-10, "K1"), (2e-9, "K2")])
+    def test_mirror_sinks_tie_keeps_first(self, delta, sink):
+        """K2 costs `delta` less per tonne than K1 for one tonne: a saving of
+        at most 1e-9 keeps K1, the earlier option in product order."""
+        src = SourceNode(id="S", cell=0, capturable=1.0, eq_capture_cost=30.0)
+        sinks = [SinkNode(id="K1", cell=1, capacity=1.0, sequestration_cost=5.0),
+                 SinkNode(id="K2", cell=2, capacity=1.0, sequestration_cost=5.0 - delta)]
+        edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
+                               length_km=1.0, terrain_cost=1.0, cost_per_tonne=1.0)
+                 for k in sinks]
+        sol = select_network([src], sinks, edges, 1.0, method="exact")
+        assert [(r.source_id, r.sink_id) for r in sol.routes] == [("S", sink)]
+        assert sol == product_order_oracle([src], sinks, edges, 1.0)[1]
+
+    def test_mirror_sources_tie_keeps_first(self):
+        """Two identical sources, room for one: product order reaches
+        (S1 unused, S2 -> K) before (S1 -> K, S2 unused), so S2 ships."""
+        sources = [SourceNode(id=s, cell=c, capturable=10.0, eq_capture_cost=30.0)
+                   for s, c in (("S1", 0), ("S2", 1))]
+        snk = SinkNode(id="K", cell=2, capacity=10.0, sequestration_cost=5.0)
+        edges = [CandidateEdge(source_id=s.id, sink_id="K", path=(s.cell, 2),
+                               length_km=1.0, terrain_cost=3.0) for s in sources]
+        sol = select_network(sources, [snk], edges, 10.0, method="exact")
+        assert sol.source_flows == {"S2": 10.0}
+
+    def test_unknown_method_rejected(self):
+        src = SourceNode(id="S", cell=0, capturable=10, eq_capture_cost=30.0)
+        snk = SinkNode(id="K", cell=1, capacity=10, sequestration_cost=5.0)
+        edge = CandidateEdge(source_id="S", sink_id="K", path=(0, 1),
+                             length_km=1.0, terrain_cost=1.0)
+        with pytest.raises(DomainError, match="exatc"):
+            select_network([src], [snk], [edge], 5.0, method="exatc")
 
     def test_heuristic_parity_up_to_12_sources(self):
         """[PRIMARY] heuristic gap 0 vs exact on <=12-source instances."""
