@@ -185,13 +185,13 @@ def _load_nodes(path: str, kind: str):
             if kind == "source":
                 nodes.append(dict(id=row["id"], row=int(row["row"]),
                                   col=int(row["col"]),
-                                  amount=float(row["capturable"]),
-                                  cost=float(row["capture_cost"])))
+                                  amount=configio.finite_float(row["capturable"]),
+                                  cost=configio.finite_float(row["capture_cost"])))
             else:
                 nodes.append(dict(id=row["id"], row=int(row["row"]),
                                   col=int(row["col"]),
-                                  amount=float(row["capacity"]),
-                                  cost=float(row["sequestration_cost"])))
+                                  amount=configio.finite_float(row["capacity"]),
+                                  cost=configio.finite_float(row["sequestration_cost"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{path}:{i}: bad {kind} row: {exc}",
                            EXIT_VALIDATION) from None

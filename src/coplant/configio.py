@@ -1,19 +1,35 @@
 """Sectioned plain-text configuration for scenarios and system specs.
 
 Grammar: `[section]` headers followed by `key = value` lines; `#` starts a
-comment.  `[unit]`, `[storage]` and `[renewable]` blocks are repeatable.
-Booleans are `true`/`false`; lists of commodity coefficients are written
-`commodity:coefficient, commodity:coefficient`.
+comment.  A scenario file has one `[scenario]` section.  A system file has
+one `[system]` section and repeatable `[unit]`, `[storage]` and
+`[renewable]` blocks.
 
-Renewable profiles come either from `profile_file = <csv>` (one column of
-hourly capacity factors, one header line, resolved relative to the config
-file) or `profile_synthetic = solar:<seed>` / `wind:<seed>`.
+The dataclasses of `coplant.domain` are the schema.  The keys of `[scenario]`,
+`[system]`, `[unit]`, `[storage]` and `[renewable]` are the field names of
+`Scenario`, `SystemSpec`, `ConversionUnit`, `StorageUnit` and
+`RenewableSource`; a field without a default is a required key, and an
+omitted key takes the field's default.  Numbers must be finite.  Booleans are
+`true`/`false`; lists of commodity coefficients are written
+`commodity:coefficient, commodity:coefficient`, each commodity once.
+
+Two sets of keys are not field names.  `transport_mode`, `transport_cost` and
+`storage_cost` in `[scenario]` set the `mode`, `transport` and `storage` of
+`Scenario.transport_cost`.  A renewable's profile comes either from
+`profile_file = <csv>` (one column of hourly capacity factors, one header
+line, resolved relative to the config file) or `profile_synthetic =
+solar:<seed>` / `wind:<seed>`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
+from dataclasses import MISSING, Field, fields
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from coplant.domain import (
     Commodity,
@@ -55,6 +71,14 @@ def parse_sections(text: str, source: str = "<config>") -> list[tuple[str, dict[
     return blocks
 
 
+def finite_float(value: str) -> float:
+    """`float(value)` that rejects nan and infinities."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
 def _bool(value: str) -> bool:
     v = value.lower()
     if v in ("true", "yes", "1"):
@@ -71,109 +95,97 @@ def _coeffs(value: str) -> dict[Commodity, float]:
     for item in value.split(","):
         try:
             name, coef = item.split(":")
-            out[Commodity(name.strip())] = float(coef)
-        except (ValueError, KeyError):
+            commodity, number = Commodity(name.strip()), finite_float(coef)
+        except ValueError:
             raise ConfigError(f"bad coefficient entry {item.strip()!r}; "
-                              "expected 'commodity:number'") from None
+                              "expected 'commodity:finite number'") from None
+        if commodity in out:
+            raise ConfigError(f"commodity {commodity.value!r} given twice")
+        out[commodity] = number
     return out
 
 
-def _pop(block: dict[str, str], key: str, convert, default=None, required: bool = False):
-    if key in block:
-        raw = block.pop(key)
-        try:
-            return convert(raw)
-        except (ValueError, DomainError) as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-    if required:
-        raise ConfigError(f"missing required key {key!r}")
-    return default
+def _coeff_str(coeffs: dict[Commodity, float]) -> str:
+    return ", ".join(f"{c.value}:{v!r}" for c, v in coeffs.items())
 
 
-def _reject_unknown(section: str, block: dict[str, str]) -> None:
-    if block:
-        raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(block))}")
+#: (parse, format) for each field type that a config key can set.  Fields of
+#: any other type (nested dataclasses, tuples) are not config keys.
+_TYPES = {
+    float: (finite_float, repr),
+    int: (int, repr),
+    str: (str, str),
+    bool: (_bool, lambda v: str(v).lower()),
+    Flexibility: (Flexibility, attrgetter("value")),
+    Commodity: (Commodity, attrgetter("value")),
+    dict[Commodity, float]: (_coeffs, _coeff_str),
+}
+
+#: `TransportCost` field -> its key in `[scenario]`.
+_TRANSPORT_KEYS = {"mode": "transport_mode", "transport": "transport_cost",
+                   "storage": "storage_cost"}
 
 
-_SCENARIO_FLOATS = (
-    "stoichiometry_x", "capture_rate", "kiln_co2_per_t_clinker", "process_frac",
-    "biogenic_frac", "cement_per_clinker", "discount_rate", "grid_emission_factor",
-    "incumbent_cost_cement", "incumbent_cost_methanol", "incumbent_emis_cement",
-    "incumbent_emis_methanol",
-)
+@functools.cache
+def _config_fields(cls: type) -> tuple[tuple[Field, tuple], ...]:
+    """(field, (parse, format)) for each field of `cls` that a config key sets."""
+    hints = get_type_hints(cls)
+    return tuple((f, _TYPES[hints[f.name]]) for f in fields(cls) if hints[f.name] in _TYPES)
 
 
-def parse_scenario(text: str, source: str = "<config>") -> Scenario:
-    blocks = parse_sections(text, source)
-    merged: dict[str, str] = {}
-    for name, block in blocks:
-        if name != "scenario":
-            raise ConfigError(f"{source}: unexpected section [{name}] in scenario config")
-        merged.update(block)
+def _pop_fields(cls: type, block: dict[str, str], source: str,
+                keys: dict[str, str] | None = None) -> dict[str, object]:
+    """Pop and parse each field of `cls` that `block` sets.  A field without
+    a default is required; the dataclass supplies every other default."""
+    kwargs: dict[str, object] = {}
+    keys = keys or {}
+    for f, (parse, _) in _config_fields(cls):
+        key = keys.get(f.name, f.name)
+        if key in block:
+            try:
+                kwargs[f.name] = parse(block.pop(key))
+            except ValueError as exc:
+                raise ConfigError(f"{source}: key {key!r}: {exc}") from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{source}: missing required key {key!r}")
+    return kwargs
 
-    kwargs = {}
-    for key in _SCENARIO_FLOATS:
-        value = _pop(merged, key, float)
-        if value is not None:
-            kwargs[key] = value
-    if "stoichiometry_x" not in kwargs:
-        raise ConfigError(f"{source}: scenario needs stoichiometry_x")
-    for key in ("sequestration_allowed", "net_zero"):
-        value = _pop(merged, key, _bool)
-        if value is not None:
-            kwargs[key] = value
-    mode = _pop(merged, "flexibility_mode", str)
-    if mode is not None:
-        kwargs["flexibility_mode"] = mode
-    horizon = _pop(merged, "horizon_hours", int)
-    if horizon is not None:
-        kwargs["horizon_hours"] = horizon
-    tmode = _pop(merged, "transport_mode", str, default="fixed_per_tonne")
-    kwargs["transport_cost"] = TransportCost(
-        mode=tmode,
-        transport=_pop(merged, "transport_cost", float, default=8.7),
-        storage=_pop(merged, "storage_cost", float, default=5.8))
-    _reject_unknown("scenario", merged)
+
+def _construct(cls: type, source: str, kwargs: dict[str, object]):
     try:
-        return Scenario(**kwargs)
+        return cls(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def _parse_unit(block: dict[str, str]) -> ConversionUnit:
-    unit = ConversionUnit(
-        id=_pop(block, "id", str, required=True),
-        inputs=_pop(block, "inputs", _coeffs, default={}),
-        outputs=_pop(block, "outputs", _coeffs, default={}),
-        capex=_pop(block, "capex", float, default=0.0),
-        fixed_om_frac=_pop(block, "fixed_om_frac", float, default=0.0),
-        var_om=_pop(block, "var_om", float, default=0.0),
-        lifetime=_pop(block, "lifetime", float, default=20.0),
-        flexibility=_pop(block, "flexibility", Flexibility,
-                         default=Flexibility.FULLY_FLEXIBLE),
-        min_load_frac=_pop(block, "min_load_frac", float, default=0.0),
-        ramp_frac_per_hour=_pop(block, "ramp_frac_per_hour", float, default=1.0),
-        co2_emitted=_pop(block, "co2_emitted", float, default=0.0),
-    )
-    _reject_unknown("unit", block)
-    return unit
+def _build(cls: type, section: str, block: dict[str, str], source: str, **given):
+    """`cls` from the keys of one `[section]` block plus the `given` fields."""
+    kwargs = _pop_fields(cls, block, source)
+    if block:
+        raise ConfigError(
+            f"{source}: unknown key(s) in [{section}]: {', '.join(sorted(block))}")
+    return _construct(cls, source, {**kwargs, **given})
 
 
-def _parse_storage(block: dict[str, str]) -> StorageUnit:
-    store = StorageUnit(
-        id=_pop(block, "id", str, required=True),
-        commodity=_pop(block, "commodity", Commodity, required=True),
-        charge_eff=_pop(block, "charge_eff", float, default=1.0),
-        discharge_eff=_pop(block, "discharge_eff", float, default=1.0),
-        charge_electricity=_pop(block, "charge_electricity", float, default=0.0),
-        discharge_electricity=_pop(block, "discharge_electricity", float, default=0.0),
-        capex_capacity=_pop(block, "capex_capacity", float, default=0.0),
-        fixed_om_frac=_pop(block, "fixed_om_frac", float, default=0.0),
-        lifetime=_pop(block, "lifetime", float, default=20.0),
-        cyclic=_pop(block, "cyclic", _bool, default=True),
-    )
-    _reject_unknown("storage", block)
-    return store
+def _group(text: str, source: str, single: str,
+           repeatable: tuple[str, ...] = ()) -> dict[str, list[dict[str, str]]]:
+    """The blocks of `text` by section name: at most one `[single]` section
+    and any number of each repeatable one."""
+    groups: dict[str, list[dict[str, str]]] = {name: [] for name in (single, *repeatable)}
+    for name, block in parse_sections(text, source):
+        if name not in groups:
+            raise ConfigError(f"{source}: unexpected section [{name}] in {single} config")
+        if name == single and groups[single]:
+            raise ConfigError(f"{source}: repeated [{single}] section")
+        groups[name].append(block)
+    return groups
+
+
+def parse_scenario(text: str, source: str = "<config>") -> Scenario:
+    block = (_group(text, source, "scenario")["scenario"] or [{}])[0]
+    transport = _construct(TransportCost, source,
+                           _pop_fields(TransportCost, block, source, _TRANSPORT_KEYS))
+    return _build(Scenario, "scenario", block, source, transport_cost=transport)
 
 
 def read_profile_csv(path: Path, horizon: int) -> tuple[float, ...]:
@@ -192,13 +204,13 @@ def read_profile_csv(path: Path, horizon: int) -> tuple[float, ...]:
     return tuple(values[:horizon])
 
 
-def _parse_renewable(block: dict[str, str], base_dir: Path, horizon: int) -> RenewableSource:
-    rid = _pop(block, "id", str, required=True)
-    profile_file = _pop(block, "profile_file", str)
-    synthetic = _pop(block, "profile_synthetic", str)
+def _parse_renewable(block: dict[str, str], base_dir: Path, horizon: int,
+                     source: str) -> RenewableSource:
+    profile_file = block.pop("profile_file", None)
+    synthetic = block.pop("profile_synthetic", None)
     if (profile_file is None) == (synthetic is None):
-        raise ConfigError(
-            f"renewable {rid!r} needs exactly one of profile_file / profile_synthetic")
+        raise ConfigError(f"renewable {block.get('id')!r} needs exactly one of "
+                          "profile_file / profile_synthetic")
     if profile_file is not None:
         path = base_dir / profile_file
         if not path.exists():
@@ -212,108 +224,50 @@ def _parse_renewable(block: dict[str, str], base_dir: Path, horizon: int) -> Ren
         try:
             kind, seed = synthetic.split(":")
             maker = {"solar": solar_profile, "wind": wind_profile}[kind.strip()]
+            profile = maker(horizon, int(seed))
         except (ValueError, KeyError):
             raise ConfigError(f"bad profile_synthetic {synthetic!r}; "
                               "expected 'solar:<seed>' or 'wind:<seed>'") from None
-        profile = maker(horizon, int(seed))
-    ren = RenewableSource(
-        id=rid, profile=profile,
-        capex=_pop(block, "capex", float, default=0.0),
-        fixed_om_frac=_pop(block, "fixed_om_frac", float, default=0.0),
-        lifetime=_pop(block, "lifetime", float, default=25.0),
-    )
-    _reject_unknown("renewable", block)
-    return ren
+    return _build(RenewableSource, "renewable", block, source, profile=profile)
 
 
 def parse_system(text: str, horizon: int, base_dir: str | Path = ".",
                  source: str = "<config>") -> SystemSpec:
-    base_dir = Path(base_dir)
-    units: list[ConversionUnit] = []
-    storages: list[StorageUnit] = []
-    renewables: list[RenewableSource] = []
-    system: dict[str, str] = {}
-    for name, block in parse_sections(text, source):
-        if name == "system":
-            system.update(block)
-        elif name == "unit":
-            units.append(_parse_unit(block))
-        elif name == "storage":
-            storages.append(_parse_storage(block))
-        elif name == "renewable":
-            renewables.append(_parse_renewable(block, base_dir, horizon))
-        else:
-            raise ConfigError(f"{source}: unexpected section [{name}] in system config")
-    demand_cement = _pop(system, "demand_cement", float, required=True)
-    demand_methanol = _pop(system, "demand_methanol", float, required=True)
-    biomass_price = _pop(system, "biomass_price", float, default=80.0)
-    _reject_unknown("system", system)
-    try:
-        return SystemSpec(
-            conversion_units=tuple(units), storage_units=tuple(storages),
-            renewables=tuple(renewables), demand_cement=demand_cement,
-            demand_methanol=demand_methanol, biomass_price=biomass_price)
-    except DomainError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    groups = _group(text, source, "system", ("unit", "storage", "renewable"))
+    return _build(
+        SystemSpec, "system", (groups["system"] or [{}])[0], source,
+        conversion_units=tuple(_build(ConversionUnit, "unit", block, source)
+                               for block in groups["unit"]),
+        storage_units=tuple(_build(StorageUnit, "storage", block, source)
+                            for block in groups["storage"]),
+        renewables=tuple(_parse_renewable(block, Path(base_dir), horizon, source)
+                         for block in groups["renewable"]))
 
 
-def _coeff_str(coeffs: dict[Commodity, float]) -> str:
-    return ", ".join(f"{c.value}:{v!r}" for c, v in coeffs.items())
+def _format_fields(obj, keys: dict[str, str] | None = None) -> list[str]:
+    """A `key = value` line for each field of `obj` that a config key sets."""
+    keys = keys or {}
+    return [f"{keys.get(f.name, f.name)} = {fmt(getattr(obj, f.name))}"
+            for f, (_, fmt) in _config_fields(type(obj))]
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    lines = ["[scenario]"]
-    for key in _SCENARIO_FLOATS:
-        lines.append(f"{key} = {getattr(scenario, key)!r}")
-    lines.append(f"sequestration_allowed = {str(scenario.sequestration_allowed).lower()}")
-    lines.append(f"net_zero = {str(scenario.net_zero).lower()}")
-    lines.append(f"flexibility_mode = {scenario.flexibility_mode}")
-    lines.append(f"horizon_hours = {scenario.horizon_hours}")
-    lines.append(f"transport_mode = {scenario.transport_cost.mode}")
-    lines.append(f"transport_cost = {scenario.transport_cost.transport!r}")
-    lines.append(f"storage_cost = {scenario.transport_cost.storage!r}")
+    lines = ["[scenario]", *_format_fields(scenario),
+             *_format_fields(scenario.transport_cost, _TRANSPORT_KEYS)]
     return "\n".join(lines) + "\n"
 
 
-def serialize_system(spec: SystemSpec, profiles_dir: str | Path | None = None) -> str:
-    """Emit system config text; profiles are written as CSVs next to it when
-    profiles_dir is given, otherwise referenced by id."""
-    lines = ["[system]",
-             f"demand_cement = {spec.demand_cement!r}",
-             f"demand_methanol = {spec.demand_methanol!r}",
-             f"biomass_price = {spec.biomass_price!r}"]
-    for u in spec.conversion_units:
-        lines += ["", "[unit]", f"id = {u.id}"]
-        if u.inputs:
-            lines.append(f"inputs = {_coeff_str(u.inputs)}")
-        if u.outputs:
-            lines.append(f"outputs = {_coeff_str(u.outputs)}")
-        lines += [f"capex = {u.capex!r}", f"fixed_om_frac = {u.fixed_om_frac!r}",
-                  f"var_om = {u.var_om!r}", f"lifetime = {u.lifetime!r}",
-                  f"flexibility = {u.flexibility.value}",
-                  f"min_load_frac = {u.min_load_frac!r}",
-                  f"ramp_frac_per_hour = {u.ramp_frac_per_hour!r}"]
-        if u.co2_emitted:
-            lines.append(f"co2_emitted = {u.co2_emitted!r}")
-    for s in spec.storage_units:
-        lines += ["", "[storage]", f"id = {s.id}", f"commodity = {s.commodity.value}",
-                  f"charge_eff = {s.charge_eff!r}", f"discharge_eff = {s.discharge_eff!r}",
-                  f"charge_electricity = {s.charge_electricity!r}",
-                  f"discharge_electricity = {s.discharge_electricity!r}",
-                  f"capex_capacity = {s.capex_capacity!r}",
-                  f"fixed_om_frac = {s.fixed_om_frac!r}",
-                  f"lifetime = {s.lifetime!r}",
-                  f"cyclic = {str(s.cyclic).lower()}"]
+def serialize_system(spec: SystemSpec, profiles_dir: str | Path) -> str:
+    """Emit system config text for a file in `profiles_dir`; each renewable
+    profile is written there as `<id>.csv`, at 10 significant digits."""
+    lines = ["[system]", *_format_fields(spec)]
+    for section, items in (("unit", spec.conversion_units), ("storage", spec.storage_units)):
+        for item in items:
+            lines += ["", f"[{section}]", *_format_fields(item)]
     for r in spec.renewables:
-        lines += ["", "[renewable]", f"id = {r.id}"]
-        if profiles_dir is not None:
-            path = Path(profiles_dir) / f"{r.id}.csv"
-            with path.open("w") as fh:
-                fh.write("capacity_factor\n")
-                fh.writelines(f"{v:.10g}\n" for v in r.profile)
-            lines.append(f"profile_file = {path.name}")
-        else:
-            lines.append(f"profile_file = {r.id}.csv")
-        lines += [f"capex = {r.capex!r}", f"fixed_om_frac = {r.fixed_om_frac!r}",
-                  f"lifetime = {r.lifetime!r}"]
+        path = Path(profiles_dir) / f"{r.id}.csv"
+        with path.open("w") as fh:
+            fh.write("capacity_factor\n")
+            fh.writelines(f"{v:.10g}\n" for v in r.profile)
+        lines += ["", "[renewable]", *_format_fields(r), f"profile_file = {path.name}"]
     return "\n".join(lines) + "\n"

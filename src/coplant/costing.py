@@ -139,8 +139,7 @@ def levelized_electricity_cost(spec: SystemSpec, scenario: Scenario,
     return supply_cost / consumed if consumed > 0 else 0.0
 
 
-def cost_breakdown(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario,
-                   category_map: dict[str, str] | None = None) -> CostBreakdown:
+def cost_breakdown(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario) -> CostBreakdown:
     """Annual cost by category; categories sum to the LP objective.
 
     The sequestration category carries exactly the fixed per-tonne transport
@@ -148,23 +147,18 @@ def cost_breakdown(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario,
     supplementary `electricity_allocation` view spreads generation and battery
     costs over consuming categories pro-rata to MWh drawn.
     """
-    cat_of = dict(category_map or {})
     cats = {c: 0.0 for c in CATEGORIES}
-
-    def _category(unit_id: str) -> str:
-        return cat_of.get(unit_id, default_category(unit_id))
-
     for u in spec.conversion_units:
-        cats[_category(u.id)] += _annual_unit_cost(spec, scenario, sol, u.id)
+        cats[default_category(u.id)] += _annual_unit_cost(spec, scenario, sol, u.id)
         bio = u.inputs.get(Commodity.BIOMASS, 0.0)
         if bio > 0:
             cats["biomass"] += (bio * float(np.sum(sol.activity[u.id]))
                                 * spec.biomass_price * sol.annual_scale)
     for s in spec.storage_units:
-        cat = "battery" if s.commodity is Commodity.ELECTRICITY else _category(s.id)
+        cat = "battery" if s.commodity is Commodity.ELECTRICITY else default_category(s.id)
         cats[cat] += _annual_storage_cost(scenario, sol, s)
     for r in spec.renewables:
-        cats[_category(r.id)] += _annual_renewable_cost(scenario, sol, r)
+        cats[default_category(r.id)] += _annual_renewable_cost(scenario, sol, r)
     cats["co2_sequestration"] += scenario.transport_cost.per_tonne * sol.annual_sequestered
 
     total = sum(cats.values())
@@ -174,10 +168,11 @@ def cost_breakdown(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario,
     for consumer, mwh in _electricity_use_mwh(spec, sol).items():
         try:
             spec.unit(consumer)
-            cat = _category(consumer)
+            cat = default_category(consumer)
         except KeyError:
             store = next(s for s in spec.storage_units if s.id == consumer)
-            cat = "battery" if store.commodity is Commodity.ELECTRICITY else _category(consumer)
+            cat = ("battery" if store.commodity is Commodity.ELECTRICITY
+                   else default_category(consumer))
         alloc[cat] += mwh * lcoe
 
     return CostBreakdown(categories=cats, total=total, electricity_allocation=alloc)
@@ -190,19 +185,14 @@ _MOLECULE_SCOPES = {
 }
 
 
-def molecule_costs(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario,
-                   category_map: dict[str, str] | None = None) -> list[MoleculeCost]:
+def molecule_costs(sol: DispatchSolution, spec: SystemSpec,
+                   scenario: Scenario) -> list[MoleculeCost]:
     """Levelized $/t of H2, O2 and CO2 delivered to consumers.
 
     Costs are gathered from the units and tanks in each molecule's supply
     scope and divided by annual tonnes consumed; no byproduct credits.
     Molecules with zero annual supply are omitted.
     """
-    cat_of = dict(category_map or {})
-
-    def _category(unit_id: str) -> str:
-        return cat_of.get(unit_id, default_category(unit_id))
-
     lcoe = levelized_electricity_cost(spec, scenario, sol)
     out: list[MoleculeCost] = []
     for molecule, (commodity, scope) in _MOLECULE_SCOPES.items():
@@ -215,7 +205,7 @@ def molecule_costs(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario,
         comp = {"generation electricity": 0.0, "storage": 0.0, "processing": 0.0,
                 "capacity equipment": 0.0}
         for u in spec.conversion_units:
-            if _category(u.id) not in scope:
+            if default_category(u.id) not in scope:
                 continue
             comp["capacity equipment"] += _annual_unit_cost(spec, scenario, sol, u.id)
             e = u.inputs.get(Commodity.ELECTRICITY, 0.0)

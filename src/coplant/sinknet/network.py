@@ -357,8 +357,8 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     """
     if method not in METHODS:
         raise DomainError(f"unknown network method {method!r}; expected one of {METHODS}")
-    if target < 0:
-        raise DomainError("target must be >= 0")
+    if not (math.isfinite(target) and target >= 0):
+        raise DomainError(f"target must be a finite number >= 0: got {target}")
     params = params or NetworkParams()
     inst = _make_instance(sources, sinks, candidates, target, params)
     if target == 0:

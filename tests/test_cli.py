@@ -249,6 +249,42 @@ class TestExitCodes:
                     "--sources", bad, "--sinks", workspace / "sinks.csv",
                     "--target", "1", "-o", tmp_path / "x"]) == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("stoichiometry_x", "nan"), ("grid_emission_factor", "nan"),
+        ("incumbent_cost_cement", "inf")])
+    def test_solve_non_finite_scenario(self, workspace, tmp_path, capsys, key, value):
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+                 for line in (workspace / "scenario.cfg").read_text().splitlines()]
+        assert f"{key} = {value}" in lines
+        (tmp_path / "scn.cfg").write_text("\n".join(lines) + "\n")
+        assert run(["solve", "--spec", workspace / "system.cfg",
+                    "--scenario", tmp_path / "scn.cfg", "-o", tmp_path / "x"]) == 3
+        assert f"key '{key}': not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind, row", [
+        ("sources", "S1,0,1,2.0e6,nan"), ("sources", "S1,0,1,inf,40"),
+        ("sinks", "K1,5,7,nan,6"), ("sinks", "K1,5,7,3.0e6,-inf")])
+    def test_netopt_non_finite_node(self, workspace, tmp_path, capsys, kind, row):
+        nodes = {name: workspace / f"{name}.csv" for name in ("sources", "sinks")}
+        header = nodes[kind].read_text().splitlines()[0]
+        nodes[kind] = tmp_path / f"{kind}.csv"
+        nodes[kind].write_text(f"{header}\n{row}\n")
+        assert run(["netopt", "--surface", workspace / "cost.asc",
+                    "--sources", nodes["sources"], "--sinks", nodes["sinks"],
+                    "--target", "1", "-o", tmp_path / "x"]) == 3
+        assert "not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_netopt_non_finite_target(self, workspace, tmp_path, capsys, target):
+        assert run(["netopt", "--surface", workspace / "cost.asc",
+                    "--sources", workspace / "sources.csv",
+                    "--sinks", workspace / "sinks.csv",
+                    "--target", target, "-o", tmp_path / "x"]) == 3
+        assert "target must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_solve_empty_profile(self, workspace, tmp_path, capsys):
         system = (workspace / "system.cfg").read_text()
         assert "profile_file = solar.csv" in system

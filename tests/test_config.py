@@ -1,7 +1,20 @@
+import dataclasses
+import functools
+
 import pytest
 
 from coplant import configio, reference
 from coplant.configio import ConfigError, parse_scenario, parse_sections, parse_system
+from coplant.domain import (
+    Commodity,
+    ConversionUnit,
+    Flexibility,
+    RenewableSource,
+    Scenario,
+    StorageUnit,
+    SystemSpec,
+    TransportCost,
+)
 
 
 def test_sections_and_comments():
@@ -60,14 +73,12 @@ def test_system_round_trip(tmp_path):
     text = configio.serialize_system(spec, profiles_dir=tmp_path)
     back = parse_system(text, scenario.horizon_hours, base_dir=tmp_path)
     assert back.demand_cement == spec.demand_cement
-    assert [u.id for u in back.conversion_units] == \
-        [u.id for u in spec.conversion_units]
-    assert [s.id for s in back.storage_units] == [s.id for s in spec.storage_units]
+    assert back.conversion_units == spec.conversion_units
+    assert back.storage_units == spec.storage_units
+    assert [r.id for r in back.renewables] == [r.id for r in spec.renewables]
     for a, b in zip(back.renewables, spec.renewables):
         assert max(abs(x - y) for x, y in zip(a.profile, b.profile)) < 1e-9
-    for a, b in zip(back.conversion_units, spec.conversion_units):
-        assert a.inputs == pytest.approx(b.inputs)
-        assert a.flexibility == b.flexibility
+        assert dataclasses.replace(a, profile=b.profile) == b
 
 
 def test_synthetic_profiles():
@@ -113,3 +124,195 @@ def test_bad_coefficient_entry():
 def test_unknown_section():
     with pytest.raises(ConfigError):
         parse_system("[banana]\nx = 1\n", 24)
+
+
+def test_minimal_blocks_take_dataclass_defaults():
+    assert parse_scenario("[scenario]\nstoichiometry_x = 5\n") == Scenario(stoichiometry_x=5.0)
+    text = ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
+            "[unit]\nid = u\n"
+            "[storage]\nid = s\ncommodity = hydrogen\n"
+            "[renewable]\nid = pv\nprofile_synthetic = solar:7\n")
+    spec = parse_system(text, 24)
+    assert spec == SystemSpec(
+        conversion_units=(ConversionUnit(id="u"),),
+        storage_units=(StorageUnit(id="s", commodity=Commodity.HYDROGEN),),
+        renewables=(RenewableSource(id="pv", profile=reference.solar_profile(24, 7)),),
+        demand_cement=10.0, demand_methanol=1.0)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[system]\ndemand_methanol = 1\n", "demand_cement"),
+    ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n[unit]\ninputs = cement:1\n", "id"),
+    ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n[storage]\nid = s\n", "commodity"),
+])
+def test_system_missing_required_key(text, key):
+    with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+        parse_system(text, 24)
+
+
+# Written by the serializer of an earlier release: scenario keys in another
+# order, co2_emitted only when nonzero, inputs/outputs only when non-empty.
+EARLIER_SCENARIO = """\
+[scenario]
+stoichiometry_x = 5.0
+capture_rate = 0.9294
+kiln_co2_per_t_clinker = 0.7210458360232409
+process_frac = 0.6666666666666666
+biogenic_frac = 0.3333333333333333
+cement_per_clinker = 1.35
+discount_rate = 0.08
+grid_emission_factor = 0.58
+incumbent_cost_cement = 55.0
+incumbent_cost_methanol = 310.0
+incumbent_emis_cement = 0.86
+incumbent_emis_methanol = 3.1
+sequestration_allowed = false
+net_zero = false
+flexibility_mode = flexible
+horizon_hours = 4
+transport_mode = network
+transport_cost = 1.5
+storage_cost = 0.25
+"""
+
+EARLIER_SYSTEM = """\
+[system]
+demand_cement = 10.0
+demand_methanol = 1.0
+biomass_price = 80.0
+
+[unit]
+id = maker
+inputs = electricity:1.5
+outputs = cement:10.0, methanol:1.0
+capex = 1000.0
+fixed_om_frac = 0.0
+var_om = 0.0
+lifetime = 20.0
+flexibility = fully_flexible
+min_load_frac = 0.0
+ramp_frac_per_hour = 1.0
+co2_emitted = 0.05
+
+[unit]
+id = vent
+inputs = co2_gas:1.0
+capex = 0.0
+fixed_om_frac = 0.0
+var_om = 0.0
+lifetime = 30.0
+flexibility = partially_flexible
+min_load_frac = 0.25
+ramp_frac_per_hour = 0.5
+
+[storage]
+id = battery
+commodity = electricity
+charge_eff = 0.95
+discharge_eff = 1.0
+charge_electricity = 0.0
+discharge_electricity = 0.0
+capex_capacity = 0.0
+fixed_om_frac = 0.0
+lifetime = 20.0
+cyclic = false
+
+[renewable]
+id = pv
+profile_file = pv.csv
+capex = 500.0
+fixed_om_frac = 0.0
+lifetime = 25.0
+"""
+
+
+def test_earlier_scenario_format():
+    scenario = Scenario(stoichiometry_x=5.0, sequestration_allowed=False,
+                        transport_cost=TransportCost(mode="network", transport=1.5,
+                                                     storage=0.25),
+                        horizon_hours=4)
+    assert parse_scenario(EARLIER_SCENARIO) == scenario
+    assert parse_scenario(configio.serialize_scenario(scenario)) == scenario
+
+
+def test_earlier_system_format(tmp_path):
+    spec = SystemSpec(
+        conversion_units=(
+            ConversionUnit(id="maker", inputs={Commodity.ELECTRICITY: 1.5},
+                           outputs={Commodity.CEMENT: 10.0, Commodity.METHANOL: 1.0},
+                           capex=1000.0, co2_emitted=0.05),
+            ConversionUnit(id="vent", inputs={Commodity.CO2_GAS: 1.0},
+                           flexibility=Flexibility.PARTIALLY_FLEXIBLE, min_load_frac=0.25,
+                           ramp_frac_per_hour=0.5, lifetime=30.0)),
+        storage_units=(StorageUnit(id="battery", commodity=Commodity.ELECTRICITY,
+                                   charge_eff=0.95, cyclic=False),),
+        renewables=(RenewableSource(id="pv", profile=(0.0, 0.5, 0.25, 1.0), capex=500.0),),
+        demand_cement=10.0, demand_methanol=1.0)
+    text = configio.serialize_system(spec, tmp_path)
+    assert (tmp_path / "pv.csv").read_text() == "capacity_factor\n0\n0.5\n0.25\n1\n"
+    assert parse_system(text, 4, base_dir=tmp_path) == spec
+    assert parse_system(EARLIER_SYSTEM, 4, base_dir=tmp_path) == spec
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stoichiometry_x", "nan"), ("grid_emission_factor", "nan"),
+    ("incumbent_cost_cement", "inf"), ("capture_rate", "-inf"), ("transport_cost", "nan")])
+def test_scenario_non_finite_rejected(key, value):
+    block = {"stoichiometry_x": "5", key: value}
+    text = "[scenario]\n" + "".join(f"{k} = {v}\n" for k, v in block.items())
+    with pytest.raises(ConfigError, match=f"key '{key}': not a finite number"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("system", "biomass_price = inf", "biomass_price"),
+    ("unit", "capex = nan", "capex"),
+    ("unit", "inputs = electricity:nan", "inputs"),
+    ("storage", "charge_electricity = inf", "charge_electricity"),
+    ("renewable", "lifetime = nan", "lifetime"),
+])
+def test_system_non_finite_rejected(section, line, key):
+    blocks = {"system": "[system]\ndemand_cement = 10\ndemand_methanol = 1\n",
+              "unit": "[unit]\nid = u\n",
+              "storage": "[storage]\nid = s\ncommodity = hydrogen\n",
+              "renewable": "[renewable]\nid = pv\nprofile_synthetic = solar:1\n"}
+    blocks[section] += line + "\n"
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        parse_system("".join(blocks.values()), 24)
+
+
+def test_repeated_scenario_section():
+    with pytest.raises(ConfigError, match=r"repeated \[scenario\] section"):
+        parse_scenario("[scenario]\nstoichiometry_x = 5\n[scenario]\nstoichiometry_x = 9\n")
+
+
+def test_repeated_system_section():
+    text = ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
+            "[unit]\nid = u\n[system]\ndemand_cement = 20\n")
+    with pytest.raises(ConfigError, match=r"repeated \[system\] section"):
+        parse_system(text, 24)
+
+
+def test_repeated_commodity_in_coefficients():
+    text = ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
+            "[unit]\nid = u\ninputs = electricity:1, electricity:2\n")
+    with pytest.raises(ConfigError, match="key 'inputs': commodity 'electricity' given twice"):
+        parse_system(text, 24)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_scenario, "[scenario]\nstoichiometry_x = 5\ntransport_mode = truck\n"),
+    (parse_scenario, "[scenario]\nstoichiometry_x = 5\nnet_zero = true\n"
+                     "sequestration_allowed = false\n"),
+    (functools.partial(parse_system, horizon=24),
+     "[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
+     "[unit]\nid = u\nflexibility = inflexible\n"),
+])
+def test_domain_error_becomes_config_error(parse, text):
+    with pytest.raises(ConfigError, match="^cfg: "):
+        parse(text, source="cfg")
+
+
+def test_transport_bad_value_names_key():
+    with pytest.raises(ConfigError, match="key 'storage_cost'"):
+        parse_scenario("[scenario]\nstoichiometry_x = 5\nstorage_cost = cheap\n")
