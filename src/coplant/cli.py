@@ -20,11 +20,7 @@ from pathlib import Path
 from coplant import configio, costing, dispatch, fleet, lp, reports
 from coplant.domain import Commodity, DomainError
 from coplant.lp import LpSolverError, LpStatusError, LpValidationError
-from coplant.sinknet.network import (
-    METHODS,
-    NetworkInfeasible,
-    select_network,
-)
+from coplant.sinknet.network import NetworkInfeasible, select_network
 from coplant.sinknet.raster import RasterFormatError, load_raster
 from coplant.sinknet.routing import SinkNode, SourceNode, build_candidates
 
@@ -213,7 +209,7 @@ def cmd_netopt(args) -> int:
     if not report.ok:
         print(f"warning: unreachable sources {report.unreachable_sources}, "
               f"sinks {report.unreachable_sinks}", file=sys.stderr)
-    sol = select_network(sources, sinks, edges, args.target, method=args.method)
+    sol = select_network(sources, sinks, edges, args.target)
     out = _out_dir(args.out)
     reports.write_network_csv(out / "network.csv", sol)
     reports.write_network_paths_csv(out / "network_paths.csv", sol, surface)
@@ -262,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sinks", required=True, help="sinks CSV")
     p.add_argument("--target", required=True, type=float,
                    help="t CO2/yr to sequester")
-    p.add_argument("--method", default="auto",
-                   choices=METHODS)
+    p.add_argument("--method", default="auto", choices=("auto",),
+                   help="kept for existing scripts; the search follows from "
+                        "the source count")
     p.add_argument("-o", "--out", dest="out", required=True,
                    help="output directory")
     p.set_defaults(func=cmd_netopt)

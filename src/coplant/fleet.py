@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from coplant.configio import read_profile_csv
+from coplant.configio import finite_float, read_profile_csv
 from coplant.costing import solution_abatement_cost
 from coplant.dispatch import HOURS_PER_YEAR, solve_dispatch
 from coplant.domain import RenewableSource, Scenario, SystemSpec
@@ -84,7 +84,10 @@ class FleetResult:
 
 
 def load_plants(csv_path: str | Path) -> list[PlantSite]:
-    """Read and validate the registry; out-of-range capacities are dropped."""
+    """Read and validate the registry; out-of-range capacities are dropped.
+
+    A row whose lat, lon or clinker_tpd is not a finite number raises
+    PlantsSchemaError naming the file and line."""
     path = Path(csv_path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -108,11 +111,11 @@ def load_plants(csv_path: str | Path) -> list[PlantSite]:
                 cell = cell.strip()
                 if col in ("lat", "lon", "clinker_tpd"):
                     try:
-                        values[col] = float(cell)
+                        values[col] = finite_float(cell)
                     except ValueError:
                         raise PlantsSchemaError(
-                            f"{path}:{lineno}: column '{col}' is not numeric: {cell!r}"
-                        ) from None
+                            f"{path}:{lineno}: column '{col}' is not a finite number: "
+                            f"{cell!r}") from None
                 else:
                     values[col] = cell
             if not MIN_CLINKER_TPD <= values["clinker_tpd"] <= MAX_CLINKER_TPD:

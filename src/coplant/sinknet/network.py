@@ -5,18 +5,20 @@ sequestration target.  The solution space is node-to-node: each selected
 source ships its flow to exactly one sink along its least-cost corridor
 (no Steiner junctions).  Within a source-to-sink assignment, flows are
 allocated deterministically in ascending per-tonne cost order, so every
-assignment has a single well-defined cost; instances with at most 12
-sources are solved by exhaustive assignment enumeration, larger ones by
-greedy construction plus best-improvement local search.  The enumeration
-runs the allocation rule on numpy blocks of assignments, with the same
-arithmetic in the same order as the scalar `evaluate`, so it picks the
-winner the one-assignment-at-a-time loop would pick.
-"""
+assignment has a single well-defined cost.  One numpy kernel
+(`_Instance.allocate` and `_Instance.cost`) applies that rule to a block of
+assignments; both searches and the one-assignment `evaluate` run on it.
+The source count picks the search: up to EXACT_SOURCE_LIMIT (12) sources,
+every assignment is enumerated; above it, steepest-descent local search over
+single-source moves starts from the greedy assignment, first closes any
+shortfall against the target, then lowers the cost.  Both keep an incumbent
+unless a candidate falls less short of the target, or as short and cheaper
+by more than 1e-9 $/yr (`_replaces`)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +33,6 @@ EXACT_SOURCE_LIMIT = 12
 
 #: Assignments the exact search evaluates at once; bounds its working memory.
 EXACT_BLOCK = 4096
-
-METHODS = ("auto", "exact", "heuristic")
-
 
 class NetworkInfeasible(ValueError):
     pass
@@ -136,85 +135,126 @@ class NetworkSolution:
         return self.total_cost / self.target if self.target > 0 else 0.0
 
 
-@dataclass
 class _Instance:
-    sources: dict[str, SourceNode]
-    sinks: dict[str, SinkNode]
-    edges: dict[tuple[str, str], CandidateEdge]
-    target: float
-    params: NetworkParams
+    """The instance as (source, option) tables, sources and sinks in id order.
 
-    def route_cost(self, edge: CandidateEdge, flow: float) -> tuple[float, PipelineClass | None, int]:
-        if flow <= 0:
-            return 0.0, None, 0
-        if edge.cost_per_tonne is not None:
-            return edge.cost_per_tonne * flow, None, 0
-        cls, count, capex_km = size_pipeline(flow, self.params.classes)
-        return capex_km * edge.terrain_cost * self.params.annual_factor, cls, count
+    Option 0 of a source is "no sink"; option j >= 1 is its j-th connected
+    sink by id.  A block of assignments is a (source, assignment) matrix of
+    option digits, and `allocate` and `cost` are the one implementation of
+    the allocation rule and its costing that every search runs on."""
 
-    def linear_rate(self, src_id: str, snk_id: str) -> float:
-        """Per-tonne cost excluding the stepwise pipeline capex."""
-        rate = self.sources[src_id].eq_capture_cost + self.sinks[snk_id].sequestration_cost
-        edge = self.edges[(src_id, snk_id)]
-        if edge.cost_per_tonne is not None:
-            rate += edge.cost_per_tonne
-        return rate
+    def __init__(self, sources: list[SourceNode], sinks: list[SinkNode],
+                 candidates: list[CandidateEdge], target: float, params: NetworkParams):
+        self.sources = sorted(sources, key=lambda s: s.id)
+        self.target, self.params = target, params
+        self.edges = {(e.source_id, e.sink_id): e for e in candidates}
+        self.options: list[list[str | None]] = [
+            [None, *sorted(k for (s, k) in self.edges if s == src.id)] for src in self.sources]
+        sinks = sorted(sinks, key=lambda k: k.id)
+        snk_ids = [k.id for k in sinks]
+        seq_cost = {k.id: k.sequestration_cost for k in sinks}
+
+        # `pairs` holds every (source, sink) option in the order flow is
+        # allocated: ascending linear rate, ties to the lower source id.
+        shape = (len(self.sources), max(map(len, self.options), default=1))
+        self.seq, self.per_tonne, self.terrain = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        self.has_per_tonne = np.zeros(shape, dtype=bool)
+        self.pairs = []
+        for i, (src, opts) in enumerate(zip(self.sources, self.options)):
+            for j, k in enumerate(opts[1:], start=1):
+                edge = self.edges[(src.id, k)]
+                rate = src.eq_capture_cost + seq_cost[k]
+                if edge.cost_per_tonne is not None:
+                    rate += edge.cost_per_tonne
+                    self.has_per_tonne[i, j] = True
+                    self.per_tonne[i, j] = edge.cost_per_tonne
+                self.pairs.append((rate, i, j, snk_ids.index(k)))
+                self.seq[i, j] = seq_cost[k]
+                self.terrain[i, j] = edge.terrain_cost
+        self.pairs.sort()
+        self.capture = np.array([s.eq_capture_cost for s in self.sources], dtype=float)
+        self.capturable = np.array([s.capturable for s in self.sources], dtype=float)
+        self.capacity = np.array([k.capacity for k in sinks], dtype=float)
+
+    def allocate(self, digit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Remaining target per assignment and flow per (source, assignment).
+
+        A source takes its flow when its chosen option comes up in `pairs`:
+        min(capturable, sink room, remaining), while more than 1e-12 remains."""
+        remaining = np.full(digit.shape[1], float(self.target))
+        room = np.repeat(self.capacity[:, None], digit.shape[1], axis=1)  # (sink, assignment)
+        flow = np.zeros(digit.shape)
+        for _, i, j, k in self.pairs:
+            f = np.minimum(np.minimum(self.capturable[i], room[k]), remaining)
+            f = np.where((digit[i] == j) & (remaining > 1e-12) & (f > 0), f, 0.0)
+            room[k] -= f
+            remaining -= f
+            flow[i] += f
+        return remaining, flow
+
+    def cost(self, digit: np.ndarray, flow: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Capture, pipeline and sequestration cost per assignment, summed
+        source by source in id order, and pipeline cost per (source, assignment).
+
+        A pipe is the smallest class that carries the flow, or parallel pipes
+        of the largest class; a corridor priced per tonne has no pipe."""
+        classes = self.params.classes
+        annual_factor = self.params.annual_factor
+        cost_capture, cost_pipeline, cost_seq = (np.zeros(digit.shape[1]) for _ in range(3))
+        pipe = np.zeros(flow.shape)
+        for i, (f, d) in enumerate(zip(flow, digit)):
+            shipped = f > 0
+            capex_km = np.ceil(f / classes[-1].capacity) * classes[-1].capex_per_km
+            for cls in reversed(classes):
+                capex_km = np.where(f <= cls.capacity, cls.capex_per_km, capex_km)
+            pipe[i] = np.where(shipped, np.where(
+                self.has_per_tonne[i, d], self.per_tonne[i, d] * f,
+                capex_km * self.terrain[i, d] * annual_factor), 0.0)
+            cost_capture += np.where(shipped, self.capture[i] * f, 0.0)
+            cost_pipeline += pipe[i]
+            cost_seq += np.where(shipped, self.seq[i, d] * f, 0.0)
+        return cost_capture, cost_pipeline, cost_seq, pipe
 
     def evaluate(self, assignment: dict[str, str | None]) -> tuple[float, NetworkSolution] | None:
-        """Deterministic flow allocation and cost for one assignment; None if it
-        cannot reach the target."""
-        order = sorted(
-            (s for s, k in assignment.items() if k is not None),
-            key=lambda s: (self.linear_rate(s, assignment[s]), s))
-        remaining = self.target
-        sink_room = {k: self.sinks[k].capacity for k in self.sinks}
-        flows: dict[str, float] = {}
-        for s in order:
-            if remaining <= 1e-12:
-                break
-            k = assignment[s]
-            f = min(self.sources[s].capturable, sink_room[k], remaining)
-            if f <= 0:
-                continue
-            flows[s] = f
-            sink_room[k] -= f
-            remaining -= f
-        if remaining > 1e-6:
+        """Flow allocation and cost of one assignment (source id -> sink id,
+        or None for unused); None if it cannot reach the target."""
+        digit = np.array([opts.index(assignment.get(src.id))
+                          for src, opts in zip(self.sources, self.options)]).reshape(-1, 1)
+        remaining, flow = self.allocate(digit)
+        if _shortfall(remaining)[0] > 0:
             return None
-
-        cost_capture = cost_pipeline = cost_seq = 0.0
+        cost_capture, cost_pipeline, cost_seq, pipe = self.cost(digit, flow)
+        flows: dict[str, float] = {}
         routes: list[RouteFlow] = []
         sink_in: dict[str, float] = {}
-        for s, f in sorted(flows.items()):
-            k = assignment[s]
-            edge = self.edges[(s, k)]
-            pipe_cost, cls, count = self.route_cost(edge, f)
-            cost_capture += self.sources[s].eq_capture_cost * f
-            cost_seq += self.sinks[k].sequestration_cost * f
-            cost_pipeline += pipe_cost
+        for i in np.flatnonzero(flow[:, 0] > 0):
+            src, f = self.sources[i], float(flow[i, 0])
+            k = self.options[i][digit[i, 0]]
+            edge = self.edges[(src.id, k)]
+            cls, count = size_pipeline(f, self.params.classes)[:2] \
+                if edge.cost_per_tonne is None else (None, 0)
+            flows[src.id] = f
             sink_in[k] = sink_in.get(k, 0.0) + f
             routes.append(RouteFlow(
-                source_id=s, sink_id=k, path=edge.path, length_km=edge.length_km,
+                source_id=src.id, sink_id=k, path=edge.path, length_km=edge.length_km,
                 diameter_class=cls.name if cls else None, pipe_count=count, flow=f,
-                annual_cost=pipe_cost))
+                annual_cost=float(pipe[i, 0])))
         solution = NetworkSolution(
             source_flows=flows, routes=routes, sink_inflows=sink_in,
-            target=self.target, cost_capture=cost_capture,
-            cost_pipeline=cost_pipeline, cost_sequestration=cost_seq)
+            target=self.target, cost_capture=float(cost_capture[0]),
+            cost_pipeline=float(cost_pipeline[0]), cost_sequestration=float(cost_seq[0]))
         return solution.total_cost, solution
+
+    def assignment(self, digits) -> dict[str, str | None]:
+        return {src.id: opts[d] for src, opts, d in zip(self.sources, self.options, digits)}
 
 
 def _make_instance(sources: list[SourceNode], sinks: list[SinkNode],
                    candidates: list[CandidateEdge], target: float,
                    params: NetworkParams) -> _Instance:
-    inst = _Instance(
-        sources={s.id: s for s in sources},
-        sinks={s.id: s for s in sinks},
-        edges={(e.source_id, e.sink_id): e for e in candidates},
-        target=target, params=params)
-    connected_capturable = sum(
-        s.capturable for s in sources
-        if any(key[0] == s.id for key in inst.edges))
+    inst = _Instance(sources, sinks, candidates, target, params)
+    connected = {s for s, _ in inst.edges}
+    connected_capturable = sum(s.capturable for s in sources if s.id in connected)
     sink_capacity = sum(s.capacity for s in sinks)
     if target > connected_capturable + 1e-9:
         raise NetworkInfeasible(
@@ -227,136 +267,93 @@ def _make_instance(sources: list[SourceNode], sinks: list[SinkNode],
     return inst
 
 
-def _options(inst: _Instance, src_id: str) -> list[str | None]:
-    opts: list[str | None] = [None]
-    opts.extend(sorted(k for (s, k) in inst.edges if s == src_id))
-    return opts
+def _shortfall(remaining: np.ndarray) -> np.ndarray:
+    """Target left unmet by each assignment; 0 within 1e-6."""
+    return np.where(remaining > 1e-6, remaining, 0.0)
+
+
+def _replaces(candidate: tuple[float, float], incumbent: tuple[float, float]) -> bool:
+    """The replacement rule of both searches, on (shortfall, cost) keys: a
+    candidate replaces the incumbent when it falls less short of the target,
+    or as short and cheaper by more than 1e-9."""
+    return candidate[0] < incumbent[0] or (
+        candidate[0] == incumbent[0] and candidate[1] < incumbent[1] - 1e-9)
 
 
 def _solve_exact(inst: _Instance) -> tuple[float, NetworkSolution]:
-    """Cheapest assignment in `itertools.product` order over each source's
-    options (sources by id, the first most significant): the first feasible
-    one wins unless a later one is cheaper by more than 1e-9.
-
-    Assignments are numbered by that order and evaluated EXACT_BLOCK at a
-    time, with the arithmetic of `evaluate` in its order, so the winner is
-    the one a loop of `evaluate` calls would keep."""
-    src_ids = sorted(inst.sources)
-    snk_ids = sorted(inst.sinks)
-    options = [_options(inst, s) for s in src_ids]
-    radix = np.array([len(o) for o in options])
+    """Best assignment in `itertools.product` order over each source's
+    options (sources by id, the first most significant) under `_replaces`:
+    the first one that reaches the target wins unless a later one is cheaper
+    by more than 1e-9.  Assignments are numbered by that order and run
+    through the kernel EXACT_BLOCK at a time."""
+    radix = np.array([len(o) for o in inst.options])
     stride = np.cumprod(np.concatenate(([1], radix[:0:-1])))[::-1]
-    n_codes = math.prod(len(o) for o in options)
-
-    # (source, option) tables; option 0 is "no sink".  `pairs` holds every
-    # (source, sink) option in the order evaluate allocates flow: ascending
-    # linear rate, ties to the lower source id.
-    shape = (len(src_ids), int(radix.max()))
-    seq, per_tonne, terrain = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    has_per_tonne = np.zeros(shape, dtype=bool)
-    pairs = []
-    for i, (s, opts) in enumerate(zip(src_ids, options)):
-        for j, k in enumerate(opts[1:], start=1):
-            edge = inst.edges[(s, k)]
-            pairs.append((inst.linear_rate(s, k), i, j, snk_ids.index(k)))
-            seq[i, j] = inst.sinks[k].sequestration_cost
-            if edge.cost_per_tonne is not None:
-                has_per_tonne[i, j] = True
-                per_tonne[i, j] = edge.cost_per_tonne
-            terrain[i, j] = edge.terrain_cost
-    pairs.sort()
-    capture = np.array([inst.sources[s].eq_capture_cost for s in src_ids], dtype=float)
-    capturable = np.array([inst.sources[s].capturable for s in src_ids], dtype=float)
-    capacity = np.array([inst.sinks[k].capacity for k in snk_ids], dtype=float)
-    classes = inst.params.classes
-    annual_factor = inst.params.annual_factor
-
-    best_cost, best_code = math.inf, None
+    n_codes = math.prod(len(o) for o in inst.options)
+    best, best_code = (math.inf, math.inf), None
     for start in range(0, n_codes, EXACT_BLOCK):
         codes = np.arange(start, min(start + EXACT_BLOCK, n_codes))
         digit = codes // stride[:, None] % radix[:, None]      # (source, code)
-
-        # allocation: a source takes its flow when its chosen option comes up
-        remaining = np.full(codes.size, float(inst.target))
-        room = np.repeat(capacity[:, None], codes.size, axis=1)  # (sink, code)
-        flow = np.zeros(digit.shape)
-        for _, i, j, k in pairs:
-            f = np.minimum(np.minimum(capturable[i], room[k]), remaining)
-            f = np.where((digit[i] == j) & (remaining > 1e-12) & (f > 0), f, 0.0)
-            room[k] -= f
-            remaining -= f
-            flow[i] += f
-
-        # costs of the codes that reach the target, summed source by source
-        # in id order as evaluate adds them
-        feasible = np.flatnonzero(~(remaining > 1e-6))
-        flow, digit = flow[:, feasible], digit[:, feasible]
-        cost_capture, cost_pipeline, cost_seq = (np.zeros(feasible.size) for _ in range(3))
-        for i, (f, d) in enumerate(zip(flow, digit)):
-            shipped = f > 0
-            capex_km = np.ceil(f / classes[-1].capacity) * classes[-1].capex_per_km
-            for cls in reversed(classes):
-                capex_km = np.where(f <= cls.capacity, cls.capex_per_km, capex_km)
-            pipe = np.where(has_per_tonne[i, d], per_tonne[i, d] * f,
-                            capex_km * terrain[i, d] * annual_factor)
-            cost_capture += np.where(shipped, capture[i] * f, 0.0)
-            cost_pipeline += np.where(shipped, pipe, 0.0)
-            cost_seq += np.where(shipped, seq[i, d] * f, 0.0)
-        total = (cost_capture + cost_pipeline) + cost_seq
-
-        # A code that replaces the incumbent undercuts every earlier feasible
-        # code, so only those are checked one by one against the 1e-9 rule.
-        hits = total < np.fmin.accumulate(np.concatenate(([best_cost], total[:-1])))
-        if best_code is None and feasible.size:
-            hits[0] = True
+        remaining, flow = inst.allocate(digit)
+        feasible = np.flatnonzero(_shortfall(remaining) == 0)
+        capture, pipeline, seq, _ = inst.cost(digit[:, feasible], flow[:, feasible])
+        total = (capture + pipeline) + seq
+        # A code that replaces a feasible incumbent undercuts every earlier
+        # feasible code, so only those, and the first feasible code while
+        # there is no incumbent, go through `_replaces` one by one.
+        hits = total < np.fmin.accumulate(np.concatenate(([best[1]], total[:-1])))
+        hits[:1] |= best_code is None
         for h in np.flatnonzero(hits):
-            if best_code is None or total[h] < best_cost - 1e-9:
-                best_cost, best_code = float(total[h]), start + int(feasible[h])
+            if _replaces((0.0, total[h]), best):
+                best, best_code = (0.0, float(total[h])), start + int(feasible[h])
     if best_code is None:
         raise NetworkInfeasible("no assignment reaches the target")
-    digits = best_code // stride % radix
-    return inst.evaluate({s: opts[d] for s, opts, d in zip(src_ids, options, digits)})
+    return inst.evaluate(inst.assignment(best_code // stride % radix))
 
 
-def _solve_heuristic(inst: _Instance) -> tuple[float, NetworkSolution]:
-    # greedy: everyone assigned to their cheapest linear-rate sink
-    assignment: dict[str, str | None] = {}
-    for s in sorted(inst.sources):
-        opts = [k for k in _options(inst, s) if k is not None]
-        assignment[s] = min(opts, key=lambda k: (inst.linear_rate(s, k), k)) if opts else None
-    best = inst.evaluate(assignment)
-    if best is None:
-        raise NetworkInfeasible("greedy start cannot reach the target")
-
-    improved = True
-    while improved:
-        improved = False
-        for s in sorted(inst.sources):
-            current = assignment[s]
-            for k in _options(inst, s):
-                if k == current:
-                    continue
-                trial = dict(assignment)
-                trial[s] = k
-                result = inst.evaluate(trial)
-                if result is not None and result[0] < best[0] - 1e-9:
-                    best = result
-                    assignment = trial
-                    improved = True
-    return best
+def _solve_local(inst: _Instance) -> tuple[float, NetworkSolution]:
+    """Steepest descent over single-source moves from the greedy start, in
+    which every source ships to its cheapest linear-rate sink (ties to the
+    lower sink id).  Each step runs the current assignment and all of its
+    moves (sources by id, options in order) through the kernel as one block
+    and takes the move `_replaces` picks, scanning from the current one; so
+    the search first closes any shortfall, then lowers the cost."""
+    current = np.zeros(len(inst.sources), dtype=int)
+    for _, i, j, _ in inst.pairs:       # each source's first pair is its cheapest
+        current[i] = current[i] or j
+    rows = np.repeat(np.arange(len(inst.options)), [len(o) for o in inst.options])
+    options = np.concatenate([np.arange(len(o)) for o in inst.options])
+    while True:
+        digit = np.repeat(current[:, None], options.size + 1, axis=1)
+        digit[rows, np.arange(1, options.size + 1)] = options
+        remaining, flow = inst.allocate(digit)
+        capture, pipeline, seq, _ = inst.cost(digit, flow)
+        keys = list(zip(_shortfall(remaining), (capture + pipeline) + seq))
+        pick = 0
+        for h in range(1, len(keys)):
+            if _replaces(keys[h], keys[pick]):
+                pick = h
+        if pick == 0:
+            break
+        current = digit[:, pick]
+    if keys[0][0] > 0:
+        raise NetworkInfeasible(
+            f"local search from the greedy start stopped {keys[0][0]:g} short of the "
+            "target; no single-source move narrows the gap")
+    return inst.evaluate(inst.assignment(current))
 
 
 def select_network(sources: list[SourceNode], sinks: list[SinkNode],
                    candidates: list[CandidateEdge], target: float,
-                   params: NetworkParams | None = None,
-                   method: str = "auto") -> NetworkSolution:
+                   params: NetworkParams | None = None) -> NetworkSolution:
     """Choose sources, corridors and flows meeting the sequestration target.
 
-    method: 'auto' (exact up to 12 sources, heuristic beyond), 'exact', or
-    'heuristic'; any other method raises DomainError.
+    Up to EXACT_SOURCE_LIMIT sources, every assignment is enumerated and the
+    winner is optimal over assignments under the allocation rule; above it,
+    local search from the greedy start first closes any shortfall, then
+    lowers the cost, and returns a local optimum.  Raises NetworkInfeasible
+    when the target exceeds supply or sink capacity, when no assignment
+    reaches it, or when local search stops short of it.
     """
-    if method not in METHODS:
-        raise DomainError(f"unknown network method {method!r}; expected one of {METHODS}")
     if not (math.isfinite(target) and target >= 0):
         raise DomainError(f"target must be a finite number >= 0: got {target}")
     params = params or NetworkParams()
@@ -364,9 +361,8 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     if target == 0:
         return NetworkSolution(source_flows={}, routes=[], sink_inflows={}, target=0.0,
                                cost_capture=0.0, cost_pipeline=0.0, cost_sequestration=0.0)
-    if method == "exact" or (method == "auto" and len(sources) <= EXACT_SOURCE_LIMIT):
-        return _solve_exact(inst)[1]
-    return _solve_heuristic(inst)[1]
+    search = _solve_exact if len(sources) <= EXACT_SOURCE_LIMIT else _solve_local
+    return search(inst)[1]
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,7 @@ from coplant.dispatch import (
 )
 from coplant.domain import Commodity
 from coplant.lp import solve_lp
-from coplant.sinknet.network import (
-    NetworkInfeasible,
-    scenario_to_sequestration,
-    select_network,
-)
+from coplant.sinknet.network import NetworkInfeasible, scenario_to_sequestration
 from coplant.sinknet.routing import UnreachableError, least_cost_path
 
 
@@ -215,7 +211,7 @@ def test_routing_oracle():
 
 
 def test_network_oracle():
-    """select_network equals brute force (<=3x2); heuristic parity <=12."""
+    """The enumeration equals brute force (<=3x2); local search parity <=12."""
     rng = np.random.default_rng(60601)
     compared = 0
     for _ in range(25):
@@ -227,7 +223,7 @@ def test_network_oracle():
         target = float(rng.uniform(0.2, 0.9)) * cap
         oracle = test_sinknet.brute_force_network(sources, sinks, edges, target)
         try:
-            sol = select_network(sources, sinks, edges, target, method="exact")
+            sol = test_sinknet.solve_exact(sources, sinks, edges, target)
         except NetworkInfeasible:
             assert oracle is None
             continue
@@ -241,11 +237,11 @@ def test_network_oracle():
         total = sum(s.capturable for s in sources)
         sinks = [dataclasses.replace(k, capacity=total) for k in sinks]
         target = 0.6 * total
-        exact = select_network(sources, sinks, edges, target, method="exact")
-        heur = select_network(sources, sinks, edges, target, method="heuristic")
+        exact = test_sinknet.solve_exact(sources, sinks, edges, target)
+        heur = test_sinknet.solve_local(sources, sinks, edges, target)
         assert heur.total_cost == pytest.approx(exact.total_cost, abs=1e-6)
     print(f"\nPASS: network oracle ({compared} brute-force instances, "
-          "heuristic parity at 6/10/12 sources)")
+          "local search parity at 6/10/12 sources)")
 
 
 def test_end_to_end_determinism(tmp_path):

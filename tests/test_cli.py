@@ -89,6 +89,27 @@ def test_netopt_and_determinism(workspace, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_netopt_binding_sinks_above_exact_limit(tmp_path, capsys):
+    """13 sources of 1 Mt/yr and two sinks of 7.15 Mt/yr, target 13 Mt/yr:
+    local search starts with every source at the cheaper sink, which cannot
+    hold the target, and still lays out a network that meets it."""
+    write_raster(CostSurface(ncols=8, nrows=4, cell_size=10.0, origin=(0.0, 0.0),
+                             nodata=-9999.0, cells=np.ones((4, 8))), tmp_path / "cost.asc")
+    (tmp_path / "sources.csv").write_text("id,row,col,capturable,capture_cost\n" + "".join(
+        f"S{i:02d},{i // 8},{i % 8},1e6,{30 + i}\n" for i in range(13)))
+    (tmp_path / "sinks.csv").write_text(
+        "id,row,col,capacity,sequestration_cost\nK1,3,0,7.15e6,5\nK2,3,7,7.15e6,6\n")
+    out = tmp_path / "net"
+    assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                "--sources", tmp_path / "sources.csv", "--sinks", tmp_path / "sinks.csv",
+                "--target", "13e6", "--method", "auto", "-o", out]) == 0
+    rows = (out / "network.csv").read_text().splitlines()[1:]
+    assert len(rows) == 13
+    assert sum(float(r.split(",")[2]) for r in rows) == pytest.approx(13e6, rel=1e-12)
+    for sink in ("K1", "K2"):
+        assert sum(float(r.split(",")[2]) for r in rows if r.split(",")[1] == sink) <= 7.15e6
+
+
 def test_fleet(workspace, tmp_path):
     profiles = tmp_path / "profiles"
     profiles.mkdir()
@@ -241,6 +262,26 @@ class TestExitCodes:
                     "--sources", workspace / "sources.csv",
                     "--sinks", workspace / "sinks.csv",
                     "--target", "1e9", "-o", tmp_path / "x"]) == 4
+
+    @pytest.mark.parametrize("method", ["exact", "heuristic"])
+    def test_netopt_method_auto_only(self, workspace, tmp_path, method):
+        """The source count picks the search; `--method` accepts only auto."""
+        assert run(["netopt", "--surface", workspace / "cost.asc",
+                    "--sources", workspace / "sources.csv",
+                    "--sinks", workspace / "sinks.csv", "--target", "2.5e6",
+                    "--method", method, "-o", tmp_path / "x"]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_fleet_non_finite_capacity(self, workspace, tmp_path, capsys):
+        plants, profiles = write_fleet_inputs(tmp_path, 2)
+        rows = plants.read_text().splitlines()
+        rows[1] = rows[1].replace(",4000,", ",nan,")
+        plants.write_text("\n".join(rows) + "\n")
+        assert run(["fleet", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                    "--profiles", profiles, "-o", tmp_path / "x"]) == 3
+        assert "plants.csv:2: column 'clinker_tpd'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_netopt_bad_sources_csv(self, workspace, tmp_path):
         bad = tmp_path / "sources.csv"

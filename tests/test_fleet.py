@@ -70,6 +70,15 @@ class TestLoadPlants:
             load_plants(path)
         assert "2" in str(err.value)  # line number
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_capacity_names_location(self, tmp_path, value):
+        """A non-finite clinker_tpd is an error, not an out-of-range row to drop."""
+        path = write_plants(tmp_path / "p.csv", [
+            ("A", 30, 110, value, "s1", "w1"),
+            ("B", 31, 111, 5000, "s1", "w1")])
+        with pytest.raises(PlantsSchemaError, match="p.csv:2: column 'clinker_tpd'"):
+            load_plants(path)
+
     def test_coordinate_range(self, tmp_path):
         path = write_plants(tmp_path / "p.csv", [
             ("A", 95, 110, 5000, "s1", "w1")])

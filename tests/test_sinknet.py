@@ -10,6 +10,11 @@ from coplant.sinknet.network import (
     CementOnlyParams,
     NetworkInfeasible,
     NetworkParams,
+    NetworkSolution,
+    RouteFlow,
+    _make_instance,
+    _solve_exact,
+    _solve_local,
     cement_only_sources,
     equivalent_capture_cost,
     scenario_to_sequestration,
@@ -291,19 +296,84 @@ class TestConversions:
 
 # ------------------------------------------------------------------ network
 
+def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
+    """Reference allocation and cost of one assignment (source id -> sink id
+    or None), one source at a time: sources with a sink take flow in
+    ascending linear rate (capture + sequestration + any per-tonne corridor
+    price), ties to the lower id, each min(capturable, sink room, remaining);
+    then each shipping source adds its capture, pipeline and sequestration
+    cost in id order.  None if more than 1e-6 of the target is left."""
+    params = params or NetworkParams()
+    src = {s.id: s for s in sources}
+    snk = {k.id: k for k in sinks}
+    edge_of = {(e.source_id, e.sink_id): e for e in edges}
+
+    def route_cost(edge, flow):
+        if flow <= 0:
+            return 0.0, None, 0
+        if edge.cost_per_tonne is not None:
+            return edge.cost_per_tonne * flow, None, 0
+        cls, count, capex_km = size_pipeline(flow, params.classes)
+        return capex_km * edge.terrain_cost * params.annual_factor, cls, count
+
+    def linear_rate(s, k):
+        rate = src[s].eq_capture_cost + snk[k].sequestration_cost
+        edge = edge_of[(s, k)]
+        if edge.cost_per_tonne is not None:
+            rate += edge.cost_per_tonne
+        return rate
+
+    order = sorted((s for s, k in assignment.items() if k is not None),
+                   key=lambda s: (linear_rate(s, assignment[s]), s))
+    remaining = target
+    sink_room = {k: snk[k].capacity for k in snk}
+    flows = {}
+    for s in order:
+        if remaining <= 1e-12:
+            break
+        k = assignment[s]
+        f = min(src[s].capturable, sink_room[k], remaining)
+        if f <= 0:
+            continue
+        flows[s] = f
+        sink_room[k] -= f
+        remaining -= f
+    if remaining > 1e-6:
+        return None
+
+    cost_capture = cost_pipeline = cost_seq = 0.0
+    routes = []
+    sink_in = {}
+    for s, f in sorted(flows.items()):
+        k = assignment[s]
+        edge = edge_of[(s, k)]
+        pipe_cost, cls, count = route_cost(edge, f)
+        cost_capture += src[s].eq_capture_cost * f
+        cost_seq += snk[k].sequestration_cost * f
+        cost_pipeline += pipe_cost
+        sink_in[k] = sink_in.get(k, 0.0) + f
+        routes.append(RouteFlow(
+            source_id=s, sink_id=k, path=edge.path, length_km=edge.length_km,
+            diameter_class=cls.name if cls else None, pipe_count=count, flow=f,
+            annual_cost=pipe_cost))
+    solution = NetworkSolution(
+        source_flows=flows, routes=routes, sink_inflows=sink_in, target=target,
+        cost_capture=cost_capture, cost_pipeline=cost_pipeline,
+        cost_sequestration=cost_seq)
+    return solution.total_cost, solution
+
+
+def source_options(src_id, edges):
+    """None, then the sinks the source has a corridor to, by id."""
+    return [None] + sorted(e.sink_id for e in edges if e.source_id == src_id)
+
+
 def brute_force_network(sources, sinks, edges, target, params=None):
     """Enumerate every assignment in the documented solution space."""
-    from coplant.sinknet.network import _make_instance
-    inst = _make_instance(sources, sinks, edges, target, params or NetworkParams())
     best = None
-    options = []
-    for src in sources:
-        opts = [None] + [snk.id for snk in sinks
-                         if (src.id, snk.id) in inst.edges]
-        options.append(opts)
-    for combo in itertools.product(*options):
+    for combo in itertools.product(*(source_options(s.id, edges) for s in sources)):
         assignment = {src.id: choice for src, choice in zip(sources, combo)}
-        result = inst.evaluate(assignment)
+        result = scalar_evaluate(sources, sinks, edges, target, assignment, params)
         if result is None:
             continue
         cost, sol = result
@@ -313,19 +383,46 @@ def brute_force_network(sources, sinks, edges, target, params=None):
 
 
 def product_order_oracle(sources, sinks, edges, target, params=None):
-    """The exact search one scalar evaluate at a time: assignments in
+    """The exact search one scalar evaluation at a time: assignments in
     itertools.product order over each source's options (sources by id), the
     first feasible one kept unless a later one is cheaper by more than 1e-9.
     None when no assignment reaches the target."""
-    from coplant.sinknet.network import _make_instance, _options
-    inst = _make_instance(sources, sinks, edges, target, params or NetworkParams())
-    src_ids = sorted(inst.sources)
+    src_ids = sorted(s.id for s in sources)
     best = None
-    for combo in itertools.product(*(_options(inst, s) for s in src_ids)):
-        result = inst.evaluate(dict(zip(src_ids, combo)))
+    for combo in itertools.product(*(source_options(s, edges) for s in src_ids)):
+        result = scalar_evaluate(sources, sinks, edges, target, dict(zip(src_ids, combo)),
+                                 params)
         if result is not None and (best is None or result[0] < best[0] - 1e-9):
             best = result
     return best
+
+
+def solve_exact(sources, sinks, edges, target):
+    """The enumeration, whatever the source count."""
+    return _solve_exact(_make_instance(sources, sinks, edges, target, NetworkParams()))[1]
+
+
+def solve_local(sources, sinks, edges, target):
+    """The local search, whatever the source count."""
+    return _solve_local(_make_instance(sources, sinks, edges, target, NetworkParams()))[1]
+
+
+def block_instances():
+    """The random corridor instances of the block test: (trial, integer,
+    sources, sinks, edges, target), target at 20-100% of the most the
+    connected sources and the sinks can take."""
+    rng = np.random.default_rng(2718)
+    for trial in range(60):
+        integer = trial % 3 == 0
+        n_src, n_snk = (8, 3) if trial % 12 == 0 else (
+            int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+        sources, sinks, edges = corridor_instance(rng, n_src, n_snk, integer)
+        connected = {e.source_id for e in edges}
+        max_target = min(sum(s.capturable for s in sources if s.id in connected),
+                         sum(k.capacity for k in sinks))
+        target = float(rng.uniform(0.2, 1.0)) * max_target
+        if target > 0:
+            yield trial, integer, sources, sinks, edges, target
 
 
 def corridor_instance(rng, n_sources, n_sinks, integer=False):
@@ -413,8 +510,7 @@ class TestSelectNetwork:
             target = float(rng.uniform(0.2, 0.9)) * max_target
             oracle = brute_force_network(sources, sinks, edges, target)
             try:
-                sol = select_network(sources, sinks, edges, target,
-                                     method="exact")
+                sol = solve_exact(sources, sinks, edges, target)
             except NetworkInfeasible:
                 # single-sink-per-source space cannot reach this target
                 assert oracle is None
@@ -426,30 +522,20 @@ class TestSelectNetwork:
 
     def test_exact_blocks_match_scalar_loop(self):
         """[PRIMARY] the block enumeration returns the very NetworkSolution
-        of the one-evaluate-per-assignment loop, or fails where it finds none."""
-        rng = np.random.default_rng(2718)
+        of the one-scalar-evaluation-per-assignment loop, or fails where it
+        finds none."""
         seen = {"per_tonne": 0, "parallel": 0, "mixed_radix": 0, "integer": 0,
                 "infeasible": 0, "blocks": 0}
         checked = 0
-        for trial in range(60):
-            integer = trial % 3 == 0
-            n_src, n_snk = (8, 3) if trial % 12 == 0 else (
-                int(rng.integers(1, 7)), int(rng.integers(1, 4)))
-            sources, sinks, edges = corridor_instance(rng, n_src, n_snk, integer)
-            connected = {e.source_id for e in edges}
-            max_target = min(sum(s.capturable for s in sources if s.id in connected),
-                             sum(k.capacity for k in sinks))
-            target = float(rng.uniform(0.2, 1.0)) * max_target
-            if target <= 0:
-                continue
+        for trial, integer, sources, sinks, edges, target in block_instances():
             oracle = product_order_oracle(sources, sinks, edges, target)
             checked += 1
             if oracle is None:
                 with pytest.raises(NetworkInfeasible, match="no assignment reaches"):
-                    select_network(sources, sinks, edges, target, method="exact")
+                    solve_exact(sources, sinks, edges, target)
                 seen["infeasible"] += 1
                 continue
-            sol = select_network(sources, sinks, edges, target, method="exact")
+            sol = solve_exact(sources, sinks, edges, target)
             assert sol == oracle[1], f"trial {trial}"
             radix = [1 + sum(e.source_id == s.id for e in edges) for s in sources]
             seen["per_tonne"] += any(e.cost_per_tonne is not None for e in edges)
@@ -459,6 +545,29 @@ class TestSelectNetwork:
             seen["blocks"] += math.prod(radix) > EXACT_BLOCK
         assert checked >= 50
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_evaluate_matches_scalar(self, integer):
+        """[PRIMARY] the kernel's one-assignment `evaluate` gives the scalar
+        reference's cost and NetworkSolution, or None where it does, on the
+        instances of the block test: every assignment of the small ones and
+        256 drawn at random from each of the others."""
+        rng = np.random.default_rng(1414)
+        feasible = infeasible = 0
+        for trial, flag, sources, sinks, edges, target in block_instances():
+            if flag != integer:
+                continue
+            inst = _make_instance(sources, sinks, edges, target, NetworkParams())
+            options = [source_options(s.id, edges) for s in sources]
+            combos = list(itertools.product(*options)) if math.prod(map(len, options)) <= 256 \
+                else [[o[rng.integers(len(o))] for o in options] for _ in range(256)]
+            for combo in combos:
+                assignment = {s.id: k for s, k in zip(sources, combo)}
+                expected = scalar_evaluate(sources, sinks, edges, target, assignment)
+                assert inst.evaluate(assignment) == expected, f"trial {trial}: {assignment}"
+                feasible += expected is not None
+                infeasible += expected is None
+        assert feasible > 500 and infeasible > 500, (feasible, infeasible)
 
     def test_exact_infeasible_assignment_space(self):
         """Total supply and sink room both cover the target, but no source
@@ -470,7 +579,9 @@ class TestSelectNetwork:
                                length_km=1.0, terrain_cost=1.0) for k in sinks]
         assert product_order_oracle([src], sinks, edges, 10) is None
         with pytest.raises(NetworkInfeasible, match="no assignment reaches the target"):
-            select_network([src], sinks, edges, 10, method="exact")
+            solve_exact([src], sinks, edges, 10)
+        with pytest.raises(NetworkInfeasible, match="local search .* stopped 4 short"):
+            solve_local([src], sinks, edges, 10)
 
     def test_exact_keeps_first_feasible_at_infinite_cost(self):
         """Every feasible assignment costs inf: the first one is kept, as the
@@ -480,7 +591,7 @@ class TestSelectNetwork:
                  for k, c in (("K1", 1), ("K2", 2))]
         edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
                                length_km=1.0, terrain_cost=1.0) for k in sinks]
-        sol = select_network([src], sinks, edges, 10.0, method="exact")
+        sol = solve_exact([src], sinks, edges, 10.0)
         assert sol == product_order_oracle([src], sinks, edges, 10.0)[1]
         assert sol.sink_inflows == {"K1": 10.0}
 
@@ -494,9 +605,23 @@ class TestSelectNetwork:
         edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
                                length_km=1.0, terrain_cost=1.0, cost_per_tonne=1.0)
                  for k in sinks]
-        sol = select_network([src], sinks, edges, 1.0, method="exact")
+        sol = solve_exact([src], sinks, edges, 1.0)
         assert [(r.source_id, r.sink_id) for r in sol.routes] == [("S", sink)]
         assert sol == product_order_oracle([src], sinks, edges, 1.0)[1]
+
+    def test_local_search_starts_at_cheapest_sink(self):
+        """The greedy start sends each source to its cheapest linear-rate
+        sink, ties to the lower id, and no move away from it is cheaper by
+        more than 1e-9: K1 on a tie, K2 when it is 5e-10 $/t cheaper."""
+        src = SourceNode(id="S", cell=0, capturable=1.0, eq_capture_cost=30.0)
+        for delta, sink in ((0.0, "K1"), (5e-10, "K2")):
+            sinks = [SinkNode(id="K1", cell=1, capacity=1.0, sequestration_cost=5.0),
+                     SinkNode(id="K2", cell=2, capacity=1.0, sequestration_cost=5.0 - delta)]
+            edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
+                                   length_km=1.0, terrain_cost=1.0, cost_per_tonne=1.0)
+                     for k in sinks]
+            sol = solve_local([src], sinks, edges, 1.0)
+            assert [(r.source_id, r.sink_id) for r in sol.routes] == [("S", sink)]
 
     def test_mirror_sources_tie_keeps_first(self):
         """Two identical sources, room for one: product order reaches
@@ -506,19 +631,11 @@ class TestSelectNetwork:
         snk = SinkNode(id="K", cell=2, capacity=10.0, sequestration_cost=5.0)
         edges = [CandidateEdge(source_id=s.id, sink_id="K", path=(s.cell, 2),
                                length_km=1.0, terrain_cost=3.0) for s in sources]
-        sol = select_network(sources, [snk], edges, 10.0, method="exact")
+        sol = solve_exact(sources, [snk], edges, 10.0)
         assert sol.source_flows == {"S2": 10.0}
 
-    def test_unknown_method_rejected(self):
-        src = SourceNode(id="S", cell=0, capturable=10, eq_capture_cost=30.0)
-        snk = SinkNode(id="K", cell=1, capacity=10, sequestration_cost=5.0)
-        edge = CandidateEdge(source_id="S", sink_id="K", path=(0, 1),
-                             length_km=1.0, terrain_cost=1.0)
-        with pytest.raises(DomainError, match="exatc"):
-            select_network([src], [snk], [edge], 5.0, method="exatc")
-
     def test_heuristic_parity_up_to_12_sources(self):
-        """[PRIMARY] heuristic gap 0 vs exact on <=12-source instances."""
+        """[PRIMARY] local search gap 0 vs exact on <=12-source instances."""
         rng = np.random.default_rng(87)
         for n_src in (4, 8, 12):
             sources, sinks, edges = random_instance(rng, n_src, 2)
@@ -528,9 +645,27 @@ class TestSelectNetwork:
                               sequestration_cost=k.sequestration_cost)
                      for k in sinks]
             target = 0.6 * total
-            exact = select_network(sources, sinks, edges, target, method="exact")
-            heur = select_network(sources, sinks, edges, target, method="heuristic")
+            exact = solve_exact(sources, sinks, edges, target)
+            heur = solve_local(sources, sinks, edges, target)
             assert heur.total_cost == pytest.approx(exact.total_cost, abs=1e-6)
+
+    def test_local_search_closes_shortfall(self):
+        """13 sources of 1 Mt/yr, two sinks of 7.15 Mt/yr, target 13 Mt/yr.
+        The greedy start sends every source to the cheaper sink K1, which
+        holds 7.15 Mt/yr; moves to K2 close the gap, then the cost falls."""
+        sources = [SourceNode(id=f"S{i:02d}", cell=i, capturable=1e6,
+                              eq_capture_cost=30.0 + i) for i in range(13)]
+        sinks = [SinkNode(id=k, cell=c, capacity=7.15e6, sequestration_cost=cost)
+                 for k, c, cost in (("K1", 20, 5.0), ("K2", 21, 6.0))]
+        edges = [CandidateEdge(source_id=s.id, sink_id=k.id, path=(s.cell, k.cell),
+                               length_km=10.0, terrain_cost=10.0 + s.cell)
+                 for s in sources for k in sinks]
+        sol = select_network(sources, sinks, edges, 13e6)
+        assert sum(sol.source_flows.values()) == pytest.approx(13e6, rel=1e-12)
+        assert all(v <= 7.15e6 for v in sol.sink_inflows.values())
+        assert len(sol.routes) == 13
+        assert sol == scalar_evaluate(
+            sources, sinks, edges, 13e6, {r.source_id: r.sink_id for r in sol.routes})[1]
 
     def test_flow_conservation(self):
         rng = np.random.default_rng(5)
