@@ -317,6 +317,7 @@ class DispatchSolution:
     emitted_co2: np.ndarray
     sequestered_co2: np.ndarray
     objective: float
+    basis: str | None = None     # HiGHS basis of the LP solve, see lp.solve_lp
 
     @property
     def annual_scale(self) -> float:
@@ -419,6 +420,7 @@ def extract_solution(spec: SystemSpec, scenario: Scenario,
         sequestered_co2=(x[idx.seq:idx.seq + T].copy() if idx.has_seq
                          else np.zeros(T)),
         objective=float(lp_solution.objective),
+        basis=lp_solution.basis,
     )
     for u in spec.conversion_units:
         if u.co2_emitted > 0:
@@ -448,11 +450,12 @@ def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolu
                 f"residual {residual[worst]:.3e} > {limit[worst]:.3e}")
 
 
-def solve_dispatch(spec: SystemSpec, scenario: Scenario) -> DispatchSolution:
-    """Convenience wrapper: build, solve, extract."""
+def solve_dispatch(spec: SystemSpec, scenario: Scenario,
+                   basis: str | None = None) -> DispatchSolution:
+    """Convenience wrapper: build, solve (from `basis`, if given), extract."""
     from coplant.lp import solve_lp
 
     lp = build_lp(spec, scenario)
-    res = solve_lp(lp)
+    res = solve_lp(lp, basis)
     res.require_optimal()
     return extract_solution(spec, scenario, res)

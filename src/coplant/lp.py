@@ -4,16 +4,33 @@ The `LinearProgram` object is the single numerical currency of the package:
 the dispatch builder, the MPS exporter and importer and the solver all speak it.
 Solving is delegated to scipy's HiGHS backend behind a stable interface;
 the test suite checks it against an independent vertex-enumeration oracle.
+
+Warm starts: an optimal solve returns HiGHS's final basis as the text of a
+HiGHS basis file (`LpSolution.basis`), and `solve_lp(problem, basis)` starts
+the simplex from such a text.  It is meant for a family of LPs of one shape
+that differ in a few coefficients, such as a capex perturbation that moves
+one cost entry: dual simplex from the old optimal basis then needs a few
+pivots instead of a solve from scratch.  The objective is the same as a cold
+solve's, but where the optimum is not unique the warm start may stop at a
+different optimal vertex, so `x` and the duals can differ.  The basis travels
+through scipy's `linprog` as HiGHS's own `read_basis_file` and
+`write_basis_file` options, in a temporary directory.  This was verified on
+scipy 1.17.1 with HiGHS 1.12; on a HiGHS that writes no basis file, `basis`
+stays None and every solve is cold.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 #: Primal and dual feasibility tolerance handed to HiGHS.
 FEASIBILITY_TOL = 1e-7
@@ -160,20 +177,38 @@ class LpSolution:
     iterations: int = 0             # HiGHS simplex or IPM iterations
     solver_status: int | None = None  # scipy linprog status code
     solver_message: str = ""        # HiGHS model status as linprog reports it
+    basis: str | None = None        # HiGHS basis-file text, when optimal
 
     def require_optimal(self) -> None:
         if self.status != "optimal":
             raise LpStatusError(self.status)
 
 
-def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Minimize the problem; deterministic for a fixed input.
+def _check_basis_shape(basis: str, problem: LinearProgram) -> None:
+    """Raise LpValidationError unless the basis text is for the problem's shape."""
+    sizes = [re.search(rf"^# {what} (\d+)$", basis, re.MULTILINE)
+             for what in ("Columns", "Rows")]
+    if None in sizes:
+        raise LpValidationError("basis has no '# Columns' and '# Rows' header")
+    columns, rows = (int(m.group(1)) for m in sizes)
+    if (columns, rows) != (problem.n_variables, problem.n_constraints):
+        raise LpValidationError(
+            f"basis is for {columns} columns and {rows} rows, but the problem has "
+            f"{problem.n_variables} columns and {problem.n_constraints} rows")
+
+
+def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
+    """Minimize the problem; deterministic for a fixed input and basis.
 
     Returns a solution with status 'optimal', 'infeasible' or 'unbounded'.
-    Raises LpValidationError for malformed problems and LpSolverError for any
-    other solver outcome.
+    `basis` is a starting basis from an earlier `LpSolution.basis` of an LP
+    of the same shape.  Raises LpValidationError for malformed problems and
+    for a basis of another shape, and LpSolverError for any other solver
+    outcome.
     """
     problem.validate()
+    if basis is not None:
+        _check_basis_shape(basis, problem)
     # GE rows are negated into LE rows; EQ rows keep sign 1
     sign = np.where(problem.sense == GE, -1.0, 1.0)
     matrix = problem.matrix()
@@ -187,11 +222,22 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if eq.any():
         kwargs["A_eq"], kwargs["b_eq"] = matrix[eq], rhs[eq]
 
-    res = linprog(problem.cost, bounds=np.column_stack([problem.lower, problem.upper]),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": FEASIBILITY_TOL,
-                           "dual_feasibility_tolerance": FEASIBILITY_TOL},
-                  **kwargs)
+    with tempfile.TemporaryDirectory() as tmp:
+        final = Path(tmp, "final.bas")
+        options = {"primal_feasibility_tolerance": FEASIBILITY_TOL,
+                   "dual_feasibility_tolerance": FEASIBILITY_TOL,
+                   "write_basis_file": str(final)}
+        if basis is not None:
+            start = Path(tmp, "start.bas")
+            start.write_text(basis)
+            options["read_basis_file"] = str(start)
+        with warnings.catch_warnings():
+            # linprog does not know HiGHS's file options and passes them on
+            warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                    OptimizeWarning)
+            res = linprog(problem.cost, bounds=np.column_stack([problem.lower, problem.upper]),
+                          method="highs", options=options, **kwargs)
+        final_basis = final.read_text() if res.status == 0 and final.exists() else None
 
     if res.status not in (0, 2, 3):
         raise LpSolverError(f"LP solver failed (status {res.status}): {res.message}")
@@ -208,4 +254,4 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if eq.any():
         duals[eq] = res.eqlin.marginals
     return LpSolution(status="optimal", x=np.asarray(res.x), objective=float(res.fun),
-                      duals=duals, **stats)
+                      duals=duals, basis=final_basis, **stats)

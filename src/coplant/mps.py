@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from coplant.lp import EQ, GE, LE, LinearProgram
 
 MAX_NAME = 8
@@ -38,11 +40,14 @@ def _format_value(value: float) -> str:
     return f"{value:.4E}"  # pragma: no cover - last resort
 
 
-def _entry(f1: str, f2: str, f3: str = "", f4: str = "", f5: str = "", f6: str = "") -> str:
-    line = f" {f1:<2} {f2:<8}  {f3:<8}  {f4:<12}"
-    if f5:
-        line = f"{line}   {f5:<8}  {f6:<12}"
-    return line.rstrip()
+def _format_values(values) -> list[str]:
+    """`_format_value` of each entry, computed once per distinct value.
+
+    Values are told apart by bit pattern, so -0.0 keeps its own text."""
+    values = np.ascontiguousarray(values, dtype=float)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([_format_value(v) for v in distinct.view(float).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def export_lp(problem: LinearProgram, name: str = "COPLANT") -> str:
@@ -62,42 +67,48 @@ def export_lp(problem: LinearProgram, name: str = "COPLANT") -> str:
             % (MAX_NAME, ", ".join(sorted(set(offenders)))))
     if len(set(var_names)) != len(var_names) or len(set(row_names)) != len(row_names):
         raise MpsFormatError("duplicate names")
+    padded_vars = np.array([f"{n:<8}" for n in var_names], dtype=object)
+    padded_rows = np.array([f"{n:<8}" for n in row_names] + ["OBJ     "], dtype=object)
 
-    out = [f"NAME          {name}", "ROWS", _entry("N", "OBJ")]
-    for rn, sense in zip(row_names, problem.sense):
-        out.append(_entry(_ROW_TYPE[sense], rn))
+    out = [f"NAME          {name}", "ROWS", " N  OBJ"]
+    out += [f" {_ROW_TYPE[sense]}  {rn}".rstrip()
+            for rn, sense in zip(row_names, problem.sense.tolist())]
 
+    # each column's entries: its cost on OBJ if nonzero, then its matrix
+    # coefficients by row; a column with neither gets a 0 on OBJ so that the
+    # parser still sees it
     by_col = problem.matrix().tocsc()
-    starts, rows, values = (a.tolist() for a in (by_col.indptr, by_col.indices, by_col.data))
+    n, obj_row = problem.n_variables, problem.n_constraints
+    counts = np.diff(by_col.indptr)
+    has_obj = (problem.cost != 0.0) | (counts == 0)
+    cols = np.concatenate([np.flatnonzero(has_obj), np.repeat(np.arange(n), counts)])
+    rows = np.concatenate([np.full(int(has_obj.sum()), obj_row), by_col.indices])
+    values = np.concatenate([np.where(problem.cost != 0.0, problem.cost, 0.0)[has_obj],
+                             by_col.data])
+    order = np.argsort(cols, kind="stable")
     out.append("COLUMNS")
-    for j, (vn, cost) in enumerate(zip(var_names, problem.cost.tolist())):
-        entries = [("OBJ", cost)] if cost != 0.0 else []
-        entries.extend((row_names[i], a) for i, a in
-                       zip(rows[starts[j]:starts[j + 1]], values[starts[j]:starts[j + 1]]))
-        if not entries:
-            entries.append(("OBJ", 0.0))  # keep every variable visible to the parser
-        for rn, a in entries:
-            out.append(_entry("", vn, rn, _format_value(a)))
+    out += [f"    {vn}  {rn}  {v}" for vn, rn, v in
+            zip(padded_vars[cols[order]], padded_rows[rows[order]],
+                _format_values(values[order]))]
 
+    nonzero = np.flatnonzero(problem.rhs != 0.0)
     out.append("RHS")
-    for rn, rhs in zip(row_names, problem.rhs.tolist()):
-        if rhs != 0.0:
-            out.append(_entry("", "RHS", rn, _format_value(rhs)))
+    out += [f"    RHS       {rn}  {v}" for rn, v in
+            zip(padded_rows[nonzero], _format_values(problem.rhs[nonzero]))]
 
+    # up to two entries per column, in column order: FX, FR, MI or LO, then UP
+    lo, up = problem.lower, problem.upper
+    fixed = lo == up
+    free = ~fixed & np.isneginf(lo) & np.isposinf(up)
+    first = np.select([fixed, free, np.isneginf(lo), lo != 0.0], ["FX", "FR", "MI", "LO"], "")
+    second = np.where(~fixed & ~free & ~np.isposinf(up), "UP", "")
+    kinds = np.concatenate([first, second])
+    keep = np.flatnonzero(kinds != "")
+    keep = keep[np.argsort(keep % n, kind="stable")]
+    texts = _format_values(np.concatenate([lo, up])[keep])
     out.append("BOUNDS")
-    for vn, lo, up in zip(var_names, problem.lower.tolist(), problem.upper.tolist()):
-        if lo == up:
-            out.append(_entry("FX", "BND", vn, _format_value(lo)))
-            continue
-        if math.isinf(lo) and math.isinf(up):
-            out.append(_entry("FR", "BND", vn))
-            continue
-        if math.isinf(lo):
-            out.append(_entry("MI", "BND", vn))
-        elif lo != 0.0:
-            out.append(_entry("LO", "BND", vn, _format_value(lo)))
-        if not math.isinf(up):
-            out.append(_entry("UP", "BND", vn, _format_value(up)))
+    out += [f" {kind} BND       {vn}  {v if kind not in ('FR', 'MI') else ''}".rstrip()
+            for kind, vn, v in zip(kinds[keep].tolist(), padded_vars[keep % n], texts)]
 
     out.append("ENDATA")
     return "\n".join(out) + "\n"

@@ -316,7 +316,11 @@ def _solve_local(inst: _Instance) -> tuple[float, NetworkSolution]:
     lower sink id).  Each step runs the current assignment and all of its
     moves (sources by id, options in order) through the kernel as one block
     and takes the move `_replaces` picks, scanning from the current one; so
-    the search first closes any shortfall, then lowers the cost."""
+    the search first closes any shortfall, then lowers the cost.  When no
+    move is picked, sources that ship nothing are unassigned and the search
+    goes on: such a source could otherwise take up room that a move frees
+    and so block it.  The result is then a local optimum of the routes it
+    reports."""
     current = np.zeros(len(inst.sources), dtype=int)
     for _, i, j, _ in inst.pairs:       # each source's first pair is its cheapest
         current[i] = current[i] or j
@@ -333,7 +337,11 @@ def _solve_local(inst: _Instance) -> tuple[float, NetworkSolution]:
             if _replaces(keys[h], keys[pick]):
                 pick = h
         if pick == 0:
-            break
+            idle = (current > 0) & (flow[:, 0] <= 0)
+            if not idle.any():
+                break
+            current = np.where(idle, 0, current)
+            continue
         current = digit[:, pick]
     if keys[0][0] > 0:
         raise NetworkInfeasible(

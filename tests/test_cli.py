@@ -173,7 +173,8 @@ def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
             pools.append((self.max_workers, len(jobs)))
             return [fn(*job) for job in jobs]
 
-    def fake_solve_plant(template, scenario, plant, profiles_dir, both_modes=True):
+    def fake_solve_plant(template, scenario, plant, profiles_dir, both_modes=True,
+                         basis=None):
         return fleet.PlantResult(plant=plant, abatement=50.0, cement_capacity=1.0,
                                  flex_inflex_ratio=1.0)
 
@@ -198,9 +199,9 @@ def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monke
     calls = []
     solve_lp = lp.solve_lp
 
-    def counting(problem):
+    def counting(problem, basis=None):
         calls.append(1)
-        return solve_lp(problem)
+        return solve_lp(problem, basis)
 
     monkeypatch.setattr(lp, "solve_lp", counting)
     plants, profiles = write_fleet_inputs(tmp_path, 2)

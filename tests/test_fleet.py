@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from coplant import fleet, reference
 from coplant.fleet import (
+    FleetResult,
     PlantSite,
     PlantsSchemaError,
     load_plants,
@@ -178,7 +180,7 @@ class TestRunFleet:
                           clinker_capacity=4000, solar_profile_ref="s1",
                           wind_profile_ref="w1")
 
-        def broken(spec, scenario):
+        def broken(spec, scenario, basis=None):
             raise TypeError("a bug, not a plant failure")
 
         monkeypatch.setattr(fleet, "solve_dispatch", broken)
@@ -301,3 +303,35 @@ class TestSensitivity:
             run_fleet(plants, template, scenario, profiles, workers=2),
             template, scenario, profiles, workers=2)
         assert pooled == serial
+
+    def test_without_bases_matches_warm_start(self, fleet_env, monkeypatch):
+        """Each perturbed solve starts from its plant's baseline basis.
+        Baseline results that carry no basis give cold perturbed solves, and
+        the same curves as the warm-started sweep."""
+        _, profiles, scenario, template = fleet_env
+        plants = [
+            PlantSite(id=f"P{i}", latitude=30, longitude=110 + i,
+                      clinker_capacity=3000 + 500 * i,
+                      solar_profile_ref=["s1", "s2"][i % 2],
+                      wind_profile_ref=["w1", "w2"][i % 2])
+            for i in range(2)
+        ]
+        result = run_fleet(plants, template, scenario, profiles)
+        bare = FleetResult(per_plant=[dataclasses.replace(r, basis=None)
+                                      for r in result.per_plant], curve=result.curve)
+        starts = []
+        solve_dispatch = fleet.solve_dispatch
+
+        def recording(spec, scenario, basis=None):
+            starts.append(basis)
+            return solve_dispatch(spec, scenario, basis)
+
+        monkeypatch.setattr(fleet, "solve_dispatch", recording)
+        warm = sensitivity_sweep(result, template, scenario, profiles)
+        assert starts == [r.basis for r in result.per_plant] * 6
+        cold = sensitivity_sweep(bare, template, scenario, profiles)
+        assert starts[12:] == [None] * 12
+        assert warm.curves.keys() == cold.curves.keys()
+        for label, curve in warm.curves.items():
+            np.testing.assert_allclose(curve, cold.curves[label], rtol=1e-9)
+        np.testing.assert_allclose(warm.envelope, cold.envelope, rtol=1e-9)

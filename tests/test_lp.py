@@ -262,3 +262,66 @@ def test_single_constraint_property(rhs, coef):
     else:
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(want, abs=1e-6)
+
+
+# ------------------------------------------------------------- warm starts
+
+@pytest.fixture(scope="module")
+def netzero48_lp():
+    """The 48 h reference plant's LP and its cold optimal solution."""
+    from coplant import reference
+    from coplant.dispatch import build_lp
+    scenario = reference.netzero_scenario(horizon=48)
+    spec = reference.reference_system(scenario)
+    lp = build_lp(spec, scenario)
+    return spec, scenario, solve_lp(lp)
+
+
+@pytest.mark.parametrize("factor", [0.8, 1.2])
+@pytest.mark.parametrize("parameter", ["solar_capex", "wind_capex", "electrolyzer_capex"])
+def test_warm_start_matches_cold_on_capex_perturbations(netzero48_lp, parameter, factor):
+    """A capex perturbation moves one cost entry; started from the baseline
+    basis it reaches the cold solve's objective in fewer iterations."""
+    from coplant.dispatch import build_lp
+    from coplant.fleet import SENSITIVITY_PARAMETERS, _perturbed_template
+    assert parameter in SENSITIVITY_PARAMETERS
+    spec, scenario, base = netzero48_lp
+    lp = build_lp(_perturbed_template(spec, parameter, factor), scenario)
+    cold = solve_lp(lp)
+    warm = solve_lp(lp, base.basis)
+    assert cold.status == warm.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    if base.basis is not None:
+        assert warm.iterations < cold.iterations
+        assert warm.basis is not None
+
+
+def test_basis_of_other_shape_rejected(netzero48_lp, toy_scenario):
+    from coplant import reference
+    from coplant.dispatch import build_lp
+    _, _, base = netzero48_lp
+    if base.basis is None:
+        pytest.skip("this HiGHS writes no basis file")
+    lp24 = build_lp(reference.reference_system(toy_scenario), toy_scenario)
+    with pytest.raises(LpValidationError) as err:
+        solve_lp(lp24, base.basis)
+    message = str(err.value)
+    for size in (base.x.size, lp24.n_variables, lp24.n_constraints):
+        assert str(size) in message
+    with pytest.raises(LpValidationError, match="header"):
+        solve_lp(lp24, "HiGHS_basis_file v2\nValid\n")
+
+
+def test_warm_start_keeps_infeasible_and_unbounded_status():
+    def one_column(cost, sense, rhs):
+        lp = LinearProgram()
+        lp.add_columns(1, cost=cost)
+        lp.add_rows(sense, rhs, [([0, 1], 0, 1.0)])
+        return lp
+
+    base = solve_lp(one_column(1.0, [GE, LE], [1.0, 5.0]))
+    assert base.status == "optimal"
+    infeasible = solve_lp(one_column(1.0, [GE, LE], [6.0, 5.0]), base.basis)
+    assert infeasible.status == "infeasible" and infeasible.basis is None
+    unbounded = solve_lp(one_column(-1.0, [GE, GE], [1.0, 0.0]), base.basis)
+    assert unbounded.status == "unbounded" and unbounded.basis is None

@@ -7,6 +7,7 @@ import pytest
 from coplant.sinknet.network import (
     DEFAULT_PIPELINE_CLASSES,
     EXACT_BLOCK,
+    EXACT_SOURCE_LIMIT,
     CementOnlyParams,
     NetworkInfeasible,
     NetworkParams,
@@ -648,6 +649,31 @@ class TestSelectNetwork:
             exact = solve_exact(sources, sinks, edges, target)
             heur = solve_local(sources, sinks, edges, target)
             assert heur.total_cost == pytest.approx(exact.total_cost, abs=1e-6)
+
+    def test_local_search_leaves_no_cheaper_single_move(self):
+        """Above EXACT_SOURCE_LIMIT, no single-source reassignment of the
+        reported routes (a source to another sink, to a sink from no route,
+        or to no route) is cheaper by more than 1e-9 $/yr, on 30 random
+        corridor instances of 13-20 sources with binding sinks."""
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            n_src = int(rng.integers(EXACT_SOURCE_LIMIT + 1, 21))
+            sources, sinks, edges = corridor_instance(rng, n_src, int(rng.integers(2, 5)))
+            connected = {e.source_id for e in edges}
+            max_target = min(sum(s.capturable for s in sources if s.id in connected),
+                             sum(k.capacity for k in sinks))
+            target = float(rng.uniform(0.2, 0.9)) * max_target
+            sol = select_network(sources, sinks, edges, target)
+            routes = {s.id: None for s in sources}
+            routes.update({r.source_id: r.sink_id for r in sol.routes})
+            cost, _ = scalar_evaluate(sources, sinks, edges, target, routes)
+            assert cost == pytest.approx(sol.total_cost, rel=1e-12), f"trial {trial}"
+            for s in sources:
+                for option in source_options(s.id, edges):
+                    moved = scalar_evaluate(sources, sinks, edges, target,
+                                            {**routes, s.id: option})
+                    assert moved is None or moved[0] >= cost - 1e-9, (
+                        f"trial {trial}: {s.id} -> {option} saves {cost - moved[0]:g} $/yr")
 
     def test_local_search_closes_shortfall(self):
         """13 sources of 1 Mt/yr, two sinks of 7.15 Mt/yr, target 13 Mt/yr.
