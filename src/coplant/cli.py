@@ -6,7 +6,8 @@ unbounded model, 5 file I/O error, 6 solver failure (HiGHS ended with a
 status other than optimal, infeasible or unbounded) or every plant of a
 fleet failed.
 
-COPLANT_WORKERS sets the process count for fleet runs (default 1).
+COPLANT_WORKERS sets the process count for fleet runs (default 1); a value
+that is not an integer >= 1 exits 3.
 """
 
 from __future__ import annotations
@@ -138,6 +139,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _workers() -> int:
+    """The COPLANT_WORKERS process count; anything but an integer >= 1 is an error."""
+    raw = os.environ.get("COPLANT_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise CliError(f"COPLANT_WORKERS must be an integer >= 1, got {raw!r}",
+                       EXIT_VALIDATION)
+    return workers
+
+
 def cmd_fleet(args) -> int:
     scenario = _load_scenario(args.scenario)
     template = _load_system(args.system, scenario.horizon_hours)
@@ -145,7 +159,7 @@ def cmd_fleet(args) -> int:
         plants = fleet.load_plants(args.plants)
     except FileNotFoundError as exc:
         raise CliError(str(exc), EXIT_IO) from None
-    workers = int(os.environ.get("COPLANT_WORKERS", "1"))
+    workers = _workers()
     out = _out_dir(args.out)
     result = fleet.run_fleet(plants, template, scenario, args.profiles,
                              workers=workers)

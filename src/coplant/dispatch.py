@@ -72,6 +72,23 @@ def _is_pinned(unit: ConversionUnit, scenario: Scenario) -> bool:
     return False
 
 
+def runs_pinned(solution: DispatchSolution, spec: SystemSpec, scenario: Scenario) -> bool:
+    """Whether every unit pinned under `scenario` runs at its capacity in every
+    hour of `solution`, within 1e-9 * max(1, capacity).
+
+    The flexibility mode acts only through `_is_pinned`, and a unit with
+    activity equal to capacity meets the unpinned bound and ramp rows.  So a
+    flexible optimum that passes for the inflexible scenario is feasible, and
+    thus optimal, in the inflexible LP, with the same objective.
+    """
+    for u in spec.conversion_units:
+        if _is_pinned(u, scenario):
+            cap = solution.capacities[u.id]
+            if np.any(np.abs(solution.activity[u.id] - cap) > 1e-9 * max(1.0, cap)):
+                return False
+    return True
+
+
 @dataclass
 class DispatchIndex:
     """Deterministic variable numbering shared by builder and extractor."""

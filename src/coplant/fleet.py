@@ -19,7 +19,7 @@ from pathlib import Path
 
 from coplant.configio import finite_float, read_profile_csv
 from coplant.costing import solution_abatement_cost
-from coplant.dispatch import HOURS_PER_YEAR, solve_dispatch
+from coplant.dispatch import HOURS_PER_YEAR, runs_pinned, solve_dispatch
 from coplant.domain import RenewableSource, Scenario, SystemSpec
 from coplant.lp import LpStatusError
 
@@ -157,22 +157,30 @@ def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
                  basis: str | None = None) -> PlantResult:
     """Solve one site and price its abatement in the scenario's own mode.
 
-    With both_modes the other flexibility mode is solved too, for the
+    With both_modes the other flexibility mode is priced too, for the
     flexible/inflexible cost ratio; without it the ratio is nan.  The
-    scenario-mode solve starts from `basis` when one is given, and its own
-    final basis is kept in PlantResult.basis.  Unreadable or short profiles
-    and invalid or infeasible site models are recorded in PlantResult.error
-    as "<ExceptionType>: <message>"; anything else raises.
+    scenario's own mode is solved first.  When it is flexible and its optimum
+    already runs every unit that inflexible mode pins at capacity
+    (`dispatch.runs_pinned`), that optimum is the inflexible one as well, so
+    the ratio is 1.0 and no second LP is solved; otherwise the other mode is
+    solved cold.  The scenario-mode solve starts from `basis` when one is
+    given, and its own final basis is kept in PlantResult.basis.  Unreadable
+    or short profiles and invalid or infeasible site models are recorded in
+    PlantResult.error as "<ExceptionType>: <message>"; anything else raises.
     """
     own = scenario.flexibility_mode
-    modes = ("flexible", "inflexible") if both_modes else (own,)
     try:
         solar = load_profile(profiles_dir, plant.solar_profile_ref, scenario.horizon_hours)
         wind = load_profile(profiles_dir, plant.wind_profile_ref, scenario.horizon_hours)
         spec = _site_spec(template, scenario, plant, solar, wind)
-        sols = {mode: solve_dispatch(spec, dataclasses.replace(scenario, flexibility_mode=mode),
-                                     basis=basis if mode == own else None)
-                for mode in modes}
+        sols = {own: solve_dispatch(spec, scenario, basis=basis)}
+        if both_modes:
+            other = "inflexible" if own == "flexible" else "flexible"
+            other_scenario = dataclasses.replace(scenario, flexibility_mode=other)
+            if other == "inflexible" and runs_pinned(sols[own], spec, other_scenario):
+                sols[other] = sols[own]
+            else:
+                sols[other] = solve_dispatch(spec, other_scenario)
         abate = solution_abatement_cost(sols[own], spec, scenario, include_transport=False)
     except (OSError, ValueError, LpStatusError) as exc:  # must not sink the batch
         logger.warning("plant %s failed: %s", plant.id, exc)
@@ -266,11 +274,16 @@ def sensitivity_sweep(result: FleetResult, template: SystemSpec, scenario: Scena
     `workers` processes as in run_fleet.
 
     Each perturbed solve is warm-started from its plant's baseline basis
-    (`PlantResult.basis`), since it differs from the baseline LP in one cost
-    entry; a plant without a basis is solved cold.  A warm start reaches the
-    same optimal cost but may stop at another optimal vertex, with other
-    capacities.  The baseline result holds one basis per successful plant,
-    about 27 KB at 48 h and 99 KB at 168 h.
+    (`PlantResult.basis`, from the scenario-mode solve, which `_solve_plant`
+    always runs), since it differs from the baseline LP in one cost entry;
+    from that basis HiGHS runs primal simplex (see `lp.solve_lp`).  A plant
+    without a basis is solved cold.  With the default parameters and a
+    flexible scenario, baseline and sweep together solve 8 LPs per plant, or
+    7 where the flexible optimum already runs methanol synthesis flat (see
+    `_solve_plant`).  A warm start reaches the same optimal cost but may stop
+    at another optimal vertex, with other capacities.  The baseline result
+    holds one basis per successful plant, about 27 KB at 48 h and 99 KB at
+    168 h.
     """
     for p in parameters:
         if p not in SENSITIVITY_PARAMETERS:

@@ -9,11 +9,16 @@ Warm starts: an optimal solve returns HiGHS's final basis as the text of a
 HiGHS basis file (`LpSolution.basis`), and `solve_lp(problem, basis)` starts
 the simplex from such a text.  It is meant for a family of LPs of one shape
 that differ in a few coefficients, such as a capex perturbation that moves
-one cost entry: dual simplex from the old optimal basis then needs a few
-pivots instead of a solve from scratch.  The objective is the same as a cold
-solve's, but where the optimum is not unique the warm start may stop at a
-different optimal vertex, so `x` and the duals can differ.  The basis travels
-through scipy's `linprog` as HiGHS's own `read_basis_file` and
+one cost entry.  A cost change leaves the old optimal basis primal feasible
+but not dual feasible, so a warm start runs primal simplex (HiGHS's
+`simplex_strategy` 4), which resumes from that basis; the default dual
+simplex would first have to win dual feasibility back.  A family that moves
+right-hand sides instead, such as `costing.sweep_stoichiometry`, keeps dual
+feasibility and would want dual simplex; no such family is warm-started
+today.  Cold solves keep HiGHS's default strategy.  The objective is the same
+as a cold solve's, but where the optimum is not unique the warm start may
+stop at a different optimal vertex, so `x` and the duals can differ.  The
+basis travels through scipy's `linprog` as HiGHS's own `read_basis_file` and
 `write_basis_file` options, in a temporary directory.  This was verified on
 scipy 1.17.1 with HiGHS 1.12; on a HiGHS that writes no basis file, `basis`
 stays None and every solve is cold.
@@ -202,9 +207,10 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
 
     Returns a solution with status 'optimal', 'infeasible' or 'unbounded'.
     `basis` is a starting basis from an earlier `LpSolution.basis` of an LP
-    of the same shape.  Raises LpValidationError for malformed problems and
-    for a basis of another shape, and LpSolverError for any other solver
-    outcome.
+    of the same shape; from it HiGHS runs primal simplex, which suits LPs
+    that differ from the basis's LP in cost coefficients.  Raises
+    LpValidationError for malformed problems and for a basis of another
+    shape, and LpSolverError for any other solver outcome.
     """
     problem.validate()
     if basis is not None:
@@ -231,8 +237,9 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
             start = Path(tmp, "start.bas")
             start.write_text(basis)
             options["read_basis_file"] = str(start)
+            options["simplex_strategy"] = 4  # primal; a cost change keeps the basis feasible
         with warnings.catch_warnings():
-            # linprog does not know HiGHS's file options and passes them on
+            # linprog does not know these HiGHS options and passes them on
             warnings.filterwarnings("ignore", "Unrecognized options detected",
                                     OptimizeWarning)
             res = linprog(problem.cost, bounds=np.column_stack([problem.lower, problem.upper]),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coplant import cli, configio, reference
+from coplant.domain import Commodity
 from coplant.sinknet.raster import CostSurface, write_raster
 
 
@@ -195,7 +196,23 @@ def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
 
 
 def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monkeypatch):
-    from coplant import lp
+    """Two modes and six capex perturbations per plant: 8 LPs, or 7 for a
+    plant whose flexible optimum already runs methanol synthesis flat, since
+    that optimum is also the inflexible one."""
+    from coplant import dispatch, fleet, lp
+    plants, profiles = write_fleet_inputs(tmp_path, 2)
+    scenario = reference.netzero_scenario(horizon=48)
+    expected = 0
+    for plant in fleet.load_plants(plants):
+        solar, wind = (configio.read_profile_csv(profiles / f"{ref}.csv", 48)
+                       for ref in (plant.solar_profile_ref, plant.wind_profile_ref))
+        spec = reference.reference_system(
+            scenario, demand_cement=plant.cement_demand_tph(scenario), solar=solar, wind=wind)
+        sol = dispatch.solve_dispatch(spec, scenario)
+        flat = all(np.allclose(sol.activity[u.id], sol.capacities[u.id], rtol=1e-9, atol=1e-9)
+                   for u in spec.conversion_units if Commodity.METHANOL in u.outputs)
+        expected += 7 if flat else 8
+
     calls = []
     solve_lp = lp.solve_lp
 
@@ -204,12 +221,11 @@ def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monke
         return solve_lp(problem, basis)
 
     monkeypatch.setattr(lp, "solve_lp", counting)
-    plants, profiles = write_fleet_inputs(tmp_path, 2)
     code = run(["fleet", "--spec", workspace / "system.cfg",
                 "--scenario", workspace / "scenario.cfg", "--plants", plants,
                 "--profiles", profiles, "--sensitivity", "-o", tmp_path / "out"])
     assert code == 0
-    assert len(calls) == 8 * 2
+    assert len(calls) == expected
 
 
 def test_solve_mps_builds_lp_once(workspace, tmp_path, monkeypatch):
@@ -232,6 +248,16 @@ def test_solve_mps_builds_lp_once(workspace, tmp_path, monkeypatch):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+    def test_bad_workers(self, workspace, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("COPLANT_WORKERS", value)
+        plants, profiles = write_fleet_inputs(tmp_path, 1)
+        assert run(["fleet", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                    "--profiles", profiles, "-o", tmp_path / "out"]) == 3
+        assert "COPLANT_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error(self):
         assert cli.main(["solve"]) == 2
         assert cli.main(["bogus-command"]) == 2

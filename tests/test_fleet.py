@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from coplant import fleet, reference
+from coplant.dispatch import solve_dispatch
+from coplant.domain import Commodity
 from coplant.fleet import (
     FleetResult,
     PlantSite,
@@ -215,6 +217,77 @@ class TestRunFleet:
                           wind_profile_ref="w1")
         result = run_fleet([plant], template, scenario, profiles)
         assert result.per_plant[0].flex_inflex_ratio <= 1.0 + 1e-8
+
+
+@pytest.fixture(scope="module")
+def reference_plants(tmp_path_factory):
+    """48 h reference plants P176-P178, each on the profiles of
+    `reference_system(seed=...)`, written so that they read back exactly.
+    Seeds 176 and 178 run methanol synthesis flat when flexible; 177 does not."""
+    profiles = tmp_path_factory.mktemp("reference_profiles")
+    scenario = reference.netzero_scenario(horizon=48)
+    plants = {}
+    for seed in (176, 177, 178):
+        solar, wind = (r.profile for r in
+                       reference.reference_system(scenario, seed=seed).renewables)
+        for ref, values in ((f"s{seed}", solar), (f"w{seed}", wind)):
+            (profiles / f"{ref}.csv").write_text(
+                "cf\n" + "".join(f"{v!r}\n" for v in values))
+        plants[seed] = PlantSite(id=f"P{seed}", latitude=30, longitude=110,
+                                 clinker_capacity=4000, solar_profile_ref=f"s{seed}",
+                                 wind_profile_ref=f"w{seed}")
+    return profiles, scenario, plants
+
+
+def methanol_runs_flat(spec, solution):
+    units = [u for u in spec.conversion_units if Commodity.METHANOL in u.outputs]
+    assert units
+    return all(np.allclose(solution.activity[u.id], solution.capacities[u.id],
+                           rtol=1e-9, atol=1e-9) for u in units)
+
+
+class TestFlexRatio:
+    """Each plant's flexible/inflexible cost ratio, with the inflexible solve
+    skipped when the flexible optimum already runs methanol flat."""
+
+    @pytest.mark.parametrize("seed, flat", [(176, True), (177, False), (178, True)])
+    def test_ratio_matches_two_cold_solves(self, reference_plants, seed, flat):
+        profiles, scenario, plants = reference_plants
+        spec = reference.reference_system(
+            scenario, demand_cement=plants[seed].cement_demand_tph(scenario), seed=seed)
+        flexible = solve_dispatch(spec, scenario)
+        inflexible = solve_dispatch(
+            spec, dataclasses.replace(scenario, flexibility_mode="inflexible"))
+        assert methanol_runs_flat(spec, flexible) is flat
+        result = run_fleet([plants[seed]], reference.reference_system(scenario, seed=seed),
+                           scenario, profiles)
+        assert result.per_plant[0].flex_inflex_ratio == pytest.approx(
+            flexible.objective / inflexible.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("own", ["flexible", "inflexible"])
+    @pytest.mark.parametrize("seed", [176, 177])
+    def test_solves_per_plant(self, reference_plants, monkeypatch, seed, own):
+        """A flexible scenario solves one LP for a flat plant and two otherwise;
+        an inflexible scenario always solves both modes, its own first."""
+        profiles, scenario, plants = reference_plants
+        scenario = dataclasses.replace(scenario, flexibility_mode=own)
+        modes = []
+        solve = fleet.solve_dispatch
+
+        def recording(spec, scenario, basis=None):
+            modes.append(scenario.flexibility_mode)
+            return solve(spec, scenario, basis)
+
+        monkeypatch.setattr(fleet, "solve_dispatch", recording)
+        result = run_fleet([plants[seed]], reference.reference_system(scenario, seed=seed),
+                           scenario, profiles)
+        assert result.per_plant[0].error is None
+        if own == "flexible" and seed == 176:
+            assert modes == ["flexible"]
+            assert result.per_plant[0].flex_inflex_ratio == 1.0
+        else:
+            other = "inflexible" if own == "flexible" else "flexible"
+            assert modes == [own, other]
 
 
 class TestSensitivity:

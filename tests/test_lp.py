@@ -296,6 +296,32 @@ def test_warm_start_matches_cold_on_capex_perturbations(netzero48_lp, parameter,
         assert warm.basis is not None
 
 
+def test_warm_start_runs_primal_simplex(monkeypatch):
+    """A solve from a basis asks HiGHS for primal simplex (strategy 4), which
+    resumes from a basis that a cost change left primal feasible; a cold
+    solve keeps HiGHS's default."""
+    from coplant import lp as lp_module
+    strategies = []
+    linprog = lp_module.linprog
+
+    def recording(*args, options, **kwargs):
+        strategies.append(options.get("simplex_strategy"))
+        return linprog(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", recording)
+    lp = LinearProgram()
+    lp.add_columns(2, cost=[1.0, 2.0])
+    lp.add_rows(GE, [1.0], [(0, [0, 1], 1.0)])
+    base = solve_lp(lp)
+    if base.basis is None:
+        pytest.skip("this HiGHS writes no basis file")
+    lp.cost = np.array([3.0, 2.0])
+    warm = solve_lp(lp, base.basis)
+    cold = solve_lp(lp)
+    assert strategies == [None, 4, None]
+    assert warm.objective == cold.objective == pytest.approx(2.0)
+
+
 def test_basis_of_other_shape_rejected(netzero48_lp, toy_scenario):
     from coplant import reference
     from coplant.dispatch import build_lp
