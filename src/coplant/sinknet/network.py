@@ -1,11 +1,15 @@
 """CO2 source-sink matching over candidate pipeline corridors.
 
-Minimizes equivalent-capture + pipeline + sequestration cost subject to a
-sequestration target.  The solution space is node-to-node: each selected
+Picks which sink each source ships to so that a sequestration target is
+met, and prices the network as equivalent-capture + pipeline +
+sequestration cost.  The solution space is node-to-node: each selected
 source ships its flow to exactly one sink along its least-cost corridor
 (no Steiner junctions).  Within a source-to-sink assignment, flows are
-allocated deterministically in ascending per-tonne cost order, so every
-assignment has a single well-defined cost.  One numpy kernel
+allocated by a fixed rule: in ascending linear (capture + sequestration
+[+ per-tonne corridor]) cost order, blind to pipe sizing.  Every
+assignment thus has a single well-defined cost, but a flow split the rule
+does not make can be cheaper: even the exact search finds the cheapest
+network under the rule, not the cost-minimal one in general.  One numpy kernel
 (`_Instance.allocate` and `_Instance.cost`) applies that rule to a block of
 assignments; both searches and the one-assignment `evaluate` run on it.
 The source count picks the search: up to EXACT_SOURCE_LIMIT (12) sources,

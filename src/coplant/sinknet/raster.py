@@ -16,7 +16,10 @@ class RasterFormatError(ValueError):
 
 @dataclass
 class CostSurface:
-    """Row-major raster of per-km cost multipliers; nodata cells are barriers."""
+    """Row-major raster of per-km cost multipliers; nodata cells are barriers.
+
+    Every cell is finite: either a non-negative multiplier or the (finite)
+    nodata value."""
 
     ncols: int
     nrows: int
@@ -31,8 +34,16 @@ class CostSurface:
             raise RasterFormatError(
                 f"cell array shape {self.cells.shape} does not match header "
                 f"({self.nrows} rows x {self.ncols} cols)")
-        valid = self.cells[~self.is_nodata]
-        if np.any(valid < 0):
+        if not np.isfinite(self.nodata):
+            raise RasterFormatError(
+                f"NODATA_VALUE must be a finite number, got {self.nodata}")
+        non_finite = np.argwhere(~np.isfinite(self.cells))
+        if non_finite.size:
+            r, c = non_finite[0]
+            raise RasterFormatError(
+                f"non-finite cost cell {self.cells[r, c]} at row {r}, col {c}; "
+                "mark barriers with NODATA_VALUE")
+        if np.any(self.cells[~self.is_nodata] < 0):
             raise RasterFormatError("negative cost cells are not allowed")
 
     @property
@@ -100,10 +111,13 @@ def load_raster(path: str | Path) -> CostSurface:
         raise RasterFormatError(
             f"{path}: data section has {len(values)} cells, expected {expected}")
     cells = np.array(values).reshape(nrows, ncols)
-    return CostSurface(
-        ncols=ncols, nrows=nrows, cell_size=header["cellsize"],
-        origin=(header.get("xllcorner", 0.0), header.get("yllcorner", 0.0)),
-        nodata=nodata, cells=cells)
+    try:
+        return CostSurface(
+            ncols=ncols, nrows=nrows, cell_size=header["cellsize"],
+            origin=(header.get("xllcorner", 0.0), header.get("yllcorner", 0.0)),
+            nodata=nodata, cells=cells)
+    except RasterFormatError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from None
 
 
 def write_raster(surface: CostSurface, path: str | Path) -> None:

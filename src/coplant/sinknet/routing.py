@@ -3,10 +3,13 @@
 8-neighbor movement; stepping between adjacent cells costs the mean of the
 two cell multipliers times the cell size (times sqrt(2) on diagonals).
 Nodata cells are hard barriers; zero-cost cells are ordinary, free steps.
-The surface becomes one sparse graph and scipy's Dijkstra searches it from
-the source, so a path's cost is the sum of its step costs in path order.
-Among equal-cost paths the one kept is the predecessor tree scipy's
-Dijkstra builds from the source: deterministic for a given scipy, but not
+The surface becomes one symmetric sparse graph, and scipy's Dijkstra
+searches it once from each sink (the target end of a corridor): in that
+search's predecessor tree each cell's predecessor is its next hop toward
+the sink, so a corridor is walked from the source with no reversal.  A
+path's cost is recomputed as the sum of its step costs in source-to-sink
+order.  Among equal-cost paths the one kept is the predecessor tree scipy's
+Dijkstra builds from the sink: deterministic for a given scipy, but not
 tied to cell indices.
 """
 
@@ -56,32 +59,49 @@ def _cost_graph(surface: CostSurface) -> csr_array:
 
 
 def _walk(pred: np.ndarray, a: int, b: int) -> list[int]:
-    """Cells from a to b along the predecessor tree of a search from a;
-    empty when a == b."""
+    """Cells from a to b along the predecessor tree of a search from b, in
+    which each cell's predecessor is its next hop toward b; empty when a == b."""
     if a == b:
         return []
-    path = [b]
-    while path[-1] != a:
+    path = [a]
+    while path[-1] != b:
         path.append(int(pred[path[-1]]))
-    path.reverse()
     return path
+
+
+def _path_measures(surface: CostSurface, path: list[int]) -> tuple[float, float]:
+    """(length in km, cost) of a path, each summed step by step from its
+    first cell (cumsum, not pairwise as np.sum would), with the step costs
+    `_cost_graph` uses; (0, 0) for an empty path."""
+    if not path:
+        return 0.0, 0.0
+    cells = np.asarray(path)
+    rows, cols = np.divmod(cells, surface.ncols)
+    diag = np.where((np.diff(rows) != 0) & (np.diff(cols) != 0), SQRT2, 1.0)
+    c = surface.cells.ravel()[cells]
+    length = np.cumsum(surface.cell_size * diag)[-1]
+    cost = np.cumsum(0.5 * (c[:-1] + c[1:]) * surface.cell_size * diag)[-1]
+    return float(length), float(cost)
 
 
 def least_cost_path(surface: CostSurface, a: int, b: int) -> tuple[list[int], float]:
     """Dijkstra shortest path; returns (cells from a to b inclusive, cost).
 
-    a == b returns an empty path with zero cost.
+    The search runs from b, as `build_candidates` searches from the sink, so
+    both keep the same path among equal-cost ones.  a == b returns an empty
+    path with zero cost.
     """
     for cell in (a, b):
         if not 0 <= cell < surface.n_cells:
             raise ValueError(f"cell {cell} outside the surface")
         if not surface.traversable(cell):
             raise ValueError(f"cell {cell} is nodata")
-    dist, pred = dijkstra(_cost_graph(surface), indices=a,
+    dist, pred = dijkstra(_cost_graph(surface), indices=b,
                           return_predecessors=True)
-    if math.isinf(dist[b]):
+    if math.isinf(dist[a]):
         raise UnreachableError(a, b)
-    return _walk(pred, a, b), float(dist[b])
+    path = _walk(pred, a, b)
+    return path, _path_measures(surface, path)[1]
 
 
 @dataclass(frozen=True)
@@ -120,17 +140,14 @@ class ReachabilityReport:
         return not self.unreachable_sources and not self.unreachable_sinks
 
 
-def _path_length_km(surface: CostSurface, path: list[int]) -> float:
-    rows, cols = np.divmod(np.asarray(path), surface.ncols)
-    diag = (np.diff(rows) != 0) & (np.diff(cols) != 0)
-    # summed step by step in path order (cumsum), not pairwise as np.sum would
-    return float(np.cumsum(surface.cell_size * np.where(diag, SQRT2, 1.0))[-1])
-
-
 def build_candidates(surface: CostSurface, sources: list[SourceNode],
                      sinks: list[SinkNode]) -> tuple[list[CandidateEdge], ReachabilityReport]:
-    """Least-cost corridor for every source-sink pair.
+    """Least-cost corridor for every source-sink pair, source-major.
 
+    One Dijkstra search per sink covers every source: the graph is
+    symmetric, so the sink's predecessor tree holds each source's corridor,
+    walked from the source.  Sinks are searched one by one, not in one
+    batched call, which would hold a distance and predecessor row per sink.
     Pairs separated by nodata barriers are skipped; nodes unreachable from
     every counterpart are listed in the reachability report.
     """
@@ -138,22 +155,22 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
         if not surface.traversable(node.cell):
             raise ValueError(f"node {node.id} sits on a nodata cell")
     graph = _cost_graph(surface)
-    edges: list[CandidateEdge] = []
+    per_source: list[list[CandidateEdge]] = [[] for _ in sources]
     reached_sources: set[str] = set()
     reached_sinks: set[str] = set()
-    for src in sources:
-        dist, pred = dijkstra(graph, indices=src.cell, return_predecessors=True)
-        for snk in sinks:
-            if math.isinf(dist[snk.cell]):
+    for snk in sinks:
+        dist, pred = dijkstra(graph, indices=snk.cell, return_predecessors=True)
+        for src, row in zip(sources, per_source):
+            if math.isinf(dist[src.cell]):
                 continue
             path = _walk(pred, src.cell, snk.cell)
-            edges.append(CandidateEdge(
+            length_km, cost = _path_measures(surface, path)
+            row.append(CandidateEdge(
                 source_id=src.id, sink_id=snk.id, path=tuple(path),
-                length_km=_path_length_km(surface, path) if path else 0.0,
-                terrain_cost=float(dist[snk.cell])))
+                length_km=length_km, terrain_cost=cost))
             reached_sources.add(src.id)
             reached_sinks.add(snk.id)
     report = ReachabilityReport(
         unreachable_sources=[s.id for s in sources if s.id not in reached_sources],
         unreachable_sinks=[s.id for s in sinks if s.id not in reached_sinks])
-    return edges, report
+    return [edge for row in per_source for edge in row], report

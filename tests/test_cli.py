@@ -380,6 +380,24 @@ class TestExitCodes:
                     "--target", "0.5", "-o", tmp_path / "x"]) == 3
         assert "outside the 3x3 raster" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodata, cells, message", [
+        ("-9999", "1 nan 1\n1 inf 1\n1 1 1\n", "non-finite cost cell nan at row 0, col 1"),
+        ("-9999", "1 nan 1\nnan nan nan\n1 nan 1\n", "non-finite cost cell nan"),
+        ("nan", "1 1 1\n1 nan 1\n1 1 1\n", "NODATA_VALUE must be a finite number")])
+    def test_netopt_non_finite_raster(self, tmp_path, capsys, nodata, cells, message):
+        (tmp_path / "cost.asc").write_text(
+            f"NCOLS 3\nNROWS 3\nCELLSIZE 1\nNODATA_VALUE {nodata}\n{cells}")
+        (tmp_path / "sources.csv").write_text(
+            "id,row,col,capturable,capture_cost\nS1,0,0,1.0,1\n")
+        (tmp_path / "sinks.csv").write_text(
+            "id,row,col,capacity,sequestration_cost\nK1,2,2,1.0,1\n")
+        assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                    "--sources", tmp_path / "sources.csv",
+                    "--sinks", tmp_path / "sinks.csv",
+                    "--target", "0.5", "-o", tmp_path / "x"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_fleet_all_plants_failed(self, workspace, tmp_path, capsys):
         plants, _ = write_fleet_inputs(tmp_path, 1)
         assert run(["fleet", "--spec", workspace / "system.cfg",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from coplant.sinknet.network import (
     DEFAULT_PIPELINE_CLASSES,
@@ -23,6 +25,7 @@ from coplant.sinknet.network import (
     size_pipeline,
 )
 from coplant.sinknet.raster import CostSurface, RasterFormatError, load_raster, write_raster
+from coplant.sinknet import routing
 from coplant.sinknet.routing import (
     CandidateEdge,
     SinkNode,
@@ -75,6 +78,28 @@ class TestRaster:
         with pytest.raises(RasterFormatError):
             make_surface([[1, -2], [1, 1]])
 
+    @pytest.mark.parametrize("bad, nodata, message", [
+        (math.nan, -9999.0, "non-finite cost cell nan at row 1, col 0"),
+        (math.inf, -9999.0, "non-finite cost cell inf at row 1, col 0"),
+        (-math.inf, -9999.0, "non-finite cost cell -inf at row 1, col 0"),
+        (1.0, math.nan, "NODATA_VALUE must be a finite number"),
+        (math.inf, math.inf, "NODATA_VALUE must be a finite number")])
+    def test_non_finite_rejected(self, bad, nodata, message):
+        with pytest.raises(RasterFormatError, match=message):
+            make_surface([[1, 1], [bad, 1]], nodata=nodata)
+
+    @pytest.mark.parametrize("nodata, cells, message", [
+        ("-9999", "1 nan 1\n1 1 1\n1 1 1\n", "non-finite cost cell nan at row 0, col 1"),
+        ("-9999", "1 1 1\n1 1 1\n1 1 inf\n", "non-finite cost cell inf at row 2, col 2"),
+        ("nan", "1 1 1\n1 nan 1\n1 1 1\n", "NODATA_VALUE must be a finite number")])
+    def test_load_non_finite_rejected(self, tmp_path, nodata, cells, message):
+        path = tmp_path / "g.asc"
+        path.write_text(f"NCOLS 3\nNROWS 3\nCELLSIZE 1\nNODATA_VALUE {nodata}\n{cells}")
+        with pytest.raises(RasterFormatError) as err:
+            load_raster(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
+
     def test_write_read_round_trip(self, tmp_path):
         surface = make_surface([[1, 2.5], [-9999, 4]], cell_size=0.24)
         path = tmp_path / "g.asc"
@@ -86,26 +111,28 @@ class TestRaster:
 
 # ------------------------------------------------------------------ routing
 
+def neighbor_steps(surface, cell):
+    """(neighbour, step cost) for each traversable 8-neighbour of a cell: the
+    mean of the two cell multipliers times the cell size, times sqrt(2) on
+    diagonals."""
+    r, c = surface.rowcol(cell)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == dc == 0:
+                continue
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < surface.nrows and 0 <= cc < surface.ncols:
+                v = surface.index(rr, cc)
+                if surface.traversable(v):
+                    diag = SQRT2 if dr and dc else 1.0
+                    yield v, (0.5 * (surface.cells[r, c] + surface.cells[rr, cc])
+                              * surface.cell_size * diag)
+
+
 def exhaustive_path_oracle(surface, a, b):
-    """Min-cost simple path by depth-first enumeration with pruning.
-
-    A step costs the mean of the two cell multipliers times the cell size,
-    times sqrt(2) on diagonals, summed along the path from a."""
+    """Min-cost simple path by depth-first enumeration with pruning, its
+    steps summed along the path from a."""
     best = [math.inf]
-
-    def neighbors(cell):
-        r, c = surface.rowcol(cell)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == dc == 0:
-                    continue
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < surface.nrows and 0 <= cc < surface.ncols:
-                    v = surface.index(rr, cc)
-                    if surface.traversable(v):
-                        diag = SQRT2 if dr and dc else 1.0
-                        yield v, (0.5 * (surface.cells[r, c] + surface.cells[rr, cc])
-                                  * surface.cell_size * diag)
 
     def dfs(cell, cost, seen):
         if cost >= best[0]:
@@ -113,12 +140,22 @@ def exhaustive_path_oracle(surface, a, b):
         if cell == b:
             best[0] = cost
             return
-        for v, step in neighbors(cell):
+        for v, step in neighbor_steps(surface, cell):
             if v not in seen:
                 dfs(v, cost + step, seen | {v})
 
     dfs(a, 0.0, {a})
     return best[0]
+
+
+def step_graph(surface):
+    """Directed step graph built cell by cell from `neighbor_steps`; nodata
+    cells have no steps."""
+    steps = [(u, v, w) for u in range(surface.n_cells) if surface.traversable(u)
+             for v, w in neighbor_steps(surface, u)]
+    tails, heads, weights = zip(*steps)
+    return csr_array((weights, (tails, heads)),
+                     shape=(surface.n_cells, surface.n_cells))
 
 
 class TestRouting:
@@ -189,12 +226,12 @@ class TestRouting:
 
     def test_equal_cost_tie_pinned(self):
         """Two paths from (0,0) to (2,1) cost 1 + sqrt(2); the kept one is the
-        predecessor scipy's Dijkstra picks searching from the source."""
+        predecessor scipy's Dijkstra picks searching from the target (2,1)."""
         surface = make_surface(np.ones((3, 3)))
         path, cost = least_cost_path(surface, surface.index(0, 0),
                                      surface.index(2, 1))
         assert cost == 1.0 + SQRT2
-        assert path == [surface.index(0, 0), surface.index(1, 0),
+        assert path == [surface.index(0, 0), surface.index(1, 1),
                         surface.index(2, 1)]
 
     def test_zero_cost_row_traversable(self):
@@ -225,7 +262,7 @@ class TestCandidates:
         assert len(edges1) == 1
 
     def test_matches_least_cost_path(self):
-        """Searching once per source gives every pair the same corridor, cost
+        """Searching once per sink gives every pair the same corridor, cost
         and length as a search for that pair alone."""
         rng = np.random.default_rng(4711)
         cells = np.round(rng.uniform(0.5, 5.0, size=(12, 12)), 1)
@@ -250,6 +287,88 @@ class TestCandidates:
                 steps = [SQRT2 if (u // 12 != v // 12 and u % 12 != v % 12) else 1.0
                          for u, v in zip(path, path[1:])]
                 assert edge.length_km == pytest.approx(2.5 * sum(steps))
+
+    def test_one_search_per_sink(self, monkeypatch):
+        calls = []
+
+        def counting(graph, **kwargs):
+            calls.append(kwargs["indices"])
+            return dijkstra(graph, **kwargs)
+
+        monkeypatch.setattr(routing, "dijkstra", counting)
+        surface = make_surface(np.ones((6, 6)))
+        sources = [SourceNode(id=f"S{i}", cell=c, capturable=10, eq_capture_cost=30)
+                   for i, c in enumerate([0, 5, 14, 30, 35])]
+        sinks = [SinkNode(id=f"K{j}", cell=c, capacity=10, sequestration_cost=5)
+                 for j, c in enumerate([21, 9])]
+        edges, report = build_candidates(surface, sources, sinks)
+        assert calls == [21, 9]
+        assert report.ok
+        assert [(e.source_id, e.sink_id) for e in edges] == [
+            (s.id, k.id) for s in sources for k in sinks]
+
+    def test_matches_source_rooted_search(self):
+        """[PRIMARY] On random float surfaces with walls, every corridor is
+        the one a search from its source finds wherever that shortest path
+        is unique, and every terrain cost equals the source search's distance
+        exactly (both sum the steps from the source)."""
+        rng = np.random.default_rng(1913)
+        n, unique, unreachable = 14, 0, 0
+        for trial in range(6):
+            cells = rng.uniform(0.5, 5.0, size=(n, n))
+            cells[rng.random((n, n)) < 0.45] = -9999.0
+            open_cells = np.flatnonzero(cells.ravel() != -9999.0)
+            picks = rng.choice(open_cells, size=7, replace=False)
+            surface = make_surface(cells, cell_size=float(rng.uniform(0.5, 3.0)))
+            sources = [SourceNode(id=f"S{i}", cell=int(c), capturable=10,
+                                  eq_capture_cost=30) for i, c in enumerate(picks[:5])]
+            sinks = [SinkNode(id=f"K{j}", cell=int(c), capacity=10,
+                              sequestration_cost=5) for j, c in enumerate(picks[5:])]
+            edges, _ = build_candidates(surface, sources, sinks)
+            by_pair = {(e.source_id, e.sink_id): e for e in edges}
+            graph = step_graph(surface)
+            for src in sources:
+                from_src, pred = dijkstra(graph, indices=src.cell,
+                                          return_predecessors=True)
+                for snk in sinks:
+                    edge = by_pair.get((src.id, snk.id))
+                    if math.isinf(from_src[snk.cell]):
+                        assert edge is None
+                        unreachable += 1
+                        continue
+                    path = [snk.cell]
+                    while path[-1] != src.cell:
+                        path.append(int(pred[path[-1]]))
+                    path.reverse()
+                    total = from_src[snk.cell]
+                    # cells on some shortest path; only this path's when unique
+                    from_snk = dijkstra(graph, indices=snk.cell)
+                    if np.sum(from_src + from_snk <= total * (1 + 1e-9)) == len(path):
+                        unique += 1
+                        assert edge.path == tuple(path), f"trial {trial}"
+                        assert edge.terrain_cost == total, f"trial {trial}"
+                    else:
+                        assert edge.terrain_cost == pytest.approx(total, rel=1e-12)
+        assert unique >= 50 and unreachable > 0
+
+    def test_walled_off_nodes_reported(self):
+        cells = np.ones((7, 7))
+        cells[0:3, 4] = cells[2, 4:7] = -9999.0      # boxes in the corner (0, 6)
+        cells[4, 0:3] = cells[4:7, 2] = -9999.0      # boxes in the corner (6, 0)
+        surface = make_surface(cells)
+        sources = [SourceNode(id="S_open", cell=surface.index(3, 3), capturable=10,
+                              eq_capture_cost=30),
+                   SourceNode(id="S_walled", cell=surface.index(0, 6), capturable=10,
+                              eq_capture_cost=30)]
+        sinks = [SinkNode(id="K_walled", cell=surface.index(6, 0), capacity=10,
+                          sequestration_cost=5),
+                 SinkNode(id="K_open", cell=surface.index(6, 6), capacity=10,
+                          sequestration_cost=5)]
+        edges, report = build_candidates(surface, sources, sinks)
+        assert [(e.source_id, e.sink_id) for e in edges] == [("S_open", "K_open")]
+        assert report.unreachable_sources == ["S_walled"]
+        assert report.unreachable_sinks == ["K_walled"]
+        assert not report.ok
 
     def test_unreachable_reported(self):
         cells = np.ones((3, 3))
