@@ -19,7 +19,7 @@ import numpy as np
 from coplant.dispatch import (
     DispatchSolution,
     HOURS_PER_YEAR,
-    capital_recovery_factor,
+    capacity_prices,
     hourly_utilized_co2,
     solve_dispatch,
 )
@@ -91,50 +91,45 @@ class MoleculeCost:
     annual_tonnes: float
 
 
-def _annual_unit_cost(spec: SystemSpec, scenario: Scenario, sol: DispatchSolution,
-                      unit_id: str) -> float:
-    u = spec.unit(unit_id)
-    cap = sol.capacities[u.id]
-    fixed = cap * (capital_recovery_factor(scenario.discount_rate, u.lifetime)
-                   + u.fixed_om_frac) * u.capex
-    variable = float(np.sum(sol.activity[u.id])) * u.var_om * sol.annual_scale
-    return fixed + variable
+def _capacity_costs(spec: SystemSpec, scenario: Scenario,
+                    sol: DispatchSolution) -> dict[str, float]:
+    """Annual capacity cost ($/yr) of each unit, store and renewable, at the
+    prices the LP charged."""
+    return {asset_id: sol.capacities[asset_id] * price
+            for asset_id, price in capacity_prices(spec, scenario).items()}
 
 
-def _annual_storage_cost(scenario: Scenario, sol: DispatchSolution, store) -> float:
-    cap = sol.capacities[store.id]
-    return cap * (capital_recovery_factor(scenario.discount_rate, store.lifetime)
-                  + store.fixed_om_frac) * store.capex_capacity
-
-
-def _annual_renewable_cost(scenario: Scenario, sol: DispatchSolution, ren) -> float:
-    cap = sol.capacities[ren.id]
-    return cap * (capital_recovery_factor(scenario.discount_rate, ren.lifetime)
-                  + ren.fixed_om_frac) * ren.capex
+def _category(spec: SystemSpec, asset_id: str) -> str:
+    """Cost category of a unit, store or renewable: an electricity store is
+    a battery, anything else goes by its id (`default_category`)."""
+    if any(s.id == asset_id and s.commodity is Commodity.ELECTRICITY
+           for s in spec.storage_units):
+        return "battery"
+    return default_category(asset_id)
 
 
 def _electricity_use_mwh(spec: SystemSpec, sol: DispatchSolution) -> dict[str, float]:
-    """Annual MWh drawn from the bus, keyed by consumer id."""
+    """Annual MWh drawn from the bus, keyed by consumer id: unit inputs, and
+    the charge and discharge overhead of stores."""
     use: dict[str, float] = {}
     for u in spec.conversion_units:
         e = u.inputs.get(Commodity.ELECTRICITY, 0.0)
         if e > 0:
-            use[u.id] = e * float(np.sum(sol.activity[u.id])) * sol.annual_scale
+            use[u.id] = e * sol.annual(sol.activity[u.id])
     for s in spec.storage_units:
-        mwh = (s.charge_electricity * float(np.sum(sol.charge[s.id]))
-               + s.discharge_electricity * float(np.sum(sol.discharge[s.id]))) * sol.annual_scale
-        if mwh > 0:
-            use[s.id] = use.get(s.id, 0.0) + mwh
+        if s.charge_electricity > 0 or s.discharge_electricity > 0:
+            use[s.id] = (s.charge_electricity * sol.annual(sol.charge[s.id])
+                         + s.discharge_electricity * sol.annual(sol.discharge[s.id]))
     return use
 
 
 def levelized_electricity_cost(spec: SystemSpec, scenario: Scenario,
                                sol: DispatchSolution) -> float:
     """System-average $/MWh of delivered electricity (generation plus battery)."""
-    supply_cost = sum(_annual_renewable_cost(scenario, sol, r) for r in spec.renewables)
-    for s in spec.storage_units:
-        if s.commodity is Commodity.ELECTRICITY:
-            supply_cost += _annual_storage_cost(scenario, sol, s)
+    capacity = _capacity_costs(spec, scenario, sol)
+    supply_cost = sum(capacity[r.id] for r in spec.renewables)
+    supply_cost += sum(capacity[s.id] for s in spec.storage_units
+                       if s.commodity is Commodity.ELECTRICITY)
     consumed = sum(_electricity_use_mwh(spec, sol).values())
     return supply_cost / consumed if consumed > 0 else 0.0
 
@@ -148,17 +143,12 @@ def cost_breakdown(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario) 
     costs over consuming categories pro-rata to MWh drawn.
     """
     cats = {c: 0.0 for c in CATEGORIES}
+    for asset_id, cost in _capacity_costs(spec, scenario, sol).items():
+        cats[_category(spec, asset_id)] += cost
     for u in spec.conversion_units:
-        cats[default_category(u.id)] += _annual_unit_cost(spec, scenario, sol, u.id)
-        bio = u.inputs.get(Commodity.BIOMASS, 0.0)
-        if bio > 0:
-            cats["biomass"] += (bio * float(np.sum(sol.activity[u.id]))
-                                * spec.biomass_price * sol.annual_scale)
-    for s in spec.storage_units:
-        cat = "battery" if s.commodity is Commodity.ELECTRICITY else default_category(s.id)
-        cats[cat] += _annual_storage_cost(scenario, sol, s)
-    for r in spec.renewables:
-        cats[default_category(r.id)] += _annual_renewable_cost(scenario, sol, r)
+        annual = sol.annual(sol.activity[u.id])
+        cats[default_category(u.id)] += annual * u.var_om
+        cats["biomass"] += annual * u.inputs.get(Commodity.BIOMASS, 0.0) * spec.biomass_price
     cats["co2_sequestration"] += scenario.transport_cost.per_tonne * sol.annual_sequestered
 
     total = sum(cats.values())
@@ -166,14 +156,7 @@ def cost_breakdown(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario) 
     lcoe = levelized_electricity_cost(spec, scenario, sol)
     alloc = {c: 0.0 for c in CATEGORIES}
     for consumer, mwh in _electricity_use_mwh(spec, sol).items():
-        try:
-            spec.unit(consumer)
-            cat = default_category(consumer)
-        except KeyError:
-            store = next(s for s in spec.storage_units if s.id == consumer)
-            cat = ("battery" if store.commodity is Commodity.ELECTRICITY
-                   else default_category(consumer))
-        alloc[cat] += mwh * lcoe
+        alloc[_category(spec, consumer)] += mwh * lcoe
 
     return CostBreakdown(categories=cats, total=total, electricity_allocation=alloc)
 
@@ -194,12 +177,12 @@ def molecule_costs(sol: DispatchSolution, spec: SystemSpec,
     Molecules with zero annual supply are omitted.
     """
     lcoe = levelized_electricity_cost(spec, scenario, sol)
+    capacity = _capacity_costs(spec, scenario, sol)
+    use = _electricity_use_mwh(spec, sol)
     out: list[MoleculeCost] = []
     for molecule, (commodity, scope) in _MOLECULE_SCOPES.items():
-        tonnes = 0.0
-        for u in spec.conversion_units:
-            tonnes += u.inputs.get(commodity, 0.0) * float(np.sum(sol.activity[u.id]))
-        tonnes *= sol.annual_scale
+        tonnes = sum(u.inputs.get(commodity, 0.0) * sol.annual(sol.activity[u.id])
+                     for u in spec.conversion_units)
         if tonnes <= 0:
             continue
         comp = {"generation electricity": 0.0, "storage": 0.0, "processing": 0.0,
@@ -207,18 +190,14 @@ def molecule_costs(sol: DispatchSolution, spec: SystemSpec,
         for u in spec.conversion_units:
             if default_category(u.id) not in scope:
                 continue
-            comp["capacity equipment"] += _annual_unit_cost(spec, scenario, sol, u.id)
-            e = u.inputs.get(Commodity.ELECTRICITY, 0.0)
-            comp["generation electricity"] += (
-                e * float(np.sum(sol.activity[u.id])) * sol.annual_scale * lcoe)
+            comp["capacity equipment"] += (capacity[u.id]
+                                           + sol.annual(sol.activity[u.id]) * u.var_om)
+            comp["generation electricity"] += use.get(u.id, 0.0) * lcoe
         for s in spec.storage_units:
             if s.commodity is not commodity:
                 continue
-            comp["storage"] += _annual_storage_cost(scenario, sol, s)
-            overhead_mwh = (s.charge_electricity * float(np.sum(sol.charge[s.id]))
-                            + s.discharge_electricity * float(np.sum(sol.discharge[s.id]))
-                            ) * sol.annual_scale
-            comp["processing"] += overhead_mwh * lcoe
+            comp["storage"] += capacity[s.id]
+            comp["processing"] += use.get(s.id, 0.0) * lcoe
         comp = {k: v / tonnes for k, v in comp.items()}
         out.append(MoleculeCost(molecule=molecule, levelized=sum(comp.values()),
                                 components=comp, annual_tonnes=tonnes))

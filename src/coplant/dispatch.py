@@ -2,6 +2,8 @@
 
 `build_lp` translates a (SystemSpec, Scenario) pair into a LinearProgram;
 `extract_solution` maps an optimal LP solution back into typed ledgers.
+`capacity_prices` is the one place capacity is priced: the LP's capacity
+columns cost these prices, and `costing` reads them to report annual costs.
 
 Variable layout (in order), with U conversion units, S storage units,
 R renewables and horizon T:
@@ -59,6 +61,23 @@ def capital_recovery_factor(rate: float, lifetime: float) -> float:
     if g == 1.0:  # rate 0 (or below float resolution): annuity limit
         return 1.0 / lifetime
     return rate * g / (g - 1.0)
+
+
+def capacity_prices(spec: SystemSpec, scenario: Scenario) -> dict[str, float]:
+    """Annual cost ($/yr) of one unit of capacity of each unit, store and
+    renewable, keyed by id in capacity-column order: the capital recovery
+    factor plus the fixed O&M fraction, times capex (`capex_capacity` for a
+    store).
+
+    These are the LP's capacity-column costs, and `costing` prices capacity
+    with them.
+    """
+    rate = scenario.discount_rate
+    capex = ([(u, u.capex) for u in spec.conversion_units]
+             + [(s, s.capex_capacity) for s in spec.storage_units]
+             + [(r, r.capex) for r in spec.renewables])
+    return {a.id: (capital_recovery_factor(rate, a.lifetime) + a.fixed_om_frac) * c
+            for a, c in capex}
 
 
 def _is_pinned(unit: ConversionUnit, scenario: Scenario) -> bool:
@@ -221,16 +240,9 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     scale = HOURS_PER_YEAR / T
     hours = np.arange(T)
     lp = LinearProgram()
-    rate = scenario.discount_rate
 
-    capacity_costs = (
-        [(capital_recovery_factor(rate, u.lifetime) + u.fixed_om_frac) * u.capex
-         for u in spec.conversion_units]
-        + [(capital_recovery_factor(rate, s.lifetime) + s.fixed_om_frac) * s.capex_capacity
-           for s in spec.storage_units]
-        + [(capital_recovery_factor(rate, r.lifetime) + r.fixed_om_frac) * r.capex
-           for r in spec.renewables])
-    lp.add_columns(len(capacity_costs), cost=capacity_costs)
+    prices = capacity_prices(spec, scenario)
+    lp.add_columns(len(prices), cost=list(prices.values()))
     for u in spec.conversion_units:
         lp.add_columns(T, cost=(u.var_om + spec.biomass_price
                                 * u.inputs.get(Commodity.BIOMASS, 0.0)) * scale)

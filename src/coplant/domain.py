@@ -243,12 +243,6 @@ class SystemSpec:
         if len(ids) != len(set(ids)):
             raise DomainError("unit ids must be unique across the system")
 
-    def unit(self, unit_id: str) -> ConversionUnit:
-        for u in self.conversion_units:
-            if u.id == unit_id:
-                return u
-        raise KeyError(unit_id)
-
 
 def min_stoichiometry(co2_per_t_meoh: float = CO2_PER_T_MEOH,
                       captured_co2_per_t_cement: float = DEFAULT_CAPTURED_CO2_PER_T_CEMENT,

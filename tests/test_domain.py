@@ -109,14 +109,6 @@ class TestTypes:
         with pytest.raises(DomainError):
             Scenario(stoichiometry_x=5.0, capture_rate=1.5)
 
-    def test_unit_lookup(self):
-        unit = ConversionUnit(id="u", outputs={Commodity.CEMENT: 1.0})
-        spec = SystemSpec(conversion_units=(unit,), storage_units=(),
-                          renewables=(), demand_cement=1.0, demand_methanol=0.0)
-        assert spec.unit("u") is unit
-        with pytest.raises(KeyError):
-            spec.unit("missing")
-
     def test_frozen(self):
         unit = ConversionUnit(id="u")
         with pytest.raises(Exception):
