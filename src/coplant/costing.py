@@ -40,16 +40,18 @@ CATEGORIES = ("solar", "wind", "battery", "electrolyzer", "h2_storage", "o2_supp
 INCUMBENT_ELEC_CEMENT = 0.10
 INCUMBENT_ELEC_METHANOL = 1.20
 
+# The first keyword found in the id wins; "co2" comes before "o2" because
+# every co2 id also contains "o2".
 _KEYWORD_CATEGORIES = (
     ("solar", "solar"),
     ("wind", "wind"),
     ("battery", "battery"),
     ("electrolyzer", "electrolyzer"),
     ("h2", "h2_storage"),
-    ("asu", "o2_supply"),
-    ("o2", "o2_supply"),
     ("co2", "co2_processing"),
     ("seq", "co2_processing"),
+    ("asu", "o2_supply"),
+    ("o2", "o2_supply"),
     ("biomass", "biomass"),
 )
 

@@ -11,6 +11,7 @@ from coplant.costing import (
     abatement_cost,
     bundle_metrics,
     cost_breakdown,
+    default_category,
     emission_reduction,
     molecule_costs,
     scenario_min_stoichiometry,
@@ -95,6 +96,27 @@ class TestBreakdown:
         # supplementary view: total allocated = generation + battery cost
         gen = bd.categories["solar"] + bd.categories["wind"] + bd.categories["battery"]
         assert sum(bd.electricity_allocation.values()) == pytest.approx(gen, rel=1e-6)
+
+    def test_store_electricity_allocated_to_its_category(self, netzero48):
+        spec, scenario, sol = netzero48
+        bd = cost_breakdown(sol, spec, scenario)
+        tank = next(s for s in spec.storage_units if s.id == "h2_tank")
+        mwh = tank.charge_electricity * sol.annual(sol.charge[tank.id])
+        assert mwh > 0
+        lcoe = costing.levelized_electricity_cost(spec, scenario, sol)
+        # the tank is the only electricity consumer in h2_storage
+        assert bd.electricity_allocation["h2_storage"] == pytest.approx(mwh * lcoe, rel=1e-12)
+
+    @pytest.mark.parametrize("unit_id, category", [
+        ("co2_gas_tank", "co2_processing"),
+        ("co2_liquid_tank", "co2_processing"),
+        ("co2_compressor", "co2_processing"),
+        ("o2_gas_tank", "o2_supply"),
+        ("asu", "o2_supply"),
+        ("seq_compressor", "co2_processing"),
+    ])
+    def test_default_category(self, unit_id, category):
+        assert default_category(unit_id) == category
 
 
 class TestMoleculeCosts:

@@ -48,6 +48,24 @@ def test_toy_variable_count_formula():
     assert lp.n_variables == 123
 
 
+@pytest.mark.parametrize("system", ["toy", "reference"])
+def test_capacity_prices_are_the_lp_capacity_costs(system):
+    if system == "toy":
+        spec, scenario = toy_system(24)
+    else:
+        scenario = reference.netzero_scenario(horizon=24)
+        spec = reference.reference_system(scenario)
+    prices = dispatch.capacity_prices(spec, scenario)
+    index = build_index(spec, scenario)
+    offsets = {**index.cap_unit, **index.cap_store, **index.cap_renew}
+    assert [offsets[asset_id] for asset_id in prices] == list(range(len(offsets)))
+    assert list(build_lp(spec, scenario).cost[:len(prices)]) == list(prices.values())
+    if system == "toy":
+        batt = spec.storage_units[0]
+        crf = dispatch.capital_recovery_factor(scenario.discount_rate, batt.lifetime)
+        assert prices["batt"] == pytest.approx((crf + batt.fixed_om_frac) * 10.0)
+
+
 def test_toy_solves_and_balances():
     spec, scenario = toy_system(24)
     sol = solve_dispatch(spec, scenario)
