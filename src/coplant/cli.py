@@ -183,28 +183,33 @@ def cmd_fleet(args) -> int:
     return EXIT_OK
 
 
+# (amount column, cost column) of each node file
+_NODE_COLUMNS = {"source": ("capturable", "capture_cost"),
+                 "sink": ("capacity", "sequestration_cost")}
+
+
 def _load_nodes(path: str, kind: str):
     try:
         with Path(path).open(newline="") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
+    amount, cost = _NODE_COLUMNS[kind]
     nodes = []
+    first_line: dict[str, int] = {}
     for i, row in enumerate(rows, start=2):
         try:
-            if kind == "source":
-                nodes.append(dict(id=row["id"], row=int(row["row"]),
-                                  col=int(row["col"]),
-                                  amount=configio.finite_float(row["capturable"]),
-                                  cost=configio.finite_float(row["capture_cost"])))
-            else:
-                nodes.append(dict(id=row["id"], row=int(row["row"]),
-                                  col=int(row["col"]),
-                                  amount=configio.finite_float(row["capacity"]),
-                                  cost=configio.finite_float(row["sequestration_cost"])))
+            node = dict(id=row["id"], row=int(row["row"]), col=int(row["col"]),
+                        amount=configio.finite_float(row[amount]),
+                        cost=configio.finite_float(row[cost]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{path}:{i}: bad {kind} row: {exc}",
                            EXIT_VALIDATION) from None
+        if node["id"] in first_line:
+            raise CliError(f"{path}:{i}: repeated {kind} id {node['id']!r} "
+                           f"(first on line {first_line[node['id']]})", EXIT_VALIDATION)
+        first_line[node["id"]] = i
+        nodes.append(node)
     return nodes
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ class CostSurface:
     """Row-major raster of per-km cost multipliers; nodata cells are barriers.
 
     Every cell is finite: either a non-negative multiplier or the (finite)
-    nodata value."""
+    nodata value.  The cell size is finite and positive, the origin finite."""
 
     ncols: int
     nrows: int
@@ -34,6 +35,12 @@ class CostSurface:
             raise RasterFormatError(
                 f"cell array shape {self.cells.shape} does not match header "
                 f"({self.nrows} rows x {self.ncols} cols)")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise RasterFormatError(
+                f"CELLSIZE must be a finite number > 0, got {self.cell_size}")
+        if not all(map(math.isfinite, self.origin)):
+            raise RasterFormatError(
+                f"XLLCORNER and YLLCORNER must be finite numbers, got {self.origin}")
         if not np.isfinite(self.nodata):
             raise RasterFormatError(
                 f"NODATA_VALUE must be a finite number, got {self.nodata}")
@@ -95,6 +102,10 @@ def load_raster(path: str | Path) -> CostSurface:
     for req in ("ncols", "nrows", "cellsize"):
         if req not in header:
             raise RasterFormatError(f"{path}: missing header key {req.upper()}")
+    for key in ("ncols", "nrows"):
+        if not (header[key].is_integer() and header[key] > 0):
+            raise RasterFormatError(
+                f"{path}: {key.upper()} must be a positive integer, got {header[key]:g}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     nodata = header.get("nodata_value", -9999.0)
     if data_start is None:
