@@ -24,6 +24,7 @@ horizon length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +55,18 @@ class StructuralInfeasibility(ValueError):
 
 
 def capital_recovery_factor(rate: float, lifetime: float) -> float:
-    """Annuity coefficient; the zero-rate limit is 1/lifetime."""
+    """Annuity coefficient rate / (1 - (1 + rate)^-lifetime); the zero-rate
+    limit is 1/lifetime.
+
+    The denominator goes through log1p and expm1: forming 1 + rate first
+    rounds a rate near 1e-16 to a multiple of the float spacing at 1 and
+    gave factors up to 30% off the limit."""
     if lifetime <= 0:
         raise DomainError("lifetime must be > 0")
-    g = (1.0 + rate) ** lifetime
-    if g == 1.0:  # rate 0 (or below float resolution): annuity limit
+    d = -math.expm1(-lifetime * math.log1p(rate))
+    if d == 0.0:  # rate 0 (or too small to move the annuity): its limit
         return 1.0 / lifetime
-    return rate * g / (g - 1.0)
+    return rate / d
 
 
 def capacity_prices(spec: SystemSpec, scenario: Scenario) -> dict[str, float]:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coplant import costing, reference
 from coplant.costing import (
@@ -40,6 +40,7 @@ class TestAnnualize:
             capital_recovery_factor(0.08, 0)
 
     @given(st.floats(0.0, 0.3), st.floats(0.01, 0.3))
+    @example(2.8847581968250525e-16, 0.015625)  # 1 + r rounds r to 2.2e-16
     def test_monotone_in_rate(self, r, dr):
         assert 1000 * capital_recovery_factor(r + dr, 20) >= \
             1000 * capital_recovery_factor(r, 20) - 1e-9
