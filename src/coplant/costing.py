@@ -1,8 +1,10 @@
 """Economic post-processing of dispatch solutions.
 
-Annualization, category cost breakdowns, per-molecule levelized costs,
-CO2 abatement cost against the incumbent coal routes, emission-reduction
-accounting, and cement-to-methanol stoichiometry sweeps.
+Category cost breakdowns, per-molecule levelized costs, CO2 abatement cost
+against the incumbent coal routes, emission-reduction accounting, and
+cement-to-methanol stoichiometry sweeps.  Capacity is priced with
+`dispatch.capacity_prices`, the LP's own capacity-column costs, so the
+categories add up to the LP objective.
 
 All results are reported in $/yr (or $/t); the discount-rate assumption comes
 from the scenario and is echoed in report headers.

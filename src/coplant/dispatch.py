@@ -58,9 +58,8 @@ def capital_recovery_factor(rate: float, lifetime: float) -> float:
     """Annuity coefficient rate / (1 - (1 + rate)^-lifetime); the zero-rate
     limit is 1/lifetime.
 
-    The denominator goes through log1p and expm1: forming 1 + rate first
-    rounds a rate near 1e-16 to a multiple of the float spacing at 1 and
-    gave factors up to 30% off the limit."""
+    The denominator goes through log1p and expm1 because forming 1 + rate
+    would round a rate near 1e-16 to a multiple of the float spacing at 1."""
     if lifetime <= 0:
         raise DomainError("lifetime must be > 0")
     d = -math.expm1(-lifetime * math.log1p(rate))

@@ -7,9 +7,6 @@ from coplant import cli, configio, reference
 from coplant.domain import Commodity
 from coplant.sinknet.raster import CostSurface, write_raster
 
-GRID_3X3 = "NCOLS 3\nNROWS 3\nCELLSIZE 1\n"
-ONES_3X3 = "1 1 1\n1 1 1\n1 1 1\n"
-
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -397,20 +394,32 @@ class TestExitCodes:
                     "--target", "0.5", "-o", tmp_path / "x"]) == 3
         assert "outside the 3x3 raster" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("header, nodata, cells, message", [
-        (GRID_3X3, "-9999", "1 nan 1\n1 inf 1\n1 1 1\n", "non-finite cost cell nan at row 0, col 1"),
-        (GRID_3X3, "-9999", "1 nan 1\nnan nan nan\n1 nan 1\n", "non-finite cost cell nan"),
-        (GRID_3X3, "nan", "1 1 1\n1 nan 1\n1 1 1\n", "NODATA_VALUE must be a finite number"),
-        ("NCOLS 3\nNROWS 3\nCELLSIZE nan\n", "-9999", ONES_3X3,
-         "CELLSIZE must be a finite number > 0, got nan"),
-        ("NCOLS 3\nNROWS 3\nCELLSIZE -5\n", "-9999", ONES_3X3,
-         "CELLSIZE must be a finite number > 0, got -5.0"),
-        ("NCOLS 3.7\nNROWS 3\nCELLSIZE 1\n", "-9999", ONES_3X3,
-         "NCOLS must be a positive integer, got 3.7"),
-        ("NCOLS 3\nNROWS 3\nXLLCORNER nan\nCELLSIZE 1\n", "-9999", ONES_3X3,
+    @pytest.mark.parametrize("nodata, cells, message", [
+        ("-9999", "1 nan 1\n1 inf 1\n1 1 1\n", "non-finite cost cell nan at row 0, col 1"),
+        ("-9999", "1 nan 1\nnan nan nan\n1 nan 1\n", "non-finite cost cell nan"),
+        ("nan", "1 1 1\n1 nan 1\n1 1 1\n", "NODATA_VALUE must be a finite number")])
+    def test_netopt_non_finite_raster(self, tmp_path, capsys, nodata, cells, message):
+        (tmp_path / "cost.asc").write_text(
+            f"NCOLS 3\nNROWS 3\nCELLSIZE 1\nNODATA_VALUE {nodata}\n{cells}")
+        (tmp_path / "sources.csv").write_text(
+            "id,row,col,capturable,capture_cost\nS1,0,0,1.0,1\n")
+        (tmp_path / "sinks.csv").write_text(
+            "id,row,col,capacity,sequestration_cost\nK1,2,2,1.0,1\n")
+        assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                    "--sources", tmp_path / "sources.csv",
+                    "--sinks", tmp_path / "sinks.csv",
+                    "--target", "0.5", "-o", tmp_path / "x"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("header, message", [
+        ("NCOLS 3\nNROWS 3\nCELLSIZE nan\n", "CELLSIZE must be a finite number > 0, got nan"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE -5\n", "CELLSIZE must be a finite number > 0, got -5.0"),
+        ("NCOLS 3.7\nNROWS 3\nCELLSIZE 1\n", "NCOLS must be a positive integer, got 3.7"),
+        ("NCOLS 3\nNROWS 3\nXLLCORNER nan\nCELLSIZE 1\n",
          "XLLCORNER and YLLCORNER must be finite numbers, got (nan, 0.0)")])
-    def test_netopt_non_finite_raster(self, tmp_path, capsys, header, nodata, cells, message):
-        (tmp_path / "cost.asc").write_text(f"{header}NODATA_VALUE {nodata}\n{cells}")
+    def test_netopt_bad_raster_header(self, tmp_path, capsys, header, message):
+        (tmp_path / "cost.asc").write_text(f"{header}1 1 1\n1 1 1\n1 1 1\n")
         (tmp_path / "sources.csv").write_text(
             "id,row,col,capturable,capture_cost\nS1,0,0,1.0,1\n")
         (tmp_path / "sinks.csv").write_text(

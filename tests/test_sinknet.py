@@ -49,9 +49,6 @@ def make_surface(cells, cell_size=1.0, nodata=-9999.0, origin=(0.0, 0.0)):
 
 # ------------------------------------------------------------------- raster
 
-GRID_3X3 = "NCOLS 3\nNROWS 3\nCELLSIZE 1\n"
-ONES_3X3 = "1 1 1\n1 1 1\n1 1 1\n"
-
 class TestRaster:
     def test_parse_all_ones(self, tmp_path):
         path = tmp_path / "g.asc"
@@ -81,43 +78,51 @@ class TestRaster:
         with pytest.raises(RasterFormatError):
             make_surface([[1, -2], [1, 1]])
 
-    @pytest.mark.parametrize("bad, nodata, header, message", [
-        (math.nan, -9999.0, {}, "non-finite cost cell nan at row 1, col 0"),
-        (math.inf, -9999.0, {}, "non-finite cost cell inf at row 1, col 0"),
-        (-math.inf, -9999.0, {}, "non-finite cost cell -inf at row 1, col 0"),
-        (1.0, math.nan, {}, "NODATA_VALUE must be a finite number"),
-        (math.inf, math.inf, {}, "NODATA_VALUE must be a finite number"),
-        (1.0, -9999.0, {"cell_size": math.nan}, "CELLSIZE must be a finite number > 0, got nan"),
-        (1.0, -9999.0, {"cell_size": math.inf}, "CELLSIZE must be a finite number > 0, got inf"),
-        (1.0, -9999.0, {"cell_size": -5.0}, "CELLSIZE must be a finite number > 0, got -5.0"),
-        (1.0, -9999.0, {"cell_size": 0.0}, "CELLSIZE must be a finite number > 0, got 0.0"),
-        (1.0, -9999.0, {"origin": (math.nan, 0.0)}, "XLLCORNER and YLLCORNER must be finite"),
-        (1.0, -9999.0, {"origin": (0.0, -math.inf)}, "XLLCORNER and YLLCORNER must be finite")])
-    def test_non_finite_rejected(self, bad, nodata, header, message):
+    @pytest.mark.parametrize("bad, nodata, message", [
+        (math.nan, -9999.0, "non-finite cost cell nan at row 1, col 0"),
+        (math.inf, -9999.0, "non-finite cost cell inf at row 1, col 0"),
+        (-math.inf, -9999.0, "non-finite cost cell -inf at row 1, col 0"),
+        (1.0, math.nan, "NODATA_VALUE must be a finite number"),
+        (math.inf, math.inf, "NODATA_VALUE must be a finite number")])
+    def test_non_finite_rejected(self, bad, nodata, message):
         with pytest.raises(RasterFormatError, match=message):
-            make_surface([[1, 1], [bad, 1]], nodata=nodata, **header)
+            make_surface([[1, 1], [bad, 1]], nodata=nodata)
 
-    @pytest.mark.parametrize("header, nodata, cells, message", [
-        (GRID_3X3, "-9999", "1 nan 1\n1 1 1\n1 1 1\n", "non-finite cost cell nan at row 0, col 1"),
-        (GRID_3X3, "-9999", "1 1 1\n1 1 1\n1 1 inf\n", "non-finite cost cell inf at row 2, col 2"),
-        (GRID_3X3, "nan", "1 1 1\n1 nan 1\n1 1 1\n", "NODATA_VALUE must be a finite number"),
-        ("NCOLS 3\nNROWS 3\nCELLSIZE nan\n", "-9999", ONES_3X3,
-         "CELLSIZE must be a finite number > 0, got nan"),
-        ("NCOLS 3\nNROWS 3\nCELLSIZE -5\n", "-9999", ONES_3X3,
-         "CELLSIZE must be a finite number > 0, got -5.0"),
-        ("NCOLS 3\nNROWS 3\nXLLCORNER nan\nCELLSIZE 1\n", "-9999", ONES_3X3,
-         "XLLCORNER and YLLCORNER must be finite numbers, got (nan, 0.0)"),
-        ("NCOLS 3.7\nNROWS 3\nCELLSIZE 1\n", "-9999", ONES_3X3,
-         "NCOLS must be a positive integer, got 3.7"),
-        ("NCOLS 3\nNROWS 0\nCELLSIZE 1\n", "-9999", ONES_3X3,
-         "NROWS must be a positive integer, got 0"),
-        ("NCOLS nan\nNROWS 3\nCELLSIZE 1\n", "-9999", ONES_3X3,
-         "NCOLS must be a positive integer, got nan"),
-        ("NCOLS 3\nNROWS inf\nCELLSIZE 1\n", "-9999", ONES_3X3,
-         "NROWS must be a positive integer, got inf")])
-    def test_load_non_finite_rejected(self, tmp_path, header, nodata, cells, message):
+    @pytest.mark.parametrize("nodata, cells, message", [
+        ("-9999", "1 nan 1\n1 1 1\n1 1 1\n", "non-finite cost cell nan at row 0, col 1"),
+        ("-9999", "1 1 1\n1 1 1\n1 1 inf\n", "non-finite cost cell inf at row 2, col 2"),
+        ("nan", "1 1 1\n1 nan 1\n1 1 1\n", "NODATA_VALUE must be a finite number")])
+    def test_load_non_finite_rejected(self, tmp_path, nodata, cells, message):
         path = tmp_path / "g.asc"
-        path.write_text(f"{header}NODATA_VALUE {nodata}\n{cells}")
+        path.write_text(f"NCOLS 3\nNROWS 3\nCELLSIZE 1\nNODATA_VALUE {nodata}\n{cells}")
+        with pytest.raises(RasterFormatError) as err:
+            load_raster(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("geometry, message", [
+        ({"cell_size": math.nan}, "CELLSIZE must be a finite number > 0, got nan"),
+        ({"cell_size": math.inf}, "CELLSIZE must be a finite number > 0, got inf"),
+        ({"cell_size": -5.0}, "CELLSIZE must be a finite number > 0, got -5.0"),
+        ({"cell_size": 0.0}, "CELLSIZE must be a finite number > 0, got 0.0"),
+        ({"origin": (math.nan, 0.0)}, "XLLCORNER and YLLCORNER must be finite numbers"),
+        ({"origin": (0.0, -math.inf)}, "XLLCORNER and YLLCORNER must be finite numbers")])
+    def test_bad_geometry_rejected(self, geometry, message):
+        with pytest.raises(RasterFormatError, match=message):
+            make_surface([[1, 1], [1, 1]], **geometry)
+
+    @pytest.mark.parametrize("header, message", [
+        ("NCOLS 3\nNROWS 3\nCELLSIZE nan\n", "CELLSIZE must be a finite number > 0, got nan"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE -5\n", "CELLSIZE must be a finite number > 0, got -5.0"),
+        ("NCOLS 3\nNROWS 3\nXLLCORNER nan\nCELLSIZE 1\n",
+         "XLLCORNER and YLLCORNER must be finite numbers, got (nan, 0.0)"),
+        ("NCOLS 3.7\nNROWS 3\nCELLSIZE 1\n", "NCOLS must be a positive integer, got 3.7"),
+        ("NCOLS 3\nNROWS 0\nCELLSIZE 1\n", "NROWS must be a positive integer, got 0"),
+        ("NCOLS nan\nNROWS 3\nCELLSIZE 1\n", "NCOLS must be a positive integer, got nan"),
+        ("NCOLS 3\nNROWS inf\nCELLSIZE 1\n", "NROWS must be a positive integer, got inf")])
+    def test_load_bad_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "g.asc"
+        path.write_text(f"{header}1 1 1\n1 1 1\n1 1 1\n")
         with pytest.raises(RasterFormatError) as err:
             load_raster(path)
         assert str(err.value).startswith(f"{path}: ")
