@@ -191,9 +191,14 @@ _NODE_COLUMNS = {"source": ("capturable", "capture_cost"),
 def _load_nodes(path: str, kind: str):
     try:
         with Path(path).open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
+    columns = reader.fieldnames or []
+    repeated = [c for c in columns if columns.count(c) > 1]
+    if repeated:
+        raise CliError(f"{path}:1: repeated {kind} column {repeated[0]!r}", EXIT_VALIDATION)
     amount, cost = _NODE_COLUMNS[kind]
     nodes = []
     first_line: dict[str, int] = {}

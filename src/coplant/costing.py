@@ -114,7 +114,8 @@ def _category(spec: SystemSpec, asset_id: str) -> str:
 
 def _electricity_use_mwh(spec: SystemSpec, sol: DispatchSolution) -> dict[str, float]:
     """Annual MWh drawn from the bus, keyed by consumer id: unit inputs, and
-    the charge and discharge overhead of stores."""
+    the charge and discharge overhead of stores, clamped at 0 because an
+    unbuilt store carries only solver noise, which can be negative."""
     use: dict[str, float] = {}
     for u in spec.conversion_units:
         e = u.inputs.get(Commodity.ELECTRICITY, 0.0)
@@ -122,8 +123,8 @@ def _electricity_use_mwh(spec: SystemSpec, sol: DispatchSolution) -> dict[str, f
             use[u.id] = e * sol.annual(sol.activity[u.id])
     for s in spec.storage_units:
         if s.charge_electricity > 0 or s.discharge_electricity > 0:
-            use[s.id] = (s.charge_electricity * sol.annual(sol.charge[s.id])
-                         + s.discharge_electricity * sol.annual(sol.discharge[s.id]))
+            use[s.id] = max(0.0, s.charge_electricity * sol.annual(sol.charge[s.id])
+                            + s.discharge_electricity * sol.annual(sol.discharge[s.id]))
     return use
 
 

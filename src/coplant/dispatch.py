@@ -378,15 +378,6 @@ def hourly_utilized_co2(spec: SystemSpec, solution: DispatchSolution) -> np.ndar
     return out
 
 
-def hourly_captured_co2(spec: SystemSpec, solution: DispatchSolution) -> np.ndarray:
-    """CO2 captured from kiln flue gas each hour (co2_gas produced by units)."""
-    out = np.zeros(solution.horizon)
-    for u in spec.conversion_units:
-        if Commodity.CO2_GAS in u.outputs:
-            out += u.outputs[Commodity.CO2_GAS] * solution.activity[u.id]
-    return out
-
-
 def commodity_balance(spec: SystemSpec, scenario: Scenario, solution: DispatchSolution,
                       commodity: Commodity) -> dict[str, np.ndarray]:
     """Signed hourly ledger for one commodity: positive = supply, negative = use."""

@@ -1,7 +1,7 @@
 """Sparse linear-program container and solver front-end.
 
 The `LinearProgram` object is the single numerical currency of the package:
-the dispatch builder, the MPS exporter and importer and the solver all speak it.
+the dispatch builder, the MPS exporter and the solver all speak it.
 Solving is delegated to scipy's HiGHS backend behind a stable interface;
 the test suite checks it against an independent vertex-enumeration oracle.
 
@@ -66,8 +66,8 @@ class LinearProgram:
 
     Columns are `lower`, `upper` and `cost`; rows are `sense` and `rhs`.
     The coefficients are kept as COO blocks, one per `add_rows` call, and
-    `matrix()` assembles them into one CSR matrix.  Column and row names are
-    held only when the caller gives them, for every block or for none.
+    `matrix()` assembles them into one CSR matrix.  Columns and rows are
+    known by index only.
     """
 
     def __init__(self) -> None:
@@ -76,8 +76,6 @@ class LinearProgram:
         self.cost = np.zeros(0)
         self.sense = np.zeros(0, dtype="<U2")
         self.rhs = np.zeros(0)
-        self.col_names: list[str] | None = None
-        self.row_names: list[str] | None = None
         # (row, column, value) triplets, one block per add_rows call after this empty one
         self._blocks = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
 
@@ -89,8 +87,7 @@ class LinearProgram:
     def n_constraints(self) -> int:
         return self.rhs.size
 
-    def add_columns(self, count: int, lower=0.0, upper=math.inf, cost=0.0,
-                    names: list[str] | None = None) -> int:
+    def add_columns(self, count: int, lower=0.0, upper=math.inf, cost=0.0) -> int:
         """Append `count` columns and return the index of the first.
 
         `lower`, `upper` and `cost` are each one value for every new column
@@ -99,13 +96,12 @@ class LinearProgram:
         first = self.n_variables
         lower, upper, cost = (np.broadcast_to(np.asarray(a, dtype=float), (count,))
                               for a in (lower, upper, cost))
-        self.col_names = _extend_names(self.col_names, names, first, count)
         self.lower = np.concatenate([self.lower, lower])
         self.upper = np.concatenate([self.upper, upper])
         self.cost = np.concatenate([self.cost, cost])
         return first
 
-    def add_rows(self, sense, rhs, terms, names: list[str] | None = None) -> int:
+    def add_rows(self, sense, rhs, terms) -> int:
         """Append one row per entry of `rhs` and return the index of the first.
 
         `sense` is one sense for every new row or one per row.  Each term
@@ -119,7 +115,6 @@ class LinearProgram:
         if rows.size and (rows.min() < 0 or rows.max() >= rhs.size):
             raise LpValidationError(f"a term addresses a row outside the block of {rhs.size}")
         first = self.n_constraints
-        self.row_names = _extend_names(self.row_names, names, first, rhs.size)
         self._blocks.append((rows.astype(np.intp) + first, cols.astype(np.intp),
                              vals.astype(float)))
         self.sense = np.concatenate([self.sense, sense])
@@ -146,31 +141,17 @@ class LinearProgram:
             out[rows[mask]] = True
             return out
 
-        for bad, names, kind, what in (
+        for bad, kind, what in (
                 (np.isnan(self.lower) | np.isnan(self.upper) | ~np.isfinite(self.cost),
-                 self.col_names, "variable", "has a non-finite field"),
-                (self.lower > self.upper, self.col_names, "variable", "has reversed bounds"),
-                (~np.isin(self.sense, _SENSES), self.row_names, "constraint",
-                 "has an unknown sense"),
-                (~np.isfinite(self.rhs), self.row_names, "constraint", "has a non-finite rhs"),
-                (rows_with((cols < 0) | (cols >= self.n_variables)), self.row_names,
-                 "constraint", "references a variable index out of range"),
-                (rows_with(~np.isfinite(vals)), self.row_names, "constraint",
-                 "has a non-finite coefficient")):
+                 "variable", "has a non-finite field"),
+                (self.lower > self.upper, "variable", "has reversed bounds"),
+                (~np.isin(self.sense, _SENSES), "constraint", "has an unknown sense"),
+                (~np.isfinite(self.rhs), "constraint", "has a non-finite rhs"),
+                (rows_with((cols < 0) | (cols >= self.n_variables)), "constraint",
+                 "references a variable index out of range"),
+                (rows_with(~np.isfinite(vals)), "constraint", "has a non-finite coefficient")):
             if bad.any():
-                i = int(np.argmax(bad))
-                label = repr(names[i]) if names else str(i)
-                raise LpValidationError(f"{kind} {label} {what}")
-
-
-def _extend_names(held: list[str] | None, names: list[str] | None, first: int,
-                  count: int) -> list[str] | None:
-    """The names held after appending `count` entries at index `first`."""
-    if names is None and held is None:
-        return None
-    if names is None or (held is None and first) or len(names) != count:
-        raise LpValidationError("give one name per entry for every block, or no names")
-    return (held or []) + list(names)
+                raise LpValidationError(f"{kind} {int(np.argmax(bad))} {what}")
 
 
 @dataclass

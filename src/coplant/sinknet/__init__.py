@@ -17,9 +17,7 @@ from coplant.sinknet.routing import (
     CandidateEdge,
     SinkNode,
     SourceNode,
-    UnreachableError,
     build_candidates,
-    least_cost_path,
 )
 
 __all__ = [
@@ -33,11 +31,9 @@ __all__ = [
     "RasterFormatError",
     "SinkNode",
     "SourceNode",
-    "UnreachableError",
     "build_candidates",
     "cement_only_sources",
     "equivalent_capture_cost",
-    "least_cost_path",
     "load_raster",
     "scenario_to_sequestration",
     "select_network",

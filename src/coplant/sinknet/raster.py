@@ -91,6 +91,8 @@ def load_raster(path: str | Path) -> CostSurface:
         if key in _HEADER_KEYS:
             if len(parts) != 2:
                 raise RasterFormatError(f"{path}:{lineno}: malformed header line")
+            if key in header:
+                raise RasterFormatError(f"{path}:{lineno}: repeated header key {parts[0]}")
             try:
                 header[key] = float(parts[1])
             except ValueError:

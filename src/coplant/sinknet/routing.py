@@ -34,12 +34,6 @@ _STEPS = ((np.s_[:, :-1], np.s_[:, 1:], 1.0),
           (np.s_[:-1, 1:], np.s_[1:, :-1], SQRT2))
 
 
-class UnreachableError(ValueError):
-    def __init__(self, a: int, b: int):
-        super().__init__(f"no traversable path between cells {a} and {b}")
-        self.cells = (a, b)
-
-
 def _cost_graph(surface: CostSurface) -> csr_array:
     """Directed 8-neighbour step graph of the surface; nodata cells have no
     edges.  Zero-cost steps stay explicit edges (the routing tests pin it)."""
@@ -82,26 +76,6 @@ def _path_measures(surface: CostSurface, path: list[int]) -> tuple[float, float]
     length = np.cumsum(surface.cell_size * diag)[-1]
     cost = np.cumsum(0.5 * (c[:-1] + c[1:]) * surface.cell_size * diag)[-1]
     return float(length), float(cost)
-
-
-def least_cost_path(surface: CostSurface, a: int, b: int) -> tuple[list[int], float]:
-    """Dijkstra shortest path; returns (cells from a to b inclusive, cost).
-
-    The search runs from b, as `build_candidates` searches from the sink, so
-    both keep the same path among equal-cost ones.  a == b returns an empty
-    path with zero cost.
-    """
-    for cell in (a, b):
-        if not 0 <= cell < surface.n_cells:
-            raise ValueError(f"cell {cell} outside the surface")
-        if not surface.traversable(cell):
-            raise ValueError(f"cell {cell} is nodata")
-    dist, pred = dijkstra(_cost_graph(surface), indices=b,
-                          return_predecessors=True)
-    if math.isinf(dist[a]):
-        raise UnreachableError(a, b)
-    path = _walk(pred, a, b)
-    return path, _path_measures(surface, path)[1]
 
 
 @dataclass(frozen=True)

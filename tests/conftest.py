@@ -1,9 +1,15 @@
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from coplant import reference
 from coplant.dispatch import solve_dispatch
+
+# a failing property test prints the @reproduce_failure blob that replays it;
+# the active profile (Hypothesis's own "ci" one under CI) is otherwise kept
+settings.register_profile("coplant", settings(), print_blob=True)
+settings.load_profile("coplant")
 
 
 @pytest.fixture(scope="session")

@@ -317,6 +317,15 @@ class TestExitCodes:
                     "--sources", bad, "--sinks", workspace / "sinks.csv",
                     "--target", "1", "-o", tmp_path / "x"]) == 3
 
+    def test_netopt_repeated_node_column(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "sources.csv"
+        bad.write_text("id,row,col,capturable,capture_cost,capturable\nS1,0,0,1.0,1,5.0\n")
+        assert run(["netopt", "--surface", workspace / "cost.asc",
+                    "--sources", bad, "--sinks", workspace / "sinks.csv",
+                    "--target", "1", "-o", tmp_path / "x"]) == 3
+        assert "sources.csv:1: repeated source column 'capturable'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("stoichiometry_x", "nan"), ("grid_emission_factor", "nan"),
         ("incumbent_cost_cement", "inf")])
@@ -417,7 +426,8 @@ class TestExitCodes:
         ("NCOLS 3\nNROWS 3\nCELLSIZE -5\n", "CELLSIZE must be a finite number > 0, got -5.0"),
         ("NCOLS 3.7\nNROWS 3\nCELLSIZE 1\n", "NCOLS must be a positive integer, got 3.7"),
         ("NCOLS 3\nNROWS 3\nXLLCORNER nan\nCELLSIZE 1\n",
-         "XLLCORNER and YLLCORNER must be finite numbers, got (nan, 0.0)")])
+         "XLLCORNER and YLLCORNER must be finite numbers, got (nan, 0.0)"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\nCELLSIZE 7\n", "cost.asc:4: repeated header key CELLSIZE")])
     def test_netopt_bad_raster_header(self, tmp_path, capsys, header, message):
         (tmp_path / "cost.asc").write_text(f"{header}1 1 1\n1 1 1\n1 1 1\n")
         (tmp_path / "sources.csv").write_text(

@@ -19,7 +19,7 @@ from coplant.costing import (
     sweep_stoichiometry,
 )
 from coplant.dispatch import capital_recovery_factor, solve_dispatch
-from coplant.domain import DomainError
+from coplant.domain import Commodity, DomainError
 
 
 class TestAnnualize:
@@ -144,6 +144,19 @@ class TestMoleculeCosts:
         costs2 = {m.molecule: m.levelized for m in molecule_costs(sol2, spec2, scenario)}
         for mol in costs1:
             assert costs2[mol] == pytest.approx(costs1[mol], rel=1e-5)
+
+    def test_store_noise_costs_nothing(self, netzero48):
+        """Unbuilt CO2 stores whose charge is solver noise below zero add no
+        processing cost, not a negative one."""
+        spec, scenario, sol = netzero48
+        stores = [s.id for s in spec.storage_units if s.commodity is Commodity.CO2_GAS]
+        sol = dataclasses.replace(
+            sol, capacities={**sol.capacities, **dict.fromkeys(stores, 0.0)},
+            charge={**sol.charge, **dict.fromkeys(stores, np.full(sol.horizon, -1e-12))},
+            discharge={**sol.discharge, **dict.fromkeys(stores, np.zeros(sol.horizon))})
+        co2 = next(m for m in molecule_costs(sol, spec, scenario) if m.molecule == "CO2")
+        assert co2.components["storage"] == co2.components["processing"] == 0.0
+        assert min(co2.components.values()) >= 0.0
 
 
 class TestEmissionReduction:

@@ -150,25 +150,19 @@ def test_validation_errors():
     with pytest.raises(LpValidationError):
         solve_lp(lp)  # empty problem
     lp.add_columns(1, lower=2.0, upper=1.0, cost=0.0)
-    with pytest.raises(LpValidationError):
+    with pytest.raises(LpValidationError, match="variable 0 has reversed bounds"):
         solve_lp(lp)
     lp2 = LinearProgram()
     lp2.add_columns(1, cost=float("nan"))
     with pytest.raises(LpValidationError):
         solve_lp(lp2)
 
-def test_names_for_every_block_or_none():
-    named = LinearProgram()
-    named.add_columns(1, names=["x"])
+def test_term_outside_block_rejected():
+    lp = LinearProgram()
+    lp.add_columns(1)
     with pytest.raises(LpValidationError):
-        named.add_columns(1)
-    unnamed = LinearProgram()
-    unnamed.add_columns(1)
-    with pytest.raises(LpValidationError):
-        unnamed.add_columns(1, names=["y"])
-    with pytest.raises(LpValidationError):
-        unnamed.add_rows(LE, [1.0], [(1, 0, 1.0)])  # row 1 of a one-row block
-    assert unnamed.n_variables == 1 and unnamed.n_constraints == 0
+        lp.add_rows(LE, [1.0], [(1, 0, 1.0)])  # row 1 of a one-row block
+    assert lp.n_variables == 1 and lp.n_constraints == 0
 
 
 def test_oracle_agreement_200_random_lps():

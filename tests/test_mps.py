@@ -1,19 +1,61 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from coplant import reference
+from coplant import mps, reference
 from coplant.dispatch import build_lp
-from coplant.lp import GE, LE, LinearProgram, LpValidationError, solve_lp
-from coplant.mps import MpsFormatError, export_lp, import_lp
+from coplant.lp import EQ, GE, LE, LinearProgram, LpValidationError, solve_lp
+from coplant.mps import MpsFormatError, export_lp
+
+_SENSE = {"L": LE, "G": GE, "E": EQ}
+
+
+def read_mps(text):
+    """The LP, column names and row names of MPS text as `export_lp` writes
+    it: one entry per line, the objective row OBJ, and FX, FR, MI, LO and UP
+    bounds.  The round-trip oracle; it reads nothing else."""
+    section, cols, rows = None, {}, {}
+    cost, entries, rhs, bounds = {}, [], {}, {}
+    for line in text.splitlines():
+        fields = line.split()
+        if not line[0].isspace():
+            section = fields[0]
+        elif section == "ROWS":
+            if fields[0] != "N":
+                rows[fields[1]] = (len(rows), _SENSE[fields[0]])
+        elif section == "COLUMNS":
+            col, row, value = fields
+            j = cols.setdefault(col, len(cols))
+            if row == "OBJ":
+                cost[j] = float(value)
+            else:
+                entries.append((rows[row][0], j, float(value)))
+        elif section == "RHS":
+            rhs[rows[fields[1]][0]] = float(fields[2])
+        elif section == "BOUNDS":
+            kind, j = fields[0], cols[fields[2]]
+            value = float(fields[3]) if len(fields) == 4 else None
+            lo, up = bounds.get(j, (0.0, math.inf))
+            lo = {"FX": value, "LO": value, "FR": -math.inf, "MI": -math.inf}.get(kind, lo)
+            up = {"FX": value, "UP": value, "FR": math.inf}.get(kind, up)
+            bounds[j] = (lo, up)
+    lp = LinearProgram()
+    lower, upper = zip(*(bounds.get(j, (0.0, math.inf)) for j in range(len(cols))))
+    lp.add_columns(len(cols), lower=lower, upper=upper,
+                   cost=[cost.get(j, 0.0) for j in range(len(cols))])
+    if rows:
+        lp.add_rows([sense for _, sense in rows.values()],
+                    [rhs.get(i, 0.0) for i in range(len(rows))],
+                    [tuple(np.array(entries).reshape(-1, 3).T)])
+    return lp, list(cols), list(rows)
 
 
 def two_var_lp():
     lp = LinearProgram()
-    lp.add_columns(2, cost=1.0, names=["x", "y"])
-    lp.add_rows(GE, [4.0, 6.0], [([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 1.0])],
-                names=["c1", "c2"])
+    lp.add_columns(2, cost=1.0)
+    lp.add_rows(GE, [4.0, 6.0], [([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 1.0])])
     return lp
 
 
@@ -29,18 +71,19 @@ def test_empty_problem_rejected():
         export_lp(LinearProgram())
 
 
-def test_long_names_listed():
+def test_generated_names_overflow_rejected(monkeypatch):
+    """An LP whose generated names would outgrow the name field is refused;
+    a 2-character field, patched in, holds 10 columns and rows."""
+    monkeypatch.setattr(mps, "MAX_NAME", 2)
     lp = LinearProgram()
-    lp.add_columns(2, cost=1.0, names=["averylongvariablename", "ok"])
-    with pytest.raises(MpsFormatError) as err:
+    lp.add_columns(10, cost=1.0)
+    lp.add_rows(LE, np.ones(10), [(np.arange(10), np.arange(10), 1.0)])
+    export_lp(lp)
+    lp.add_columns(1, cost=1.0)
+    with pytest.raises(MpsFormatError, match="11 columns and 10 rows"):
         export_lp(lp)
-    assert "averylongvariablename" in str(err.value)
-
-
-def test_duplicate_names_rejected():
-    lp = LinearProgram()
-    lp.add_columns(2, cost=1.0, names=["x", "x"])
-    with pytest.raises(MpsFormatError, match="duplicate"):
+    lp.add_rows(LE, [1.0], [(0, 10, 1.0)])
+    with pytest.raises(MpsFormatError, match="at most 10 of each"):
         export_lp(lp)
 
 
@@ -48,15 +91,15 @@ def test_unnamed_lp_gets_generated_names():
     lp = LinearProgram()
     lp.add_columns(1, lower=0, upper=3, cost=-1.0)
     lp.add_rows(LE, [2.5], [(0, 0, 1.0)])
-    back = import_lp(export_lp(lp))
-    assert back.col_names == ["C0000000"]
-    assert back.row_names == ["R0000000"]
+    back, col_names, row_names = read_mps(export_lp(lp))
+    assert col_names == ["C0000000"]
+    assert row_names == ["R0000000"]
     assert solve_lp(back).objective == pytest.approx(-2.5)
 
 
 def test_round_trip_simple():
     lp = two_var_lp()
-    back = import_lp(export_lp(lp))
+    back = read_mps(export_lp(lp))[0]
     a, b = solve_lp(lp), solve_lp(back)
     assert a.status == b.status == "optimal"
     assert b.objective == pytest.approx(a.objective, abs=1e-9)
@@ -75,18 +118,16 @@ def test_round_trip_random_20x30():
     for _ in range(20):
         upper.append(draw(1, 10))
         cost.append(draw(-2, 2))
-    lp.add_columns(20, lower=0.0, upper=upper, cost=cost,
-                   names=[f"V{i}" for i in range(20)])
+    lp.add_columns(20, lower=0.0, upper=upper, cost=cost)
     for j in range(30):
         idxs = rng.choice(20, size=3, replace=False)
         sense = [LE, GE][j % 2]
         # keep the origin feasible so the instance is guaranteed optimal
         rhs = draw(0, 6) if sense == LE else draw(-6, 0)
-        lp.add_rows(sense, [rhs], [(0, idxs, [draw(-2, 2) for _ in idxs])],
-                    names=[f"R{j}"])
+        lp.add_rows(sense, [rhs], [(0, idxs, [draw(-2, 2) for _ in idxs])])
     orig = solve_lp(lp)
     assert orig.status == "optimal"
-    back = solve_lp(import_lp(export_lp(lp)))
+    back = solve_lp(read_mps(export_lp(lp))[0])
     assert back.status == "optimal"
     assert back.objective == pytest.approx(orig.objective, abs=1e-9)
 
@@ -94,20 +135,12 @@ def test_round_trip_random_20x30():
 def test_round_trip_preserves_bound_kinds():
     lp = LinearProgram()
     lp.add_columns(4, lower=[2.0, -np.inf, -5.0, 1.0], upper=[2.0, np.inf, 0.0, 4.0],
-                   cost=[1.0, 1.0, 1.0, -1.0], names=["FIX", "FREE", "NEG", "BOX"])
-    lp.add_rows(GE, [-3.0], [(0, 1, 1.0)], names=["TIE"])
-    back = import_lp(export_lp(lp))
+                   cost=[1.0, 1.0, 1.0, -1.0])
+    lp.add_rows(GE, [-3.0], [(0, 1, 1.0)])
+    back = read_mps(export_lp(lp))[0]
     assert np.array_equal(back.lower, lp.lower)
     assert np.array_equal(back.upper, lp.upper)
     assert solve_lp(back).objective == pytest.approx(solve_lp(lp).objective, abs=1e-9)
-
-
-def test_import_reports_line_numbers():
-    text = export_lp(two_var_lp())
-    broken = text.replace("RHS", "JUNKSECT", 1)
-    with pytest.raises(MpsFormatError) as err:
-        import_lp(broken)
-    assert any(ch.isdigit() for ch in str(err.value))
 
 
 def test_export_deterministic():
@@ -126,17 +159,6 @@ def test_fixed_columns():
     assert columns_lines, "no COLUMNS entries found"
     for line in columns_lines:
         assert line[4:12].strip(), "variable name field (col 5) empty"
-
-
-def test_ranges_rejected():
-    """min x s.t. x <= 10 with range 4 (6 <= x <= 10) has optimum 6; read
-    without its RANGES entry it would be 0."""
-    text = ("NAME          RNG\nROWS\n N  OBJ\n L  R1\nCOLUMNS\n"
-            "    X         OBJ       1\n    X         R1        1\n"
-            "RHS\n    RHS       R1        10\nRANGES\n    RNG       R1        4\n"
-            "ENDATA\n")
-    with pytest.raises(MpsFormatError, match="RANGES"):
-        import_lp(text)
 
 
 # sha256 of the MPS text of the reference plants, recorded when the LP still

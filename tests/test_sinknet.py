@@ -30,9 +30,7 @@ from coplant.sinknet.routing import (
     CandidateEdge,
     SinkNode,
     SourceNode,
-    UnreachableError,
     build_candidates,
-    least_cost_path,
 )
 from coplant.domain import DomainError
 from coplant.fleet import PlantSite
@@ -128,6 +126,13 @@ class TestRaster:
         assert str(err.value).startswith(f"{path}: ")
         assert message in str(err.value)
 
+    def test_repeated_header_key_rejected(self, tmp_path):
+        path = tmp_path / "g.asc"
+        path.write_text("NCOLS 3\nNROWS 3\nCELLSIZE 1\nCELLSIZE 7\n1 1 1\n1 1 1\n1 1 1\n")
+        with pytest.raises(RasterFormatError) as err:
+            load_raster(path)
+        assert str(err.value) == f"{path}:4: repeated header key CELLSIZE"
+
     def test_write_read_round_trip(self, tmp_path):
         surface = make_surface([[1, 2.5], [-9999, 4]], cell_size=0.24)
         path = tmp_path / "g.asc"
@@ -186,17 +191,24 @@ def step_graph(surface):
                      shape=(surface.n_cells, surface.n_cells))
 
 
+def route(surface, a, b):
+    """(cells from a to b, cost) of the corridor `build_candidates` finds
+    for a source at cell a and a sink at cell b; None when b is unreachable."""
+    edges, _ = build_candidates(surface, [SourceNode("S", a, 1.0, 0.0)],
+                                [SinkNode("K", b, 1.0, 0.0)])
+    return (list(edges[0].path), edges[0].terrain_cost) if edges else None
+
+
 class TestRouting:
     def test_two_diagonal_steps(self):
         surface = make_surface(np.ones((3, 3)))
-        path, cost = least_cost_path(surface, surface.index(0, 0),
-                                     surface.index(2, 2))
+        path, cost = route(surface, surface.index(0, 0), surface.index(2, 2))
         assert cost == pytest.approx(2 * SQRT2)
         assert len(path) == 3
 
     def test_same_cell(self):
         surface = make_surface(np.ones((3, 3)))
-        path, cost = least_cost_path(surface, 4, 4)
+        path, cost = route(surface, 4, 4)
         assert path == [] and cost == 0.0
 
     def test_wall_with_gap(self):
@@ -205,7 +217,7 @@ class TestRouting:
         cells[2, 3] = 1.0
         surface = make_surface(cells)
         a, b = surface.index(0, 0), surface.index(4, 0)
-        path, cost = least_cost_path(surface, a, b)
+        path, cost = route(surface, a, b)
         assert surface.index(2, 3) in path
         assert cost == pytest.approx(exhaustive_path_oracle(surface, a, b))
 
@@ -213,8 +225,7 @@ class TestRouting:
         cells = np.ones((3, 3))
         cells[:, 1] = -9999.0
         surface = make_surface(cells)
-        with pytest.raises(UnreachableError):
-            least_cost_path(surface, surface.index(0, 0), surface.index(0, 2))
+        assert route(surface, surface.index(0, 0), surface.index(0, 2)) is None
 
     def test_oracle_agreement_randomized_5x5(self):
         """[PRIMARY] Dijkstra equals exhaustive enumeration on 5x5 grids."""
@@ -229,10 +240,9 @@ class TestRouting:
             a, b = surface.index(0, 0), surface.index(4, 4)
             oracle = exhaustive_path_oracle(surface, a, b)
             if math.isinf(oracle):
-                with pytest.raises(UnreachableError):
-                    least_cost_path(surface, a, b)
+                assert route(surface, a, b) is None
                 continue
-            path, cost = least_cost_path(surface, a, b)
+            path, cost = route(surface, a, b)
             assert cost == pytest.approx(oracle, abs=1e-9), f"trial {trial}"
 
     def test_triangle_property(self):
@@ -240,9 +250,9 @@ class TestRouting:
         cells = np.round(rng.uniform(0.5, 5.0, size=(5, 5)), 3)
         surface = make_surface(cells)
         a, b, c = surface.index(0, 0), surface.index(2, 3), surface.index(4, 4)
-        _, ac = least_cost_path(surface, a, c)
-        _, ab = least_cost_path(surface, a, b)
-        _, bc = least_cost_path(surface, b, c)
+        _, ac = route(surface, a, c)
+        _, ab = route(surface, a, b)
+        _, bc = route(surface, b, c)
         assert ac <= ab + bc + 1e-9
 
     def test_deterministic(self):
@@ -250,14 +260,13 @@ class TestRouting:
         cells = np.round(rng.uniform(0.5, 5.0, size=(5, 5)), 3)
         surface = make_surface(cells)
         a, b = surface.index(0, 0), surface.index(4, 4)
-        assert least_cost_path(surface, a, b) == least_cost_path(surface, a, b)
+        assert route(surface, a, b) == route(surface, a, b)
 
     def test_equal_cost_tie_pinned(self):
         """Two paths from (0,0) to (2,1) cost 1 + sqrt(2); the kept one is the
         predecessor scipy's Dijkstra picks searching from the target (2,1)."""
         surface = make_surface(np.ones((3, 3)))
-        path, cost = least_cost_path(surface, surface.index(0, 0),
-                                     surface.index(2, 1))
+        path, cost = route(surface, surface.index(0, 0), surface.index(2, 1))
         assert cost == 1.0 + SQRT2
         assert path == [surface.index(0, 0), surface.index(1, 1),
                         surface.index(2, 1)]
@@ -265,13 +274,13 @@ class TestRouting:
     def test_zero_cost_row_traversable(self):
         """A zero-multiplier row is a free corridor, not a barrier."""
         surface = make_surface([[1, 1, 1], [0, 0, 0], [1, 1, 1]])
-        path, cost = least_cost_path(surface, 0, 8)
+        path, cost = route(surface, 0, 8)
         assert (path, cost) == ([0, 3, 4, 5, 8], 1.0)
         assert cost == exhaustive_path_oracle(surface, 0, 8)
 
     def test_all_zero_raster(self):
         surface = make_surface(np.zeros((3, 3)))
-        path, cost = least_cost_path(surface, 0, 8)
+        path, cost = route(surface, 0, 8)
         assert (path, cost) == ([0, 4, 8], 0.0)
         assert cost == exhaustive_path_oracle(surface, 0, 8)
 
@@ -288,33 +297,6 @@ class TestCandidates:
         assert report.ok
         edges1, report1 = build_candidates(surface, sources[:1], sinks[:1])
         assert len(edges1) == 1
-
-    def test_matches_least_cost_path(self):
-        """Searching once per sink gives every pair the same corridor, cost
-        and length as a search for that pair alone."""
-        rng = np.random.default_rng(4711)
-        cells = np.round(rng.uniform(0.5, 5.0, size=(12, 12)), 1)
-        cells[rng.random((12, 12)) < 0.15] = -9999.0
-        cells[1, 1] = cells[3, 9] = cells[10, 2] = cells[6, 6] = cells[11, 11] = 2.0
-        surface = make_surface(cells, cell_size=2.5)
-        sources = [SourceNode(id=f"S{i}", cell=surface.index(r, c), capturable=10,
-                              eq_capture_cost=30)
-                   for i, (r, c) in enumerate([(1, 1), (3, 9), (6, 6)])]
-        sinks = [SinkNode(id=f"K{j}", cell=surface.index(r, c), capacity=10,
-                          sequestration_cost=5)
-                 for j, (r, c) in enumerate([(10, 2), (11, 11), (6, 6)])]
-        edges, report = build_candidates(surface, sources, sinks)
-        assert report.ok and len(edges) == 9
-        by_pair = {(e.source_id, e.sink_id): e for e in edges}
-        for src in sources:
-            for snk in sinks:
-                edge = by_pair[src.id, snk.id]
-                path, cost = least_cost_path(surface, src.cell, snk.cell)
-                assert edge.path == tuple(path)
-                assert edge.terrain_cost == cost
-                steps = [SQRT2 if (u // 12 != v // 12 and u % 12 != v % 12) else 1.0
-                         for u, v in zip(path, path[1:])]
-                assert edge.length_km == pytest.approx(2.5 * sum(steps))
 
     def test_one_search_per_sink(self, monkeypatch):
         calls = []
@@ -375,6 +357,10 @@ class TestCandidates:
                         unique += 1
                         assert edge.path == tuple(path), f"trial {trial}"
                         assert edge.terrain_cost == total, f"trial {trial}"
+                        steps = [SQRT2 if u // n != v // n and u % n != v % n else 1.0
+                                 for u, v in zip(path, path[1:])]
+                        assert edge.length_km == pytest.approx(
+                            surface.cell_size * sum(steps), rel=1e-12), f"trial {trial}"
                     else:
                         assert edge.terrain_cost == pytest.approx(total, rel=1e-12)
         assert unique >= 50 and unreachable > 0
