@@ -6,9 +6,10 @@ from hypothesis import settings
 from coplant import reference
 from coplant.dispatch import solve_dispatch
 
-# a failing property test prints the @reproduce_failure blob that replays it;
-# the active profile (Hypothesis's own "ci" one under CI) is otherwise kept
-settings.register_profile("coplant", settings(), print_blob=True)
+# a failing property test prints the @reproduce_failure blob that replays it,
+# and draws new examples on every run, also under CI, where Hypothesis's own
+# "ci" profile (kept otherwise) would fix them with derandomize=True
+settings.register_profile("coplant", settings(), print_blob=True, derandomize=False)
 settings.load_profile("coplant")
 
 

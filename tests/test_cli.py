@@ -1,4 +1,5 @@
 import dataclasses
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -88,6 +89,16 @@ def test_netopt_and_determinism(workspace, tmp_path):
         assert code == 0
     for name in ("network.csv", "network_paths.csv", "network.svg"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the 8x6 surface is one image of 24 units per cell; the only rects are
+    # the two sink markers, 8 units square around their cell centres
+    svg = "{http://www.w3.org/2000/svg}"
+    root = ET.parse(outs[0] / "network.svg").getroot()
+    (image,) = root.iter(svg + "image")
+    assert [image.get(k) for k in ("x", "y", "width", "height")] == \
+        ["20", "20", "192", "144"]
+    assert sorted((r.get("x"), r.get("y"), r.get("width"), r.get("height"))
+                  for r in root.iter(svg + "rect")) == \
+        [("196", "148", "8", "8"), ("196", "28", "8", "8")]
 
 
 def test_netopt_binding_sinks_above_exact_limit(tmp_path, capsys):
