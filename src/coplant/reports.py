@@ -45,13 +45,7 @@ def _write_rows(path: str | Path, header: list[str], rows: list[list]) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            line = ",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
-            # formatted floats never need quoting, so a line with no stray
-            # comma, quote or line break is written as joined
-            if (line.count(",") != len(row) - 1 or '"' in line
-                    or "\n" in line or "\r" in line):
-                line = ",".join(map(_field, row))
-            fh.write(line + "\n")
+            fh.write(",".join(map(_field, row)) + "\n")
 
 
 # ---------------------------------------------------------------- CSV tables

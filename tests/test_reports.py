@@ -203,7 +203,7 @@ def test_network_svg_escapes_node_ids():
 def test_network_csvs_quote_fields_that_need_it(tmp_path):
     surface = CostSurface(ncols=3, nrows=3, cell_size=1.0, origin=(0.0, 0.0),
                           nodata=-9999.0, cells=np.ones((3, 3)))
-    ids = ['S,1', 'say "hi"', "plain"]
+    ids = ['S,1', 'say "hi"', "plain", "a\nb", "c\rd"]
     sol = NetworkSolution(source_flows={}, routes=[_route(i, "K,1", (0, 4))
                                                    for i in ids],
                           sink_inflows={}, target=4.5, cost_capture=0.0,
@@ -215,10 +215,11 @@ def test_network_csvs_quote_fields_that_need_it(tmp_path):
     assert rows[0] == ["source", "sink", "flow_t_per_yr", "length_km",
                        "diameter_class", "pipe_count", "annual_cost"]
     assert rows[1:] == [[i, "K,1", "1.5", "2", "d8", "1", "7"] for i in sorted(ids)]
-    # only fields holding a comma or a quote are quoted
-    assert table.read_text().splitlines()[1:] == [
-        '"S,1","K,1",1.5,2,d8,1,7', 'plain,"K,1",1.5,2,d8,1,7',
-        '"say ""hi""","K,1",1.5,2,d8,1,7']
+    # only fields holding a comma, quote or line break are quoted
+    assert table.read_bytes().split(b"\n", 1)[1] == (
+        b'"S,1","K,1",1.5,2,d8,1,7\n"a\nb","K,1",1.5,2,d8,1,7\n'
+        b'"c\rd","K,1",1.5,2,d8,1,7\nplain,"K,1",1.5,2,d8,1,7\n'
+        b'"say ""hi""","K,1",1.5,2,d8,1,7\n')
 
     paths = tmp_path / "network_paths.csv"
     reports.write_network_paths_csv(paths, sol, surface)
