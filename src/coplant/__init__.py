@@ -13,7 +13,6 @@ from coplant.domain import (
     Scenario,
     StorageUnit,
     SystemSpec,
-    methanol_feed_requirements,
     min_stoichiometry,
     netzero_sequestration_requirement,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "Scenario",
     "StorageUnit",
     "SystemSpec",
-    "methanol_feed_requirements",
     "min_stoichiometry",
     "netzero_sequestration_requirement",
     "solve_lp",

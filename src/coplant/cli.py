@@ -210,6 +210,9 @@ def _load_nodes(path: str, kind: str):
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{path}:{i}: bad {kind} row: {exc}",
                            EXIT_VALIDATION) from None
+        if node["amount"] < 0:
+            raise CliError(f"{path}:{i}: {kind} {amount} must be >= 0, got "
+                           f"{row[amount].strip()}", EXIT_VALIDATION)
         if node["id"] in first_line:
             raise CliError(f"{path}:{i}: repeated {kind} id {node['id']!r} "
                            f"(first on line {first_line[node['id']]})", EXIT_VALIDATION)

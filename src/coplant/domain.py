@@ -187,8 +187,6 @@ class Scenario:
     kiln_co2_per_t_clinker: float = (
         DEFAULT_CAPTURED_CO2_PER_T_CEMENT / DEFAULT_CAPTURE_RATE * DEFAULT_CEMENT_PER_CLINKER
     )
-    process_frac: float = 2.0 / 3.0     # carbonate decomposition share of kiln CO2
-    biogenic_frac: float = 1.0 / 3.0    # biomass combustion share
     cement_per_clinker: float = DEFAULT_CEMENT_PER_CLINKER
     transport_cost: TransportCost = field(default_factory=TransportCost)
     discount_rate: float = 0.08
@@ -203,8 +201,6 @@ class Scenario:
         if self.stoichiometry_x <= 0:
             raise DomainError("stoichiometry_x must be > 0")
         _check_fraction("capture_rate", self.capture_rate, lo_open=True)
-        if abs(self.process_frac + self.biogenic_frac - 1.0) > 1e-9:
-            raise DomainError("process_frac + biogenic_frac must equal 1")
         if self.kiln_co2_per_t_clinker <= 0:
             raise DomainError("kiln_co2_per_t_clinker must be > 0")
         if self.cement_per_clinker <= 0:
@@ -256,18 +252,6 @@ def min_stoichiometry(co2_per_t_meoh: float = CO2_PER_T_MEOH,
     if co2_per_t_meoh <= 0 or captured_co2_per_t_cement <= 0:
         raise DomainError("min_stoichiometry arguments must be > 0")
     return co2_per_t_meoh / captured_co2_per_t_cement
-
-
-def methanol_feed_requirements(meoh_mass: float) -> dict[str, float]:
-    """Feedstock needs and O2 byproduct for a given methanol mass (ideal stoichiometry)."""
-    if meoh_mass < 0:
-        raise DomainError("methanol mass must be >= 0")
-    h2 = H2_PER_T_MEOH * meoh_mass
-    return {
-        "co2": CO2_PER_T_MEOH * meoh_mass,
-        "h2": h2,
-        "o2_byproduct": O2_PER_T_H2 * h2,
-    }
 
 
 def netzero_sequestration_requirement(uncaptured: float, utilized: float) -> float:

@@ -50,7 +50,6 @@ class PlantSite:
     clinker_capacity: float      # t clinker per day
     solar_profile_ref: str
     wind_profile_ref: str
-    capacity_utilization: float = DEFAULT_UTILIZATION
 
     def __post_init__(self) -> None:
         if not -90.0 <= self.latitude <= 90.0:
@@ -61,7 +60,7 @@ class PlantSite:
     def cement_demand_tph(self, scenario: Scenario) -> float:
         """Average hourly cement delivery implied by capacity and utilization."""
         clinker_tph = self.clinker_capacity / 24.0
-        return clinker_tph * scenario.cement_per_clinker * self.capacity_utilization
+        return clinker_tph * scenario.cement_per_clinker * DEFAULT_UTILIZATION
 
 
 @dataclass

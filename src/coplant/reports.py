@@ -127,7 +127,7 @@ def write_network_csv(path: str | Path, sol: NetworkSolution) -> None:
     rows = []
     for route in sorted(sol.routes, key=lambda r: (r.source_id, r.sink_id)):
         rows.append([route.source_id, route.sink_id, float(route.flow),
-                     float(route.length_km), route.diameter_class or "",
+                     float(route.length_km), route.diameter_class,
                      route.pipe_count, float(route.annual_cost)])
     _write_rows(path, ["source", "sink", "flow_t_per_yr", "length_km",
                        "diameter_class", "pipe_count", "annual_cost"], rows)

@@ -1,14 +1,10 @@
 """CO2 source-sink matching: raster ingestion, corridor routing, network selection."""
 
 from coplant.sinknet.network import (
-    CementOnlyParams,
     NetworkInfeasible,
     NetworkParams,
     NetworkSolution,
     PipelineClass,
-    cement_only_sources,
-    equivalent_capture_cost,
-    scenario_to_sequestration,
     select_network,
     size_pipeline,
 )
@@ -22,7 +18,6 @@ from coplant.sinknet.routing import (
 
 __all__ = [
     "CandidateEdge",
-    "CementOnlyParams",
     "CostSurface",
     "NetworkInfeasible",
     "NetworkParams",
@@ -32,10 +27,7 @@ __all__ = [
     "SinkNode",
     "SourceNode",
     "build_candidates",
-    "cement_only_sources",
-    "equivalent_capture_cost",
     "load_raster",
-    "scenario_to_sequestration",
     "select_network",
     "size_pipeline",
     "write_raster",

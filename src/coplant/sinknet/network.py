@@ -5,13 +5,13 @@ met, and prices the network as equivalent-capture + pipeline +
 sequestration cost.  The solution space is node-to-node: each selected
 source ships its flow to exactly one sink along its least-cost corridor
 (no Steiner junctions).  Within a source-to-sink assignment, flows are
-allocated by a fixed rule: in ascending linear (capture + sequestration
-[+ per-tonne corridor]) cost order, blind to pipe sizing.  Every
-assignment thus has a single well-defined cost, but a flow split the rule
-does not make can be cheaper: even the exact search finds the cheapest
-network under the rule, not the cost-minimal one in general.  One numpy kernel
-(`_Instance.allocate` and `_Instance.cost`) applies that rule to a block of
-assignments; both searches and the one-assignment `evaluate` run on it.
+allocated by a fixed rule: in ascending linear (capture + sequestration)
+cost order, blind to pipe sizing.  Every assignment thus has a single
+well-defined cost, but a flow split the rule does not make can be cheaper:
+even the exact search finds the cheapest network under the rule, not the
+cost-minimal one in general.  One numpy kernel (`_Instance.allocate` and
+`_Instance.cost`) applies that rule to a block of assignments; both searches
+and the one-assignment `evaluate` run on it.
 The source count picks the search: up to EXACT_SOURCE_LIMIT (12) sources,
 every assignment is enumerated; above it, steepest-descent local search over
 single-source moves starts from the greedy assignment, first closes any
@@ -30,9 +30,6 @@ from coplant.dispatch import capital_recovery_factor
 from coplant.domain import DomainError
 from coplant.sinknet.routing import CandidateEdge, SinkNode, SourceNode
 
-# Published scenario pairing: 7.06 Mt/yr methanol <-> 26.0 Mt/yr sequestered CO2.
-SEQUESTRATION_PER_T_MEOH = 26.0 / 7.06
-
 EXACT_SOURCE_LIMIT = 12
 
 #: Assignments the exact search evaluates at once; bounds its working memory.
@@ -42,25 +39,6 @@ class NetworkInfeasible(ValueError):
     pass
 
 
-def scenario_to_sequestration(methanol_target: float) -> float:
-    """Sequestration requirement implied by a methanol output target (same mass unit)."""
-    if methanol_target < 0:
-        raise DomainError("methanol target must be >= 0")
-    return methanol_target * SEQUESTRATION_PER_T_MEOH
-
-
-def equivalent_capture_cost(coproduction_cost: float, incumbent_cost: float,
-                            x: float, seq_factor: float) -> float:
-    """Per-sequestered-tonne premium of running co-production at a site.
-
-    `coproduction_cost` and `incumbent_cost` are $ per (1 t MeOH + x t cement)
-    bundle; `seq_factor` is t CO2 sequestered per t cement.
-    """
-    if x <= 0 or seq_factor <= 0:
-        raise DomainError("x and seq_factor must be > 0")
-    return (coproduction_cost - incumbent_cost) / x / seq_factor
-
-
 @dataclass(frozen=True)
 class PipelineClass:
     name: str
@@ -68,7 +46,8 @@ class PipelineClass:
     capex_per_km: float    # $
 
 
-#: Default diameter-class table; regional tables can be substituted via config.
+#: The diameter-class table `select_network` sizes pipes from; no config key
+#: or CLI option sets another one.
 DEFAULT_PIPELINE_CLASSES = (
     PipelineClass("D1", 1e6, 0.45e6),
     PipelineClass("D2", 3e6, 0.75e6),
@@ -114,7 +93,7 @@ class RouteFlow:
     sink_id: str
     path: tuple[int, ...]
     length_km: float
-    diameter_class: str | None
+    diameter_class: str
     pipe_count: int
     flow: float
     annual_cost: float
@@ -161,20 +140,13 @@ class _Instance:
         # `pairs` holds every (source, sink) option in the order flow is
         # allocated: ascending linear rate, ties to the lower source id.
         shape = (len(self.sources), max(map(len, self.options), default=1))
-        self.seq, self.per_tonne, self.terrain = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-        self.has_per_tonne = np.zeros(shape, dtype=bool)
+        self.seq, self.terrain = np.zeros(shape), np.zeros(shape)
         self.pairs = []
         for i, (src, opts) in enumerate(zip(self.sources, self.options)):
             for j, k in enumerate(opts[1:], start=1):
-                edge = self.edges[(src.id, k)]
-                rate = src.eq_capture_cost + seq_cost[k]
-                if edge.cost_per_tonne is not None:
-                    rate += edge.cost_per_tonne
-                    self.has_per_tonne[i, j] = True
-                    self.per_tonne[i, j] = edge.cost_per_tonne
-                self.pairs.append((rate, i, j, snk_ids.index(k)))
+                self.pairs.append((src.eq_capture_cost + seq_cost[k], i, j, snk_ids.index(k)))
                 self.seq[i, j] = seq_cost[k]
-                self.terrain[i, j] = edge.terrain_cost
+                self.terrain[i, j] = self.edges[(src.id, k)].terrain_cost
         self.pairs.sort()
         self.capture = np.array([s.eq_capture_cost for s in self.sources], dtype=float)
         self.capturable = np.array([s.capturable for s in self.sources], dtype=float)
@@ -201,7 +173,7 @@ class _Instance:
         source by source in id order, and pipeline cost per (source, assignment).
 
         A pipe is the smallest class that carries the flow, or parallel pipes
-        of the largest class; a corridor priced per tonne has no pipe."""
+        of the largest class."""
         classes = self.params.classes
         annual_factor = self.params.annual_factor
         cost_capture, cost_pipeline, cost_seq = (np.zeros(digit.shape[1]) for _ in range(3))
@@ -211,9 +183,7 @@ class _Instance:
             capex_km = np.ceil(f / classes[-1].capacity) * classes[-1].capex_per_km
             for cls in reversed(classes):
                 capex_km = np.where(f <= cls.capacity, cls.capex_per_km, capex_km)
-            pipe[i] = np.where(shipped, np.where(
-                self.has_per_tonne[i, d], self.per_tonne[i, d] * f,
-                capex_km * self.terrain[i, d] * annual_factor), 0.0)
+            pipe[i] = np.where(shipped, capex_km * self.terrain[i, d] * annual_factor, 0.0)
             cost_capture += np.where(shipped, self.capture[i] * f, 0.0)
             cost_pipeline += pipe[i]
             cost_seq += np.where(shipped, self.seq[i, d] * f, 0.0)
@@ -235,13 +205,12 @@ class _Instance:
             src, f = self.sources[i], float(flow[i, 0])
             k = self.options[i][digit[i, 0]]
             edge = self.edges[(src.id, k)]
-            cls, count = size_pipeline(f, self.params.classes)[:2] \
-                if edge.cost_per_tonne is None else (None, 0)
+            cls, count, _ = size_pipeline(f, self.params.classes)
             flows[src.id] = f
             sink_in[k] = sink_in.get(k, 0.0) + f
             routes.append(RouteFlow(
                 source_id=src.id, sink_id=k, path=edge.path, length_km=edge.length_km,
-                diameter_class=cls.name if cls else None, pipe_count=count, flow=f,
+                diameter_class=cls.name, pipe_count=count, flow=f,
                 annual_cost=float(pipe[i, 0])))
         solution = NetworkSolution(
             source_flows=flows, routes=routes, sink_inflows=sink_in,
@@ -355,8 +324,7 @@ def _solve_local(inst: _Instance) -> tuple[float, NetworkSolution]:
 
 
 def select_network(sources: list[SourceNode], sinks: list[SinkNode],
-                   candidates: list[CandidateEdge], target: float,
-                   params: NetworkParams | None = None) -> NetworkSolution:
+                   candidates: list[CandidateEdge], target: float) -> NetworkSolution:
     """Choose sources, corridors and flows meeting the sequestration target.
 
     Up to EXACT_SOURCE_LIMIT sources, every assignment is enumerated and the
@@ -368,33 +336,10 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     """
     if not (math.isfinite(target) and target >= 0):
         raise DomainError(f"target must be a finite number >= 0: got {target}")
-    params = params or NetworkParams()
-    inst = _make_instance(sources, sinks, candidates, target, params)
+    inst = _make_instance(sources, sinks, candidates, target, NetworkParams())
     if target == 0:
         return NetworkSolution(source_flows={}, routes=[], sink_inflows={}, target=0.0,
                                cost_capture=0.0, cost_pipeline=0.0, cost_sequestration=0.0)
     search = _solve_exact if len(sources) <= EXACT_SOURCE_LIMIT else _solve_local
     return search(inst)[1]
 
-
-@dataclass(frozen=True)
-class CementOnlyParams:
-    """Flat-cost CCS retrofit parameters for the cement-only comparison runs."""
-
-    capture_cost: float = 75.0            # $/t CO2, standalone cement CCS
-    kiln_co2_per_t_clinker: float = 0.721
-    capture_rate: float = 0.9294
-    utilization: float = 0.80
-
-
-def cement_only_sources(plants, cells: dict[str, int],
-                        params: CementOnlyParams | None = None) -> list[SourceNode]:
-    """Sources with capturable CO2 proportional to plant capacity at a flat cost."""
-    params = params or CementOnlyParams()
-    out = []
-    for p in plants:
-        capturable = (p.clinker_capacity * 365.0 * params.utilization
-                      * params.kiln_co2_per_t_clinker * params.capture_rate)
-        out.append(SourceNode(id=p.id, cell=cells[p.id], capturable=capturable,
-                              eq_capture_cost=params.capture_cost))
-    return out

@@ -101,7 +101,6 @@ class CandidateEdge:
     path: tuple[int, ...]
     length_km: float
     terrain_cost: float            # path cost = sum of per-km multipliers x km
-    cost_per_tonne: float | None = None  # overrides pipeline sizing when set
 
 
 @dataclass

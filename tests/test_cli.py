@@ -1,5 +1,7 @@
 import dataclasses
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,28 @@ def workspace(tmp_path_factory):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def readme_commands() -> list[str]:
+    """Each `coplant ...` line of the README's CLI block, with continuation
+    lines joined and the brackets around optional arguments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.replace("[", "").replace("]", "")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("coplant ")]
+
+
+def test_readme_cli_block_parses():
+    commands = readme_commands()
+    assert sorted(c.split()[1] for c in commands) == [
+        "fleet", "netopt", "report", "solve", "sweep"]
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_solve_writes_reports(workspace, tmp_path):
@@ -413,6 +437,35 @@ class TestExitCodes:
                     "--sinks", tmp_path / "sinks.csv",
                     "--target", "0.5", "-o", tmp_path / "x"]) == 3
         assert "outside the 3x3 raster" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sources, sinks, message", [
+        ("S1,0,0,-5,40\nS2,0,1,4,40\n", "K1,3,3,10,5\n",
+         "sources.csv:2: source capturable must be >= 0, got -5"),
+        ("S1,0,0,4,40\n", "K1,3,3,-10,5\nK2,3,2,10,5\n",
+         "sinks.csv:2: sink capacity must be >= 0, got -10")], ids=["source", "sink"])
+    def test_netopt_negative_amount(self, tmp_path, capsys, sources, sinks, message):
+        write_raster(CostSurface(ncols=4, nrows=4, cell_size=1.0, origin=(0.0, 0.0),
+                                 nodata=-9999.0, cells=np.ones((4, 4))),
+                     tmp_path / "cost.asc")
+        (tmp_path / "sources.csv").write_text(
+            "id,row,col,capturable,capture_cost\n" + sources)
+        (tmp_path / "sinks.csv").write_text(
+            "id,row,col,capacity,sequestration_cost\n" + sinks)
+        assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                    "--sources", tmp_path / "sources.csv",
+                    "--sinks", tmp_path / "sinks.csv",
+                    "--target", "3", "-o", tmp_path / "x"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_netopt_negative_cost_accepted(self, workspace, tmp_path):
+        """An equivalent capture cost below zero is a saving, not an error."""
+        (tmp_path / "sources.csv").write_text(
+            "id,row,col,capturable,capture_cost\nS1,0,1,2.0e6,-40\n")
+        assert run(["netopt", "--surface", workspace / "cost.asc",
+                    "--sources", tmp_path / "sources.csv",
+                    "--sinks", workspace / "sinks.csv",
+                    "--target", "1e6", "-o", tmp_path / "x"]) == 0
 
     @pytest.mark.parametrize("nodata, cells, message", [
         ("-9999", "1 nan 1\n1 inf 1\n1 1 1\n", "non-finite cost cell nan at row 0, col 1"),

@@ -1,13 +1,15 @@
 import dataclasses
 import functools
 
+import numpy as np
 import pytest
 
-from coplant import configio, reference
+from coplant import configio, costing, dispatch, reference
 from coplant.configio import ConfigError, parse_scenario, parse_sections, parse_system
 from coplant.domain import (
     Commodity,
     ConversionUnit,
+    DomainError,
     Flexibility,
     RenewableSource,
     Scenario,
@@ -15,6 +17,7 @@ from coplant.domain import (
     SystemSpec,
     TransportCost,
 )
+from coplant.fleet import PlantSite
 
 
 def test_sections_and_comments():
@@ -227,12 +230,102 @@ lifetime = 25.0
 
 
 def test_earlier_scenario_format():
+    """The earlier file parses once `process_frac` and `biogenic_frac`, which
+    the model never read, are taken out; with them it is rejected."""
     scenario = Scenario(stoichiometry_x=5.0, sequestration_allowed=False,
                         transport_cost=TransportCost(mode="network", transport=1.5,
                                                      storage=0.25),
                         horizon_hours=4)
-    assert parse_scenario(EARLIER_SCENARIO) == scenario
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[scenario\]: "
+                                          "biogenic_frac, process_frac"):
+        parse_scenario(EARLIER_SCENARIO)
+    current = "".join(line for line in EARLIER_SCENARIO.splitlines(keepends=True)
+                      if not line.startswith(("process_frac", "biogenic_frac")))
+    assert parse_scenario(current) == scenario
     assert parse_scenario(configio.serialize_scenario(scenario)) == scenario
+
+
+# ------------------------------------------------- every [scenario] key is read
+
+#: Each `[scenario]` key as (owner, field name): the fields of `Scenario` and
+#: of its `transport_cost` that a key sets.
+SCENARIO_KEYS = [(cls, f.name) for cls in (Scenario, TransportCost)
+                 for f, _ in configio._config_fields(cls)]
+
+#: The other value of each string field.
+OTHER_STRING = {"flexibility_mode": "inflexible", "mode": "network"}
+
+
+def _perturbed(base: Scenario, cls: type, name: str) -> Scenario:
+    """`base` with one field moved: a number to 0.8 times itself, a flag
+    flipped, a string to its other value."""
+    owner = base if cls is Scenario else base.transport_cost
+    value = getattr(owner, name)
+    if isinstance(value, bool):
+        value = not value
+    elif isinstance(value, (int, float)):
+        value = type(value)(value * 0.8)
+    else:
+        value = OTHER_STRING[name]
+    if cls is Scenario:
+        return dataclasses.replace(base, **{name: value})
+    return dataclasses.replace(base, transport_cost=dataclasses.replace(owner, **{name: value}))
+
+
+def _fingerprint(value):
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return tuple(sorted((k, _fingerprint(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_fingerprint, value))
+    return value
+
+
+@pytest.fixture(scope="module")
+def scenario_probes():
+    """A 24 h reference plant that is neither net-zero nor barred from
+    sequestering, so either flag can flip; its solution; and the probes that
+    read a scenario: the LP's arrays, the bundle metrics of that solution,
+    the minimum stoichiometry and a plant's cement demand.  A probe that
+    rejects a scenario yields its error message."""
+    base = dataclasses.replace(reference.netzero_scenario(horizon=24), net_zero=False)
+    spec = reference.reference_system(base)
+    sol = dispatch.solve_dispatch(spec, base)
+    plant = PlantSite(id="P", latitude=30.0, longitude=110.0, clinker_capacity=5000.0,
+                      solar_profile_ref="s", wind_profile_ref="w")
+
+    def lp_arrays(scenario):
+        problem = dispatch.build_lp(spec, scenario)
+        matrix = problem.matrix()
+        return [problem.lower, problem.upper, problem.cost, problem.sense, problem.rhs,
+                matrix.indptr, matrix.indices, matrix.data]
+
+    probes = (lp_arrays,
+              lambda scenario: costing.bundle_metrics(sol, spec, scenario),
+              costing.scenario_min_stoichiometry,
+              plant.cement_demand_tph)
+
+    def outcomes(scenario):
+        for probe in probes:
+            try:
+                yield _fingerprint(probe(scenario))
+            except DomainError as exc:
+                yield f"rejected: {exc}"
+
+    return base, outcomes
+
+
+@pytest.mark.parametrize("cls, name", SCENARIO_KEYS, ids=[
+    configio._TRANSPORT_KEYS[name] if cls is TransportCost else name
+    for cls, name in SCENARIO_KEYS])
+def test_every_scenario_key_changes_something(scenario_probes, cls, name):
+    """Moving any one `[scenario]` value changes the LP, the bundle
+    metrics, the minimum stoichiometry or a plant's cement demand."""
+    base, outcomes = scenario_probes
+    moved = _perturbed(base, cls, name)
+    assert moved != base
+    assert any(a != b for a, b in zip(outcomes(base), outcomes(moved))), name
 
 
 def test_earlier_system_format(tmp_path):

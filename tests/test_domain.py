@@ -1,7 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from coplant import domain
 from coplant.domain import (
@@ -31,39 +30,6 @@ class TestMinStoichiometry:
             domain.min_stoichiometry(0.0, 0.5)
         with pytest.raises(DomainError):
             domain.min_stoichiometry(1.375, -1.0)
-
-
-class TestFeedRequirements:
-    def test_unit_mass(self):
-        req = domain.methanol_feed_requirements(1.0)
-        assert req["co2"] == pytest.approx(1.375)
-        assert req["h2"] == pytest.approx(0.1875)
-        assert req["o2_byproduct"] == pytest.approx(1.489, abs=0.001)
-
-    def test_zero(self):
-        assert domain.methanol_feed_requirements(0.0) == {
-            "co2": 0.0, "h2": 0.0, "o2_byproduct": 0.0}
-
-    def test_large_scenario(self):
-        req = domain.methanol_feed_requirements(84.7e6)
-        assert req["co2"] == pytest.approx(116.46e6, rel=1e-3)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            domain.methanol_feed_requirements(-1.0)
-
-    @given(st.floats(0, 1e6), st.floats(0, 1e6))
-    def test_linearity(self, a, b):
-        fa = domain.methanol_feed_requirements(a)
-        fb = domain.methanol_feed_requirements(b)
-        fab = domain.methanol_feed_requirements(a + b)
-        for key in fa:
-            assert fab[key] == pytest.approx(fa[key] + fb[key], abs=1e-6)
-
-    @given(st.floats(1e-9, 1e9))
-    def test_o2_h2_ratio(self, mass):
-        req = domain.methanol_feed_requirements(mass)
-        assert req["o2_byproduct"] / req["h2"] == pytest.approx(7.94, abs=1e-12)
 
 
 class TestNetzeroRequirement:

@@ -10,7 +10,6 @@ from coplant.sinknet.network import (
     DEFAULT_PIPELINE_CLASSES,
     EXACT_BLOCK,
     EXACT_SOURCE_LIMIT,
-    CementOnlyParams,
     NetworkInfeasible,
     NetworkParams,
     NetworkSolution,
@@ -18,9 +17,6 @@ from coplant.sinknet.network import (
     _make_instance,
     _solve_exact,
     _solve_local,
-    cement_only_sources,
-    equivalent_capture_cost,
-    scenario_to_sequestration,
     select_network,
     size_pipeline,
 )
@@ -32,8 +28,6 @@ from coplant.sinknet.routing import (
     SourceNode,
     build_candidates,
 )
-from coplant.domain import DomainError
-from coplant.fleet import PlantSite
 
 SQRT2 = math.sqrt(2.0)
 
@@ -401,21 +395,6 @@ class TestCandidates:
 # -------------------------------------------------------------- conversions
 
 class TestConversions:
-    def test_seq_factor_anchor(self):
-        assert scenario_to_sequestration(7.06) == pytest.approx(26.0)
-        assert scenario_to_sequestration(84.7) == pytest.approx(311.5, rel=0.01)
-        assert scenario_to_sequestration(0.0) == 0.0
-        with pytest.raises(DomainError):
-            scenario_to_sequestration(-1.0)
-
-    def test_equivalent_capture_cost(self):
-        assert equivalent_capture_cost(100, 0, 10, 0.25) == pytest.approx(40.0)
-        assert equivalent_capture_cost(55, 55, 3.0, 0.5) == 0.0
-        assert equivalent_capture_cost(138.9 + 50, 50, 9.76, 0.377) == \
-            pytest.approx(37.7, abs=0.06)
-        with pytest.raises(DomainError):
-            equivalent_capture_cost(100, 0, 0, 0.25)
-
     def test_size_pipeline_table(self):
         cls, count, capex = size_pipeline(0.0)
         assert cls is None and count == 0 and capex == 0.0
@@ -433,29 +412,16 @@ class TestConversions:
 def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
     """Reference allocation and cost of one assignment (source id -> sink id
     or None), one source at a time: sources with a sink take flow in
-    ascending linear rate (capture + sequestration + any per-tonne corridor
-    price), ties to the lower id, each min(capturable, sink room, remaining);
-    then each shipping source adds its capture, pipeline and sequestration
-    cost in id order.  None if more than 1e-6 of the target is left."""
+    ascending linear rate (capture + sequestration), ties to the lower id,
+    each min(capturable, sink room, remaining); then each shipping source
+    adds its capture, pipeline and sequestration cost in id order.  None if more than 1e-6 of the target is left."""
     params = params or NetworkParams()
     src = {s.id: s for s in sources}
     snk = {k.id: k for k in sinks}
     edge_of = {(e.source_id, e.sink_id): e for e in edges}
 
-    def route_cost(edge, flow):
-        if flow <= 0:
-            return 0.0, None, 0
-        if edge.cost_per_tonne is not None:
-            return edge.cost_per_tonne * flow, None, 0
-        cls, count, capex_km = size_pipeline(flow, params.classes)
-        return capex_km * edge.terrain_cost * params.annual_factor, cls, count
-
     def linear_rate(s, k):
-        rate = src[s].eq_capture_cost + snk[k].sequestration_cost
-        edge = edge_of[(s, k)]
-        if edge.cost_per_tonne is not None:
-            rate += edge.cost_per_tonne
-        return rate
+        return src[s].eq_capture_cost + snk[k].sequestration_cost
 
     order = sorted((s for s, k in assignment.items() if k is not None),
                    key=lambda s: (linear_rate(s, assignment[s]), s))
@@ -481,14 +447,15 @@ def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
     for s, f in sorted(flows.items()):
         k = assignment[s]
         edge = edge_of[(s, k)]
-        pipe_cost, cls, count = route_cost(edge, f)
+        cls, count, capex_km = size_pipeline(f, params.classes)
+        pipe_cost = capex_km * edge.terrain_cost * params.annual_factor
         cost_capture += src[s].eq_capture_cost * f
         cost_seq += snk[k].sequestration_cost * f
         cost_pipeline += pipe_cost
         sink_in[k] = sink_in.get(k, 0.0) + f
         routes.append(RouteFlow(
             source_id=s, sink_id=k, path=edge.path, length_km=edge.length_km,
-            diameter_class=cls.name if cls else None, pipe_count=count, flow=f,
+            diameter_class=cls.name, pipe_count=count, flow=f,
             annual_cost=pipe_cost))
     solution = NetworkSolution(
         source_flows=flows, routes=routes, sink_inflows=sink_in, target=target,
@@ -544,7 +511,8 @@ def solve_local(sources, sinks, edges, target):
 def block_instances():
     """The random corridor instances of the block test: (trial, integer,
     sources, sinks, edges, target), target at 20-100% of the most the
-    connected sources and the sinks can take."""
+    connected sources and the sinks can take.  Every sixth trial asks for
+    all of it, the edge where an assignment most often falls short."""
     rng = np.random.default_rng(2718)
     for trial in range(60):
         integer = trial % 3 == 0
@@ -555,16 +523,18 @@ def block_instances():
         max_target = min(sum(s.capturable for s in sources if s.id in connected),
                          sum(k.capacity for k in sinks))
         target = float(rng.uniform(0.2, 1.0)) * max_target
+        if trial % 6 == 3:
+            target = max_target
         if target > 0:
             yield trial, integer, sources, sinks, edges, target
 
 
 def corridor_instance(rng, n_sources, n_sinks, integer=False):
     """Nodes joined by random corridors instead of a raster: about a quarter
-    of the pairs have no corridor, about a third are priced per tonne, and on
-    the larger scale flows pass the 27 Mt/yr of the largest pipe.  Sources
-    are listed out of id order.  With `integer`, amounts are ints and unit
-    costs are ints from three values each, so linear rates often tie."""
+    of the pairs have no corridor, and on the larger scale flows pass the
+    27 Mt/yr of the largest pipe.  Sources are listed out of id order.  With
+    `integer`, amounts are ints and unit costs are ints from three values
+    each, so linear rates often tie."""
     scale = float(rng.choice([3e6, 9e7]))
 
     def amount():
@@ -582,8 +552,7 @@ def corridor_instance(rng, n_sources, n_sinks, integer=False):
              for j in range(n_sinks)]
     edges = [CandidateEdge(source_id=src.id, sink_id=snk.id, path=(src.cell, snk.cell),
                            length_km=float(rng.uniform(5, 100)),
-                           terrain_cost=float(rng.uniform(20, 2000)),
-                           cost_per_tonne=unit_cost(1, 15) if rng.random() < 0.3 else None)
+                           terrain_cost=float(rng.uniform(20, 2000)))
              for src in sources for snk in sinks if rng.random() >= 0.25]
     return sources, sinks, edges
 
@@ -606,13 +575,18 @@ def random_instance(rng, n_sources, n_sinks):
 
 class TestSelectNetwork:
     def test_single_route_arithmetic(self):
+        """10 t/yr fits one D1 pipe ($0.45M/km) over 2 terrain-weighted km,
+        annualized at 8% over 30 years plus 2%/yr O&M."""
         src = SourceNode(id="S", cell=0, capturable=10, eq_capture_cost=30.0)
         snk = SinkNode(id="K", cell=1, capacity=10, sequestration_cost=5.8)
         edge = CandidateEdge(source_id="S", sink_id="K", path=(0, 1),
-                             length_km=1.0, terrain_cost=1.0, cost_per_tonne=8.7)
+                             length_km=1.0, terrain_cost=2.0)
         sol = select_network([src], [snk], [edge], target=10.0)
-        assert sol.total_cost == pytest.approx(10 * (30 + 8.7 + 5.8))
-        assert sol.cost_per_tonne == pytest.approx(30 + 8.7 + 5.8)
+        pipe = 0.45e6 * 2.0 * (0.08 / (1 - 1.08 ** -30) + 0.02)
+        assert [(r.diameter_class, r.pipe_count) for r in sol.routes] == [("D1", 1)]
+        assert sol.cost_pipeline == pytest.approx(pipe, rel=1e-12)
+        assert sol.total_cost == pytest.approx(10 * (30 + 5.8) + pipe, rel=1e-12)
+        assert sol.cost_per_tonne == pytest.approx(30 + 5.8 + pipe / 10, rel=1e-12)
 
     def test_zero_target(self):
         sol = select_network([], [], [], target=0.0)
@@ -658,7 +632,7 @@ class TestSelectNetwork:
         """[PRIMARY] the block enumeration returns the very NetworkSolution
         of the one-scalar-evaluation-per-assignment loop, or fails where it
         finds none."""
-        seen = {"per_tonne": 0, "parallel": 0, "mixed_radix": 0, "integer": 0,
+        seen = {"parallel": 0, "mixed_radix": 0, "integer": 0,
                 "infeasible": 0, "blocks": 0}
         checked = 0
         for trial, integer, sources, sinks, edges, target in block_instances():
@@ -672,7 +646,6 @@ class TestSelectNetwork:
             sol = solve_exact(sources, sinks, edges, target)
             assert sol == oracle[1], f"trial {trial}"
             radix = [1 + sum(e.source_id == s.id for e in edges) for s in sources]
-            seen["per_tonne"] += any(e.cost_per_tonne is not None for e in edges)
             seen["parallel"] += any(r.pipe_count > 1 for r in sol.routes)
             seen["mixed_radix"] += len(set(radix)) > 1
             seen["integer"] += integer
@@ -737,7 +710,7 @@ class TestSelectNetwork:
         sinks = [SinkNode(id="K1", cell=1, capacity=1.0, sequestration_cost=5.0),
                  SinkNode(id="K2", cell=2, capacity=1.0, sequestration_cost=5.0 - delta)]
         edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
-                               length_km=1.0, terrain_cost=1.0, cost_per_tonne=1.0)
+                               length_km=1.0, terrain_cost=1.0)
                  for k in sinks]
         sol = solve_exact([src], sinks, edges, 1.0)
         assert [(r.source_id, r.sink_id) for r in sol.routes] == [("S", sink)]
@@ -752,7 +725,7 @@ class TestSelectNetwork:
             sinks = [SinkNode(id="K1", cell=1, capacity=1.0, sequestration_cost=5.0),
                      SinkNode(id="K2", cell=2, capacity=1.0, sequestration_cost=5.0 - delta)]
             edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
-                                   length_km=1.0, terrain_cost=1.0, cost_per_tonne=1.0)
+                                   length_km=1.0, terrain_cost=1.0)
                      for k in sinks]
             sol = solve_local([src], sinks, edges, 1.0)
             assert [(r.source_id, r.sink_id) for r in sol.routes] == [("S", sink)]
@@ -840,10 +813,8 @@ class TestSelectNetwork:
             snk = next(k for k in sinks if k.id == route.sink_id)
             assert route.flow <= src.capturable + 1e-9
             assert sol.sink_inflows[snk.id] <= snk.capacity + 1e-9
-            if route.diameter_class:
-                cls = next(c for c in DEFAULT_PIPELINE_CLASSES
-                           if c.name == route.diameter_class)
-                assert route.flow <= cls.capacity * route.pipe_count + 1e-9
+            cls = next(c for c in DEFAULT_PIPELINE_CLASSES if c.name == route.diameter_class)
+            assert route.flow <= cls.capacity * route.pipe_count + 1e-9
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(13)
@@ -855,33 +826,16 @@ class TestSelectNetwork:
         assert costs == sorted(costs)
 
 
-class TestCementOnly:
-    def test_proportionality(self):
-        plants = [
-            PlantSite(id="A", latitude=30, longitude=110, clinker_capacity=3000,
-                      solar_profile_ref="s", wind_profile_ref="w"),
-            PlantSite(id="B", latitude=31, longitude=111, clinker_capacity=6000,
-                      solar_profile_ref="s", wind_profile_ref="w"),
-        ]
-        sources = cement_only_sources(plants, {"A": 0, "B": 1}, CementOnlyParams())
-        by_id = {s.id: s for s in sources}
-        assert by_id["B"].capturable == pytest.approx(2 * by_id["A"].capturable)
-        assert by_id["A"].eq_capture_cost == by_id["B"].eq_capture_cost
-
-    def test_empty(self):
-        assert cement_only_sources([], {}, CementOnlyParams()) == []
-
     def test_cost_ordering_differs_from_size(self):
-        # co-production (heterogeneous eq capture cost) prefers the cheap
-        # small source over the big expensive one; cement-only (flat cost)
-        # is indifferent, so orderings can differ
+        """Heterogeneous equivalent capture costs: the cheap small source
+        meets the target, not the big expensive one."""
         cheap_small = SourceNode(id="small", cell=0, capturable=5.0,
                                  eq_capture_cost=10.0)
         dear_big = SourceNode(id="big", cell=1, capturable=50.0,
                               eq_capture_cost=60.0)
         snk = SinkNode(id="K", cell=2, capacity=100.0, sequestration_cost=5.0)
         edges = [CandidateEdge(source_id=s.id, sink_id="K", path=(s.cell, 2),
-                               length_km=1.0, terrain_cost=1.0, cost_per_tonne=1.0)
+                               length_km=1.0, terrain_cost=1.0)
                  for s in (cheap_small, dear_big)]
         sol = select_network([cheap_small, dear_big], [snk], edges, target=5.0)
-        assert sol.source_flows.get("small", 0.0) == pytest.approx(5.0)
+        assert sol.source_flows == {"small": pytest.approx(5.0)}
