@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario)
     spec = _load_system(args.system, scenario.horizon_hours)
     try:
-        x_values = [float(v) for v in args.x.split(",") if v.strip()]
+        x_values = [configio.finite_float(v) for v in args.x.split(",") if v.strip()]
     except ValueError:
         raise CliError(f"bad --x list: {args.x!r}", EXIT_USAGE) from None
     if not x_values:
@@ -162,7 +162,7 @@ def cmd_fleet(args) -> int:
     workers = _workers()
     out = _out_dir(args.out)
     result = fleet.run_fleet(plants, template, scenario, args.profiles,
-                             workers=workers)
+                             workers=workers, sensitivity=args.sensitivity)
     reports.write_fleet_results_csv(out / "fleet_results.csv", result)
     reports.write_cost_capacity_curve_csv(out / "cost_capacity_curve.csv",
                                           result.curve)
@@ -170,14 +170,14 @@ def cmd_fleet(args) -> int:
         (out / "cost_capacity_curve.svg").write_text(reports.curves_svg(
             {"fleet": result.curve}, "fleet cost-capacity curve",
             x_label="cumulative t cement/yr", y_label="$/t CO2"))
-    if args.sensitivity:
-        sens = fleet.sensitivity_sweep(result, template, scenario, args.profiles,
-                                       workers=workers)
+    sens = result.sensitivity
+    if sens is not None:
         reports.write_sensitivity_csv(out / "sensitivity_curves.csv", sens)
-        (out / "sensitivity_curves.svg").write_text(reports.curves_svg(
-            {"baseline": sens.baseline, **sens.curves},
-            "capex sensitivity", x_label="cumulative t cement/yr",
-            y_label="$/t CO2"))
+        if sens.baseline:
+            (out / "sensitivity_curves.svg").write_text(reports.curves_svg(
+                {"baseline": sens.baseline, **sens.curves},
+                "capex sensitivity", x_label="cumulative t cement/yr",
+                y_label="$/t CO2"))
     failures = sum(1 for r in result.per_plant if r.error)
     print(f"fleet: {len(result.per_plant)} plants, {failures} failed")
     return EXIT_OK

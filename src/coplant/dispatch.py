@@ -85,6 +85,13 @@ def capacity_prices(spec: SystemSpec, scenario: Scenario) -> dict[str, float]:
             for a, c in capex}
 
 
+def reprice_capacity(problem: LinearProgram, spec: SystemSpec, scenario: Scenario) -> None:
+    """Give the capacity columns of `problem`, built from a spec that differs
+    from `spec` in capex only, the costs `build_lp(spec, scenario)` gives them."""
+    prices = capacity_prices(spec, scenario)
+    problem.cost[:len(prices)] = list(prices.values())
+
+
 def _is_pinned(unit: ConversionUnit, scenario: Scenario) -> bool:
     """Whether the unit's hourly activity is tied to its capacity."""
     if unit.flexibility is Flexibility.INFLEXIBLE:
@@ -351,7 +358,6 @@ class DispatchSolution:
     emitted_co2: np.ndarray
     sequestered_co2: np.ndarray
     objective: float
-    basis: str | None = None     # HiGHS basis of the LP solve, see lp.solve_lp
 
     @property
     def annual_scale(self) -> float:
@@ -445,7 +451,6 @@ def extract_solution(spec: SystemSpec, scenario: Scenario,
         sequestered_co2=(x[idx.seq:idx.seq + T].copy() if idx.has_seq
                          else np.zeros(T)),
         objective=float(lp_solution.objective),
-        basis=lp_solution.basis,
     )
     for u in spec.conversion_units:
         if u.co2_emitted > 0:
@@ -475,12 +480,8 @@ def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolu
                 f"residual {residual[worst]:.3e} > {limit[worst]:.3e}")
 
 
-def solve_dispatch(spec: SystemSpec, scenario: Scenario,
-                   basis: str | None = None) -> DispatchSolution:
-    """Convenience wrapper: build, solve (from `basis`, if given), extract."""
+def solve_dispatch(spec: SystemSpec, scenario: Scenario) -> DispatchSolution:
+    """Convenience wrapper: build, solve, extract."""
     from coplant.lp import solve_lp
 
-    lp = build_lp(spec, scenario)
-    res = solve_lp(lp, basis)
-    res.require_optimal()
-    return extract_solution(spec, scenario, res)
+    return extract_solution(spec, scenario, solve_lp(build_lp(spec, scenario)))

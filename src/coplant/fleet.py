@@ -1,6 +1,6 @@
 """Batch optimization of a fleet of plant sites.
 
-Loads a plant registry CSV, runs the dispatch optimization per site with
+Loads a plant registry CSV, runs one job per site (`_solve_plant`) with
 site-specific renewable profiles, and assembles sorted cost-capacity curves
 plus one-at-a-time capex sensitivity envelopes.
 
@@ -17,11 +17,10 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
+from coplant import dispatch, lp
 from coplant.configio import finite_float, read_profile_csv
 from coplant.costing import solution_abatement_cost
-from coplant.dispatch import HOURS_PER_YEAR, runs_pinned, solve_dispatch
-from coplant.domain import RenewableSource, Scenario, SystemSpec
-from coplant.lp import LpStatusError
+from coplant.domain import Scenario, SystemSpec
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +31,13 @@ DEFAULT_UTILIZATION = 0.80
 PLANTS_HEADER = ["id", "lat", "lon", "clinker_tpd", "solar_ref", "wind_ref"]
 
 SENSITIVITY_PARAMETERS = ("solar_capex", "wind_capex", "electrolyzer_capex")
+DELTA = 0.20
+#: The one-at-a-time capex perturbations: curve label -> (parameter, factor).
+PERTURBATIONS = {f"{p}:{sign}{DELTA:.0%}": (p, factor)
+                 for p in SENSITIVITY_PARAMETERS
+                 for sign, factor in (("+", 1.0 + DELTA), ("-", 1.0 - DELTA))}
+
+_PLANT_ERRORS = (OSError, ValueError, lp.LpStatusError)
 
 
 class PlantsSchemaError(ValueError):
@@ -70,24 +76,28 @@ class PlantResult:
     cement_capacity: float       # t cement per year at the utilization rate
     flex_inflex_ratio: float     # flexible total cost over inflexible
     error: str | None = None
-    basis: str | None = None     # HiGHS basis of the scenario-mode solve; not reported
+    perturbed: tuple[PlantResult, ...] = ()  # one per perturbation; not reported
+
+
+@dataclass
+class SensitivityCurves:
+    baseline: list[tuple[float, float]]
+    curves: dict[str, list[tuple[float, float]]]   # "solar_capex:+20%" -> curve
+    envelope: list[tuple[float, float, float]]     # (capacity, min, max) pointwise
 
 
 @dataclass
 class FleetResult:
     per_plant: list[PlantResult]
     curve: list[tuple[float, float]]   # (cumulative cement t/yr, abatement $/t)
-
-    @property
-    def failures(self) -> list[PlantResult]:
-        return [r for r in self.per_plant if r.error is not None]
+    sensitivity: SensitivityCurves | None = None
 
 
 def load_plants(csv_path: str | Path) -> list[PlantSite]:
     """Read and validate the registry; out-of-range capacities are dropped.
 
-    A row whose lat, lon or clinker_tpd is not a finite number raises
-    PlantsSchemaError naming the file and line."""
+    A row whose lat, lon or clinker_tpd is not a finite number, or whose id
+    an earlier row has, raises PlantsSchemaError naming the file and line."""
     path = Path(csv_path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -100,6 +110,7 @@ def load_plants(csv_path: str | Path) -> list[PlantSite]:
                 f"{path}: header {header} does not match {PLANTS_HEADER}")
         plants: list[PlantSite] = []
         excluded = 0
+        first_line: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -118,6 +129,11 @@ def load_plants(csv_path: str | Path) -> list[PlantSite]:
                             f"{cell!r}") from None
                 else:
                     values[col] = cell
+            if values["id"] in first_line:
+                raise PlantsSchemaError(
+                    f"{path}:{lineno}: repeated plant id {values['id']!r} "
+                    f"(first on line {first_line[values['id']]})")
+            first_line[values["id"]] = lineno
             if not MIN_CLINKER_TPD <= values["clinker_tpd"] <= MAX_CLINKER_TPD:
                 excluded += 1
                 continue
@@ -151,61 +167,69 @@ def _site_spec(template: SystemSpec, scenario: Scenario, plant: PlantSite,
         demand_cement=cement, demand_methanol=cement / scenario.stoichiometry_x)
 
 
-def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
-                 profiles_dir: str | Path, both_modes: bool = True,
-                 basis: str | None = None) -> PlantResult:
-    """Solve one site and price its abatement in the scenario's own mode.
+def _failed(plant: PlantSite, exc: Exception) -> PlantResult:
+    logger.warning("plant %s failed: %s", plant.id, exc)
+    return PlantResult(plant=plant, abatement=float("nan"), cement_capacity=0.0,
+                       flex_inflex_ratio=float("nan"), error=f"{type(exc).__name__}: {exc}")
 
-    With both_modes the other flexibility mode is priced too, for the
-    flexible/inflexible cost ratio; without it the ratio is nan.  The
-    scenario's own mode is solved first.  When it is flexible and its optimum
-    already runs every unit that inflexible mode pins at capacity
-    (`dispatch.runs_pinned`), that optimum is the inflexible one as well, so
-    the ratio is 1.0 and no second LP is solved; otherwise the other mode is
-    solved cold.  The scenario-mode solve starts from `basis` when one is
-    given, and its own final basis is kept in PlantResult.basis.  Unreadable
-    or short profiles and invalid or infeasible site models are recorded in
-    PlantResult.error as "<ExceptionType>: <message>"; anything else raises.
+
+def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
+                 profiles_dir: str | Path,
+                 perturbations: tuple[tuple[str, float], ...] = ()) -> PlantResult:
+    """One site's whole job: its abatement in the scenario's own mode, its
+    flexible/inflexible cost ratio, and in PlantResult.perturbed its
+    abatement under each (parameter, factor) of `perturbations`.
+
+    The profiles are read and the LP is built once, and the own mode is
+    solved first.  When it is flexible and its optimum already runs every
+    unit that inflexible mode pins at capacity (`dispatch.runs_pinned`), that
+    optimum is the inflexible one too, and the ratio is 1.0; otherwise the
+    other mode is built and solved cold.  Each perturbation re-prices the
+    capacity columns (`dispatch.reprice_capacity`) and solves the own-mode LP
+    from its optimal basis by primal simplex (`lp.solve_lp`), which may stop
+    at another optimal vertex than a cold solve, with other capacities.
+
+    Unreadable or short profiles and invalid or infeasible site models are
+    recorded in PlantResult.error as "<ExceptionType>: <message>", for the
+    site (which then has no perturbed results) or for one perturbation;
+    anything else raises.
     """
     own = scenario.flexibility_mode
+    other = "inflexible" if own == "flexible" else "flexible"
+    other_scenario = dataclasses.replace(scenario, flexibility_mode=other)
     try:
         solar = load_profile(profiles_dir, plant.solar_profile_ref, scenario.horizon_hours)
         wind = load_profile(profiles_dir, plant.wind_profile_ref, scenario.horizon_hours)
         spec = _site_spec(template, scenario, plant, solar, wind)
-        sols = {own: solve_dispatch(spec, scenario, basis=basis)}
-        if both_modes:
-            other = "inflexible" if own == "flexible" else "flexible"
-            other_scenario = dataclasses.replace(scenario, flexibility_mode=other)
-            if other == "inflexible" and runs_pinned(sols[own], spec, other_scenario):
-                sols[other] = sols[own]
-            else:
-                sols[other] = solve_dispatch(spec, other_scenario)
+        problem = dispatch.build_lp(spec, scenario)
+        start = lp.solve_lp(problem)
+        sols = {own: dispatch.extract_solution(spec, scenario, start)}
+        if other == "inflexible" and dispatch.runs_pinned(sols[own], spec, other_scenario):
+            sols[other] = sols[own]
+        else:
+            sols[other] = dispatch.solve_dispatch(spec, other_scenario)
         abate = solution_abatement_cost(sols[own], spec, scenario, include_transport=False)
-    except (OSError, ValueError, LpStatusError) as exc:  # must not sink the batch
-        logger.warning("plant %s failed: %s", plant.id, exc)
-        return PlantResult(plant=plant, abatement=float("nan"), cement_capacity=0.0,
-                           flex_inflex_ratio=float("nan"),
-                           error=f"{type(exc).__name__}: {exc}")
+    except _PLANT_ERRORS as exc:  # must not sink the batch
+        return _failed(plant, exc)
+    capacity = plant.cement_demand_tph(scenario) * dispatch.HOURS_PER_YEAR
+    perturbed = []
+    for parameter, factor in perturbations:
+        moved = _perturbed(spec, parameter, factor)
+        dispatch.reprice_capacity(problem, moved, scenario)
+        try:
+            sol = dispatch.extract_solution(moved, scenario, lp.solve_lp(problem, start.basis))
+            cost = solution_abatement_cost(sol, moved, scenario, include_transport=False)
+        except _PLANT_ERRORS as exc:
+            perturbed.append(_failed(plant, exc))
+            continue
+        perturbed.append(PlantResult(plant, cost, capacity, flex_inflex_ratio=float("nan")))
     return PlantResult(
         plant=plant,
         abatement=abate,
-        cement_capacity=plant.cement_demand_tph(scenario) * HOURS_PER_YEAR,
-        flex_inflex_ratio=(sols["flexible"].objective / sols["inflexible"].objective
-                           if both_modes else float("nan")),
-        basis=sols[own].basis,
+        cement_capacity=capacity,
+        flex_inflex_ratio=sols["flexible"].objective / sols["inflexible"].objective,
+        perturbed=tuple(perturbed),
     )
-
-
-def _solve_jobs(jobs: list[tuple], workers: int) -> list[PlantResult]:
-    """Run `_solve_plant` on each argument tuple, in order.
-
-    With workers > 1 the jobs share one process pool.
-    """
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_solve_plant, *zip(*jobs)))
-    return [_solve_plant(*job) for job in jobs]
 
 
 def _cost_capacity_curve(results: list[PlantResult]) -> list[tuple[float, float]]:
@@ -226,81 +250,55 @@ def _cost_capacity_curve(results: list[PlantResult]) -> list[tuple[float, float]
 
 
 def run_fleet(plants: list[PlantSite], template: SystemSpec, scenario: Scenario,
-              profiles_dir: str | Path, workers: int = 1) -> FleetResult:
+              profiles_dir: str | Path, workers: int = 1,
+              sensitivity: bool = False) -> FleetResult:
     """Optimize every site independently and sort the cost-capacity curve.
 
     Results are keyed/ordered by plant id, so shuffling the input list does
-    not change the output.  With workers > 1, plants are solved in a process
-    pool; the result order is still by plant id.
+    not change the output.  With `sensitivity`, each site's job also solves
+    the PERTURBATIONS and FleetResult.sensitivity holds their curves.  With
+    workers > 1, the jobs run in one process pool; the result order is still
+    by plant id.
     """
-    ordered = sorted(plants, key=lambda p: p.id)
-    results = _solve_jobs([(template, scenario, p, str(profiles_dir)) for p in ordered],
-                          workers)
-    return FleetResult(per_plant=results, curve=_cost_capacity_curve(results))
+    perturbations = tuple(PERTURBATIONS.values()) if sensitivity else ()
+    jobs = [(template, scenario, p, str(profiles_dir), perturbations)
+            for p in sorted(plants, key=lambda p: p.id)]
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_solve_plant, *zip(*jobs)))
+    else:
+        results = [_solve_plant(*job) for job in jobs]
+    result = FleetResult(per_plant=results, curve=_cost_capacity_curve(results))
+    if sensitivity:
+        result.sensitivity = sensitivity_sweep(result)
+    return result
 
 
-def _perturbed_template(template: SystemSpec, parameter: str, factor: float) -> SystemSpec:
-    if parameter == "electrolyzer_capex":
-        units = tuple(dataclasses.replace(u, capex=u.capex * factor)
-                      if u.id == "electrolyzer" else u
-                      for u in template.conversion_units)
-        return dataclasses.replace(template, conversion_units=units)
+def _perturbed(spec: SystemSpec, parameter: str, factor: float) -> SystemSpec:
+    """`spec` with the capex of the asset that `parameter` names scaled by `factor`."""
+    if parameter not in SENSITIVITY_PARAMETERS:
+        raise ValueError(
+            f"unknown sensitivity parameter {parameter!r}; valid: {SENSITIVITY_PARAMETERS}")
     target = parameter.removesuffix("_capex")
-    renewables = tuple(dataclasses.replace(r, capex=r.capex * factor)
-                       if r.id == target else r for r in template.renewables)
-    return dataclasses.replace(template, renewables=renewables)
+
+    def scaled(assets):
+        return tuple(dataclasses.replace(a, capex=a.capex * factor) if a.id == target else a
+                     for a in assets)
+
+    return dataclasses.replace(spec, conversion_units=scaled(spec.conversion_units),
+                               renewables=scaled(spec.renewables))
 
 
-@dataclass
-class SensitivityCurves:
-    baseline: list[tuple[float, float]]
-    curves: dict[str, list[tuple[float, float]]]   # "solar_capex:+20%" -> curve
-    envelope: list[tuple[float, float, float]]     # (capacity, min, max) pointwise
+def sensitivity_sweep(result: FleetResult) -> SensitivityCurves:
+    """The baseline curve, each of the PERTURBATIONS' curves and their min-max
+    envelope, from a `run_fleet(..., sensitivity=True)` result.
 
-
-def sensitivity_sweep(result: FleetResult, template: SystemSpec, scenario: Scenario,
-                      profiles_dir: str | Path,
-                      parameters: tuple[str, ...] = SENSITIVITY_PARAMETERS,
-                      delta: float = 0.20, workers: int = 1) -> SensitivityCurves:
-    """One-at-a-time +/-delta capex perturbations of a solved fleet, with a
-    min-max envelope.
-
-    `result` is the baseline `run_fleet` of the same fleet, template and
-    scenario; its curve is the baseline curve.  Each perturbed fleet solves
-    only the scenario's own flexibility mode, and only for the plants that
-    succeeded at baseline: a capex change moves cost coefficients, not the
-    feasible set.  All perturbed solves form one job list, run with
-    `workers` processes as in run_fleet.
-
-    Each perturbed solve is warm-started from its plant's baseline basis
-    (`PlantResult.basis`, from the scenario-mode solve, which `_solve_plant`
-    always runs), since it differs from the baseline LP in one cost entry;
-    from that basis HiGHS runs primal simplex (see `lp.solve_lp`).  A plant
-    without a basis is solved cold.  With the default parameters and a
-    flexible scenario, baseline and sweep together solve 8 LPs per plant, or
-    7 where the flexible optimum already runs methanol synthesis flat (see
-    `_solve_plant`).  A warm start reaches the same optimal cost but may stop
-    at another optimal vertex, with other capacities.  The baseline result
-    holds one basis per successful plant, about 27 KB at 48 h and 99 KB at
-    168 h.
-    """
-    for p in parameters:
-        if p not in SENSITIVITY_PARAMETERS:
-            raise ValueError(
-                f"unknown sensitivity parameter {p!r}; valid: {SENSITIVITY_PARAMETERS}")
+    A perturbed curve leaves out the plants that failed under it; when all
+    failed, FleetFailedError is raised."""
     succeeded = [r for r in result.per_plant if r.error is None]
-    labels, jobs = [], []
-    for p in parameters:
-        for sign, label in ((1.0 + delta, f"{p}:+{delta:.0%}"),
-                            (1.0 - delta, f"{p}:-{delta:.0%}")):
-            perturbed = _perturbed_template(template, p, sign)
-            labels.append(label)
-            jobs += [(perturbed, scenario, r.plant, str(profiles_dir), False, r.basis)
-                     for r in succeeded]
-    results = _solve_jobs(jobs, workers)
-    n = len(succeeded)
-    curves = {label: _cost_capacity_curve(results[i * n:(i + 1) * n])
-              for i, label in enumerate(labels)}
+    curves = {label: _cost_capacity_curve([r.perturbed[i] for r in succeeded])
+              for i, label in enumerate(PERTURBATIONS)}
     baseline = result.curve
     envelope = []
     all_curves = [baseline] + list(curves.values())

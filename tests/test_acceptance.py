@@ -145,7 +145,7 @@ def test_stoichiometry_sweep_direction():
 
 def test_sensitivity_monotonicity(tmp_path):
     """+/-20% capex moves every plant's cost the right way, 5 plants < 60 s."""
-    from coplant.fleet import PlantSite, run_fleet, sensitivity_sweep
+    from coplant.fleet import PlantSite, run_fleet
     horizon = 48
     scenario = reference.netzero_scenario(horizon=horizon)
     template = reference.reference_system(scenario)
@@ -162,8 +162,7 @@ def test_sensitivity_monotonicity(tmp_path):
                         solar_profile_ref=f"s{i}", wind_profile_ref=f"w{i}")
               for i in range(5)]
     start = time.monotonic()
-    sens = sensitivity_sweep(run_fleet(plants, template, scenario, profiles),
-                             template, scenario, profiles)
+    sens = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     base = dict(sens.baseline)

@@ -185,14 +185,16 @@ def write_fleet_inputs(root, n_plants):
 
 
 def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
-    """COPLANT_WORKERS reaches the one run_fleet call and the sweep's one pool."""
+    """COPLANT_WORKERS reaches the one run_fleet call and its one pool of
+    per-plant jobs, which also solve the perturbations."""
     from coplant import fleet
     runs, pools = [], []
     run_fleet = fleet.run_fleet
 
-    def recording_run_fleet(plants, template, scenario, profiles_dir, workers=1):
-        runs.append(workers)
-        return run_fleet(plants, template, scenario, profiles_dir, workers)
+    def recording_run_fleet(plants, template, scenario, profiles_dir, workers=1,
+                            sensitivity=False):
+        runs.append((workers, sensitivity))
+        return run_fleet(plants, template, scenario, profiles_dir, workers, sensitivity)
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -209,10 +211,12 @@ def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
             pools.append((self.max_workers, len(jobs)))
             return [fn(*job) for job in jobs]
 
-    def fake_solve_plant(template, scenario, plant, profiles_dir, both_modes=True,
-                         basis=None):
+    def fake_solve_plant(template, scenario, plant, profiles_dir, perturbations=()):
+        assert perturbations == tuple(fleet.PERTURBATIONS.values())
+        moved = fleet.PlantResult(plant=plant, abatement=50.0, cement_capacity=1.0,
+                                  flex_inflex_ratio=float("nan"))
         return fleet.PlantResult(plant=plant, abatement=50.0, cement_capacity=1.0,
-                                 flex_inflex_ratio=1.0)
+                                 flex_inflex_ratio=1.0, perturbed=(moved,) * 6)
 
     monkeypatch.setattr(fleet, "run_fleet", recording_run_fleet)
     monkeypatch.setattr(fleet, "_solve_plant", fake_solve_plant)
@@ -225,9 +229,9 @@ def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
                 "--scenario", workspace / "scenario.cfg", "--plants", plants,
                 "--profiles", tmp_path, "--sensitivity", "-o", tmp_path / "out"])
     assert code == 0
-    assert runs == [2]
-    # the baseline pool of 2 plants, then 6 perturbed fleets x 2 plants in one pool
-    assert pools == [(2, 2), (2, 12)]
+    assert runs == [(2, True)]
+    # one job per plant, each with its 6 perturbed solves
+    assert pools == [(2, 2)]
 
 
 def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monkeypatch):
@@ -261,6 +265,42 @@ def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monke
                 "--profiles", profiles, "--sensitivity", "-o", tmp_path / "out"])
     assert code == 0
     assert len(calls) == expected
+
+
+def test_fleet_sensitivity_builds_at_most_two_lps_per_plant(workspace, tmp_path,
+                                                           monkeypatch):
+    """Each plant's LP is built once and re-priced for every perturbation; a
+    second build is the other flexibility mode."""
+    from coplant import dispatch
+    plants, profiles = write_fleet_inputs(tmp_path, 2)
+    built = []
+    build_lp = dispatch.build_lp
+
+    def counting(spec, scenario):
+        built.append(scenario.flexibility_mode)
+        return build_lp(spec, scenario)
+
+    monkeypatch.setattr(dispatch, "build_lp", counting)
+    assert run(["fleet", "--spec", workspace / "system.cfg",
+                "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                "--profiles", profiles, "--sensitivity", "-o", tmp_path / "out"]) == 0
+    assert built.count("flexible") == 2
+    assert len(built) <= 4
+
+
+def test_fleet_sensitivity_without_eligible_plants(workspace, tmp_path):
+    """A fleet whose every row is out of range writes empty curves and no plots."""
+    plants = tmp_path / "plants.csv"
+    plants.write_text("id,lat,lon,clinker_tpd,solar_ref,wind_ref\n"
+                      "P1,30,110,100,s1,w1\n")
+    out = tmp_path / "out"
+    assert run(["fleet", "--spec", workspace / "system.cfg",
+                "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                "--profiles", tmp_path, "--sensitivity", "-o", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cost_capacity_curve.csv", "fleet_results.csv", "sensitivity_curves.csv"]
+    assert (out / "sensitivity_curves.csv").read_text().splitlines() == [
+        "curve,cumulative_capacity,abatement_cost"]
 
 
 def test_solve_mps_builds_lp_once(workspace, tmp_path, monkeypatch):
@@ -503,6 +543,24 @@ class TestExitCodes:
                     "--sinks", tmp_path / "sinks.csv",
                     "--target", "0.5", "-o", tmp_path / "x"]) == 3
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_fleet_repeated_plant_id(self, workspace, tmp_path, capsys):
+        plants, profiles = write_fleet_inputs(tmp_path, 1)
+        plants.write_text(plants.read_text() + "P1,31,111,5000,s1,w1\n")
+        assert run(["fleet", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                    "--profiles", profiles, "-o", tmp_path / "x"]) == 3
+        assert "plants.csv:3: repeated plant id 'P1' (first on line 2)" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sweep_non_finite_x(self, workspace, tmp_path, capsys, value):
+        assert run(["sweep", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg", "--x", f"5,{value}",
+                    "-o", tmp_path / "x"]) == 2
+        assert "bad --x list" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_fleet_all_plants_failed(self, workspace, tmp_path, capsys):

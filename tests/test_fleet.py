@@ -4,16 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from coplant import fleet, reference
+from coplant import dispatch, fleet, lp, reference
 from coplant.dispatch import solve_dispatch
 from coplant.domain import Commodity
 from coplant.fleet import (
-    FleetResult,
+    FleetFailedError,
     PlantSite,
     PlantsSchemaError,
     load_plants,
     run_fleet,
-    sensitivity_sweep,
 )
 
 HORIZON = 24
@@ -81,6 +80,16 @@ class TestLoadPlants:
             ("A", 30, 110, value, "s1", "w1"),
             ("B", 31, 111, 5000, "s1", "w1")])
         with pytest.raises(PlantsSchemaError, match="p.csv:2: column 'clinker_tpd'"):
+            load_plants(path)
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        """Results are keyed by plant id, so an id may name one row only."""
+        path = write_plants(tmp_path / "p.csv", [
+            ("A", 30, 110, 5000, "s1", "w1"),
+            ("B", 31, 111, 5000, "s1", "w1"),
+            ("A", 32, 112, 6000, "s2", "w2")])
+        with pytest.raises(PlantsSchemaError,
+                           match=r"p.csv:4: repeated plant id 'A' \(first on line 2\)"):
             load_plants(path)
 
     def test_coordinate_range(self, tmp_path):
@@ -182,10 +191,10 @@ class TestRunFleet:
                           clinker_capacity=4000, solar_profile_ref="s1",
                           wind_profile_ref="w1")
 
-        def broken(spec, scenario, basis=None):
+        def broken(spec, scenario):
             raise TypeError("a bug, not a plant failure")
 
-        monkeypatch.setattr(fleet, "solve_dispatch", broken)
+        monkeypatch.setattr(dispatch, "build_lp", broken)
         with pytest.raises(TypeError):
             run_fleet([plant], template, scenario, profiles)
 
@@ -267,21 +276,28 @@ class TestFlexRatio:
     @pytest.mark.parametrize("own", ["flexible", "inflexible"])
     @pytest.mark.parametrize("seed", [176, 177])
     def test_solves_per_plant(self, reference_plants, monkeypatch, seed, own):
-        """A flexible scenario solves one LP for a flat plant and two otherwise;
-        an inflexible scenario always solves both modes, its own first."""
+        """A flexible scenario builds and solves one LP for a flat plant and
+        two otherwise; an inflexible scenario always solves both modes, its
+        own first."""
         profiles, scenario, plants = reference_plants
         scenario = dataclasses.replace(scenario, flexibility_mode=own)
-        modes = []
-        solve = fleet.solve_dispatch
+        modes, solves = [], []
+        build_lp, solve_lp = dispatch.build_lp, lp.solve_lp
 
-        def recording(spec, scenario, basis=None):
+        def recording(spec, scenario):
             modes.append(scenario.flexibility_mode)
-            return solve(spec, scenario, basis)
+            return build_lp(spec, scenario)
 
-        monkeypatch.setattr(fleet, "solve_dispatch", recording)
+        def counting(problem, basis=None):
+            solves.append(basis)
+            return solve_lp(problem, basis)
+
+        monkeypatch.setattr(dispatch, "build_lp", recording)
+        monkeypatch.setattr(lp, "solve_lp", counting)
         result = run_fleet([plants[seed]], reference.reference_system(scenario, seed=seed),
                            scenario, profiles)
         assert result.per_plant[0].error is None
+        assert solves == [None] * len(modes)
         if own == "flexible" and seed == 176:
             assert modes == ["flexible"]
             assert result.per_plant[0].flex_inflex_ratio == 1.0
@@ -290,26 +306,30 @@ class TestFlexRatio:
             assert modes == [own, other]
 
 
+def two_plants():
+    return [
+        PlantSite(id=f"P{i}", latitude=30, longitude=110 + i,
+                  clinker_capacity=3000 + 500 * i,
+                  solar_profile_ref=["s1", "s2"][i % 2],
+                  wind_profile_ref=["w1", "w2"][i % 2])
+        for i in range(2)
+    ]
+
+
 class TestSensitivity:
     def test_unknown_parameter(self, fleet_env):
         _, profiles, scenario, template = fleet_env
+        plant = two_plants()[0]
         with pytest.raises(ValueError) as err:
-            sensitivity_sweep(run_fleet([], template, scenario, profiles),
-                              template, scenario, profiles,
-                              parameters=("coal_capex",))
+            fleet._solve_plant(template, scenario, plant, profiles,
+                               perturbations=(("coal_capex", 1.2),))
         assert "solar_capex" in str(err.value)
 
     def test_monotone_and_envelope(self, fleet_env):
         _, profiles, scenario, template = fleet_env
-        plants = [
-            PlantSite(id=f"P{i}", latitude=30, longitude=110 + i,
-                      clinker_capacity=3000 + 500 * i,
-                      solar_profile_ref=["s1", "s2"][i % 2],
-                      wind_profile_ref=["w1", "w2"][i % 2])
-            for i in range(2)
-        ]
-        sens = sensitivity_sweep(run_fleet(plants, template, scenario, profiles),
-                                 template, scenario, profiles)
+        sens = run_fleet(two_plants(), template, scenario, profiles,
+                         sensitivity=True).sensitivity
+        assert list(sens.curves) == list(fleet.PERTURBATIONS)
         base = dict(sens.baseline)
         for label, curve in sens.curves.items():
             costs = dict(curve)
@@ -326,15 +346,19 @@ class TestSensitivity:
             assert lo - 1e-9 <= cost_b <= hi + 1e-9
 
     def test_delta_zero_identity(self, fleet_env):
+        """A perturbation by factor 1.0 prices the plant at its baseline."""
         _, profiles, scenario, template = fleet_env
         plant = PlantSite(id="P", latitude=30, longitude=110,
                           clinker_capacity=4000, solar_profile_ref="s1",
                           wind_profile_ref="w1")
-        sens = sensitivity_sweep(run_fleet([plant], template, scenario, profiles),
-                                 template, scenario, profiles,
-                                 parameters=("solar_capex",), delta=0.0)
-        for curve in sens.curves.values():
-            assert curve == pytest.approx(sens.baseline)
+        result = fleet._solve_plant(
+            template, scenario, plant, profiles,
+            perturbations=tuple((p, 1.0) for p in fleet.SENSITIVITY_PARAMETERS))
+        assert len(result.perturbed) == 3
+        for moved in result.perturbed:
+            assert moved.error is None
+            assert moved.cement_capacity == result.cement_capacity
+            assert moved.abatement == pytest.approx(result.abatement, rel=1e-9)
 
     def test_failed_plant_solved_once(self, fleet_env, monkeypatch):
         _, profiles, scenario, template = fleet_env
@@ -352,59 +376,109 @@ class TestSensitivity:
             return load_profile(profiles_dir, ref, horizon)
 
         monkeypatch.setattr(fleet, "load_profile", counting)
-        result = run_fleet([good, bad], template, scenario, profiles)
-        sens = sensitivity_sweep(result, template, scenario, profiles)
+        result = run_fleet([good, bad], template, scenario, profiles, sensitivity=True)
+        sens = result.sensitivity
         assert loaded.count("nope") == 1
+        assert loaded.count("s1") == 1   # the good plant's profiles are read once
         capacity = next(r.cement_capacity for r in result.per_plant if r.plant.id == "G")
         assert [c for c, _ in sens.baseline] == [capacity]
         assert len(sens.curves) == 6
         for curve in sens.curves.values():
             assert [c for c, _ in curve] == [capacity]
 
+    def test_failed_perturbation_drops_only_that_plant(self, fleet_env, monkeypatch,
+                                                       caplog):
+        """A perturbed solve that fails leaves that plant out of that one curve,
+        with a warning; when every plant fails for one label, the fleet fails."""
+        _, profiles, scenario, template = fleet_env
+        plants = two_plants()
+        solve_lp = lp.solve_lp
+
+        def failing(at):
+            warm = []
+
+            def solve(problem, basis=None):
+                if basis is not None:
+                    warm.append(1)
+                    if len(warm) - 1 in at:
+                        return lp.LpSolution(status="infeasible")
+                return solve_lp(problem, basis)
+            return solve
+
+        # serial jobs in id order, six warm-started solves each: P0's wind +20%
+        monkeypatch.setattr(lp, "solve_lp", failing({2}))
+        with caplog.at_level("WARNING", logger="coplant.fleet"):
+            result = run_fleet(plants, template, scenario, profiles, sensitivity=True)
+        assert "plant P0 failed" in caplog.text
+        assert all(r.error is None for r in result.per_plant)
+        capacity = {r.plant.id: r.cement_capacity for r in result.per_plant}
+        for label, curve in result.sensitivity.curves.items():
+            caps = [c for c, _ in curve]
+            if label == "wind_capex:+20%":
+                assert caps == [capacity["P1"]]
+            else:
+                assert caps[-1] == pytest.approx(sum(capacity.values()), rel=1e-12)
+        monkeypatch.setattr(lp, "solve_lp", failing({2, 8}))
+        with pytest.raises(FleetFailedError):
+            run_fleet(plants, template, scenario, profiles, sensitivity=True)
+
     def test_workers_match_serial(self, fleet_env):
         _, profiles, scenario, template = fleet_env
-        plants = [
-            PlantSite(id=f"P{i}", latitude=30, longitude=110 + i,
-                      clinker_capacity=3000 + 500 * i,
-                      solar_profile_ref=["s1", "s2"][i % 2],
-                      wind_profile_ref=["w1", "w2"][i % 2])
-            for i in range(2)
-        ]
-        serial = sensitivity_sweep(run_fleet(plants, template, scenario, profiles),
-                                   template, scenario, profiles)
-        pooled = sensitivity_sweep(
-            run_fleet(plants, template, scenario, profiles, workers=2),
-            template, scenario, profiles, workers=2)
-        assert pooled == serial
+        plants = two_plants()
+        serial = run_fleet(plants, template, scenario, profiles, sensitivity=True)
+        pooled = run_fleet(plants, template, scenario, profiles, workers=2,
+                           sensitivity=True)
+        assert pooled.sensitivity == serial.sensitivity
+        assert pooled.curve == serial.curve
 
     def test_without_bases_matches_warm_start(self, fleet_env, monkeypatch):
-        """Each perturbed solve starts from its plant's baseline basis.
-        Baseline results that carry no basis give cold perturbed solves, and
-        the same curves as the warm-started sweep."""
+        """Each perturbed solve starts from its plant's own-mode optimal basis.
+        Cold perturbed solves give the same curves as the warm-started ones."""
         _, profiles, scenario, template = fleet_env
-        plants = [
-            PlantSite(id=f"P{i}", latitude=30, longitude=110 + i,
-                      clinker_capacity=3000 + 500 * i,
-                      solar_profile_ref=["s1", "s2"][i % 2],
-                      wind_profile_ref=["w1", "w2"][i % 2])
-            for i in range(2)
-        ]
-        result = run_fleet(plants, template, scenario, profiles)
-        bare = FleetResult(per_plant=[dataclasses.replace(r, basis=None)
-                                      for r in result.per_plant], curve=result.curve)
-        starts = []
-        solve_dispatch = fleet.solve_dispatch
+        plants = two_plants()
+        calls = []
+        solve_lp = lp.solve_lp
 
-        def recording(spec, scenario, basis=None):
-            starts.append(basis)
-            return solve_dispatch(spec, scenario, basis)
+        def recording(problem, basis=None):
+            res = solve_lp(problem, basis)
+            calls.append((basis, res.basis))
+            return res
 
-        monkeypatch.setattr(fleet, "solve_dispatch", recording)
-        warm = sensitivity_sweep(result, template, scenario, profiles)
-        assert starts == [r.basis for r in result.per_plant] * 6
-        cold = sensitivity_sweep(bare, template, scenario, profiles)
-        assert starts[12:] == [None] * 12
+        monkeypatch.setattr(lp, "solve_lp", recording)
+        warm = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
+        if calls[0][1] is None:
+            pytest.skip("this HiGHS writes no basis file")
+        starts = [basis for basis, _ in calls]
+        owns, i = [], 0
+        while i < len(calls):
+            owns.append(calls[i][1])                 # a plant's own mode, cold
+            i += 2 if starts[i + 1] is None else 1   # then its other mode, if solved
+            assert starts[i:i + 6] == [owns[-1]] * 6
+            i += 6
+        assert len(owns) == len(plants)
+
+        monkeypatch.setattr(lp, "solve_lp", lambda problem, basis=None: solve_lp(problem))
+        cold = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
         assert warm.curves.keys() == cold.curves.keys()
         for label, curve in warm.curves.items():
             np.testing.assert_allclose(curve, cold.curves[label], rtol=1e-9)
         np.testing.assert_allclose(warm.envelope, cold.envelope, rtol=1e-9)
+
+    def test_repriced_lp_matches_fresh_build(self, reference_plants):
+        """Re-pricing one built LP through all six perturbations in turn gives
+        each time the LP `build_lp` makes of the perturbed spec, and differs
+        from the baseline LP in one cost entry."""
+        _, scenario, plants = reference_plants
+        spec = reference.reference_system(
+            scenario, demand_cement=plants[176].cement_demand_tph(scenario), seed=176)
+        base = dispatch.build_lp(spec, scenario)
+        problem = dispatch.build_lp(spec, scenario)
+        for parameter, factor in fleet.PERTURBATIONS.values():
+            moved = fleet._perturbed(spec, parameter, factor)
+            dispatch.reprice_capacity(problem, moved, scenario)
+            fresh = dispatch.build_lp(moved, scenario)
+            assert problem.cost.tobytes() == fresh.cost.tobytes()
+            assert np.count_nonzero(problem.cost != base.cost) == 1
+            assert (problem.matrix() != fresh.matrix()).nnz == 0
+            for field in ("lower", "upper", "sense", "rhs"):
+                np.testing.assert_array_equal(getattr(problem, field), getattr(fresh, field))

@@ -277,10 +277,10 @@ def test_warm_start_matches_cold_on_capex_perturbations(netzero48_lp, parameter,
     """A capex perturbation moves one cost entry; started from the baseline
     basis it reaches the cold solve's objective in fewer iterations."""
     from coplant.dispatch import build_lp
-    from coplant.fleet import SENSITIVITY_PARAMETERS, _perturbed_template
+    from coplant.fleet import SENSITIVITY_PARAMETERS, _perturbed
     assert parameter in SENSITIVITY_PARAMETERS
     spec, scenario, base = netzero48_lp
-    lp = build_lp(_perturbed_template(spec, parameter, factor), scenario)
+    lp = build_lp(_perturbed(spec, parameter, factor), scenario)
     cold = solve_lp(lp)
     warm = solve_lp(lp, base.basis)
     assert cold.status == warm.status == "optimal"
