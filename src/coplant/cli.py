@@ -105,6 +105,35 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _check_solution_fits(path: str, sol, spec, scenario) -> None:
+    """Raise CliError (exit 3) unless a saved solution fits the spec and
+    scenario: the scenario's horizon, a capacity for every priced asset, a
+    series for every unit and store, and `horizon` entries in every series."""
+    if sol.horizon != scenario.horizon_hours:
+        raise CliError(f"{path}: horizon is {sol.horizon} hours, but the scenario's "
+                       f"horizon_hours is {scenario.horizon_hours}", EXIT_VALIDATION)
+    missing = ([("capacity", i) for i in dispatch.capacity_prices(spec, scenario)
+                if i not in sol.capacities]
+               + [("activity", u.id) for u in spec.conversion_units
+                  if u.id not in sol.activity]
+               + [(kind, s.id) for s in spec.storage_units
+                  for kind in ("charge", "discharge", "soc")
+                  if s.id not in getattr(sol, kind)])
+    if missing:
+        kind, asset = missing[0]
+        raise CliError(f"{path}: no {kind} for {asset!r}, which the system has",
+                       EXIT_VALIDATION)
+    series = {f"{kind} {key!r}": values
+              for kind in ("activity", "charge", "discharge", "soc")
+              for key, values in getattr(sol, kind).items()}
+    series.update((kind, getattr(sol, kind)) for kind in
+                  ("curtailment", "vented_o2", "emitted_co2", "sequestered_co2"))
+    for name, values in series.items():
+        if values.shape != (sol.horizon,):
+            raise CliError(f"{path}: {name} has {values.size} entries, but the "
+                           f"horizon is {sol.horizon} hours", EXIT_VALIDATION)
+
+
 def cmd_report(args) -> int:
     scenario = _load_scenario(args.scenario)
     spec = _load_system(args.system, scenario.horizon_hours)
@@ -112,6 +141,7 @@ def cmd_report(args) -> int:
         sol = reports.load_solution(args.solution)
     except OSError as exc:
         raise CliError(f"cannot read {args.solution}: {exc}", EXIT_IO) from None
+    _check_solution_fits(args.solution, sol, spec, scenario)
     out = _out_dir(args.out)
     _write_solution_reports(out, spec, scenario, sol)
     print(f"reports regenerated in {out}")
@@ -188,7 +218,8 @@ _NODE_COLUMNS = {"source": ("capturable", "capture_cost"),
                  "sink": ("capacity", "sequestration_cost")}
 
 
-def _load_nodes(path: str, kind: str):
+def _load_nodes(path: str, kind: str, surface):
+    """The rows of a node CSV as dicts of id, raster cell, amount and cost."""
     try:
         with Path(path).open(newline="") as fh:
             reader = csv.DictReader(fh)
@@ -210,6 +241,11 @@ def _load_nodes(path: str, kind: str):
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{path}:{i}: bad {kind} row: {exc}",
                            EXIT_VALIDATION) from None
+        try:
+            node["cell"] = surface.index(node.pop("row"), node.pop("col"))
+        except ValueError as exc:
+            raise CliError(f"{path}:{i}: {kind} {node['id']!r} {exc}",
+                           EXIT_VALIDATION) from None
         if node["amount"] < 0:
             raise CliError(f"{path}:{i}: {kind} {amount} must be >= 0, got "
                            f"{row[amount].strip()}", EXIT_VALIDATION)
@@ -226,12 +262,12 @@ def cmd_netopt(args) -> int:
         surface = load_raster(args.surface)
     except OSError as exc:
         raise CliError(f"cannot read {args.surface}: {exc}", EXIT_IO) from None
-    sources = [SourceNode(id=n["id"], cell=surface.index(n["row"], n["col"]),
+    sources = [SourceNode(id=n["id"], cell=n["cell"],
                           capturable=n["amount"], eq_capture_cost=n["cost"])
-               for n in _load_nodes(args.sources, "source")]
-    sinks = [SinkNode(id=n["id"], cell=surface.index(n["row"], n["col"]),
+               for n in _load_nodes(args.sources, "source", surface)]
+    sinks = [SinkNode(id=n["id"], cell=n["cell"],
                       capacity=n["amount"], sequestration_cost=n["cost"])
-             for n in _load_nodes(args.sinks, "sink")]
+             for n in _load_nodes(args.sinks, "sink", surface)]
     edges, report = build_candidates(surface, sources, sinks)
     if not report.ok:
         print(f"warning: unreachable sources {report.unreachable_sources}, "

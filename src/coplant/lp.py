@@ -14,14 +14,23 @@ but not dual feasible, so a warm start runs primal simplex (HiGHS's
 `simplex_strategy` 4), which resumes from that basis; the default dual
 simplex would first have to win dual feasibility back.  A family that moves
 right-hand sides instead, such as `costing.sweep_stoichiometry`, keeps dual
-feasibility and would want dual simplex; no such family is warm-started
-today.  Cold solves keep HiGHS's default strategy.  The objective is the same
-as a cold solve's, but where the optimum is not unique the warm start may
-stop at a different optimal vertex, so `x` and the duals can differ.  The
-basis travels through scipy's `linprog` as HiGHS's own `read_basis_file` and
-`write_basis_file` options, in a temporary directory.  This was verified on
-scipy 1.17.1 with HiGHS 1.12; on a HiGHS that writes no basis file, `basis`
-stays None and every solve is cold.
+feasibility, yet dual simplex measured slower on it: warm-starting each of
+8 ratios of the 168 h reference plant from the previous ratio's basis, it
+took fewer iterations than primal (111-233 against 422-680) but more time
+(0.32-0.40 s per solve against 0.20-0.30 s).  No such family is
+warm-started today.  Cold solves keep HiGHS's default strategy.  The
+objective is the same as a cold solve's, but where the optimum is not
+unique the warm start may stop at a different optimal vertex, so `x` and
+the duals can differ.  The basis travels through scipy's `linprog` as
+HiGHS's own `read_basis_file` and `write_basis_file` options, in a
+temporary directory.  This was verified on scipy 1.17.1 with HiGHS 1.12;
+on a HiGHS that writes no basis file, `basis` stays None and every solve
+is cold.
+
+`scipy.optimize` is imported on the first solve, not with this module, so
+commands that solve no LP (`netopt`, `report`) never load it.  The module
+function `linprog` is the one place HiGHS is called, looked up at each
+solve: tests and the benchmark's tracer patch it to watch or stub HiGHS.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import OptimizeWarning, linprog
 
 #: Primal and dual feasibility tolerance handed to HiGHS.
 FEASIBILITY_TOL = 1e-7
@@ -170,6 +178,12 @@ class LpSolution:
             raise LpStatusError(self.status)
 
 
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported on the first call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
 def _check_basis_shape(basis: str, problem: LinearProgram) -> None:
     """Raise LpValidationError unless the basis text is for the problem's shape."""
     sizes = [re.search(rf"^# {what} (\d+)$", basis, re.MULTILINE)
@@ -219,6 +233,7 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
             start.write_text(basis)
             options["read_basis_file"] = str(start)
             options["simplex_strategy"] = 4  # primal; a cost change keeps the basis feasible
+        from scipy.optimize import OptimizeWarning
         with warnings.catch_warnings():
             # linprog does not know these HiGHS options and passes them on
             warnings.filterwarnings("ignore", "Unrecognized options detected",

@@ -11,6 +11,11 @@ path's cost is recomputed as the sum of its step costs in source-to-sink
 order.  Among equal-cost paths the one kept is the predecessor tree scipy's
 Dijkstra builds from the sink: deterministic for a given scipy, but not
 tied to cell indices.
+
+`scipy.sparse.csgraph` is imported on the first search, not with this
+module, so commands that route nothing never load it (nor the
+`scipy.linalg` it pulls in).  The module function `dijkstra` is looked up
+at each search, so tests can patch it to count searches.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from coplant.sinknet.raster import CostSurface
 
@@ -50,6 +54,12 @@ def _cost_graph(surface: CostSurface) -> csr_array:
     return csr_array((np.concatenate(weights),
                       (np.concatenate(tails), np.concatenate(heads))),
                      shape=(surface.n_cells, surface.n_cells))
+
+
+def dijkstra(*args, **kwargs):
+    """scipy's csgraph `dijkstra`, imported on the first call."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(*args, **kwargs)
 
 
 def _walk(pred: np.ndarray, a: int, b: int) -> list[int]:

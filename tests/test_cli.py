@@ -1,5 +1,9 @@
 import dataclasses
+import json
+import os
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -30,6 +34,15 @@ def workspace(tmp_path_factory):
     (root / "sinks.csv").write_text(
         "id,row,col,capacity,sequestration_cost\nK1,5,7,3.0e6,6\nK2,0,7,1.0e6,5\n")
     return root
+
+
+@pytest.fixture(scope="module")
+def saved_solution(workspace):
+    """solution.json of the workspace's 48 h plant."""
+    out = workspace / "solved"
+    assert run(["solve", "--spec", workspace / "system.cfg",
+                "--scenario", workspace / "scenario.cfg", "-o", out]) == 0
+    return out / "solution.json"
 
 
 def run(args):
@@ -465,18 +478,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("row, col", [(0, 4), (5, 1)])
     def test_netopt_node_outside_raster(self, tmp_path, capsys, row, col):
+        """A source or a sink off the raster is named by file, line and id."""
         write_raster(CostSurface(ncols=3, nrows=3, cell_size=1.0, origin=(0.0, 0.0),
                                  nodata=-9999.0, cells=np.ones((3, 3))),
                      tmp_path / "cost.asc")
-        (tmp_path / "sources.csv").write_text(
-            f"id,row,col,capturable,capture_cost\nS1,{row},{col},1.0,1\n")
-        (tmp_path / "sinks.csv").write_text(
-            "id,row,col,capacity,sequestration_cost\nK1,2,2,1.0,1\n")
-        assert run(["netopt", "--surface", tmp_path / "cost.asc",
-                    "--sources", tmp_path / "sources.csv",
-                    "--sinks", tmp_path / "sinks.csv",
-                    "--target", "0.5", "-o", tmp_path / "x"]) == 3
-        assert "outside the 3x3 raster" in capsys.readouterr().err
+        for kind, node_id in (("source", "S2"), ("sink", "K2")):
+            rows = {"source": "S1,0,0,1.0,1\n", "sink": "K1,2,2,1.0,1\n"}
+            rows[kind] += f"{node_id},{row},{col},1.0,1\n"
+            (tmp_path / "sources.csv").write_text(
+                "id,row,col,capturable,capture_cost\n" + rows["source"])
+            (tmp_path / "sinks.csv").write_text(
+                "id,row,col,capacity,sequestration_cost\n" + rows["sink"])
+            assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                        "--sources", tmp_path / "sources.csv",
+                        "--sinks", tmp_path / "sinks.csv",
+                        "--target", "0.5", "-o", tmp_path / "x"]) == 3
+            assert (f"error: {tmp_path / kind}s.csv:3: {kind} '{node_id}' cell "
+                    f"(row {row}, col {col}) is outside the 3x3 raster"
+                    ) in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("sources, sinks, message", [
         ("S1,0,0,-5,40\nS2,0,1,4,40\n", "K1,3,3,10,5\n",
@@ -545,6 +565,27 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda d: d.update(horizon=168),
+         "horizon is 168 hours, but the scenario's horizon_hours is 48"),
+        (lambda d: d["capacities"].pop("asu"), "no capacity for 'asu', which the system has"),
+        (lambda d: d["activity"].pop("kiln"), "no activity for 'kiln', which the system has"),
+        (lambda d: d["activity"].update(asu=d["activity"]["asu"][:10]),
+         "activity 'asu' has 10 entries, but the horizon is 48 hours"),
+        (lambda d: d.update(curtailment=d["curtailment"][:47]),
+         "curtailment has 47 entries, but the horizon is 48 hours")],
+        ids=["horizon", "capacity", "activity", "activity-length", "curtailment-length"])
+    def test_report_solution_for_another_system(self, workspace, saved_solution, tmp_path,
+                                                capsys, cut, message):
+        data = json.loads(saved_solution.read_text())
+        cut(data)
+        (tmp_path / "solution.json").write_text(json.dumps(data))
+        assert run(["report", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg",
+                    "--solution", tmp_path / "solution.json", "-o", tmp_path / "x"]) == 3
+        assert f"error: {tmp_path / 'solution.json'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_fleet_repeated_plant_id(self, workspace, tmp_path, capsys):
         plants, profiles = write_fleet_inputs(tmp_path, 1)
         plants.write_text(plants.read_text() + "P1,31,111,5000,s1,w1\n")
@@ -584,3 +625,69 @@ class TestExitCodes:
                     "--scenario", workspace / "scenario.cfg",
                     "-o", tmp_path / "x"]) == 6
         assert "status 4" in capsys.readouterr().err
+
+
+class TestStartUp:
+    """Which scipy modules a command loads, each checked in a fresh interpreter
+    because this one has long since imported them."""
+
+    LAZY = ("scipy.optimize", "scipy.sparse.csgraph")
+
+    def fresh(self, code: str):
+        """Run `code` in a new interpreter with `src` first on its path; return
+        the JSON it prints last."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def loaded_after(self, argv: list) -> list:
+        code = ("import json, sys\nfrom coplant import cli\n"
+                f"code = cli.main({[str(a) for a in argv]!r})\n"
+                f"print(json.dumps([code, [m for m in {self.LAZY!r} if m in sys.modules]]))")
+        return self.fresh(code)
+
+    def test_import_cli_loads_neither(self):
+        assert self.fresh("import json, sys, coplant.cli\n"
+                          f"print(json.dumps([m for m in {self.LAZY!r} if m in sys.modules]))"
+                          ) == []
+
+    def test_netopt_loads_no_lp_solver(self, workspace, tmp_path):
+        code, loaded = self.loaded_after(
+            ["netopt", "--surface", workspace / "cost.asc",
+             "--sources", workspace / "sources.csv", "--sinks", workspace / "sinks.csv",
+             "--target", "2.5e6", "-o", tmp_path / "net"])
+        assert code == 0
+        assert loaded == ["scipy.sparse.csgraph"]
+
+    def test_report_loads_neither(self, workspace, saved_solution, tmp_path):
+        code, loaded = self.loaded_after(
+            ["report", "--spec", workspace / "system.cfg",
+             "--scenario", workspace / "scenario.cfg", "--solution", saved_solution,
+             "-o", tmp_path / "rep"])
+        assert code == 0
+        assert loaded == []
+
+    def test_linprog_patched_before_first_solve_sees_it(self):
+        """The seam the benchmark's tracer and the tests patch exists before
+        scipy.optimize is loaded, and the first solve goes through it."""
+        calls = self.fresh("""
+import json, sys
+from coplant import lp
+assert "scipy.optimize" not in sys.modules
+calls = []
+real = lp.linprog
+def recorder(*args, **kwargs):
+    calls.append(len(args[0]))
+    return real(*args, **kwargs)
+lp.linprog = recorder
+problem = lp.LinearProgram()
+problem.add_columns(2, cost=[1.0, 2.0])
+problem.add_rows(">=", [1.0], [(0, [0, 1], [1.0, 1.0])])
+solution = lp.solve_lp(problem)
+print(json.dumps([solution.status, solution.objective, calls]))
+""")
+        assert calls == ["optimal", 1.0, [2]]
