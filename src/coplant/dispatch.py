@@ -31,7 +31,6 @@ import numpy as np
 
 from coplant.domain import (
     Commodity,
-    ConversionUnit,
     DomainError,
     Flexibility,
     Scenario,
@@ -90,34 +89,6 @@ def reprice_capacity(problem: LinearProgram, spec: SystemSpec, scenario: Scenari
     from `spec` in capex only, the costs `build_lp(spec, scenario)` gives them."""
     prices = capacity_prices(spec, scenario)
     problem.cost[:len(prices)] = list(prices.values())
-
-
-def _is_pinned(unit: ConversionUnit, scenario: Scenario) -> bool:
-    """Whether the unit's hourly activity is tied to its capacity."""
-    if unit.flexibility is Flexibility.INFLEXIBLE:
-        return True
-    if Commodity.CLINKER in unit.outputs:
-        return True  # the clinker kiln never modulates
-    if Commodity.METHANOL in unit.outputs and scenario.flexibility_mode == "inflexible":
-        return True
-    return False
-
-
-def runs_pinned(solution: DispatchSolution, spec: SystemSpec, scenario: Scenario) -> bool:
-    """Whether every unit pinned under `scenario` runs at its capacity in every
-    hour of `solution`, within 1e-9 * max(1, capacity).
-
-    The flexibility mode acts only through `_is_pinned`, and a unit with
-    activity equal to capacity meets the unpinned bound and ramp rows.  So a
-    flexible optimum that passes for the inflexible scenario is feasible, and
-    thus optimal, in the inflexible LP, with the same objective.
-    """
-    for u in spec.conversion_units:
-        if _is_pinned(u, scenario):
-            cap = solution.capacities[u.id]
-            if np.any(np.abs(solution.activity[u.id] - cap) > 1e-9 * max(1.0, cap)):
-                return False
-    return True
 
 
 @dataclass
@@ -245,6 +216,12 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     order is fixed (ub/lb and rup/rdn rows interleave per hour) because
     HiGHS's pivoting, and so the vertex it returns for a degenerate optimum,
     depends on it.
+
+    `flexibility_mode` changes coefficients only, never the row shape:
+    inflexible mode sets methanol synthesis's min-load coefficient to 1, so
+    its lb and ub rows pin the activity to capacity and its ramp rows hold
+    trivially.  `fleet` relies on this to start the other mode's solve from
+    the basis of the scenario's own mode.
     """
     _validate_inputs(spec, scenario)
     idx = build_index(spec, scenario)
@@ -303,15 +280,20 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     for u in spec.conversion_units:
         cap = idx.cap_unit[u.id]
         act = idx.act[u.id] + hours
-        pinned = _is_pinned(u, scenario)
+        # an inflexible unit and the clinker kiln run at capacity in either mode
+        pinned = u.flexibility is Flexibility.INFLEXIBLE or Commodity.CLINKER in u.outputs
         if pinned:
             lp.add_rows(EQ, np.zeros(T), [(hours, act, 1.0), (hours, cap, -1.0)])
         else:
-            per_hour = 2 if u.min_load_frac > 0 else 1  # ub row, then lb row
+            # methanol synthesis has lb rows in both modes; inflexible pins it by lb = ub
+            by_mode = Commodity.METHANOL in u.outputs
+            floor = (1.0 if by_mode and scenario.flexibility_mode == "inflexible"
+                     else u.min_load_frac)
+            per_hour = 2 if u.min_load_frac > 0 or by_mode else 1  # ub row, then lb row
             ub = per_hour * hours
             terms = [(ub, act, 1.0), (ub, cap, -1.0)]
             if per_hour == 2:
-                terms += [(ub + 1, act, 1.0), (ub + 1, cap, -u.min_load_frac)]
+                terms += [(ub + 1, act, 1.0), (ub + 1, cap, -floor)]
             lp.add_rows(np.tile([LE, GE][:per_hour], T), np.zeros(per_hour * T), terms)
         ramp = u.ramp_frac_per_hour
         if not pinned and ramp < 1.0:

@@ -180,14 +180,13 @@ def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
     flexible/inflexible cost ratio, and in PlantResult.perturbed its
     abatement under each (parameter, factor) of `perturbations`.
 
-    The profiles are read and the LP is built once, and the own mode is
-    solved first.  When it is flexible and its optimum already runs every
-    unit that inflexible mode pins at capacity (`dispatch.runs_pinned`), that
-    optimum is the inflexible one too, and the ratio is 1.0; otherwise the
-    other mode is built and solved cold.  Each perturbation re-prices the
-    capacity columns (`dispatch.reprice_capacity`) and solves the own-mode LP
-    from its optimal basis by primal simplex (`lp.solve_lp`), which may stop
-    at another optimal vertex than a cold solve, with other capacities.
+    The profiles are read and the own-mode LP is built once and solved cold.
+    Every other solve starts from that optimal basis by primal simplex
+    (`lp.solve_lp`), which may stop at another optimal vertex than a cold
+    solve, with other capacities.  The other mode's LP has the same shape
+    and differs in methanol synthesis's min-load coefficients
+    (`dispatch.build_lp`); each perturbation re-prices the own-mode LP's
+    capacity columns (`dispatch.reprice_capacity`).
 
     Unreadable or short profiles and invalid or infeasible site models are
     recorded in PlantResult.error as "<ExceptionType>: <message>", for the
@@ -203,11 +202,9 @@ def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
         spec = _site_spec(template, scenario, plant, solar, wind)
         problem = dispatch.build_lp(spec, scenario)
         start = lp.solve_lp(problem)
-        sols = {own: dispatch.extract_solution(spec, scenario, start)}
-        if other == "inflexible" and dispatch.runs_pinned(sols[own], spec, other_scenario):
-            sols[other] = sols[own]
-        else:
-            sols[other] = dispatch.solve_dispatch(spec, other_scenario)
+        sols = {own: dispatch.extract_solution(spec, scenario, start),
+                other: dispatch.extract_solution(spec, other_scenario, lp.solve_lp(
+                    dispatch.build_lp(spec, other_scenario), start.basis))}
         abate = solution_abatement_cost(sols[own], spec, scenario, include_transport=False)
     except _PLANT_ERRORS as exc:  # must not sink the batch
         return _failed(plant, exc)

@@ -12,7 +12,12 @@ that differ in a few coefficients, such as a capex perturbation that moves
 one cost entry.  A cost change leaves the old optimal basis primal feasible
 but not dual feasible, so a warm start runs primal simplex (HiGHS's
 `simplex_strategy` 4), which resumes from that basis; the default dual
-simplex would first have to win dual feasibility back.  A family that moves
+simplex would first have to win dual feasibility back.  `fleet` also starts
+one flexibility mode's LP from the other's basis, a change of matrix
+coefficients that may leave the basis primal infeasible.  Measured both
+ways on the reference plant and the benchmark's sites, it still took
+0-691 iterations against 1,400-1,732 cold at 48 h, and 1,679-3,253
+against 4,793-6,429 at 168 h.  A family that moves
 right-hand sides instead, such as `costing.sweep_stoichiometry`, keeps dual
 feasibility, yet dual simplex measured slower on it: warm-starting each of
 8 ratios of the 168 h reference plant from the previous ratio's basis, it
@@ -27,10 +32,11 @@ temporary directory.  This was verified on scipy 1.17.1 with HiGHS 1.12;
 on a HiGHS that writes no basis file, `basis` stays None and every solve
 is cold.
 
-`scipy.optimize` is imported on the first solve, not with this module, so
-commands that solve no LP (`netopt`, `report`) never load it.  The module
-function `linprog` is the one place HiGHS is called, looked up at each
-solve: tests and the benchmark's tracer patch it to watch or stub HiGHS.
+`scipy.sparse` is imported by the first `matrix()` call and
+`scipy.optimize` on the first solve, not with this module, so commands
+that solve no LP (`netopt`, `report`) never load them from here.  The
+module function `linprog` is the one place HiGHS is called, looked up at
+each solve: tests and the benchmark's tracer patch it to watch or stub HiGHS.
 """
 
 from __future__ import annotations
@@ -41,9 +47,12 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Primal and dual feasibility tolerance handed to HiGHS.
 FEASIBILITY_TOL = 1e-7
@@ -135,6 +144,7 @@ class LinearProgram:
 
     def matrix(self) -> sparse.csr_matrix:
         """The constraint matrix; coefficients given twice for one cell are summed."""
+        from scipy import sparse
         rows, cols, vals = self._coo()
         return sparse.csr_matrix((vals, (rows, cols)),
                                  shape=(self.n_constraints, self.n_variables))
@@ -232,7 +242,7 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
             start = Path(tmp, "start.bas")
             start.write_text(basis)
             options["read_basis_file"] = str(start)
-            options["simplex_strategy"] = 4  # primal; a cost change keeps the basis feasible
+            options["simplex_strategy"] = 4  # primal; see the module docstring
         from scipy.optimize import OptimizeWarning
         with warnings.catch_warnings():
             # linprog does not know these HiGHS options and passes them on

@@ -12,21 +12,25 @@ order.  Among equal-cost paths the one kept is the predecessor tree scipy's
 Dijkstra builds from the sink: deterministic for a given scipy, but not
 tied to cell indices.
 
-`scipy.sparse.csgraph` is imported on the first search, not with this
-module, so commands that route nothing never load it (nor the
-`scipy.linalg` it pulls in).  The module function `dijkstra` is looked up
-at each search, so tests can patch it to count searches.
+`scipy.sparse` is imported when the first graph is built and
+`scipy.sparse.csgraph` on the first search, not with this module, so
+commands that route nothing never load them (nor the `scipy.linalg`
+csgraph pulls in).  The module function `dijkstra` is looked up at each
+search, so tests can patch it to count searches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from coplant.sinknet.raster import CostSurface
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,6 +45,7 @@ _STEPS = ((np.s_[:, :-1], np.s_[:, 1:], 1.0),
 def _cost_graph(surface: CostSurface) -> csr_array:
     """Directed 8-neighbour step graph of the surface; nodata cells have no
     edges.  Zero-cost steps stay explicit edges (the routing tests pin it)."""
+    from scipy.sparse import csr_array
     cells, open_ = surface.cells, ~surface.is_nodata
     index = np.arange(surface.n_cells, dtype=np.int32).reshape(cells.shape)
     tails, heads, weights = [], [], []

@@ -20,7 +20,7 @@ from coplant.domain import (
     StorageUnit,
     SystemSpec,
 )
-from coplant.lp import GE
+from coplant.lp import EQ, GE, solve_lp
 
 
 def captured_co2(spec, sol):
@@ -174,6 +174,30 @@ def test_flexibility_dominance():
         flex = solve_dispatch(spec, flex_scn)
         inflex = solve_dispatch(spec, inflex_scn)
         assert flex.objective <= inflex.objective * (1 + 1e-8) + 1e-6
+
+
+@pytest.mark.parametrize("kind", ["netzero", "noseq"])
+@pytest.mark.parametrize("horizon", [24, 48])
+def test_inflexible_lp_matches_pinned_oracle(kind, horizon):
+    """The inflexible LP pins methanol synthesis through its lb and ub rows.
+    Its oracle is the flexible LP plus one `act_t - cap = 0` row per hour,
+    which makes the flexible bound and ramp rows redundant.  The two modes'
+    LPs have one shape, so either mode's basis can start the other's solve."""
+    flexible, inflexible = (getattr(reference, f"{kind}_scenario")(horizon=horizon,
+                                                                  flexible=flag)
+                            for flag in (True, False))
+    spec = reference.reference_system(flexible)
+    problem, oracle = build_lp(spec, inflexible), build_lp(spec, flexible)
+    assert ((problem.n_variables, problem.n_constraints, problem.matrix().nnz)
+            == (oracle.n_variables, oracle.n_constraints, oracle.matrix().nnz))
+    np.testing.assert_array_equal(problem.sense, oracle.sense)
+    index = build_index(spec, flexible)
+    hours = np.arange(horizon)
+    oracle.add_rows(EQ, np.zeros(horizon),
+                    [(hours, index.act["meoh_synthesis"] + hours, 1.0),
+                     (hours, index.cap_unit["meoh_synthesis"], -1.0)])
+    assert solve_lp(problem).objective == pytest.approx(solve_lp(oracle).objective,
+                                                        rel=1e-9)
 
 
 def test_capex_monotonicity():

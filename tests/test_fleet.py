@@ -256,8 +256,9 @@ def methanol_runs_flat(spec, solution):
 
 
 class TestFlexRatio:
-    """Each plant's flexible/inflexible cost ratio, with the inflexible solve
-    skipped when the flexible optimum already runs methanol flat."""
+    """Each plant's flexible/inflexible cost ratio, with the other mode's LP
+    solved from the basis of the scenario's own mode, whether or not the
+    flexible optimum runs methanol flat."""
 
     @pytest.mark.parametrize("seed, flat", [(176, True), (177, False), (178, True)])
     def test_ratio_matches_two_cold_solves(self, reference_plants, seed, flat):
@@ -276,9 +277,8 @@ class TestFlexRatio:
     @pytest.mark.parametrize("own", ["flexible", "inflexible"])
     @pytest.mark.parametrize("seed", [176, 177])
     def test_solves_per_plant(self, reference_plants, monkeypatch, seed, own):
-        """A flexible scenario builds and solves one LP for a flat plant and
-        two otherwise; an inflexible scenario always solves both modes, its
-        own first."""
+        """Each plant builds both modes' LPs, its own mode first, solves its
+        own mode cold and the other from the own mode's optimal basis."""
         profiles, scenario, plants = reference_plants
         scenario = dataclasses.replace(scenario, flexibility_mode=own)
         modes, solves = [], []
@@ -289,21 +289,19 @@ class TestFlexRatio:
             return build_lp(spec, scenario)
 
         def counting(problem, basis=None):
-            solves.append(basis)
-            return solve_lp(problem, basis)
+            res = solve_lp(problem, basis)
+            solves.append((basis, res.basis))
+            return res
 
         monkeypatch.setattr(dispatch, "build_lp", recording)
         monkeypatch.setattr(lp, "solve_lp", counting)
         result = run_fleet([plants[seed]], reference.reference_system(scenario, seed=seed),
                            scenario, profiles)
         assert result.per_plant[0].error is None
-        assert solves == [None] * len(modes)
-        if own == "flexible" and seed == 176:
-            assert modes == ["flexible"]
-            assert result.per_plant[0].flex_inflex_ratio == 1.0
-        else:
-            other = "inflexible" if own == "flexible" else "flexible"
-            assert modes == [own, other]
+        other = "inflexible" if own == "flexible" else "flexible"
+        assert modes == [own, other]
+        (cold, own_basis), (warm, _) = solves
+        assert [cold, warm] == [None, own_basis]
 
 
 def two_plants():
@@ -405,8 +403,9 @@ class TestSensitivity:
                 return solve_lp(problem, basis)
             return solve
 
-        # serial jobs in id order, six warm-started solves each: P0's wind +20%
-        monkeypatch.setattr(lp, "solve_lp", failing({2}))
+        # serial jobs in id order, seven warm-started solves each (the other
+        # mode, then the six perturbations): P0's wind +20%
+        monkeypatch.setattr(lp, "solve_lp", failing({3}))
         with caplog.at_level("WARNING", logger="coplant.fleet"):
             result = run_fleet(plants, template, scenario, profiles, sensitivity=True)
         assert "plant P0 failed" in caplog.text
@@ -418,7 +417,7 @@ class TestSensitivity:
                 assert caps == [capacity["P1"]]
             else:
                 assert caps[-1] == pytest.approx(sum(capacity.values()), rel=1e-12)
-        monkeypatch.setattr(lp, "solve_lp", failing({2, 8}))
+        monkeypatch.setattr(lp, "solve_lp", failing({3, 10}))
         with pytest.raises(FleetFailedError):
             run_fleet(plants, template, scenario, profiles, sensitivity=True)
 
@@ -432,8 +431,8 @@ class TestSensitivity:
         assert pooled.curve == serial.curve
 
     def test_without_bases_matches_warm_start(self, fleet_env, monkeypatch):
-        """Each perturbed solve starts from its plant's own-mode optimal basis.
-        Cold perturbed solves give the same curves as the warm-started ones."""
+        """The other-mode and perturbed solves start from their plant's own-mode
+        optimal basis.  Cold solves give the same curves as the warm-started ones."""
         _, profiles, scenario, template = fleet_env
         plants = two_plants()
         calls = []
@@ -449,13 +448,10 @@ class TestSensitivity:
         if calls[0][1] is None:
             pytest.skip("this HiGHS writes no basis file")
         starts = [basis for basis, _ in calls]
-        owns, i = [], 0
-        while i < len(calls):
-            owns.append(calls[i][1])                 # a plant's own mode, cold
-            i += 2 if starts[i + 1] is None else 1   # then its other mode, if solved
-            assert starts[i:i + 6] == [owns[-1]] * 6
-            i += 6
-        assert len(owns) == len(plants)
+        assert len(calls) == 8 * len(plants)
+        for i in range(0, len(calls), 8):
+            # a plant's own mode cold, then its other mode and six perturbations
+            assert starts[i:i + 8] == [None] + [calls[i][1]] * 7
 
         monkeypatch.setattr(lp, "solve_lp", lambda problem, basis=None: solve_lp(problem))
         cold = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
