@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from coplant import configio, costing, dispatch, fleet, lp, reports
-from coplant.domain import Commodity, DomainError
+from coplant.domain import DomainError
 from coplant.lp import LpSolverError, LpStatusError, LpValidationError
 from coplant.sinknet.network import NetworkInfeasible, select_network
 from coplant.sinknet.raster import RasterFormatError, load_raster
@@ -96,9 +96,7 @@ def cmd_solve(args) -> int:
     if args.mps:
         from coplant.mps import export_lp
         Path(args.mps).write_text(export_lp(problem))
-    res = lp.solve_lp(problem)
-    res.require_optimal()
-    sol = dispatch.extract_solution(spec, scenario, res)
+    sol = dispatch.extract_solution(spec, scenario, lp.solve_lp(problem))
     reports.save_solution(out / "solution.json", sol)
     _write_solution_reports(out, spec, scenario, sol)
     print(f"objective {sol.objective:.6g} $/yr; reports in {out}")
@@ -200,12 +198,11 @@ def cmd_fleet(args) -> int:
         (out / "cost_capacity_curve.svg").write_text(reports.curves_svg(
             {"fleet": result.curve}, "fleet cost-capacity curve",
             x_label="cumulative t cement/yr", y_label="$/t CO2"))
-    sens = result.sensitivity
-    if sens is not None:
-        reports.write_sensitivity_csv(out / "sensitivity_curves.csv", sens)
-        if sens.baseline:
+    if result.sensitivity is not None:
+        reports.write_sensitivity_csv(out / "sensitivity_curves.csv", result)
+        if result.curve:
             (out / "sensitivity_curves.svg").write_text(reports.curves_svg(
-                {"baseline": sens.baseline, **sens.curves},
+                {"baseline": result.curve, **result.sensitivity},
                 "capex sensitivity", x_label="cumulative t cement/yr",
                 y_label="$/t CO2"))
     failures = sum(1 for r in result.per_plant if r.error)

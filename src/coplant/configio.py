@@ -192,13 +192,21 @@ def read_profile_csv(path: Path, horizon: int) -> tuple[float, ...]:
     """The first `horizon` values of the first column of a CSV file with one
     header line; blank lines are skipped.
 
-    Raises ValueError for an empty, non-numeric or too short file.
+    Raises ValueError for an empty or too short file, and for a value that is
+    not a number, naming its file and line.
     """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError(f"profile {path} is empty")
-        values = [float(row[0]) for row in reader if any(field.strip() for field in row)]
+        values = []
+        for row in reader:
+            if any(field.strip() for field in row):
+                try:
+                    values.append(float(row[0]))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: not a number: {row[0]!r}") from None
     if len(values) < horizon:
         raise ValueError(f"profile {path} has {len(values)} hours, need {horizon}")
     return tuple(values[:horizon])

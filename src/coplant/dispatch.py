@@ -34,7 +34,6 @@ from coplant.domain import (
     DomainError,
     Flexibility,
     Scenario,
-    StorageUnit,
     SystemSpec,
 )
 from coplant.lp import EQ, GE, LE, LinearProgram, LpSolution
@@ -95,8 +94,6 @@ def reprice_capacity(problem: LinearProgram, spec: SystemSpec, scenario: Scenari
 class DispatchIndex:
     """Deterministic variable numbering shared by builder and extractor."""
 
-    spec: SystemSpec
-    scenario: Scenario
     cap_unit: dict[str, int] = field(default_factory=dict)
     cap_store: dict[str, int] = field(default_factory=dict)
     cap_renew: dict[str, int] = field(default_factory=dict)
@@ -108,10 +105,6 @@ class DispatchIndex:
     vent_o2: int = -1
     seq: int = -1
     n_variables: int = 0
-
-    @property
-    def horizon(self) -> int:
-        return self.scenario.horizon_hours
 
     @property
     def has_curtail(self) -> bool:
@@ -151,7 +144,7 @@ def _consumed_commodities(spec: SystemSpec) -> set[Commodity]:
 
 def build_index(spec: SystemSpec, scenario: Scenario) -> DispatchIndex:
     T = scenario.horizon_hours
-    idx = DispatchIndex(spec=spec, scenario=scenario)
+    idx = DispatchIndex()
     n = 0
     for u in spec.conversion_units:
         idx.cap_unit[u.id] = n
@@ -442,9 +435,8 @@ def extract_solution(spec: SystemSpec, scenario: Scenario,
     return sol
 
 
-def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolution,
-                    tol: float = BALANCE_TOL) -> None:
-    """Check every commodity/hour residual against the declared tolerance."""
+def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolution) -> None:
+    """Check every commodity/hour residual against BALANCE_TOL."""
     commodities = sorted(
         (_produced_commodities(spec) | _consumed_commodities(spec)) - {Commodity.BIOMASS},
         key=lambda c: c.value)
@@ -454,7 +446,7 @@ def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolu
             continue
         stack = np.vstack(list(terms.values()))
         residual = np.abs(stack.sum(axis=0))
-        limit = tol * np.maximum(1.0, np.abs(stack).max(axis=0))
+        limit = BALANCE_TOL * np.maximum(1.0, np.abs(stack).max(axis=0))
         worst = int(np.argmax(residual - limit))
         if residual[worst] > limit[worst]:
             raise ValueError(

@@ -1,8 +1,8 @@
 """Batch optimization of a fleet of plant sites.
 
 Loads a plant registry CSV, runs one job per site (`_solve_plant`) with
-site-specific renewable profiles, and assembles sorted cost-capacity curves
-plus one-at-a-time capex sensitivity envelopes.
+site-specific renewable profiles, and assembles sorted cost-capacity curves,
+with one more curve per one-at-a-time capex perturbation when asked.
 
 Plants CSV schema:   id,lat,lon,clinker_tpd,solar_ref,wind_ref
 Profiles:            <profiles_dir>/<ref>.csv, one column of hourly capacity
@@ -80,24 +80,17 @@ class PlantResult:
 
 
 @dataclass
-class SensitivityCurves:
-    baseline: list[tuple[float, float]]
-    curves: dict[str, list[tuple[float, float]]]   # "solar_capex:+20%" -> curve
-    envelope: list[tuple[float, float, float]]     # (capacity, min, max) pointwise
-
-
-@dataclass
 class FleetResult:
     per_plant: list[PlantResult]
     curve: list[tuple[float, float]]   # (cumulative cement t/yr, abatement $/t)
-    sensitivity: SensitivityCurves | None = None
+    sensitivity: dict[str, list[tuple[float, float]]] | None = None  # label -> curve
 
 
 def load_plants(csv_path: str | Path) -> list[PlantSite]:
     """Read and validate the registry; out-of-range capacities are dropped.
 
-    A row whose lat, lon or clinker_tpd is not a finite number, or whose id
-    an earlier row has, raises PlantsSchemaError naming the file and line."""
+    A non-finite lat, lon or clinker_tpd, a repeated id and, in a kept row, an
+    out-of-range coordinate raise PlantsSchemaError naming the file and line."""
     path = Path(csv_path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -137,11 +130,14 @@ def load_plants(csv_path: str | Path) -> list[PlantSite]:
             if not MIN_CLINKER_TPD <= values["clinker_tpd"] <= MAX_CLINKER_TPD:
                 excluded += 1
                 continue
-            plants.append(PlantSite(
-                id=values["id"], latitude=values["lat"], longitude=values["lon"],
-                clinker_capacity=values["clinker_tpd"],
-                solar_profile_ref=values["solar_ref"],
-                wind_profile_ref=values["wind_ref"]))
+            try:
+                plants.append(PlantSite(
+                    id=values["id"], latitude=values["lat"], longitude=values["lon"],
+                    clinker_capacity=values["clinker_tpd"],
+                    solar_profile_ref=values["solar_ref"],
+                    wind_profile_ref=values["wind_ref"]))
+            except PlantsSchemaError as exc:
+                raise PlantsSchemaError(f"{path}:{lineno}: {exc}") from None
     if excluded:
         logger.info("excluded %d plant(s) outside [%g, %g] t clinker/day",
                     excluded, MIN_CLINKER_TPD, MAX_CLINKER_TPD)
@@ -287,27 +283,11 @@ def _perturbed(spec: SystemSpec, parameter: str, factor: float) -> SystemSpec:
                                renewables=scaled(spec.renewables))
 
 
-def sensitivity_sweep(result: FleetResult) -> SensitivityCurves:
-    """The baseline curve, each of the PERTURBATIONS' curves and their min-max
-    envelope, from a `run_fleet(..., sensitivity=True)` result.
+def sensitivity_sweep(result: FleetResult) -> dict[str, list[tuple[float, float]]]:
+    """The PERTURBATIONS' curves by label, from a `run_fleet(..., sensitivity=True)` result.
 
     A perturbed curve leaves out the plants that failed under it; when all
     failed, FleetFailedError is raised."""
     succeeded = [r for r in result.per_plant if r.error is None]
-    curves = {label: _cost_capacity_curve([r.perturbed[i] for r in succeeded])
-              for i, label in enumerate(PERTURBATIONS)}
-    baseline = result.curve
-    envelope = []
-    all_curves = [baseline] + list(curves.values())
-    for capacity, _ in baseline:
-        costs = [_curve_value(c, capacity) for c in all_curves]
-        envelope.append((capacity, min(costs), max(costs)))
-    return SensitivityCurves(baseline=baseline, curves=curves, envelope=envelope)
-
-
-def _curve_value(curve: list[tuple[float, float]], capacity: float) -> float:
-    """Step-function view of a sorted cost-capacity curve."""
-    for cum, cost in curve:
-        if capacity <= cum + 1e-9:
-            return cost
-    return curve[-1][1]
+    return {label: _cost_capacity_curve([r.perturbed[i] for r in succeeded])
+            for i, label in enumerate(PERTURBATIONS)}

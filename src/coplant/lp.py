@@ -25,8 +25,8 @@ took fewer iterations than primal (111-233 against 422-680) but more time
 (0.32-0.40 s per solve against 0.20-0.30 s).  No such family is
 warm-started today.  Cold solves keep HiGHS's default strategy.  The
 objective is the same as a cold solve's, but where the optimum is not
-unique the warm start may stop at a different optimal vertex, so `x` and
-the duals can differ.  The basis travels through scipy's `linprog` as
+unique the warm start may stop at a different optimal vertex, so `x` can
+differ.  The basis travels through scipy's `linprog` as
 HiGHS's own `read_basis_file` and `write_basis_file` options, in a
 temporary directory.  This was verified on scipy 1.17.1 with HiGHS 1.12;
 on a HiGHS that writes no basis file, `basis` stays None and every solve
@@ -177,7 +177,6 @@ class LpSolution:
     status: str                     # optimal | infeasible | unbounded
     x: np.ndarray | None = None
     objective: float = math.nan
-    duals: np.ndarray | None = None  # one per constraint, when optimal
     iterations: int = 0             # HiGHS simplex or IPM iterations
     solver_status: int | None = None  # scipy linprog status code
     solver_message: str = ""        # HiGHS model status as linprog reports it
@@ -260,11 +259,5 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
         return LpSolution(status="infeasible", **stats)
     if res.status == 3:
         return LpSolution(status="unbounded", **stats)
-
-    duals = np.zeros(problem.n_constraints)
-    if ub.any():
-        duals[ub] = sign[ub] * res.ineqlin.marginals
-    if eq.any():
-        duals[eq] = res.eqlin.marginals
     return LpSolution(status="optimal", x=np.asarray(res.x), objective=float(res.fun),
-                      duals=duals, basis=final_basis, **stats)
+                      basis=final_basis, **stats)

@@ -19,7 +19,7 @@ import numpy as np
 from coplant.costing import CostBreakdown, MoleculeCost, SweepRow
 from coplant.dispatch import DispatchSolution, commodity_balance
 from coplant.domain import Commodity, Scenario, SystemSpec
-from coplant.fleet import FleetResult, SensitivityCurves
+from coplant.fleet import FleetResult
 from coplant.sinknet.network import NetworkSolution
 from coplant.sinknet.raster import CostSurface
 
@@ -116,10 +116,9 @@ def write_cost_capacity_curve_csv(path: str | Path,
                 [[float(c), float(a)] for c, a in curve])
 
 
-def write_sensitivity_csv(path: str | Path, sens: SensitivityCurves) -> None:
-    rows = [["baseline", float(c), float(a)] for c, a in sens.baseline]
-    for label in sorted(sens.curves):
-        rows += [[label, float(c), float(a)] for c, a in sens.curves[label]]
+def write_sensitivity_csv(path: str | Path, result: FleetResult) -> None:
+    curves = {"baseline": result.curve, **dict(sorted(result.sensitivity.items()))}
+    rows = [[label, float(c), float(a)] for label, curve in curves.items() for c, a in curve]
     _write_rows(path, ["curve", "cumulative_capacity", "abatement_cost"], rows)
 
 

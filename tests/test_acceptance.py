@@ -162,11 +162,11 @@ def test_sensitivity_monotonicity(tmp_path):
                         solar_profile_ref=f"s{i}", wind_profile_ref=f"w{i}")
               for i in range(5)]
     start = time.monotonic()
-    sens = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
+    result = run_fleet(plants, template, scenario, profiles, sensitivity=True)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    base = dict(sens.baseline)
-    for label, curve in sens.curves.items():
+    base = dict(result.curve)
+    for label, curve in result.sensitivity.items():
         perturbed = dict(curve)
         for capacity, cost in base.items():
             if capacity not in perturbed:

@@ -137,6 +137,25 @@ def test_netopt_and_determinism(workspace, tmp_path):
         [("196", "148", "8", "8"), ("196", "28", "8", "8")]
 
 
+def test_netopt_warns_of_unreachable_nodes(tmp_path, capsys):
+    """A node walled off by nodata cells is named on stderr; the rest is solved."""
+    cells = np.ones((3, 4))
+    cells[:, 2] = -9999.0
+    write_raster(CostSurface(ncols=4, nrows=3, cell_size=10.0, origin=(0.0, 0.0),
+                             nodata=-9999.0, cells=cells), tmp_path / "cost.asc")
+    (tmp_path / "sources.csv").write_text(
+        "id,row,col,capturable,capture_cost\nS1,0,0,1e6,30\nS2,0,3,1e6,30\n")
+    (tmp_path / "sinks.csv").write_text(
+        "id,row,col,capacity,sequestration_cost\nK1,2,0,2e6,5\n")
+    assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                "--sources", tmp_path / "sources.csv", "--sinks", tmp_path / "sinks.csv",
+                "--target", "1e6", "-o", tmp_path / "net"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: unreachable sources ['S2'], sinks []\n"
+    rows = (tmp_path / "net" / "network.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["S1", "K1"]]
+
+
 def test_netopt_binding_sinks_above_exact_limit(tmp_path, capsys):
     """13 sources of 1 Mt/yr and two sinks of 7.15 Mt/yr, target 13 Mt/yr:
     local search starts with every source at the cheaper sink, which cannot
@@ -535,7 +554,9 @@ class TestExitCodes:
         ("NCOLS 3.7\nNROWS 3\nCELLSIZE 1\n", "NCOLS must be a positive integer, got 3.7"),
         ("NCOLS 3\nNROWS 3\nXLLCORNER nan\nCELLSIZE 1\n",
          "XLLCORNER and YLLCORNER must be finite numbers, got (nan, 0.0)"),
-        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\nCELLSIZE 7\n", "cost.asc:4: repeated header key CELLSIZE")])
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\nCELLSIZE 7\n", "cost.asc:4: repeated header key CELLSIZE"),
+        ("NCOLS 3 4\nNROWS 3\nCELLSIZE 1\n", "cost.asc:1: malformed header line"),
+        ("NCOLS 3\nNROWS x\nCELLSIZE 1\n", "cost.asc:2: non-numeric header value 'x'")])
     def test_netopt_bad_raster_header(self, tmp_path, capsys, header, message):
         (tmp_path / "cost.asc").write_text(f"{header}1 1 1\n1 1 1\n1 1 1\n")
         (tmp_path / "sources.csv").write_text(
@@ -586,6 +607,13 @@ class TestExitCodes:
                     "--scenario", workspace / "scenario.cfg", "--x", f"5,{value}",
                     "-o", tmp_path / "x"]) == 2
         assert "bad --x list" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_sweep_empty_x(self, workspace, tmp_path, capsys):
+        assert run(["sweep", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg", "--x", ",",
+                    "-o", tmp_path / "x"]) == 2
+        assert "--x needs at least one value" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_fleet_all_plants_failed(self, workspace, tmp_path, capsys):

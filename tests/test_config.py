@@ -117,6 +117,15 @@ def test_profile_empty(tmp_path):
         parse_system(text, 24, base_dir=tmp_path)
 
 
+def test_profile_non_numeric_names_line(tmp_path):
+    (tmp_path / "p.csv").write_text("cf\n0.5\n\nabc\n0.5\n")
+    text = ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
+            "[renewable]\nid = pv\nprofile_file = p.csv\n")
+    with pytest.raises(ConfigError) as err:
+        parse_system(text, 3, base_dir=tmp_path)
+    assert str(err.value) == f"{tmp_path / 'p.csv'}:4: not a number: 'abc'"
+
+
 def test_bad_coefficient_entry():
     text = ("[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
             "[unit]\nid = u\ninputs = electricity\n")

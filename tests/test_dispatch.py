@@ -14,7 +14,6 @@ from coplant.dispatch import (
 from coplant.domain import (
     Commodity,
     ConversionUnit,
-    Flexibility,
     RenewableSource,
     Scenario,
     StorageUnit,
@@ -78,6 +77,18 @@ def test_toy_solves_and_balances():
     assert np.all(sol.activity["maker"] >= 1.0 - 1e-6)
     # SOC bounded by built storage capacity
     assert np.all(sol.soc["batt"] <= sol.capacities["batt"] + 1e-9)
+
+
+def test_extract_rejects_short_or_unbalanced_x():
+    spec, scenario = toy_system(24)
+    res = solve_lp(build_lp(spec, scenario))
+    short = dataclasses.replace(res, x=res.x[:-1])
+    with pytest.raises(ValueError, match="^solution has 122 values, expected 123$"):
+        dispatch.extract_solution(spec, scenario, short)
+    x = res.x.copy()
+    x[build_index(spec, scenario).act["maker"] + 5] += 0.5
+    with pytest.raises(ValueError, match="^balance violated for cement at hour 5: "):
+        dispatch.extract_solution(spec, scenario, dataclasses.replace(res, x=x))
 
 
 def test_zero_demand_all_zero():

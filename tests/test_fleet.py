@@ -93,10 +93,16 @@ class TestLoadPlants:
             load_plants(path)
 
     def test_coordinate_range(self, tmp_path):
-        path = write_plants(tmp_path / "p.csv", [
-            ("A", 95, 110, 5000, "s1", "w1")])
-        with pytest.raises(PlantsSchemaError):
-            load_plants(path)
+        for row, message in [(("A", 95, 110, 5000, "s1", "w1"), "A: latitude out of range"),
+                             (("A", 30, -181, 5000, "s1", "w1"),
+                              "A: longitude out of range")]:
+            path = write_plants(tmp_path / "p.csv", [("B", 31, 111, 5000, "s1", "w1"), row])
+            with pytest.raises(PlantsSchemaError) as err:
+                load_plants(path)
+            assert str(err.value) == f"{path}:3: {message}"
+        with pytest.raises(PlantsSchemaError, match="^A: longitude out of range$"):
+            PlantSite(id="A", latitude=0, longitude=180.5, clinker_capacity=5000,
+                      solar_profile_ref="s1", wind_profile_ref="w1")
 
 
 class TestRunFleet:
@@ -176,6 +182,20 @@ class TestRunFleet:
         assert errors["header"].startswith("ValueError: profile ")
         assert "has 0 hours" in errors["header"]
         assert len(result.curve) == 1
+
+    def test_non_numeric_profile_names_line(self, fleet_env, tmp_path):
+        _, profiles, scenario, template = fleet_env
+        rows = (profiles / "s1.csv").read_text().splitlines()
+        rows[5] = "abc"
+        (tmp_path / "bad.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "w1.csv").write_bytes((profiles / "w1.csv").read_bytes())
+        plant = PlantSite(id="P", latitude=30, longitude=110, clinker_capacity=4000,
+                          solar_profile_ref="bad", wind_profile_ref="w1")
+        good = dataclasses.replace(plant, id="G", solar_profile_ref="w1")
+        result = run_fleet([good, plant], template, scenario, tmp_path)
+        errors = {r.plant.id: r.error for r in result.per_plant}
+        assert errors == {"G": None, "P": f"ValueError: {tmp_path / 'bad.csv'}:6: "
+                                          "not a number: 'abc'"}
 
     def test_all_failed_raises(self, fleet_env):
         _, profiles, scenario, template = fleet_env
@@ -325,11 +345,10 @@ class TestSensitivity:
 
     def test_monotone_and_envelope(self, fleet_env):
         _, profiles, scenario, template = fleet_env
-        sens = run_fleet(two_plants(), template, scenario, profiles,
-                         sensitivity=True).sensitivity
-        assert list(sens.curves) == list(fleet.PERTURBATIONS)
-        base = dict(sens.baseline)
-        for label, curve in sens.curves.items():
+        result = run_fleet(two_plants(), template, scenario, profiles, sensitivity=True)
+        assert list(result.sensitivity) == list(fleet.PERTURBATIONS)
+        base = dict(result.curve)
+        for label, curve in result.sensitivity.items():
             costs = dict(curve)
             for capacity in base:
                 if capacity not in costs:
@@ -338,10 +357,6 @@ class TestSensitivity:
                     assert costs[capacity] >= base[capacity] - 1e-6
                 else:
                     assert costs[capacity] <= base[capacity] + 1e-6
-        # envelope contains the baseline pointwise
-        for (capacity, lo, hi), (cap_b, cost_b) in zip(sens.envelope, sens.baseline):
-            assert capacity == cap_b
-            assert lo - 1e-9 <= cost_b <= hi + 1e-9
 
     def test_delta_zero_identity(self, fleet_env):
         """A perturbation by factor 1.0 prices the plant at its baseline."""
@@ -375,13 +390,12 @@ class TestSensitivity:
 
         monkeypatch.setattr(fleet, "load_profile", counting)
         result = run_fleet([good, bad], template, scenario, profiles, sensitivity=True)
-        sens = result.sensitivity
         assert loaded.count("nope") == 1
         assert loaded.count("s1") == 1   # the good plant's profiles are read once
         capacity = next(r.cement_capacity for r in result.per_plant if r.plant.id == "G")
-        assert [c for c, _ in sens.baseline] == [capacity]
-        assert len(sens.curves) == 6
-        for curve in sens.curves.values():
+        assert [c for c, _ in result.curve] == [capacity]
+        assert len(result.sensitivity) == 6
+        for curve in result.sensitivity.values():
             assert [c for c, _ in curve] == [capacity]
 
     def test_failed_perturbation_drops_only_that_plant(self, fleet_env, monkeypatch,
@@ -411,7 +425,7 @@ class TestSensitivity:
         assert "plant P0 failed" in caplog.text
         assert all(r.error is None for r in result.per_plant)
         capacity = {r.plant.id: r.cement_capacity for r in result.per_plant}
-        for label, curve in result.sensitivity.curves.items():
+        for label, curve in result.sensitivity.items():
             caps = [c for c, _ in curve]
             if label == "wind_capex:+20%":
                 assert caps == [capacity["P1"]]
@@ -455,10 +469,9 @@ class TestSensitivity:
 
         monkeypatch.setattr(lp, "solve_lp", lambda problem, basis=None: solve_lp(problem))
         cold = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
-        assert warm.curves.keys() == cold.curves.keys()
-        for label, curve in warm.curves.items():
-            np.testing.assert_allclose(curve, cold.curves[label], rtol=1e-9)
-        np.testing.assert_allclose(warm.envelope, cold.envelope, rtol=1e-9)
+        assert warm.keys() == cold.keys()
+        for label, curve in warm.items():
+            np.testing.assert_allclose(curve, cold[label], rtol=1e-9)
 
     def test_repriced_lp_matches_fresh_build(self, reference_plants):
         """Re-pricing one built LP through all six perturbations in turn gives

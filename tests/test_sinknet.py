@@ -111,7 +111,8 @@ class TestRaster:
         ("NCOLS 3.7\nNROWS 3\nCELLSIZE 1\n", "NCOLS must be a positive integer, got 3.7"),
         ("NCOLS 3\nNROWS 0\nCELLSIZE 1\n", "NROWS must be a positive integer, got 0"),
         ("NCOLS nan\nNROWS 3\nCELLSIZE 1\n", "NCOLS must be a positive integer, got nan"),
-        ("NCOLS 3\nNROWS inf\nCELLSIZE 1\n", "NROWS must be a positive integer, got inf")])
+        ("NCOLS 3\nNROWS inf\nCELLSIZE 1\n", "NROWS must be a positive integer, got inf"),
+        ("NCOLS 3\nNROWS 3\n", "missing header key CELLSIZE")])
     def test_load_bad_header_rejected(self, tmp_path, header, message):
         path = tmp_path / "g.asc"
         path.write_text(f"{header}1 1 1\n1 1 1\n1 1 1\n")
@@ -119,6 +120,17 @@ class TestRaster:
             load_raster(path)
         assert str(err.value).startswith(f"{path}: ")
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n", ": no data section found"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1 1\n\n1 x 1\n1 1 1\n",
+         ":6: non-numeric cell value 'x'")])
+    def test_load_data_section_rejected(self, tmp_path, text, message):
+        path = tmp_path / "g.asc"
+        path.write_text(text)
+        with pytest.raises(RasterFormatError) as err:
+            load_raster(path)
+        assert str(err.value) == f"{path}{message}"
 
     def test_repeated_header_key_rejected(self, tmp_path):
         path = tmp_path / "g.asc"
