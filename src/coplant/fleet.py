@@ -89,8 +89,10 @@ class FleetResult:
 def load_plants(csv_path: str | Path) -> list[PlantSite]:
     """Read and validate the registry; out-of-range capacities are dropped.
 
-    A non-finite lat, lon or clinker_tpd, a repeated id and, in a kept row, an
-    out-of-range coordinate raise PlantsSchemaError naming the file and line."""
+    A non-finite lat, lon or clinker_tpd, a repeated id and an out-of-range
+    coordinate raise PlantsSchemaError naming the file and line, also in a
+    row that the capacity range drops.  The line is the file line on which
+    the row ends, so a quoted field that spans lines does not shift it."""
     path = Path(csv_path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -104,7 +106,8 @@ def load_plants(csv_path: str | Path) -> list[PlantSite]:
         plants: list[PlantSite] = []
         excluded = 0
         first_line: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(PLANTS_HEADER):
@@ -127,17 +130,18 @@ def load_plants(csv_path: str | Path) -> list[PlantSite]:
                     f"{path}:{lineno}: repeated plant id {values['id']!r} "
                     f"(first on line {first_line[values['id']]})")
             first_line[values["id"]] = lineno
-            if not MIN_CLINKER_TPD <= values["clinker_tpd"] <= MAX_CLINKER_TPD:
-                excluded += 1
-                continue
             try:
-                plants.append(PlantSite(
+                plant = PlantSite(
                     id=values["id"], latitude=values["lat"], longitude=values["lon"],
                     clinker_capacity=values["clinker_tpd"],
                     solar_profile_ref=values["solar_ref"],
-                    wind_profile_ref=values["wind_ref"]))
+                    wind_profile_ref=values["wind_ref"])
             except PlantsSchemaError as exc:
                 raise PlantsSchemaError(f"{path}:{lineno}: {exc}") from None
+            if MIN_CLINKER_TPD <= plant.clinker_capacity <= MAX_CLINKER_TPD:
+                plants.append(plant)
+            else:
+                excluded += 1
     if excluded:
         logger.info("excluded %d plant(s) outside [%g, %g] t clinker/day",
                     excluded, MIN_CLINKER_TPD, MAX_CLINKER_TPD)

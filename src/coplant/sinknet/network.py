@@ -12,16 +12,23 @@ even the exact search finds the cheapest network under the rule, not the
 cost-minimal one in general.  One numpy kernel (`_Instance.allocate` and
 `_Instance.cost`) applies that rule to a block of assignments; both searches
 and the one-assignment `evaluate` run on it.
-The source count picks the search: up to EXACT_SOURCE_LIMIT (12) sources,
-every assignment is enumerated; above it, steepest-descent local search over
-single-source moves starts from the greedy assignment, first closes any
-shortfall against the target, then lowers the cost.  Both keep an incumbent
-unless a candidate falls less short of the target, or as short and cheaper
-by more than 1e-9 $/yr (`_replaces`)."""
+The source count picks the search.  Up to EXACT_SOURCE_LIMIT (12) sources,
+the exact search returns the winner of an enumeration of every assignment
+but runs only the tight ones through the kernel: assignments in which every
+source given a sink ships flow and the target is still reachable.  Any
+other assignment ships what a tight one earlier in the enumeration ships,
+at the same cost, or falls short, so it cannot win.  Above the limit,
+steepest-descent local search over single-source moves starts from the
+greedy assignment, first closes any shortfall against the target, then
+lowers the cost.  Both keep an incumbent unless a candidate falls less short
+of the target, or as short and cheaper by more than 1e-9 $/yr
+(`_replaces`)."""
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,9 @@ EXACT_SOURCE_LIMIT = 12
 
 #: Assignments the exact search evaluates at once; bounds its working memory.
 EXACT_BLOCK = 4096
+
+#: Most codes one pass of the exact search spans; bounds its frontier.
+EXACT_PASS = 1 << 16
 
 class NetworkInfeasible(ValueError):
     pass
@@ -148,6 +158,10 @@ class _Instance:
                 self.seq[i, j] = seq_cost[k]
                 self.terrain[i, j] = self.edges[(src.id, k)].terrain_cost
         self.pairs.sort()
+        # an assignment's code is its digits dotted with `stride`: codes number
+        # the assignments in product order, the first source most significant
+        self.radix = np.array([len(o) for o in self.options])
+        self.stride = np.cumprod(np.concatenate(([1], self.radix[:0:-1])))[::-1]
         self.capture = np.array([s.eq_capture_cost for s in self.sources], dtype=float)
         self.capturable = np.array([s.capturable for s in self.sources], dtype=float)
         self.capacity = np.array([k.capacity for k in sinks], dtype=float)
@@ -253,31 +267,98 @@ def _replaces(candidate: tuple[float, float], incumbent: tuple[float, float]) ->
         candidate[0] == incumbent[0] and candidate[1] < incumbent[1] - 1e-9)
 
 
+def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
+    """The codes that `_solve_exact` runs through the kernel, in ascending
+    arrays, one per pass: every tight code (each source given a sink ships
+    flow under `allocate`) that may still reach the target.
+
+    A pass fixes the digits of the most significant sources, so that it spans
+    at most EXACT_PASS codes, and expands a frontier of partial assignments
+    over `inst.pairs` in allocation order.  At a pair (i, j, k) a row whose
+    source i has no sink yet branches into "skip" and "assign"; it is
+    assigned only where the kernel would give it flow, with the kernel's own
+    operations in the kernel's order, so `remaining` and sink `room` are the
+    kernel's to the bit.  A row is dropped once `remaining` exceeds, by more
+    than 1e-6 + 1e-9 * target, both the summed room of the sinks and the
+    capturable supply of the sources still open (undecided, with a pair to
+    come): it cannot reach the target.  Each frontier row is a distinct code
+    of the pass, so a pass holds at most EXACT_PASS rows."""
+    n, radix = len(inst.options), inst.radix
+    n_fixed = 0
+    while math.prod(radix[n_fixed:].tolist()) > EXACT_PASS:
+        n_fixed += 1
+    last = {i: pos for pos, (_, i, _, _) in enumerate(inst.pairs)}
+    bit = 1 << np.arange(n)
+    # capturable supply of every set of open sources, a set as a bit mask;
+    # summed from scratch, so it is as exact as a sum of positives
+    supply = (np.arange(1 << n)[:, None] & bit > 0) @ inst.capturable
+    slack = 1e-6 + 1e-9 * inst.target
+    connected = sum(1 << i for i in last)
+    for prefix in itertools.product(*map(range, radix[:n_fixed])):
+        remaining = np.array([float(inst.target)])
+        room = inst.capacity[:, None].copy()                  # (sink, row)
+        digit = np.zeros((n, 1), dtype=np.min_scalar_type(radix.max()))
+        # a fixed source is open only when the prefix gives it a sink
+        mask = np.array([connected & ~sum(1 << i for i, d in enumerate(prefix) if d == 0)])
+        for pos, (_, i, j, k) in enumerate(inst.pairs):
+            if i < n_fixed and prefix[i] != j:
+                continue
+            f = np.minimum(np.minimum(inst.capturable[i], room[k]), remaining)
+            new = np.flatnonzero((digit[i] == 0) & (remaining > 1e-12) & (f > 0))
+            f = f[new]
+            new_room, new_digit = room[:, new], digit[:, new]
+            new_room[k] -= f
+            new_digit[i] = j
+            if i < n_fixed:     # the prefix gives source i this sink: it must ship here
+                remaining, room, digit, mask = (
+                    remaining[new] - f, new_room, new_digit, mask[new] & ~bit[i])
+            else:
+                remaining = np.concatenate((remaining, remaining[new] - f))
+                room = np.concatenate((room, new_room), axis=1)
+                digit = np.concatenate((digit, new_digit), axis=1)
+                mask = np.concatenate((mask, mask[new] & ~bit[i]))
+                if pos == last[i]:
+                    mask &= ~bit[i]
+            keep = np.flatnonzero(
+                remaining - np.minimum(supply[mask], room.sum(axis=0)) <= slack)
+            if keep.size < remaining.size:
+                remaining, room, digit, mask = (
+                    remaining[keep], room[:, keep], digit[:, keep], mask[keep])
+        yield np.sort(inst.stride @ digit)
+
+
 def _solve_exact(inst: _Instance) -> tuple[float, NetworkSolution]:
     """Best assignment in `itertools.product` order over each source's
     options (sources by id, the first most significant) under `_replaces`:
     the first one that reaches the target wins unless a later one is cheaper
-    by more than 1e-9.  Assignments are numbered by that order and run
-    through the kernel EXACT_BLOCK at a time."""
-    radix = np.array([len(o) for o in inst.options])
-    stride = np.cumprod(np.concatenate(([1], radix[:0:-1])))[::-1]
-    n_codes = math.prod(len(o) for o in inst.options)
+    by more than 1e-9.  Assignments are numbered by that order.
+
+    Only the codes of `_tight_codes` go through the kernel, EXACT_BLOCK at a
+    time, and the winner is that of all codes.  A code that gives some
+    source a sink it ships nothing to has the flows, and bit for bit the
+    cost, of its tight representative, the same code with those sources set
+    to no sink; the representative has the smaller code, so under
+    `_replaces` the other can never replace the incumbent, and the first
+    feasible code is tight.  The codes left out otherwise cannot reach the
+    target."""
+    radix, stride = inst.radix, inst.stride
     best, best_code = (math.inf, math.inf), None
-    for start in range(0, n_codes, EXACT_BLOCK):
-        codes = np.arange(start, min(start + EXACT_BLOCK, n_codes))
-        digit = codes // stride[:, None] % radix[:, None]      # (source, code)
-        remaining, flow = inst.allocate(digit)
-        feasible = np.flatnonzero(_shortfall(remaining) == 0)
-        capture, pipeline, seq, _ = inst.cost(digit[:, feasible], flow[:, feasible])
-        total = (capture + pipeline) + seq
-        # A code that replaces a feasible incumbent undercuts every earlier
-        # feasible code, so only those, and the first feasible code while
-        # there is no incumbent, go through `_replaces` one by one.
-        hits = total < np.fmin.accumulate(np.concatenate(([best[1]], total[:-1])))
-        hits[:1] |= best_code is None
-        for h in np.flatnonzero(hits):
-            if _replaces((0.0, total[h]), best):
-                best, best_code = (0.0, float(total[h])), start + int(feasible[h])
+    for tight in _tight_codes(inst):
+        for start in range(0, tight.size, EXACT_BLOCK):
+            codes = tight[start:start + EXACT_BLOCK]
+            digit = codes // stride[:, None] % radix[:, None]      # (source, code)
+            remaining, flow = inst.allocate(digit)
+            feasible = np.flatnonzero(_shortfall(remaining) == 0)
+            capture, pipeline, seq, _ = inst.cost(digit[:, feasible], flow[:, feasible])
+            total = (capture + pipeline) + seq
+            # A code that replaces a feasible incumbent undercuts every earlier
+            # feasible code, so only those, and the first feasible code while
+            # there is no incumbent, go through `_replaces` one by one.
+            hits = total < np.fmin.accumulate(np.concatenate(([best[1]], total[:-1])))
+            hits[:1] |= best_code is None
+            for h in np.flatnonzero(hits):
+                if _replaces((0.0, total[h]), best):
+                    best, best_code = (0.0, float(total[h])), int(codes[feasible[h]])
     if best_code is None:
         raise NetworkInfeasible("no assignment reaches the target")
     return inst.evaluate(inst.assignment(best_code // stride % radix))
@@ -327,8 +408,10 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
                    candidates: list[CandidateEdge], target: float) -> NetworkSolution:
     """Choose sources, corridors and flows meeting the sequestration target.
 
-    Up to EXACT_SOURCE_LIMIT sources, every assignment is enumerated and the
-    winner is optimal over assignments under the allocation rule; above it,
+    Up to EXACT_SOURCE_LIMIT sources, the winner is that of an enumeration
+    of every assignment, optimal over assignments under the allocation rule;
+    only the tight assignments that can reach the target are evaluated, as
+    no other one can replace it (`_solve_exact`).  Above the limit,
     local search from the greedy start first closes any shortfall, then
     lowers the cost, and returns a local optimum.  Raises NetworkInfeasible
     when the target exceeds supply or sink capacity, when no assignment

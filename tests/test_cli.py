@@ -601,6 +601,16 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_fleet_bad_coordinate_in_excluded_row(self, workspace, tmp_path, capsys):
+        """A bad coordinate exits 3 even where the clinker range would drop the row."""
+        plants, profiles = write_fleet_inputs(tmp_path, 1)
+        plants.write_text("id,lat,lon,clinker_tpd,solar_ref,wind_ref\nC,95,110,12000,s1,w1\n")
+        assert run(["fleet", "--spec", workspace / "system.cfg",
+                    "--scenario", workspace / "scenario.cfg", "--plants", plants,
+                    "--profiles", profiles, "-o", tmp_path / "x"]) == 3
+        assert "plants.csv:2: C: latitude out of range" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_sweep_non_finite_x(self, workspace, tmp_path, capsys, value):
         assert run(["sweep", "--spec", workspace / "system.cfg",

@@ -105,6 +105,26 @@ class TestLoadPlants:
                       solar_profile_ref="s1", wind_profile_ref="w1")
 
 
+    def test_errors_name_the_file_line(self, tmp_path):
+        """A quoted id spanning lines 2-3 is one record; the bad latitude of the
+        next record is on file line 4, not record 3."""
+        path = tmp_path / "plants.csv"
+        path.write_text('id,lat,lon,clinker_tpd,solar_ref,wind_ref\n'
+                        '"A\nB",30,110,5000,s,w\n'
+                        'C,95,110,5000,s,w\n')
+        with pytest.raises(PlantsSchemaError) as err:
+            load_plants(path)
+        assert str(err.value) == f"{path}:4: C: latitude out of range"
+
+    def test_coordinates_checked_before_capacity_range(self, tmp_path):
+        """A row the capacity range would drop is still rejected for a bad
+        coordinate, not silently counted as excluded."""
+        path = write_plants(tmp_path / "plants.csv", [("C", 95, 110, 12000, "s", "w")])
+        with pytest.raises(PlantsSchemaError) as err:
+            load_plants(path)
+        assert str(err.value) == f"{path}:2: C: latitude out of range"
+
+
 class TestRunFleet:
     def test_single_plant_curve(self, fleet_env):
         _, profiles, scenario, template = fleet_env

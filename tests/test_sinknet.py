@@ -1,22 +1,28 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
+from coplant.sinknet import network
 from coplant.sinknet.network import (
     DEFAULT_PIPELINE_CLASSES,
     EXACT_BLOCK,
+    EXACT_PASS,
     EXACT_SOURCE_LIMIT,
     NetworkInfeasible,
     NetworkParams,
     NetworkSolution,
     RouteFlow,
     _make_instance,
+    _replaces,
+    _shortfall,
     _solve_exact,
     _solve_local,
+    _tight_codes,
     select_network,
     size_pipeline,
 )
@@ -515,6 +521,33 @@ def solve_exact(sources, sinks, edges, target):
     return _solve_exact(_make_instance(sources, sinks, edges, target, NetworkParams()))[1]
 
 
+def every_code_exact(inst):
+    """The exact search over every code in product order, EXACT_BLOCK at a
+    time, with `_replaces` applied to each feasible code in turn: the
+    enumeration that `_tight_codes` cuts down, kept as its reference."""
+    radix, stride = inst.radix, inst.stride
+    n_codes = math.prod(radix.tolist())
+    best, best_code = (math.inf, math.inf), None
+    for start in range(0, n_codes, EXACT_BLOCK):
+        codes = np.arange(start, min(start + EXACT_BLOCK, n_codes))
+        digit = codes // stride[:, None] % radix[:, None]
+        remaining, flow = inst.allocate(digit)
+        capture, pipeline, seq, _ = inst.cost(digit, flow)
+        total = (capture + pipeline) + seq
+        for h in np.flatnonzero(_shortfall(remaining) == 0):
+            if best_code is None or _replaces((0.0, total[h]), best):
+                best, best_code = (0.0, float(total[h])), int(codes[h])
+    return None if best_code is None else \
+        inst.evaluate(inst.assignment(best_code // stride % radix))[1]
+
+
+def small_passes(monkeypatch):
+    """Searches in passes of at most 64 codes and kernel blocks of 8, so that
+    small instances take several of each."""
+    monkeypatch.setattr(network, "EXACT_PASS", 64)
+    monkeypatch.setattr(network, "EXACT_BLOCK", 8)
+
+
 def solve_local(sources, sinks, edges, target):
     """The local search, whatever the source count."""
     return _solve_local(_make_instance(sources, sinks, edges, target, NetworkParams()))[1]
@@ -640,30 +673,97 @@ class TestSelectNetwork:
             checked += 1
         assert checked >= 20
 
-    def test_exact_blocks_match_scalar_loop(self):
+    def test_exact_blocks_match_scalar_loop(self, monkeypatch):
         """[PRIMARY] the block enumeration returns the very NetworkSolution
         of the one-scalar-evaluation-per-assignment loop, or fails where it
-        finds none."""
+        finds none; so it does when passes and blocks are made small enough
+        that most instances take several."""
         seen = {"parallel": 0, "mixed_radix": 0, "integer": 0,
                 "infeasible": 0, "blocks": 0}
         checked = 0
         for trial, integer, sources, sinks, edges, target in block_instances():
             oracle = product_order_oracle(sources, sinks, edges, target)
             checked += 1
+            for small in (False, True):
+                with monkeypatch.context() as patch:
+                    if small:
+                        small_passes(patch)
+                    if oracle is None:
+                        with pytest.raises(NetworkInfeasible, match="no assignment reaches"):
+                            solve_exact(sources, sinks, edges, target)
+                        continue
+                    sol = solve_exact(sources, sinks, edges, target)
+                    assert sol == oracle[1], f"trial {trial}, small passes {small}"
+                    if small:
+                        inst = _make_instance(sources, sinks, edges, target, NetworkParams())
+                        passes = list(_tight_codes(inst))
+                        seen["blocks"] += len(passes) > 1 and sum(map(len, passes)) > 8
             if oracle is None:
-                with pytest.raises(NetworkInfeasible, match="no assignment reaches"):
-                    solve_exact(sources, sinks, edges, target)
                 seen["infeasible"] += 1
                 continue
-            sol = solve_exact(sources, sinks, edges, target)
-            assert sol == oracle[1], f"trial {trial}"
             radix = [1 + sum(e.source_id == s.id for e in edges) for s in sources]
             seen["parallel"] += any(r.pipe_count > 1 for r in sol.routes)
             seen["mixed_radix"] += len(set(radix)) > 1
             seen["integer"] += integer
-            seen["blocks"] += math.prod(radix) > EXACT_BLOCK
         assert checked >= 50
         assert min(seen.values()) > 0, seen
+
+    def test_tight_codes_are_the_feasible_tight_set(self, monkeypatch):
+        """[PRIMARY] on every block-test instance, at the default pass size
+        and at 64 codes a pass, `_tight_codes` yields only tight codes, in
+        ascending order, and among them every code that a brute-force run of
+        the kernel over all codes finds reaching the target with no assigned
+        source at zero flow, and no other feasible one."""
+        sizes = []
+        for trial, integer, sources, sinks, edges, target in block_instances():
+            inst = _make_instance(sources, sinks, edges, target, NetworkParams())
+            radix, stride = inst.radix, inst.stride
+
+            def feasible_tight(codes):
+                digit = codes // stride[:, None] % radix[:, None]
+                remaining, flow = inst.allocate(digit)
+                tight = ((digit == 0) | (flow > 0)).all(axis=0)
+                return tight, codes[tight & (_shortfall(remaining) == 0)]
+
+            _, expected = feasible_tight(np.arange(math.prod(radix.tolist())))
+            for small in (False, True):
+                with monkeypatch.context() as patch:
+                    if small:
+                        small_passes(patch)
+                    passes = list(_tight_codes(inst))
+                codes = np.concatenate(passes)
+                assert (np.diff(codes) > 0).all(), f"trial {trial}"
+                tight, found = feasible_tight(codes)
+                assert tight.all(), f"trial {trial}"
+                np.testing.assert_array_equal(found, expected, err_msg=f"trial {trial}")
+                sizes.append((len(passes), codes.size, expected.size))
+        assert max(p for p, _, _ in sizes) > 1
+        assert sum(f for _, _, f in sizes) > 1000, sizes
+
+    def test_exact_search_in_several_passes(self):
+        """[PRIMARY] 12 sources and 2 sinks, 3^12 = 531,441 codes, searched in
+        several passes: the NetworkSolution of the enumeration of every code,
+        with a traced peak under 16 MB."""
+        rng = np.random.default_rng(12)
+        sources = [SourceNode(id=f"S{i:02d}", cell=i, capturable=float(rng.uniform(0.5e6, 3e6)),
+                              eq_capture_cost=float(rng.uniform(30, 70))) for i in range(12)]
+        supply = sum(s.capturable for s in sources)
+        sinks = [SinkNode(id=f"K{j}", cell=100 + j, capacity=float(rng.uniform(0.3, 0.5)) * supply,
+                          sequestration_cost=float(rng.uniform(4, 12))) for j in range(2)]
+        edges = [CandidateEdge(source_id=s.id, sink_id=k.id, path=(s.cell, k.cell),
+                               length_km=1.0, terrain_cost=float(rng.uniform(20, 2000)))
+                 for s in sources for k in sinks]
+        target = 0.6 * supply
+        inst = _make_instance(sources, sinks, edges, target, NetworkParams())
+        assert 3 ** 12 > EXACT_PASS and len(list(_tight_codes(inst))) > 1
+        tracemalloc.start()
+        try:
+            sol = select_network(sources, sinks, edges, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol == every_code_exact(inst)
+        assert peak < 16e6, peak
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_evaluate_matches_scalar(self, integer):
