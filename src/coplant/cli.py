@@ -216,11 +216,12 @@ _NODE_COLUMNS = {"source": ("capturable", "capture_cost"),
 
 
 def _load_nodes(path: str, kind: str, surface):
-    """The rows of a node CSV as dicts of id, raster cell, amount and cost."""
+    """The rows of a node CSV as dicts of id, raster cell, amount and cost.
+    An error names the file line on which its row ends."""
     try:
         with Path(path).open(newline="") as fh:
             reader = csv.DictReader(fh)
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
     columns = reader.fieldnames or []
@@ -230,26 +231,26 @@ def _load_nodes(path: str, kind: str, surface):
     amount, cost = _NODE_COLUMNS[kind]
     nodes = []
     first_line: dict[str, int] = {}
-    for i, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         try:
             node = dict(id=row["id"], row=int(row["row"]), col=int(row["col"]),
                         amount=configio.finite_float(row[amount]),
                         cost=configio.finite_float(row[cost]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path}:{i}: bad {kind} row: {exc}",
+            raise CliError(f"{path}:{lineno}: bad {kind} row: {exc}",
                            EXIT_VALIDATION) from None
         try:
             node["cell"] = surface.index(node.pop("row"), node.pop("col"))
         except ValueError as exc:
-            raise CliError(f"{path}:{i}: {kind} {node['id']!r} {exc}",
+            raise CliError(f"{path}:{lineno}: {kind} {node['id']!r} {exc}",
                            EXIT_VALIDATION) from None
         if node["amount"] < 0:
-            raise CliError(f"{path}:{i}: {kind} {amount} must be >= 0, got "
+            raise CliError(f"{path}:{lineno}: {kind} {amount} must be >= 0, got "
                            f"{row[amount].strip()}", EXIT_VALIDATION)
         if node["id"] in first_line:
-            raise CliError(f"{path}:{i}: repeated {kind} id {node['id']!r} "
+            raise CliError(f"{path}:{lineno}: repeated {kind} id {node['id']!r} "
                            f"(first on line {first_line[node['id']]})", EXIT_VALIDATION)
-        first_line[node["id"]] = i
+        first_line[node["id"]] = lineno
         nodes.append(node)
     return nodes
 
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="t CO2/yr to sequester")
     p.add_argument("--method", default="auto", choices=("auto",),
                    help="kept for existing scripts; the search follows from "
-                        "the source count")
+                        "the source and assignment counts")
     p.add_argument("-o", "--out", dest="out", required=True,
                    help="output directory")
     p.set_defaults(func=cmd_netopt)

@@ -13,12 +13,10 @@ omitted key takes the field's default.  Numbers must be finite.  Booleans are
 `true`/`false`; lists of commodity coefficients are written
 `commodity:coefficient, commodity:coefficient`, each commodity once.
 
-Two sets of keys are not field names.  `transport_mode`, `transport_cost` and
-`storage_cost` in `[scenario]` set the `mode`, `transport` and `storage` of
-`Scenario.transport_cost`.  A renewable's profile comes either from
-`profile_file = <csv>` (one column of hourly capacity factors, one header
-line, resolved relative to the config file) or `profile_synthetic =
-solar:<seed>` / `wind:<seed>`.
+A renewable's profile is the one set of keys that are not field names: it
+comes either from `profile_file = <csv>` (one column of hourly capacity
+factors, one header line, resolved relative to the config file) or
+`profile_synthetic = solar:<seed>` / `wind:<seed>`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from coplant.domain import (
     Scenario,
     StorageUnit,
     SystemSpec,
-    TransportCost,
 )
 
 class ConfigError(ValueError):
@@ -110,7 +107,7 @@ def _coeff_str(coeffs: dict[Commodity, float]) -> str:
 
 
 #: (parse, format) for each field type that a config key can set.  Fields of
-#: any other type (nested dataclasses, tuples) are not config keys.
+#: any other type (tuples) are not config keys.
 _TYPES = {
     float: (finite_float, repr),
     int: (int, repr),
@@ -121,10 +118,6 @@ _TYPES = {
     dict[Commodity, float]: (_coeffs, _coeff_str),
 }
 
-#: `TransportCost` field -> its key in `[scenario]`.
-_TRANSPORT_KEYS = {"mode": "transport_mode", "transport": "transport_cost",
-                   "storage": "storage_cost"}
-
 
 @functools.cache
 def _config_fields(cls: type) -> tuple[tuple[Field, tuple], ...]:
@@ -133,29 +126,19 @@ def _config_fields(cls: type) -> tuple[tuple[Field, tuple], ...]:
     return tuple((f, _TYPES[hints[f.name]]) for f in fields(cls) if hints[f.name] in _TYPES)
 
 
-def _pop_fields(cls: type, block: dict[str, str], source: str,
-                keys: dict[str, str] | None = None) -> dict[str, object]:
+def _pop_fields(cls: type, block: dict[str, str], source: str) -> dict[str, object]:
     """Pop and parse each field of `cls` that `block` sets.  A field without
     a default is required; the dataclass supplies every other default."""
     kwargs: dict[str, object] = {}
-    keys = keys or {}
     for f, (parse, _) in _config_fields(cls):
-        key = keys.get(f.name, f.name)
-        if key in block:
+        if f.name in block:
             try:
-                kwargs[f.name] = parse(block.pop(key))
+                kwargs[f.name] = parse(block.pop(f.name))
             except ValueError as exc:
-                raise ConfigError(f"{source}: key {key!r}: {exc}") from None
+                raise ConfigError(f"{source}: key {f.name!r}: {exc}") from None
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{source}: missing required key {key!r}")
+            raise ConfigError(f"{source}: missing required key {f.name!r}")
     return kwargs
-
-
-def _construct(cls: type, source: str, kwargs: dict[str, object]):
-    try:
-        return cls(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _build(cls: type, section: str, block: dict[str, str], source: str, **given):
@@ -164,7 +147,10 @@ def _build(cls: type, section: str, block: dict[str, str], source: str, **given)
     if block:
         raise ConfigError(
             f"{source}: unknown key(s) in [{section}]: {', '.join(sorted(block))}")
-    return _construct(cls, source, {**kwargs, **given})
+    try:
+        return cls(**kwargs, **given)
+    except DomainError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _group(text: str, source: str, single: str,
@@ -183,9 +169,7 @@ def _group(text: str, source: str, single: str,
 
 def parse_scenario(text: str, source: str = "<config>") -> Scenario:
     block = (_group(text, source, "scenario")["scenario"] or [{}])[0]
-    transport = _construct(TransportCost, source,
-                           _pop_fields(TransportCost, block, source, _TRANSPORT_KEYS))
-    return _build(Scenario, "scenario", block, source, transport_cost=transport)
+    return _build(Scenario, "scenario", block, source)
 
 
 def read_profile_csv(path: Path, horizon: int) -> tuple[float, ...]:
@@ -252,17 +236,14 @@ def parse_system(text: str, horizon: int, base_dir: str | Path = ".",
                          for block in groups["renewable"]))
 
 
-def _format_fields(obj, keys: dict[str, str] | None = None) -> list[str]:
+def _format_fields(obj) -> list[str]:
     """A `key = value` line for each field of `obj` that a config key sets."""
-    keys = keys or {}
-    return [f"{keys.get(f.name, f.name)} = {fmt(getattr(obj, f.name))}"
+    return [f"{f.name} = {fmt(getattr(obj, f.name))}"
             for f, (_, fmt) in _config_fields(type(obj))]
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    lines = ["[scenario]", *_format_fields(scenario),
-             *_format_fields(scenario.transport_cost, _TRANSPORT_KEYS)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(["[scenario]", *_format_fields(scenario)]) + "\n"
 
 
 def serialize_system(spec: SystemSpec, profiles_dir: str | Path) -> str:

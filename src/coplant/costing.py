@@ -154,7 +154,7 @@ def cost_breakdown(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario) 
         annual = sol.annual(sol.activity[u.id])
         cats[default_category(u.id)] += annual * u.var_om
         cats["biomass"] += annual * u.inputs.get(Commodity.BIOMASS, 0.0) * spec.biomass_price
-    cats["co2_sequestration"] += scenario.transport_cost.per_tonne * sol.annual_sequestered
+    cats["co2_sequestration"] += scenario.co2_charge * sol.annual_sequestered
 
     total = sum(cats.values())
 
@@ -220,7 +220,7 @@ def bundle_metrics(sol: DispatchSolution, spec: SystemSpec, scenario: Scenario,
 
     cost_yr = sol.objective
     if not include_transport:
-        cost_yr -= scenario.transport_cost.per_tonne * sol.annual_sequestered
+        cost_yr -= scenario.co2_charge * sol.annual_sequestered
     cost_inc = x * scenario.incumbent_cost_cement + scenario.incumbent_cost_methanol
 
     combustion = CO2_PER_T_MEOH * meoh_yr

@@ -232,7 +232,7 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     lp.add_columns((idx.has_curtail + idx.has_vent) * T)  # curtailment, O2 venting
     if idx.has_seq:
         lp.add_columns(T, upper=np.inf if scenario.sequestration_allowed else 0.0,
-                       cost=scenario.transport_cost.per_tonne * scale)
+                       cost=scenario.co2_charge * scale)
     assert lp.n_variables == idx.n_variables
 
     balance_commodities = sorted(

@@ -1,6 +1,7 @@
 """Core data model for the co-production system.
 
-Commodities, conversion/storage/renewable assets, scenario definitions, and the
+Commodities, conversion/storage/renewable assets, scenario definitions (the
+per-tonne CO2 transport and storage charge among them), and the
 stoichiometric relations that tie cement output to methanol output.
 
 Units convention: electricity in MWh, every molecule/solid in metric tonnes.
@@ -152,30 +153,6 @@ class RenewableSource:
 
 
 @dataclass(frozen=True)
-class TransportCost:
-    """CO2 post-capture cost treatment for the dispatch objective.
-
-    mode "fixed_per_tonne" charges (transport + storage) $/t on every
-    sequestered tonne; mode "network" defers those costs to the source-sink
-    matching stage.
-    """
-
-    mode: str = "fixed_per_tonne"
-    transport: float = 8.7   # $/t CO2
-    storage: float = 5.8     # $/t CO2
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("fixed_per_tonne", "network"):
-            raise DomainError(f"unknown transport cost mode: {self.mode}")
-        if self.transport < 0 or self.storage < 0:
-            raise DomainError("transport/storage costs must be >= 0")
-
-    @property
-    def per_tonne(self) -> float:
-        return self.transport + self.storage if self.mode == "fixed_per_tonne" else 0.0
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One decarbonization scenario: stoichiometry, CO2 policy and economics."""
 
@@ -188,7 +165,6 @@ class Scenario:
         DEFAULT_CAPTURED_CO2_PER_T_CEMENT / DEFAULT_CAPTURE_RATE * DEFAULT_CEMENT_PER_CLINKER
     )
     cement_per_clinker: float = DEFAULT_CEMENT_PER_CLINKER
-    transport_cost: TransportCost = field(default_factory=TransportCost)
     discount_rate: float = 0.08
     grid_emission_factor: float = 0.58  # t CO2/MWh, incumbent grid benchmark
     incumbent_cost_cement: float = 55.0   # $/t, coal-route
@@ -196,6 +172,8 @@ class Scenario:
     incumbent_emis_cement: float = 0.86   # t CO2/t, incl. grid electricity
     incumbent_emis_methanol: float = 3.1  # t CO2/t, production only
     horizon_hours: int = 168
+    transport_cost: float = 8.7         # $/t CO2 sequestered
+    storage_cost: float = 5.8           # $/t CO2 sequestered
 
     def __post_init__(self) -> None:
         if self.stoichiometry_x <= 0:
@@ -213,6 +191,13 @@ class Scenario:
             raise DomainError(f"unknown flexibility_mode: {self.flexibility_mode}")
         if self.net_zero and not self.sequestration_allowed:
             raise DomainError("net_zero requires sequestration_allowed")
+        if self.transport_cost < 0 or self.storage_cost < 0:
+            raise DomainError("transport/storage costs must be >= 0")
+
+    @property
+    def co2_charge(self) -> float:
+        """Transport and storage charge on every sequestered tonne, $/t CO2."""
+        return self.transport_cost + self.storage_cost
 
 
 @dataclass(frozen=True)

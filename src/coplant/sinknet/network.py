@@ -12,17 +12,17 @@ even the exact search finds the cheapest network under the rule, not the
 cost-minimal one in general.  One numpy kernel (`_Instance.allocate` and
 `_Instance.cost`) applies that rule to a block of assignments; both searches
 and the one-assignment `evaluate` run on it.
-The source count picks the search.  Up to EXACT_SOURCE_LIMIT (12) sources,
-the exact search returns the winner of an enumeration of every assignment
-but runs only the tight ones through the kernel: assignments in which every
-source given a sink ships flow and the target is still reachable.  Any
-other assignment ships what a tight one earlier in the enumeration ships,
-at the same cost, or falls short, so it cannot win.  Above the limit,
-steepest-descent local search over single-source moves starts from the
-greedy assignment, first closes any shortfall against the target, then
-lowers the cost.  Both keep an incumbent unless a candidate falls less short
-of the target, or as short and cheaper by more than 1e-9 $/yr
-(`_replaces`)."""
+The instance's size picks the search.  Up to EXACT_SOURCE_LIMIT (12)
+sources and EXACT_CODE_LIMIT (4^12) assignments, the exact search returns
+the winner of an enumeration of every assignment but runs only the tight
+ones through the kernel: assignments in which every source given a sink
+ships flow and the target is still reachable.  Any other assignment ships
+what a tight one earlier in the enumeration ships, at the same cost, or
+falls short, so it cannot win.  Above either limit, steepest-descent local
+search over single-source moves starts from the greedy assignment, first
+closes any shortfall against the target, then lowers the cost.  Both keep
+an incumbent unless a candidate falls less short of the target, or as short
+and cheaper by more than 1e-9 $/yr (`_replaces`)."""
 
 from __future__ import annotations
 
@@ -37,7 +37,11 @@ from coplant.dispatch import capital_recovery_factor
 from coplant.domain import DomainError
 from coplant.sinknet.routing import CandidateEdge, SinkNode, SourceNode
 
+#: The exact search runs on at most this many sources, as `_tight_codes`
+#: tabulates the supply of every set of them, and at most this many
+#: assignments, (sinks per source + 1) multiplied over the sources.
 EXACT_SOURCE_LIMIT = 12
+EXACT_CODE_LIMIT = 4 ** 12
 
 #: Assignments the exact search evaluates at once; bounds its working memory.
 EXACT_BLOCK = 4096
@@ -408,14 +412,15 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
                    candidates: list[CandidateEdge], target: float) -> NetworkSolution:
     """Choose sources, corridors and flows meeting the sequestration target.
 
-    Up to EXACT_SOURCE_LIMIT sources, the winner is that of an enumeration
-    of every assignment, optimal over assignments under the allocation rule;
-    only the tight assignments that can reach the target are evaluated, as
-    no other one can replace it (`_solve_exact`).  Above the limit,
-    local search from the greedy start first closes any shortfall, then
-    lowers the cost, and returns a local optimum.  Raises NetworkInfeasible
-    when the target exceeds supply or sink capacity, when no assignment
-    reaches it, or when local search stops short of it.
+    Up to EXACT_SOURCE_LIMIT sources and EXACT_CODE_LIMIT assignments, the
+    winner is that of an enumeration of every assignment, optimal over
+    assignments under the allocation rule; only the tight assignments that
+    can reach the target are evaluated, as no other one can replace it
+    (`_solve_exact`).  Above either limit, local search from the greedy
+    start first closes any shortfall, then lowers the cost, and returns a
+    local optimum.  Raises NetworkInfeasible when the target exceeds supply
+    or sink capacity, when no assignment reaches it, or when local search
+    stops short of it.
     """
     if not (math.isfinite(target) and target >= 0):
         raise DomainError(f"target must be a finite number >= 0: got {target}")
@@ -423,6 +428,7 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     if target == 0:
         return NetworkSolution(source_flows={}, routes=[], sink_inflows={}, target=0.0,
                                cost_capture=0.0, cost_pipeline=0.0, cost_sequestration=0.0)
-    search = _solve_exact if len(sources) <= EXACT_SOURCE_LIMIT else _solve_local
-    return search(inst)[1]
+    exact = (len(sources) <= EXACT_SOURCE_LIMIT
+             and math.prod(inst.radix.tolist()) <= EXACT_CODE_LIMIT)
+    return (_solve_exact if exact else _solve_local)(inst)[1]
 

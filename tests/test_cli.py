@@ -458,6 +458,32 @@ class TestExitCodes:
                 "(first on line 2)") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("kind", ["sources", "sinks"])
+    @pytest.mark.parametrize("layout, message", [
+        ("{0}\n{1}\n\n{bad}\n", "{kind}.csv:4: bad {node} row"),
+        ('{0}\n"X\nY"{rest}\n{bad}\n', "{kind}.csv:4: bad {node} row"),
+        ("{0}\n{1}\n\n{1}\n", "{kind}.csv:4: repeated {node} id {id!r} (first on line 2)"),
+        ('{0}\n"X\nY"{rest}\n"X\nY"{rest}\n',
+         "{kind}.csv:5: repeated {node} id 'X\\nY' (first on line 3)")],
+        ids=["bad-after-blank", "bad-after-multiline", "repeated-after-blank",
+             "repeated-multiline"])
+    def test_netopt_node_error_names_file_line(self, workspace, tmp_path, capsys, kind,
+                                               layout, message):
+        """A node error names the file line on which its row ends, past blank
+        lines and quoted fields that span lines."""
+        nodes = {name: workspace / f"{name}.csv" for name in ("sources", "sinks")}
+        lines = nodes[kind].read_text().splitlines()
+        fields = lines[2].split(",")
+        bad = ",".join(fields[:3] + ["x"] + fields[4:])
+        nodes[kind] = tmp_path / f"{kind}.csv"
+        nodes[kind].write_text(layout.format(*lines, bad=bad, rest=lines[1][lines[1].index(","):]))
+        assert run(["netopt", "--surface", workspace / "cost.asc",
+                    "--sources", nodes["sources"], "--sinks", nodes["sinks"],
+                    "--target", "1", "-o", tmp_path / "x"]) == 3
+        assert message.format(kind=kind, node=kind[:-1], id=lines[1].split(",")[0]) \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("target", ["nan", "inf"])
     def test_netopt_non_finite_target(self, workspace, tmp_path, capsys, target):
         assert run(["netopt", "--surface", workspace / "cost.asc",

@@ -15,7 +15,6 @@ from coplant.domain import (
     Scenario,
     StorageUnit,
     SystemSpec,
-    TransportCost,
 )
 from coplant.fleet import PlantSite
 
@@ -240,45 +239,40 @@ lifetime = 25.0
 
 def test_earlier_scenario_format():
     """The earlier file parses once `process_frac` and `biogenic_frac`, which
-    the model never read, are taken out; with them it is rejected."""
+    the model never read, and `transport_mode`, whose `network` value only
+    zeroed both costs, are taken out; with them it is rejected."""
     scenario = Scenario(stoichiometry_x=5.0, sequestration_allowed=False,
-                        transport_cost=TransportCost(mode="network", transport=1.5,
-                                                     storage=0.25),
-                        horizon_hours=4)
+                        horizon_hours=4, transport_cost=1.5, storage_cost=0.25)
     with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[scenario\]: "
-                                          "biogenic_frac, process_frac"):
+                                          "biogenic_frac, process_frac, transport_mode$"):
         parse_scenario(EARLIER_SCENARIO)
     current = "".join(line for line in EARLIER_SCENARIO.splitlines(keepends=True)
-                      if not line.startswith(("process_frac", "biogenic_frac")))
+                      if not line.startswith(("process_frac", "biogenic_frac",
+                                              "transport_mode")))
     assert parse_scenario(current) == scenario
     assert parse_scenario(configio.serialize_scenario(scenario)) == scenario
 
 
 # ------------------------------------------------- every [scenario] key is read
 
-#: Each `[scenario]` key as (owner, field name): the fields of `Scenario` and
-#: of its `transport_cost` that a key sets.
-SCENARIO_KEYS = [(cls, f.name) for cls in (Scenario, TransportCost)
-                 for f, _ in configio._config_fields(cls)]
+#: Each `[scenario]` key: the fields of `Scenario` that a key sets.
+SCENARIO_KEYS = [f.name for f, _ in configio._config_fields(Scenario)]
 
 #: The other value of each string field.
-OTHER_STRING = {"flexibility_mode": "inflexible", "mode": "network"}
+OTHER_STRING = {"flexibility_mode": "inflexible"}
 
 
-def _perturbed(base: Scenario, cls: type, name: str) -> Scenario:
+def _perturbed(base: Scenario, name: str) -> Scenario:
     """`base` with one field moved: a number to 0.8 times itself, a flag
     flipped, a string to its other value."""
-    owner = base if cls is Scenario else base.transport_cost
-    value = getattr(owner, name)
+    value = getattr(base, name)
     if isinstance(value, bool):
         value = not value
     elif isinstance(value, (int, float)):
         value = type(value)(value * 0.8)
     else:
         value = OTHER_STRING[name]
-    if cls is Scenario:
-        return dataclasses.replace(base, **{name: value})
-    return dataclasses.replace(base, transport_cost=dataclasses.replace(owner, **{name: value}))
+    return dataclasses.replace(base, **{name: value})
 
 
 def _fingerprint(value):
@@ -325,14 +319,12 @@ def scenario_probes():
     return base, outcomes
 
 
-@pytest.mark.parametrize("cls, name", SCENARIO_KEYS, ids=[
-    configio._TRANSPORT_KEYS[name] if cls is TransportCost else name
-    for cls, name in SCENARIO_KEYS])
-def test_every_scenario_key_changes_something(scenario_probes, cls, name):
+@pytest.mark.parametrize("name", SCENARIO_KEYS)
+def test_every_scenario_key_changes_something(scenario_probes, name):
     """Moving any one `[scenario]` value changes the LP, the bundle
     metrics, the minimum stoichiometry or a plant's cement demand."""
     base, outcomes = scenario_probes
-    moved = _perturbed(base, cls, name)
+    moved = _perturbed(base, name)
     assert moved != base
     assert any(a != b for a, b in zip(outcomes(base), outcomes(moved))), name
 
@@ -403,7 +395,7 @@ def test_repeated_commodity_in_coefficients():
 
 
 @pytest.mark.parametrize("parse, text", [
-    (parse_scenario, "[scenario]\nstoichiometry_x = 5\ntransport_mode = truck\n"),
+    (parse_scenario, "[scenario]\nstoichiometry_x = 5\ntransport_cost = -1\n"),
     (parse_scenario, "[scenario]\nstoichiometry_x = 5\nnet_zero = true\n"
                      "sequestration_allowed = false\n"),
     (functools.partial(parse_system, horizon=24),

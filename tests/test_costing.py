@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from coplant import costing, reference
+from coplant import costing, dispatch, reference
 from coplant.costing import (
     CATEGORIES,
     abatement_cost,
@@ -19,7 +19,7 @@ from coplant.costing import (
     sweep_stoichiometry,
 )
 from coplant.dispatch import capital_recovery_factor, solve_dispatch
-from coplant.domain import Commodity, DomainError
+from coplant.domain import Commodity, DomainError, Scenario
 
 
 class TestAnnualize:
@@ -81,13 +81,27 @@ class TestBreakdown:
     def test_sequestration_category_exact(self, netzero48):
         spec, scenario, sol = netzero48
         bd = cost_breakdown(sol, spec, scenario)
-        expected = scenario.transport_cost.per_tonne * sol.annual_sequestered
+        expected = scenario.co2_charge * sol.annual_sequestered
         assert bd.categories["co2_sequestration"] == pytest.approx(expected, rel=1e-12)
 
     def test_fixed_mode_rate(self):
         # 1000 t sequestered at default (8.7 + 5.8) $/t -> $14,500/yr
-        from coplant.domain import TransportCost
-        assert TransportCost().per_tonne * 1000 == pytest.approx(14500.0)
+        assert Scenario(stoichiometry_x=5.0).co2_charge * 1000 == pytest.approx(14500.0)
+
+    def test_zero_co2_charge(self, netzero48):
+        """Zero transport and storage costs do what `transport_mode = network`
+        did: no charge on the sequestration column, none in the sequestration
+        category, and none for the bundle metrics to take out."""
+        spec, scenario, sol = netzero48
+        free = dataclasses.replace(scenario, transport_cost=0.0, storage_cost=0.0)
+        idx = dispatch.build_index(spec, free)
+        seq = slice(idx.seq, idx.seq + free.horizon_hours)
+        assert sol.annual_sequestered > 0 and idx.has_seq
+        assert (dispatch.build_lp(spec, scenario).cost[seq] > 0).all()
+        assert not dispatch.build_lp(spec, free).cost[seq].any()
+        assert cost_breakdown(sol, spec, free).categories["co2_sequestration"] == 0.0
+        assert bundle_metrics(sol, spec, free, include_transport=False) == \
+            bundle_metrics(sol, spec, free)
 
     def test_electricity_allocation_covers_consumers(self, netzero48):
         spec, scenario, sol = netzero48

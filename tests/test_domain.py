@@ -11,7 +11,6 @@ from coplant.domain import (
     Scenario,
     StorageUnit,
     SystemSpec,
-    TransportCost,
 )
 
 
@@ -69,7 +68,12 @@ class TestTypes:
             StorageUnit(id="s", commodity=Commodity.ELECTRICITY, charge_eff=1.5)
 
     def test_transport_per_tonne(self):
-        assert TransportCost().per_tonne == pytest.approx(8.7 + 5.8)
+        assert Scenario(stoichiometry_x=5.0).co2_charge == pytest.approx(8.7 + 5.8)
+
+    @pytest.mark.parametrize("costs", [dict(transport_cost=-1.0), dict(storage_cost=-0.5)])
+    def test_scenario_rejects_negative_co2_charge(self, costs):
+        with pytest.raises(DomainError, match="transport/storage costs must be >= 0"):
+            Scenario(stoichiometry_x=5.0, **costs)
 
     def test_scenario_rejects_bad_capture(self):
         with pytest.raises(DomainError):

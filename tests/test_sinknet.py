@@ -11,6 +11,7 @@ from coplant.sinknet import network
 from coplant.sinknet.network import (
     DEFAULT_PIPELINE_CLASSES,
     EXACT_BLOCK,
+    EXACT_CODE_LIMIT,
     EXACT_PASS,
     EXACT_SOURCE_LIMIT,
     NetworkInfeasible,
@@ -602,6 +603,24 @@ def corridor_instance(rng, n_sources, n_sinks, integer=False):
     return sources, sinks, edges
 
 
+def stress_instance(n_sources, n_sinks):
+    """Every source joined to every sink, each sink able to take five times
+    the target of 75% of the supply: the instance of the CI stress step,
+    seeded with `default_rng(0)`."""
+    rng = np.random.default_rng(0)
+    capturable = rng.uniform(0.8e6, 3e6, n_sources)
+    capture_cost = rng.uniform(30, 70, n_sources)
+    target = round(0.75 * capturable.sum(), -3)
+    sources = [SourceNode(id=f"S{i:02d}", cell=i, capturable=float(c), eq_capture_cost=float(p))
+               for i, (c, p) in enumerate(zip(capturable, capture_cost))]
+    sinks = [SinkNode(id=f"K{j}", cell=100 + j, capacity=round(5 * target, -3),
+                      sequestration_cost=float(rng.uniform(4, 12))) for j in range(n_sinks)]
+    edges = [CandidateEdge(source_id=s.id, sink_id=k.id, path=(s.cell, k.cell), length_km=1.0,
+                           terrain_cost=float(rng.uniform(20, 200)))
+             for s in sources for k in sinks]
+    return sources, sinks, edges, target
+
+
 def random_instance(rng, n_sources, n_sinks):
     surface = make_surface(np.round(rng.uniform(0.5, 4.0, (6, 6)), 3),
                            cell_size=5.0)
@@ -764,6 +783,37 @@ class TestSelectNetwork:
             tracemalloc.stop()
         assert sol == every_code_exact(inst)
         assert peak < 16e6, peak
+
+    def test_many_assignments_take_local_search(self, monkeypatch):
+        """8 sources and 8 sinks are within EXACT_SOURCE_LIMIT, but their
+        9^8 (43 M) assignments exceed EXACT_CODE_LIMIT: local search runs."""
+        def refuse(inst):
+            raise AssertionError("exact search ran")
+
+        sources, sinks, edges, target = stress_instance(8, 8)
+        assert len(sources) <= EXACT_SOURCE_LIMIT and 9 ** 8 > EXACT_CODE_LIMIT
+        monkeypatch.setattr(network, "_solve_exact", refuse)
+        assert select_network(sources, sinks, edges, target) == \
+            solve_local(sources, sinks, edges, target)
+
+    def test_exact_search_at_the_code_limit(self, monkeypatch):
+        """12 sources and 3 sinks, 4^12 = EXACT_CODE_LIMIT assignments: the
+        exact search runs and returns the network it returned when the
+        source count alone picked the search."""
+        def refuse(inst):
+            raise AssertionError("local search ran")
+
+        monkeypatch.setattr(network, "_solve_local", refuse)
+        sol = select_network(*stress_instance(12, 3))
+        assert 4 ** 12 == EXACT_CODE_LIMIT
+        assert (sol.cost_capture, sol.cost_pipeline, sol.cost_sequestration) == (
+            765479129.9795486, 43781524.13324179, 134370202.7825315)
+        assert [(r.source_id, r.sink_id, r.flow.hex()) for r in sol.routes] == [
+            ("S01", "K1", "0x1.5437ac5311a94p+20"), ("S03", "K0", "0x1.9861198a8ca31p+19"),
+            ("S05", "K1", "0x1.56c7f228fb855p+21"), ("S06", "K1", "0x1.049235a74bee6p+21"),
+            ("S07", "K0", "0x1.2590e3792b649p+21"), ("S08", "K0", "0x1.e74c6fb317dd3p+20"),
+            ("S09", "K1", "0x1.5cc63aa89e404p+21"), ("S10", "K1", "0x1.24a6a00dd920fp+21"),
+            ("S11", "K1", "0x1.89911669776b1p+19")]
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_evaluate_matches_scalar(self, integer):
