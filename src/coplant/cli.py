@@ -105,22 +105,25 @@ def cmd_solve(args) -> int:
 
 def _check_solution_fits(path: str, sol, spec, scenario) -> None:
     """Raise CliError (exit 3) unless a saved solution fits the spec and
-    scenario: the scenario's horizon, a capacity for every priced asset, a
-    series for every unit and store, and `horizon` entries in every series."""
+    scenario: the scenario's horizon, a capacity for every priced asset and
+    a series for every unit and store, none for an asset the system lacks,
+    and `horizon` entries in every series."""
     if sol.horizon != scenario.horizon_hours:
         raise CliError(f"{path}: horizon is {sol.horizon} hours, but the scenario's "
                        f"horizon_hours is {scenario.horizon_hours}", EXIT_VALIDATION)
-    missing = ([("capacity", i) for i in dispatch.capacity_prices(spec, scenario)
-                if i not in sol.capacities]
-               + [("activity", u.id) for u in spec.conversion_units
-                  if u.id not in sol.activity]
-               + [(kind, s.id) for s in spec.storage_units
-                  for kind in ("charge", "discharge", "soc")
-                  if s.id not in getattr(sol, kind)])
-    if missing:
-        kind, asset = missing[0]
-        raise CliError(f"{path}: no {kind} for {asset!r}, which the system has",
-                       EXIT_VALIDATION)
+    stores = [s.id for s in spec.storage_units]
+    assets = {"capacity": (list(dispatch.capacity_prices(spec, scenario)), sol.capacities),
+              "activity": ([u.id for u in spec.conversion_units], sol.activity),
+              **{kind: (stores, getattr(sol, kind)) for kind in ("charge", "discharge", "soc")}}
+    for kind, (ids, saved) in assets.items():
+        for asset in ids:
+            if asset not in saved:
+                raise CliError(f"{path}: no {kind} for {asset!r}, which the system has",
+                               EXIT_VALIDATION)
+        for asset in saved:
+            if asset not in ids:
+                raise CliError(f"{path}: {kind} for {asset!r}, which the system lacks",
+                               EXIT_VALIDATION)
     series = {f"{kind} {key!r}": values
               for kind in ("activity", "charge", "discharge", "soc")
               for key, values in getattr(sol, kind).items()}

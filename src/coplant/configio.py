@@ -33,7 +33,6 @@ from coplant.domain import (
     Commodity,
     ConversionUnit,
     DomainError,
-    Flexibility,
     RenewableSource,
     Scenario,
     StorageUnit,
@@ -113,7 +112,6 @@ _TYPES = {
     int: (int, repr),
     str: (str, str),
     bool: (_bool, lambda v: str(v).lower()),
-    Flexibility: (Flexibility, attrgetter("value")),
     Commodity: (Commodity, attrgetter("value")),
     dict[Commodity, float]: (_coeffs, _coeff_str),
 }

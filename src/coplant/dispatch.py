@@ -32,7 +32,6 @@ import numpy as np
 from coplant.domain import (
     Commodity,
     DomainError,
-    Flexibility,
     Scenario,
     SystemSpec,
 )
@@ -210,6 +209,10 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     HiGHS's pivoting, and so the vertex it returns for a degenerate optimum,
     depends on it.
 
+    A unit with `min_load_frac = 1` gets one EQ row per hour, pinning it at
+    capacity, and no ramp rows; any other unit gets ub, lb (if it has a
+    floor) and ramp (if `ramp_frac_per_hour < 1`) rows.
+
     `flexibility_mode` changes coefficients only, never the row shape:
     inflexible mode sets methanol synthesis's min-load coefficient to 1, so
     its lb and ub rows pin the activity to capacity and its ramp rows hold
@@ -273,8 +276,8 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     for u in spec.conversion_units:
         cap = idx.cap_unit[u.id]
         act = idx.act[u.id] + hours
-        # an inflexible unit and the clinker kiln run at capacity in either mode
-        pinned = u.flexibility is Flexibility.INFLEXIBLE or Commodity.CLINKER in u.outputs
+        # a unit with min_load_frac = 1 runs at capacity in either mode
+        pinned = u.min_load_frac == 1.0
         if pinned:
             lp.add_rows(EQ, np.zeros(T), [(hours, act, 1.0), (hours, cap, -1.0)])
         else:

@@ -37,12 +37,6 @@ class Commodity(str, enum.Enum):
         return self.value
 
 
-class Flexibility(str, enum.Enum):
-    FULLY_FLEXIBLE = "fully_flexible"
-    PARTIALLY_FLEXIBLE = "partially_flexible"
-    INFLEXIBLE = "inflexible"
-
-
 # Ideal reaction stoichiometry (CO2 + 3 H2 -> CH3OH + H2O, 2 H2O -> 2 H2 + O2).
 CO2_PER_T_MEOH = 1.375     # 44 / 32
 H2_PER_T_MEOH = 0.1875     # 6 / 32
@@ -81,9 +75,8 @@ class ConversionUnit:
     fixed_om_frac: float = 0.0    # fraction of capex per year
     var_om: float = 0.0           # $ per unit activity
     lifetime: float = 20.0        # years
-    flexibility: Flexibility = Flexibility.FULLY_FLEXIBLE
-    min_load_frac: float = 0.0
-    ramp_frac_per_hour: float = 1.0
+    min_load_frac: float = 0.0    # activity floor per unit capacity; 1 pins it there
+    ramp_frac_per_hour: float = 1.0  # max hourly activity change per unit capacity
     co2_emitted: float = 0.0      # t CO2 vented per unit activity (uncaptured share)
 
     def __post_init__(self) -> None:
@@ -95,10 +88,6 @@ class ConversionUnit:
         _check_fraction(f"{self.id}.ramp_frac_per_hour", self.ramp_frac_per_hour, lo_open=True)
         if self.lifetime <= 0:
             raise DomainError(f"{self.id}: lifetime must be positive")
-        if self.flexibility is Flexibility.INFLEXIBLE and self.min_load_frac != 1.0:
-            raise DomainError(f"{self.id}: inflexible units must have min_load_frac = 1")
-        if self.flexibility is Flexibility.PARTIALLY_FLEXIBLE and not 0 < self.min_load_frac < 1:
-            raise DomainError(f"{self.id}: partially flexible units need 0 < min_load_frac < 1")
         if self.co2_emitted < 0:
             raise DomainError(f"{self.id}: co2_emitted must be >= 0")
 

@@ -21,7 +21,6 @@ from coplant.domain import (
     O2_PER_T_H2,
     Commodity,
     ConversionUnit,
-    Flexibility,
     RenewableSource,
     Scenario,
     StorageUnit,
@@ -70,8 +69,7 @@ def reference_units(scenario: Scenario) -> list[ConversionUnit]:
             id="electrolyzer",
             inputs={Commodity.ELECTRICITY: 52.0},
             outputs={Commodity.HYDROGEN: 1.0, Commodity.OXYGEN_GAS: O2_PER_T_H2},
-            capex=15.6e6, fixed_om_frac=0.02, lifetime=20.0,
-            flexibility=Flexibility.PARTIALLY_FLEXIBLE, min_load_frac=0.05,
+            capex=15.6e6, fixed_om_frac=0.02, lifetime=20.0, min_load_frac=0.05,
             ramp_frac_per_hour=1.0),
         ConversionUnit(
             id="asu",
@@ -91,8 +89,7 @@ def reference_units(scenario: Scenario) -> list[ConversionUnit]:
                     Commodity.ELECTRICITY: 0.08},
             outputs={Commodity.CLINKER: 1.0, Commodity.CO2_GAS: captured_per_clinker},
             co2_emitted=emitted_per_clinker,
-            capex=2.0e6, fixed_om_frac=0.04, var_om=2.0, lifetime=30.0,
-            flexibility=Flexibility.INFLEXIBLE, min_load_frac=1.0),
+            capex=2.0e6, fixed_om_frac=0.04, var_om=2.0, lifetime=30.0, min_load_frac=1.0),
         ConversionUnit(
             id="cement_mill",
             inputs={Commodity.CLINKER: clinker_per_cement, Commodity.ELECTRICITY: 0.04},
@@ -104,8 +101,7 @@ def reference_units(scenario: Scenario) -> list[ConversionUnit]:
                     Commodity.HYDROGEN: H2_PER_T_MEOH,
                     Commodity.ELECTRICITY: 0.8},
             outputs={Commodity.METHANOL: 1.0},
-            capex=2.6e6, fixed_om_frac=0.03, var_om=3.0, lifetime=25.0,
-            flexibility=Flexibility.PARTIALLY_FLEXIBLE, min_load_frac=0.30,
+            capex=2.6e6, fixed_om_frac=0.03, var_om=3.0, lifetime=25.0, min_load_frac=0.30,
             ramp_frac_per_hour=0.20),
         ConversionUnit(
             id="seq_compressor",

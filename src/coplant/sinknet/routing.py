@@ -69,9 +69,7 @@ def dijkstra(*args, **kwargs):
 
 def _walk(pred: np.ndarray, a: int, b: int) -> list[int]:
     """Cells from a to b along the predecessor tree of a search from b, in
-    which each cell's predecessor is its next hop toward b; empty when a == b."""
-    if a == b:
-        return []
+    which each cell's predecessor is its next hop toward b; [a] when a == b."""
     path = [a]
     while path[-1] != b:
         path.append(int(pred[path[-1]]))
@@ -81,8 +79,8 @@ def _walk(pred: np.ndarray, a: int, b: int) -> list[int]:
 def _path_measures(surface: CostSurface, path: list[int]) -> tuple[float, float]:
     """(length in km, cost) of a path, each summed step by step from its
     first cell (cumsum, not pairwise as np.sum would), with the step costs
-    `_cost_graph` uses; (0, 0) for an empty path."""
-    if not path:
+    `_cost_graph` uses; (0, 0) for a one-cell path."""
+    if len(path) < 2:
         return 0.0, 0.0
     cells = np.asarray(path)
     rows, cols = np.divmod(cells, surface.ncols)

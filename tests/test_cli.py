@@ -156,6 +156,30 @@ def test_netopt_warns_of_unreachable_nodes(tmp_path, capsys):
     assert [r.split(",")[:2] for r in rows] == [["S1", "K1"]]
 
 
+def test_netopt_every_route_has_a_trace(tmp_path):
+    """Each network.csv route has rows in network_paths.csv that run from its
+    source's cell to its sink's, a source on its sink's cell included."""
+    write_raster(CostSurface(ncols=3, nrows=3, cell_size=10.0, origin=(0.0, 0.0),
+                             nodata=-9999.0, cells=np.ones((3, 3))), tmp_path / "cost.asc")
+    (tmp_path / "sources.csv").write_text(
+        "id,row,col,capturable,capture_cost\nA,1,1,100,30\nB,0,0,100,30\n")
+    (tmp_path / "sinks.csv").write_text(
+        "id,row,col,capacity,sequestration_cost\nK,1,1,1000,5\n")
+    out = tmp_path / "net"
+    assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                "--sources", tmp_path / "sources.csv", "--sinks", tmp_path / "sinks.csv",
+                "--target", "150", "-o", out]) == 0
+    cells = {"A": ["1", "1"], "B": ["0", "0"], "K": ["1", "1"]}
+    routes = [r.split(",")[:2] for r in (out / "network.csv").read_text().splitlines()[1:]]
+    assert routes == [["A", "K"], ["B", "K"]]
+    trace = [r.split(",") for r in (out / "network_paths.csv").read_text().splitlines()[1:]]
+    for source, sink in routes:
+        rows = [r for r in trace if r[:2] == [source, sink]]
+        assert [r[2] for r in rows] == [str(i) for i in range(len(rows))]
+        assert rows[0][3:5] == cells[source] and rows[-1][3:5] == cells[sink]
+    assert 'points=""' not in (out / "network.svg").read_text()
+
+
 def test_netopt_binding_sinks_above_exact_limit(tmp_path, capsys):
     """13 sources of 1 Mt/yr and two sinks of 7.15 Mt/yr, target 13 Mt/yr:
     local search starts with every source at the cheaper sink, which cannot
@@ -604,8 +628,20 @@ class TestExitCodes:
         (lambda d: d["activity"].update(asu=d["activity"]["asu"][:10]),
          "activity 'asu' has 10 entries, but the horizon is 48 hours"),
         (lambda d: d.update(curtailment=d["curtailment"][:47]),
-         "curtailment has 47 entries, but the horizon is 48 hours")],
-        ids=["horizon", "capacity", "activity", "activity-length", "curtailment-length"])
+         "curtailment has 47 entries, but the horizon is 48 hours"),
+        (lambda d: d["capacities"].update(ghost=1.0),
+         "capacity for 'ghost', which the system lacks"),
+        (lambda d: d["activity"].update(ghost=d["activity"]["asu"]),
+         "activity for 'ghost', which the system lacks"),
+        (lambda d: d["charge"].update(ghost_tank=d["charge"]["battery"]),
+         "charge for 'ghost_tank', which the system lacks"),
+        (lambda d: d["discharge"].update(ghost_tank=d["discharge"]["battery"]),
+         "discharge for 'ghost_tank', which the system lacks"),
+        (lambda d: d["soc"].update(ghost_tank=d["soc"]["battery"]),
+         "soc for 'ghost_tank', which the system lacks")],
+        ids=["horizon", "capacity", "activity", "activity-length", "curtailment-length",
+             "extra-capacity", "extra-activity", "extra-charge", "extra-discharge",
+             "extra-soc"])
     def test_report_solution_for_another_system(self, workspace, saved_solution, tmp_path,
                                                 capsys, cut, message):
         data = json.loads(saved_solution.read_text())

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import functools
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 
 from coplant import configio, costing, dispatch, reference
 from coplant.configio import ConfigError, parse_scenario, parse_sections, parse_system
+from coplant.dispatch import StructuralInfeasibility
 from coplant.domain import (
     Commodity,
     ConversionUnit,
     DomainError,
-    Flexibility,
     RenewableSource,
     Scenario,
     StorageUnit,
@@ -258,18 +259,33 @@ def test_earlier_scenario_format():
 #: Each `[scenario]` key: the fields of `Scenario` that a key sets.
 SCENARIO_KEYS = [f.name for f, _ in configio._config_fields(Scenario)]
 
-#: The other value of each string field.
+#: The other value of each string field but `id`.
 OTHER_STRING = {"flexibility_mode": "inflexible"}
 
 
-def _perturbed(base: Scenario, name: str) -> Scenario:
+def _perturbed(base, name: str):
     """`base` with one field moved: a number to 0.8 times itself, a flag
-    flipped, a string to its other value."""
+    flipped, an enum to the next member that `base` accepts (`base` itself
+    if it accepts none), each coefficient to 0.8 times itself, an id
+    renamed, another string to its other value."""
     value = getattr(base, name)
     if isinstance(value, bool):
         value = not value
     elif isinstance(value, (int, float)):
         value = type(value)(value * 0.8)
+    elif isinstance(value, enum.Enum):
+        members = list(type(value))
+        i = members.index(value)
+        for other in members[i + 1:] + members[:i]:
+            try:
+                return dataclasses.replace(base, **{name: other})
+            except DomainError:
+                pass
+        return base
+    elif isinstance(value, dict):
+        value = {k: v * 0.8 for k, v in value.items()}
+    elif name == "id":
+        value += "_moved"
     else:
         value = OTHER_STRING[name]
     return dataclasses.replace(base, **{name: value})
@@ -285,6 +301,13 @@ def _fingerprint(value):
     return value
 
 
+def _lp_arrays(spec: SystemSpec, scenario: Scenario) -> list[np.ndarray]:
+    problem = dispatch.build_lp(spec, scenario)
+    matrix = problem.matrix()
+    return [problem.lower, problem.upper, problem.cost, problem.sense, problem.rhs,
+            matrix.indptr, matrix.indices, matrix.data]
+
+
 @pytest.fixture(scope="module")
 def scenario_probes():
     """A 24 h reference plant that is neither net-zero nor barred from
@@ -298,13 +321,7 @@ def scenario_probes():
     plant = PlantSite(id="P", latitude=30.0, longitude=110.0, clinker_capacity=5000.0,
                       solar_profile_ref="s", wind_profile_ref="w")
 
-    def lp_arrays(scenario):
-        problem = dispatch.build_lp(spec, scenario)
-        matrix = problem.matrix()
-        return [problem.lower, problem.upper, problem.cost, problem.sense, problem.rhs,
-                matrix.indptr, matrix.indices, matrix.data]
-
-    probes = (lp_arrays,
+    probes = (lambda scenario: _lp_arrays(spec, scenario),
               lambda scenario: costing.bundle_metrics(sol, spec, scenario),
               costing.scenario_min_stoichiometry,
               plant.cement_demand_tph)
@@ -329,14 +346,52 @@ def test_every_scenario_key_changes_something(scenario_probes, name):
     assert any(a != b for a, b in zip(outcomes(base), outcomes(moved))), name
 
 
+# ---------------------------------------- every system-file key is read
+
+#: Each key of `[system]`, `[unit]`, `[storage]` and `[renewable]`: the
+#: section and the field of `SystemSpec` or of an asset that it sets, and the
+#: `SystemSpec` field that holds the section's assets (None for `[system]`).
+SYSTEM_KEYS = [(section, assets, f.name) for section, cls, assets in (
+    ("system", SystemSpec, None), ("unit", ConversionUnit, "conversion_units"),
+    ("storage", StorageUnit, "storage_units"), ("renewable", RenewableSource, "renewables"))
+    for f, _ in configio._config_fields(cls)]
+
+
+@pytest.mark.parametrize("section, assets, name", SYSTEM_KEYS,
+                         ids=[f"{section}.{name}" for section, _, name in SYSTEM_KEYS])
+def test_every_system_key_changes_something(section, assets, name):
+    """Moving one system-file key, on every asset of its section at once,
+    changes the LP of a 24 h reference plant or its capacity prices.  A
+    rejection, by the asset, the system or the LP builder, is a change."""
+    scenario = reference.netzero_scenario(horizon=24)
+    base = reference.reference_system(scenario)
+
+    def outcome(spec):
+        try:
+            return _fingerprint([_lp_arrays(spec, scenario),
+                                 dispatch.capacity_prices(spec, scenario)])
+        except (DomainError, StructuralInfeasibility) as exc:
+            return f"rejected: {exc}"
+
+    try:
+        moved = (_perturbed(base, name) if assets is None else dataclasses.replace(
+            base, **{assets: tuple(_perturbed(a, name) for a in getattr(base, assets))}))
+    except DomainError:
+        return
+    assert moved != base
+    assert outcome(moved) != outcome(base), f"[{section}] {name}"
+
+
 def test_earlier_system_format(tmp_path):
+    """The earlier file parses once its `flexibility` lines, which only
+    repeated what `min_load_frac` says, are taken out; with them it is
+    rejected."""
     spec = SystemSpec(
         conversion_units=(
             ConversionUnit(id="maker", inputs={Commodity.ELECTRICITY: 1.5},
                            outputs={Commodity.CEMENT: 10.0, Commodity.METHANOL: 1.0},
                            capex=1000.0, co2_emitted=0.05),
-            ConversionUnit(id="vent", inputs={Commodity.CO2_GAS: 1.0},
-                           flexibility=Flexibility.PARTIALLY_FLEXIBLE, min_load_frac=0.25,
+            ConversionUnit(id="vent", inputs={Commodity.CO2_GAS: 1.0}, min_load_frac=0.25,
                            ramp_frac_per_hour=0.5, lifetime=30.0)),
         storage_units=(StorageUnit(id="battery", commodity=Commodity.ELECTRICITY,
                                    charge_eff=0.95, cyclic=False),),
@@ -345,7 +400,11 @@ def test_earlier_system_format(tmp_path):
     text = configio.serialize_system(spec, tmp_path)
     assert (tmp_path / "pv.csv").read_text() == "capacity_factor\n0\n0.5\n0.25\n1\n"
     assert parse_system(text, 4, base_dir=tmp_path) == spec
-    assert parse_system(EARLIER_SYSTEM, 4, base_dir=tmp_path) == spec
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[unit\]: flexibility$"):
+        parse_system(EARLIER_SYSTEM, 4, base_dir=tmp_path)
+    current = "".join(line for line in EARLIER_SYSTEM.splitlines(keepends=True)
+                      if not line.startswith("flexibility"))
+    assert parse_system(current, 4, base_dir=tmp_path) == spec
 
 
 @pytest.mark.parametrize("key, value", [
@@ -400,7 +459,7 @@ def test_repeated_commodity_in_coefficients():
                      "sequestration_allowed = false\n"),
     (functools.partial(parse_system, horizon=24),
      "[system]\ndemand_cement = 10\ndemand_methanol = 1\n"
-     "[unit]\nid = u\nflexibility = inflexible\n"),
+     "[unit]\nid = u\nmin_load_frac = 2\n"),
 ])
 def test_domain_error_becomes_config_error(parse, text):
     with pytest.raises(ConfigError, match="^cfg: "):

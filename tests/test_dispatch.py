@@ -19,7 +19,7 @@ from coplant.domain import (
     StorageUnit,
     SystemSpec,
 )
-from coplant.lp import EQ, GE, solve_lp
+from coplant.lp import EQ, GE, LE, solve_lp
 
 
 def captured_co2(spec, sol):
@@ -209,6 +209,38 @@ def test_inflexible_lp_matches_pinned_oracle(kind, horizon):
                      (hours, index.cap_unit["meoh_synthesis"], -1.0)])
     assert solve_lp(problem).objective == pytest.approx(solve_lp(oracle).objective,
                                                         rel=1e-9)
+
+
+@pytest.mark.parametrize("flexible", [True, False])
+def test_min_load_one_pins_a_unit(flexible):
+    """A unit with min_load_frac = 1 gets one EQ row per hour and no ramp rows,
+    whatever its ramp limit.  A clinker kiln with a lower floor gets ub and lb
+    rows, and ramp rows from its own limit, like any other unit."""
+    T = 24
+    scenario = reference.netzero_scenario(horizon=T, flexible=flexible)
+    base = reference.reference_system(scenario)
+    moved = {"electrolyzer": dict(min_load_frac=1.0, ramp_frac_per_hour=0.5),
+             "kiln": dict(min_load_frac=0.5, ramp_frac_per_hour=0.25)}
+    spec = dataclasses.replace(base, conversion_units=tuple(
+        dataclasses.replace(u, **moved.get(u.id, {})) for u in base.conversion_units))
+    problem, index = build_lp(spec, scenario), build_index(spec, scenario)
+    matrix = problem.matrix().tocsr()
+
+    def capacity_rows(uid):
+        """Sense, capacity coefficient and number of activity terms of each
+        row that holds both the unit's capacity and its activity."""
+        cap = matrix[:, [index.cap_unit[uid]]].toarray().ravel()
+        n_act = np.diff(matrix[:, index.act[uid]:index.act[uid] + T].tocsr().indptr)
+        rows = np.flatnonzero((cap != 0) & (n_act > 0))
+        return problem.sense[rows], cap[rows], n_act[rows]
+
+    sense, cap, n_act = capacity_rows("electrolyzer")
+    assert list(sense) == [EQ] * T and list(cap) == [-1.0] * T and list(n_act) == [1] * T
+    sense, cap, n_act = capacity_rows("kiln")
+    bound = n_act == 1
+    assert list(sense[bound]) == [LE, GE] * T and list(cap[bound]) == [-1.0, -0.5] * T
+    assert list(sense[~bound]) == [LE] * 2 * (T - 1)
+    assert list(cap[~bound]) == [-0.25] * 2 * (T - 1)
 
 
 def test_capex_monotonicity():

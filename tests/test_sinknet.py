@@ -220,9 +220,10 @@ class TestRouting:
         assert len(path) == 3
 
     def test_same_cell(self):
+        """The corridor of a source on its sink's cell is that one cell."""
         surface = make_surface(np.ones((3, 3)))
         path, cost = route(surface, 4, 4)
-        assert path == [] and cost == 0.0
+        assert path == [4] and cost == 0.0
 
     def test_wall_with_gap(self):
         cells = np.ones((5, 5))
