@@ -276,7 +276,9 @@ def curves_svg(curves: dict[str, list[tuple[float, float]]], title: str,
 def network_svg(sol: NetworkSolution, surface: CostSurface,
                 sources=None, sinks=None) -> str:
     """Cost surface as one embedded greyscale PNG, with routes, sources and
-    sinks drawn on top as vector elements.
+    sinks drawn on top as vector elements.  A route is a polyline through
+    its cells' centres; a one-cell route, whose source sits on its sink's
+    cell, is a ring around that cell.
 
     The PNG has one pixel per raster cell and is scaled to `cell` user units
     per pixel with pixelated rendering. A cell's grey level is
@@ -300,6 +302,11 @@ def network_svg(sol: NetworkSolution, surface: CostSurface,
         return margin + (c + 0.5) * cell, margin + (r + 0.5) * cell
 
     for route in sorted(sol.routes, key=lambda r: (r.source_id, r.sink_id)):
+        if len(route.path) == 1:    # a source on its sink's cell: ring the cell
+            x, y = centre(route.path[0])
+            body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="7" fill="none" '
+                        f'stroke="rgb(200,60,30)" stroke-width="2"/>')
+            continue
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(centre, route.path))
         body.append(f'<polyline points="{pts}" fill="none" '
                     f'stroke="rgb(200,60,30)" stroke-width="2"/>')

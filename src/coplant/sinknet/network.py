@@ -258,6 +258,35 @@ def _make_instance(sources: list[SourceNode], sinks: list[SinkNode],
     return inst
 
 
+def _check_finite(inst: _Instance, sinks: list[SinkNode]) -> None:
+    """Raise DomainError naming the first node or corridor whose cost, at
+    the most flow it can carry, takes the sum of all such costs past the
+    largest float: every cost the kernel sums is then finite."""
+    target, classes = inst.target, inst.params.classes
+    capacity = {k.id: k.capacity for k in sinks}
+    terms = []      # (what, most flow, its cost in $/yr at that flow)
+    for src in inst.sources:
+        flow = min(src.capturable, target)
+        terms.append((f"source {src.id}", flow, src.eq_capture_cost * flow))
+    for snk in sorted(sinks, key=lambda k: k.id):
+        flow = min(snk.capacity, target)
+        terms.append((f"sink {snk.id}", flow, snk.sequestration_cost * flow))
+    for src, opts in zip(inst.sources, inst.options):
+        for k in opts[1:]:
+            flow = min(src.capturable, capacity[k], target)
+            # the kernel prices the smallest class for an option that ships nothing
+            capex_km = max(size_pipeline(flow, classes)[2], classes[0].capex_per_km)
+            terrain = inst.edges[(src.id, k)].terrain_cost
+            terms.append((f"corridor {src.id} -> {k}", flow,
+                          capex_km * terrain * inst.params.annual_factor))
+    total = 0.0
+    for what, flow, cost in terms:
+        total += abs(cost)
+        if not math.isfinite(total):
+            raise DomainError(f"{what}: its cost at up to {flow:g} t/yr takes the "
+                              "network's cost bound past the largest float")
+
+
 def _shortfall(remaining: np.ndarray) -> np.ndarray:
     """Target left unmet by each assignment; 0 within 1e-6."""
     return np.where(remaining > 1e-6, remaining, 0.0)
@@ -294,8 +323,10 @@ def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
     last = {i: pos for pos, (_, i, _, _) in enumerate(inst.pairs)}
     bit = 1 << np.arange(n)
     # capturable supply of every set of open sources, a set as a bit mask;
-    # summed from scratch, so it is as exact as a sum of positives
-    supply = (np.arange(1 << n)[:, None] & bit > 0) @ inst.capturable
+    # summed from scratch, so it is as exact as a sum of positives.  A sum of
+    # supply or room past the largest float is infinite: more than any target.
+    with np.errstate(over="ignore"):
+        supply = (np.arange(1 << n)[:, None] & bit > 0) @ inst.capturable
     slack = 1e-6 + 1e-9 * inst.target
     connected = sum(1 << i for i in last)
     for prefix in itertools.product(*map(range, radix[:n_fixed])):
@@ -323,8 +354,9 @@ def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
                 mask = np.concatenate((mask, mask[new] & ~bit[i]))
                 if pos == last[i]:
                     mask &= ~bit[i]
-            keep = np.flatnonzero(
-                remaining - np.minimum(supply[mask], room.sum(axis=0)) <= slack)
+            with np.errstate(over="ignore"):
+                reach = np.minimum(supply[mask], room.sum(axis=0))
+            keep = np.flatnonzero(remaining - reach <= slack)
             if keep.size < remaining.size:
                 remaining, room, digit, mask = (
                     remaining[keep], room[:, keep], digit[:, keep], mask[keep])
@@ -420,11 +452,13 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     start first closes any shortfall, then lowers the cost, and returns a
     local optimum.  Raises NetworkInfeasible when the target exceeds supply
     or sink capacity, when no assignment reaches it, or when local search
-    stops short of it.
+    stops short of it, and DomainError when a node or corridor may cost
+    more than a float holds (`_check_finite`).
     """
     if not (math.isfinite(target) and target >= 0):
         raise DomainError(f"target must be a finite number >= 0: got {target}")
     inst = _make_instance(sources, sinks, candidates, target, NetworkParams())
+    _check_finite(inst, sinks)
     if target == 0:
         return NetworkSolution(source_flows={}, routes=[], sink_inflows={}, target=0.0,
                                cost_capture=0.0, cost_pipeline=0.0, cost_sequestration=0.0)

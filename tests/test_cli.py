@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -156,19 +157,23 @@ def test_netopt_warns_of_unreachable_nodes(tmp_path, capsys):
     assert [r.split(",")[:2] for r in rows] == [["S1", "K1"]]
 
 
+def write_same_cell_inputs(root):
+    """A 3x3 raster, source A on sink K's cell and source B in a corner."""
+    write_raster(CostSurface(ncols=3, nrows=3, cell_size=10.0, origin=(0.0, 0.0),
+                             nodata=-9999.0, cells=np.ones((3, 3))), root / "cost.asc")
+    (root / "sources.csv").write_text(
+        "id,row,col,capturable,capture_cost\nA,1,1,100,30\nB,0,0,100,30\n")
+    (root / "sinks.csv").write_text(
+        "id,row,col,capacity,sequestration_cost\nK,1,1,1000,5\n")
+    return ["netopt", "--surface", root / "cost.asc", "--sources", root / "sources.csv",
+            "--sinks", root / "sinks.csv", "--target", "150", "-o", root / "net"]
+
+
 def test_netopt_every_route_has_a_trace(tmp_path):
     """Each network.csv route has rows in network_paths.csv that run from its
     source's cell to its sink's, a source on its sink's cell included."""
-    write_raster(CostSurface(ncols=3, nrows=3, cell_size=10.0, origin=(0.0, 0.0),
-                             nodata=-9999.0, cells=np.ones((3, 3))), tmp_path / "cost.asc")
-    (tmp_path / "sources.csv").write_text(
-        "id,row,col,capturable,capture_cost\nA,1,1,100,30\nB,0,0,100,30\n")
-    (tmp_path / "sinks.csv").write_text(
-        "id,row,col,capacity,sequestration_cost\nK,1,1,1000,5\n")
+    assert run(write_same_cell_inputs(tmp_path)) == 0
     out = tmp_path / "net"
-    assert run(["netopt", "--surface", tmp_path / "cost.asc",
-                "--sources", tmp_path / "sources.csv", "--sinks", tmp_path / "sinks.csv",
-                "--target", "150", "-o", out]) == 0
     cells = {"A": ["1", "1"], "B": ["0", "0"], "K": ["1", "1"]}
     routes = [r.split(",")[:2] for r in (out / "network.csv").read_text().splitlines()[1:]]
     assert routes == [["A", "K"], ["B", "K"]]
@@ -178,6 +183,37 @@ def test_netopt_every_route_has_a_trace(tmp_path):
         assert [r[2] for r in rows] == [str(i) for i in range(len(rows))]
         assert rows[0][3:5] == cells[source] and rows[-1][3:5] == cells[sink]
     assert 'points=""' not in (out / "network.svg").read_text()
+
+
+def test_netopt_every_route_is_visible(tmp_path):
+    """Each network.csv route is drawn in network.svg in the route colour
+    with a visible extent: a polyline through the centres of its cells with
+    two or more distinct points, or, for a one-cell route, a ring of
+    positive radius around its cell."""
+    assert run(write_same_cell_inputs(tmp_path)) == 0
+    out = tmp_path / "net"
+    routes = [r.split(",")[:2] for r in (out / "network.csv").read_text().splitlines()[1:]]
+    trace = [r.split(",") for r in (out / "network_paths.csv").read_text().splitlines()[1:]]
+    svg = "{http://www.w3.org/2000/svg}"
+    root = ET.parse(out / "network.svg").getroot()
+    (image,) = root.iter(svg + "image")
+    margin, cell = float(image.get("x")), float(image.get("width")) / 3
+
+    def centre(row, col):
+        return margin + (int(col) + 0.5) * cell, margin + (int(row) + 0.5) * cell
+
+    drawn = [e for e in root if e.get("stroke") == "rgb(200,60,30)"]
+    lines = [[tuple(map(float, p.split(","))) for p in e.get("points").split()]
+             for e in drawn if e.tag == svg + "polyline"]
+    rings = [(float(e.get("cx")), float(e.get("cy"))) for e in drawn
+             if e.tag == svg + "circle" and float(e.get("r")) > 0]
+    assert len(routes) == 2 and len(drawn) == len(routes)
+    for source, sink in routes:
+        points = [centre(*r[3:5]) for r in trace if r[:2] == [source, sink]]
+        if len(points) == 1:
+            assert points[0] in rings, (source, sink)
+        else:
+            assert points in lines and len(set(points)) >= 2, (source, sink)
 
 
 def test_netopt_binding_sinks_above_exact_limit(tmp_path, capsys):
@@ -569,6 +605,51 @@ class TestExitCodes:
                     "--sinks", tmp_path / "sinks.csv",
                     "--target", "3", "-o", tmp_path / "x"]) == 3
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind, row, message", [
+        ("sinks", "K1,5,7,3.0e6,1e308", "sink K1: its cost at up to 2.5e+06 t/yr"),
+        ("sources", "S1,0,1,2.0e6,-1e308", "source S1: its cost at up to 2e+06 t/yr")],
+        ids=["sink", "source"])
+    def test_netopt_node_cost_overflow(self, workspace, tmp_path, capsys, kind, row,
+                                       message):
+        """A node whose cost times the flow it can carry overflows a float is
+        named, where the run used to print an infinite $/t and exit 0."""
+        nodes = {name: workspace / f"{name}.csv" for name in ("sources", "sinks")}
+        lines = nodes[kind].read_text().splitlines()
+        nodes[kind] = tmp_path / f"{kind}.csv"
+        nodes[kind].write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["netopt", "--surface", workspace / "cost.asc",
+                        "--sources", nodes["sources"], "--sinks", nodes["sinks"],
+                        "--target", "2.5e6", "-o", tmp_path / "x"]) == 3
+        assert (f"invalid input: {message} takes the network's cost bound past the "
+                "largest float") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cost", [1e307, 1.7e308, 1e305], ids=[
+        "path-sum-overflows", "step-overflows", "pipe-cost-overflows"])
+    def test_netopt_corridor_cost_overflow(self, tmp_path, capsys, cost):
+        """A corridor whose terrain cost, or pipe cost, is not a finite float
+        is named: summed over 29 cells of 1e307 it overflows, one step
+        between two cells of 1.7e308 overflows, and 29 cells of 1e305 give
+        a terrain cost whose pipe costs more than the largest float.  The
+        first two used to leave the source unreachable (exit 4)."""
+        write_raster(CostSurface(ncols=30, nrows=1, cell_size=1.0, origin=(0.0, 0.0),
+                                 nodata=-9999.0, cells=np.full((1, 30), cost)),
+                     tmp_path / "cost.asc")
+        (tmp_path / "sources.csv").write_text(
+            "id,row,col,capturable,capture_cost\nS1,0,0,1.0,1\n")
+        (tmp_path / "sinks.csv").write_text(
+            "id,row,col,capacity,sequestration_cost\nK1,0,29,1.0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                        "--sources", tmp_path / "sources.csv",
+                        "--sinks", tmp_path / "sinks.csv",
+                        "--target", "0.5", "-o", tmp_path / "x"]) == 3
+        assert "invalid input: corridor S1 -> K1: its " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_netopt_negative_cost_accepted(self, workspace, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from coplant.sinknet.raster import CostSurface, RasterFormatError, load_raster, 
 from coplant.sinknet import routing
 from coplant.sinknet.routing import (
     CandidateEdge,
+    ReachabilityReport,
     SinkNode,
     SourceNode,
     build_candidates,
@@ -299,6 +301,108 @@ class TestRouting:
         assert cost == exhaustive_path_oracle(surface, 0, 8)
 
 
+def walk(pred, a, b):
+    """Cells from a to b along the predecessor tree of a search from b, in
+    which each cell's predecessor is its next hop toward b; [a] when a == b.
+    One corridor at a time, as `build_candidates` once walked them."""
+    path = [a]
+    while path[-1] != b:
+        path.append(int(pred[path[-1]]))
+    return path
+
+
+def path_measures(surface, path):
+    """(length in km, cost) of a path, each summed step by step from its
+    first cell with np.cumsum; (0, 0) for a one-cell path."""
+    if len(path) < 2:
+        return 0.0, 0.0
+    cells = np.asarray(path)
+    rows, cols = np.divmod(cells, surface.ncols)
+    diag = np.where((np.diff(rows) != 0) & (np.diff(cols) != 0), SQRT2, 1.0)
+    c = surface.cells.ravel()[cells]
+    length = np.cumsum(surface.cell_size * diag)[-1]
+    cost = np.cumsum(0.5 * (c[:-1] + c[1:]) * surface.cell_size * diag)[-1]
+    return float(length), float(cost)
+
+
+def candidates_oracle(surface, sources, sinks):
+    """What `build_candidates` returns, from an unlimited csgraph search from
+    each sink over `step_graph`, each corridor walked and measured alone."""
+    graph = step_graph(surface)
+    found = {}
+    for snk in sinks:
+        dist, pred = dijkstra(graph, indices=snk.cell, return_predecessors=True)
+        for src in sources:
+            if np.isfinite(dist[src.cell]):
+                path = walk(pred, src.cell, snk.cell)
+                found[src.id, snk.id] = CandidateEdge(src.id, snk.id, tuple(path),
+                                                      *path_measures(surface, path))
+    edges = [found[s.id, k.id] for s in sources for k in sinks if (s.id, k.id) in found]
+    return edges, ReachabilityReport(
+        unreachable_sources=[s.id for s in sources
+                             if not any((s.id, k.id) in found for k in sinks)],
+        unreachable_sinks=[k.id for k in sinks
+                           if not any((s.id, k.id) in found for s in sources)])
+
+
+def recording_limits(monkeypatch):
+    """Patch `routing.dijkstra` to record the limit of each search (None
+    for an unlimited one) and return the list it fills."""
+    limits = []
+
+    def recording(graph, **kwargs):
+        limits.append(kwargs.get("limit"))
+        return dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(routing, "dijkstra", recording)
+    return limits
+
+
+def walled_instance(seed, n=28):
+    """A random surface of `n` x `n` cells: multipliers in [0.5, 5] with one
+    cell in five free, a block of free cells, short random walls and a
+    full nodata cross that cuts it into four components.  The first sink
+    sits in a component with no source; the others, and the sources, are
+    random open cells of the other three."""
+    rng = np.random.default_rng(seed)
+    cells = np.round(rng.uniform(0.5, 5.0, size=(n, n)), 2)
+    cells[rng.random((n, n)) < 0.2] = 0.0
+    cells[3:9, 16:24] = 0.0
+    for _ in range(6):
+        r, c = rng.integers(0, n - 6, size=2)
+        cells[r, c:c + 6] = -9999.0
+    half = n // 2
+    cells[half, :] = cells[:, half] = -9999.0
+    surface = make_surface(cells, cell_size=float(rng.uniform(0.5, 3.0)))
+    open_ = cells != -9999.0
+    lonely = np.flatnonzero(open_[:half, :half].ravel())
+    r, c = divmod(int(rng.choice(lonely)), half)
+    others = open_.copy()
+    others[:half + 1, :half + 1] = False
+    picks = rng.choice(np.flatnonzero(others.ravel()), size=15, replace=False)
+    sources = [SourceNode(id=f"S{i}", cell=int(cell), capturable=10, eq_capture_cost=30)
+               for i, cell in enumerate(picks[:11])]
+    # one sink on a source's cell gives a one-cell corridor
+    sinks = [SinkNode(id="K0", cell=surface.index(r, c), capacity=10, sequestration_cost=5)]
+    sinks += [SinkNode(id=f"K{j}", cell=int(cell), capacity=10, sequestration_cost=5)
+              for j, cell in enumerate([*picks[11:], picks[0]], start=1)]
+    return surface, sources, sinks
+
+
+def tight_row_instance(seed):
+    """One row of 24 random cells: source A at column 0, sinks K1 at 12 and
+    K2 at 20, source B at 22.  K1 lies on A's corridor to K2 and K2 on B's
+    corridor to K1; A is K1's farthest source, so the triangle bound on
+    K2's search, d(A, K1) + d(K1, K2), is exactly A's distance from K2."""
+    rng = np.random.default_rng(seed)
+    surface = make_surface(np.round(rng.uniform(0.5, 5.0, size=(1, 24)), 3))
+    sources = [SourceNode(id="A", cell=0, capturable=10, eq_capture_cost=30),
+               SourceNode(id="B", cell=22, capturable=10, eq_capture_cost=30)]
+    sinks = [SinkNode(id="K1", cell=12, capacity=10, sequestration_cost=5),
+             SinkNode(id="K2", cell=20, capacity=10, sequestration_cost=5)]
+    return surface, sources, sinks
+
+
 class TestCandidates:
     def test_pair_counts(self):
         surface = make_surface(np.ones((4, 4)))
@@ -378,6 +482,55 @@ class TestCandidates:
                     else:
                         assert edge.terrain_cost == pytest.approx(total, rel=1e-12)
         assert unique >= 50 and unreachable > 0
+
+    def test_matches_per_pair_oracle(self, monkeypatch):
+        """[PRIMARY] Every corridor, length and terrain cost, and the
+        reachability report, equal to the bit those of an unlimited search
+        from each sink with each corridor walked alone: on walled random
+        surfaces with free cells and four components, the first sink alone
+        in a component without sources; and on one-row corridors where the
+        triangle bound is tight."""
+        limits = recording_limits(monkeypatch)
+        instances = [walled_instance(seed) for seed in range(6)]
+        instances += [tight_row_instance(seed) for seed in range(8)]
+        for surface, sources, sinks in instances:
+            assert build_candidates(surface, sources, sinks) == \
+                candidates_oracle(surface, sources, sinks)
+        assert any(limit is not None for limit in limits)
+        assert build_candidates(*instances[0])[1].unreachable_sinks == ["K0"]
+
+    def test_search_limits(self, monkeypatch):
+        """The first search has no limit.  A later sink's search is limited
+        to the triangle bound, R + d(K1, k) with R the farthest source K1
+        reached, plus the costliest step of the graph, and reaches at least
+        every source.  Where rounding leaves a source past the bound, the
+        sink is searched again without a limit."""
+        limits = recording_limits(monkeypatch)
+        surface = make_surface(np.round(
+            np.random.default_rng(5).uniform(0.5, 5.0, size=(20, 20)), 3))
+        rng = np.random.default_rng(6)
+        picks = rng.choice(surface.n_cells, size=12, replace=False)
+        sources = [SourceNode(id=f"S{i}", cell=int(c), capturable=10, eq_capture_cost=30)
+                   for i, c in enumerate(picks[:9])]
+        sinks = [SinkNode(id=f"K{j}", cell=int(c), capacity=10, sequestration_cost=5)
+                 for j, c in enumerate(picks[9:])]
+        build_candidates(surface, sources, sinks)
+        graph = step_graph(surface)
+        first = dijkstra(graph, indices=sinks[0].cell)
+        reach = max(first[s.cell] for s in sources)
+        step = graph.data.max()
+        assert limits[0] is None and len(limits) == len(sinks)
+        for snk, limit in zip(sinks[1:], limits[1:]):
+            farthest = max(dijkstra(graph, indices=snk.cell)[s.cell] for s in sources)
+            assert farthest <= limit <= reach + first[snk.cell] + step
+        again = []
+        for seed in range(8):
+            limits.clear()
+            build_candidates(*tight_row_instance(seed))
+            assert limits[0] is None and 0 < limits[1] < math.inf
+            assert limits[2:] in ([], [None])
+            again.append(limits[2:] == [None])
+        assert any(again) and not all(again)
 
     def test_walled_off_nodes_reported(self):
         cells = np.ones((7, 7))
@@ -852,6 +1005,23 @@ class TestSelectNetwork:
             solve_exact([src], sinks, edges, 10)
         with pytest.raises(NetworkInfeasible, match="local search .* stopped 4 short"):
             solve_local([src], sinks, edges, 10)
+
+    def test_amounts_near_the_largest_float(self):
+        """Sources of 1e308 t/yr and sinks of 1.7e308: the supply and room
+        the exact search sums pass the largest float, which it reads as more
+        than any target, with no overflow warning."""
+        sources = [SourceNode(id=s, cell=i, capturable=1e308, eq_capture_cost=1e-300)
+                   for i, s in enumerate("AB")]
+        sinks = [SinkNode(id=k, cell=2 + j, capacity=1.7e308, sequestration_cost=1e-300)
+                 for j, k in enumerate(("K1", "K2"))]
+        edges = [CandidateEdge(source_id=s.id, sink_id=k.id, path=(s.cell, k.cell),
+                               length_km=1.0, terrain_cost=1.0 + j)
+                 for s in sources for j, k in enumerate(sinks)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = select_network(sources, sinks, edges, 1.5e308)
+        assert sum(r.flow for r in sol.routes) == 1.5e308
+        assert math.isfinite(sol.total_cost)
 
     def test_exact_keeps_first_feasible_at_infinite_cost(self):
         """Every feasible assignment costs inf: the first one is kept, as the
