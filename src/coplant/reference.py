@@ -43,7 +43,8 @@ def solar_profile(hours: int, seed: int = 42) -> tuple[float, ...]:
     out = np.zeros(hours)
     for t in range(hours):
         d, h = divmod(t, 24)
-        diurnal = max(0.0, math.sin(math.pi * (h - 6.0) / 12.0))
+        # daylight is 06:00-18:00; outside it exactly 0, not sin(pi)'s 1.2e-16
+        diurnal = math.sin(math.pi * (h - 6.0) / 12.0) if 6 < h < 18 else 0.0
         seasonal = 0.75 + 0.25 * math.sin(2.0 * math.pi * (d - 80.0) / 365.0)
         out[t] = diurnal * seasonal * cloud[d]
     return tuple(np.clip(out, 0.0, 1.0))

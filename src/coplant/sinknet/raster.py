@@ -79,7 +79,6 @@ def load_raster(path: str | Path) -> CostSurface:
     """Parse an ESRI ASCII grid; errors carry the offending line number."""
     path = Path(path)
     header: dict[str, float] = {}
-    values: list[float] = []
     with path.open() as fh:
         lines = fh.readlines()
     data_start = None
@@ -112,18 +111,24 @@ def load_raster(path: str | Path) -> CostSurface:
     nodata = header.get("nodata_value", -9999.0)
     if data_start is None:
         raise RasterFormatError(f"{path}: no data section found")
-    for lineno, line in enumerate(lines[data_start - 1:], start=data_start):
-        for token in line.split():
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise RasterFormatError(
-                    f"{path}:{lineno}: non-numeric cell value {token!r}") from None
+    tokens = "".join(lines[data_start - 1:]).split()
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        # the slow way, once, to name the line that holds the bad token
+        for lineno, line in enumerate(lines[data_start - 1:], start=data_start):
+            for token in line.split():
+                try:
+                    float(token)
+                except ValueError:
+                    raise RasterFormatError(
+                        f"{path}:{lineno}: non-numeric cell value {token!r}") from None
+        raise
     expected = nrows * ncols
     if len(values) != expected:
         raise RasterFormatError(
             f"{path}: data section has {len(values)} cells, expected {expected}")
-    cells = np.array(values).reshape(nrows, ncols)
+    cells = values.reshape(nrows, ncols)
     try:
         return CostSurface(
             ncols=ncols, nrows=nrows, cell_size=header["cellsize"],
@@ -133,14 +138,21 @@ def load_raster(path: str | Path) -> CostSurface:
         raise RasterFormatError(f"{path}: {exc}") from None
 
 
+def _exact(value: float) -> str:
+    """`value` in `:g` form where that parses back to it, else its shortest
+    exact form (repr), so a written surface loads back bit for bit."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
+
+
 def write_raster(surface: CostSurface, path: str | Path) -> None:
     """Emit the surface back to ESRI ASCII (used by fixture generators)."""
     with Path(path).open("w") as fh:
         fh.write(f"NCOLS {surface.ncols}\n")
         fh.write(f"NROWS {surface.nrows}\n")
-        fh.write(f"XLLCORNER {surface.origin[0]:g}\n")
-        fh.write(f"YLLCORNER {surface.origin[1]:g}\n")
-        fh.write(f"CELLSIZE {surface.cell_size:g}\n")
-        fh.write(f"NODATA_VALUE {surface.nodata:g}\n")
+        fh.write(f"XLLCORNER {_exact(surface.origin[0])}\n")
+        fh.write(f"YLLCORNER {_exact(surface.origin[1])}\n")
+        fh.write(f"CELLSIZE {_exact(surface.cell_size)}\n")
+        fh.write(f"NODATA_VALUE {_exact(surface.nodata)}\n")
         for r in range(surface.nrows):
-            fh.write(" ".join(f"{v:g}" for v in surface.cells[r]) + "\n")
+            fh.write(" ".join(map(_exact, surface.cells[r].tolist())) + "\n")

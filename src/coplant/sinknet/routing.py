@@ -9,11 +9,11 @@ search's predecessor tree each cell's predecessor is its next hop toward
 the sink, so a corridor is walked from the source with no reversal.  All
 corridors of one sink are walked in lock step, and a path's length and
 cost are recomputed as sums of its step costs in source-to-sink order.
-A later sink's search stops where the triangle inequality says no source
-can lie (`build_candidates`); it keeps every corridor the unlimited search
-finds, to the bit.  Among equal-cost paths the one kept is the predecessor
-tree scipy's Dijkstra builds from the sink: deterministic for a given
-scipy, but not tied to cell indices.
+A search stops a step past an estimate of its farthest source's distance,
+checked after the search (`build_candidates`); it keeps every corridor the
+unlimited search finds, to the bit.  Among equal-cost paths the one kept
+is the predecessor tree scipy's Dijkstra builds from the sink:
+deterministic for a given scipy, but not tied to cell indices.
 
 `scipy.sparse` is imported when the first graph is built and
 `scipy.sparse.csgraph` on the first search, not with this module, so
@@ -36,33 +36,39 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 SQRT2 = math.sqrt(2.0)
+REACH_FACTOR = 1.25     # margin of a sink's reach estimate (`build_candidates`)
 
-# (slice of the first cell, slice of its neighbour, distance factor) for the
-# four undirected step directions: east, south, south-east, south-west
-_STEPS = ((np.s_[:, :-1], np.s_[:, 1:], 1.0),
-          (np.s_[:-1, :], np.s_[1:, :], 1.0),
-          (np.s_[:-1, :-1], np.s_[1:, 1:], SQRT2),
-          (np.s_[:-1, 1:], np.s_[1:, :-1], SQRT2))
+# (first cells, their neighbours, distance factor, the step's slot among the
+# first cell's eight neighbours, its slot among the neighbour's) for the steps
+# east, south, south-east and south-west; slots 0-7 are NW, N, NE, W, E, SW, S, SE.
+_STEPS = ((np.s_[:, :-1], np.s_[:, 1:], 1.0, 4, 3),
+          (np.s_[:-1, :], np.s_[1:, :], 1.0, 6, 1),
+          (np.s_[:-1, :-1], np.s_[1:, 1:], SQRT2, 7, 0),
+          (np.s_[:-1, 1:], np.s_[1:, :-1], SQRT2, 5, 2))
 
 
 def _cost_graph(surface: CostSurface) -> csr_array:
-    """Directed 8-neighbour step graph of the surface; nodata cells have no
-    edges.  Zero-cost steps stay explicit edges (the routing tests pin it)."""
+    """Directed 8-neighbour step graph of the surface, its CSR arrays written
+    directly; nodata cells have no edges.  Zero-cost steps stay explicit
+    edges (the routing tests pin it)."""
     from scipy.sparse import csr_array
-    cells, open_ = surface.cells, ~surface.is_nodata
-    index = np.arange(surface.n_cells, dtype=np.int32).reshape(cells.shape)
-    tails, heads, weights = [], [], []
-    for a, b, diag in _STEPS:
+    cells, open_, n, ncols = surface.cells, ~surface.is_nodata, surface.n_cells, surface.ncols
+    index = np.int32 if 8 * n < 2**31 else np.int64     # scipy takes int32 where it fits
+    has = np.zeros((*cells.shape, 8), dtype=bool)
+    weight = np.empty((*cells.shape, 8))
+    degree = np.zeros(cells.shape, dtype=index)
+    for a, b, diag, out, back in _STEPS:
         keep = open_[a] & open_[b]
-        u, v = index[a][keep], index[b][keep]
+        has[(*a, out)] = has[(*b, back)] = keep
+        degree[a] += keep
+        degree[b] += keep
         with np.errstate(over="ignore"):    # an infinite step is no edge to Dijkstra
-            w = 0.5 * (cells[a][keep] + cells[b][keep]) * surface.cell_size * diag
-        tails += [u, v]
-        heads += [v, u]
-        weights += [w, w]
-    return csr_array((np.concatenate(weights),
-                      (np.concatenate(tails), np.concatenate(heads))),
-                     shape=(surface.n_cells, surface.n_cells))
+            weight[(*a, out)] = weight[(*b, back)] = (
+                0.5 * (cells[a] + cells[b]) * surface.cell_size * diag)
+    offsets = np.array([-ncols - 1, -ncols, 1 - ncols, -1, 1, ncols - 1, ncols, ncols + 1], index)
+    indptr = np.concatenate(([0], np.cumsum(degree))).astype(index)
+    heads = (np.arange(n, dtype=index).reshape(*cells.shape, 1) + offsets)[has]
+    return csr_array((weight[has], heads, indptr), shape=(n, n))
 
 
 def dijkstra(*args, **kwargs):
@@ -82,12 +88,6 @@ def _components(graph: csr_array, step: float, n_cells: int) -> np.ndarray | Non
     return connected_components(graph, directed=False)[1]
 
 
-def _sum_steps(steps: np.ndarray) -> np.ndarray:
-    """Row sums of a (corridor, step) array, added step by step from the
-    source as np.cumsum does (np.sum adds pairwise); 0 with no steps."""
-    return np.cumsum(steps, axis=1)[:, -1] if steps.shape[1] else np.zeros(len(steps))
-
-
 def _corridors(surface: CostSurface, pred: np.ndarray, sink: int, cells: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(cells, cell count, length in km, cost) of the corridor from each of
@@ -96,10 +96,11 @@ def _corridors(surface: CostSurface, pred: np.ndarray, sink: int, cells: np.ndar
     All corridors are walked in lock step, `cur = pred[cur]`, into one
     (corridor, step) array in which a corridor that has arrived repeats the
     sink; a source on the sink's cell is a one-cell corridor.  The step
-    costs are those of `_cost_graph`, and zero once a corridor has arrived,
-    so each sum equals that of the corridor's own steps to the bit."""
+    costs are those of `_cost_graph`, zero once a corridor has arrived, and
+    are added from the source by np.cumsum (np.sum adds pairwise), so each
+    sum equals that of the corridor's own steps to the bit."""
     pred[sink] = sink
-    steps = [cells]
+    steps = [cells, pred[cells]]
     while np.any(steps[-1] != sink):
         steps.append(pred[steps[-1]])
     path = np.stack(steps, axis=1)
@@ -108,9 +109,9 @@ def _corridors(surface: CostSurface, pred: np.ndarray, sink: int, cells: np.ndar
     diag = np.where((rows[:, :-1] != rows[:, 1:]) & (cols[:, :-1] != cols[:, 1:]), SQRT2, 1.0)
     c = surface.cells.ravel()[path]
     with np.errstate(over="ignore"):    # the caller rejects a cost that overflows
-        length = _sum_steps(np.where(moving, surface.cell_size * diag, 0.0))
-        cost = _sum_steps(np.where(
-            moving, 0.5 * (c[:, :-1] + c[:, 1:]) * surface.cell_size * diag, 0.0))
+        length = np.cumsum(np.where(moving, surface.cell_size * diag, 0.0), axis=1)[:, -1]
+        cost = np.cumsum(np.where(
+            moving, 0.5 * (c[:, :-1] + c[:, 1:]) * surface.cell_size * diag, 0.0), axis=1)[:, -1]
     return path, 1 + moving.sum(axis=1), length, cost
 
 
@@ -161,19 +162,19 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
     symmetric, so the sink's predecessor tree holds each source's corridor,
     walked from the source, all of the sink's corridors in lock step
     (`_corridors`).  Sinks are searched one by one in input order, not in
-    one batched call, which would hold a distance and predecessor row per
-    sink.
+    one batched call, which would hold distances and predecessors per sink.
 
-    The first search has no limit, nor has that of a sink no earlier
-    unlimited search reached.  Any other sink k, reached by the unlimited
-    search from k1, has every source within T = R + d(k1, k) by the
-    triangle inequality, with R the distance of the farthest source k1
-    reached; over several such k1 the least T is taken.  k is searched to
-    T plus the costliest step of the graph: up to T such a search makes
-    the unlimited one's heap operations in the same order, so every cell
-    within T gets the same distance and predecessor, ties included.  If
-    float rounding leaves a source k1 reached farther than T, k is searched
-    again without a limit.
+    Each sink k is searched to λ + `step`, `step` being the costliest edge
+    and λ an estimate of the distance of k's farthest source: REACH_FACTOR
+    times `detour` times the walk at the open cells' mean multiplier over
+    the largest octile distance from k to a source.  Up to λ the search
+    makes the unlimited one's heap operations in the same order, so every
+    cell within λ keeps its distance and predecessor, ties included.  If a
+    source k can reach lies beyond λ, or λ is not finite, k is searched
+    again without a limit.  Once an unlimited search has reached k, the
+    sources it reached are those k can reach (before, all are), and
+    `detour` becomes at least the ratio of its farthest source's distance
+    to that source set's walk.
 
     Pairs separated by nodata barriers are skipped; nodes unreachable from
     every counterpart are listed in the reachability report.  A corridor
@@ -186,35 +187,36 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
     step = float(graph.data.max(initial=0.0))
     component = _components(graph, step, surface.n_cells)
     src_cells = np.array([s.cell for s in sources], dtype=np.intp)
-    snk_cells = np.array([k.cell for k in sinks], dtype=np.intp)
+    src_at = np.stack(np.divmod(src_cells, surface.ncols), axis=1)     # (row, col)
+    with np.errstate(over="ignore"):    # an infinite mean makes no finite estimate
+        per_cell = float(surface.cells[~surface.is_nodata].mean()) * surface.cell_size
     per_source: list[list[CandidateEdge]] = [[] for _ in sources]
-    reached_sources = np.zeros(len(sources), dtype=bool)
-    reached_sinks = np.zeros(len(sinks), dtype=bool)
-    # (sources reached, farthest source's distance, distance of each sink)
-    # of each unlimited search
-    unlimited: list[tuple[np.ndarray, float, np.ndarray]] = []
+    unreachable_sinks: list[str] = []
+    can_reach: list[np.ndarray] = [np.ones(len(sources), dtype=bool)] * len(sinks)
+    detour = 1.0
     for j, snk in enumerate(sinks):
-        bounds = [(far + float(at_snk[j]), reach) for reach, far, at_snk in unlimited
-                  if math.isfinite(at_snk[j])]
-        dist = None
-        if bounds:
-            bound, reach = min(bounds, key=lambda b: b[0])
+        apart = np.abs(src_at - surface.rowcol(snk.cell))
+        octile = apart.max(axis=1) + (SQRT2 - 1.0) * apart.min(axis=1)
+        estimate = REACH_FACTOR * detour * per_cell * float(octile[can_reach[j]].max(initial=0.0))
+        limited = math.isfinite(estimate + step)
+        if limited:
             dist, pred = dijkstra(graph, indices=snk.cell, return_predecessors=True,
-                                  limit=bound + step)
-            if not np.all(dist[src_cells[reach]] <= bound):
-                dist = None
-        if dist is None:
+                                  limit=estimate + step)
+        if not limited or np.any(dist[src_cells[can_reach[j]]] > estimate):
             dist, pred = dijkstra(graph, indices=snk.cell, return_predecessors=True)
             reach = np.isfinite(dist[src_cells])
-            unlimited.append((reach, float(dist[src_cells[reach]].max(initial=0.0)),
-                              dist[snk_cells]))
+            walk = per_cell * float(octile[reach].max(initial=0.0))
+            if walk > 0.0:
+                detour = max(detour, float(dist[src_cells[reach]].max()) / walk)
+            for k in np.flatnonzero(np.isfinite(dist[[other.cell for other in sinks]])):
+                can_reach[k] = reach
             if component is not None:
                 lost = (component[src_cells] == component[snk.cell]) & ~reach
                 if lost.any():
                     raise _overflow(sources[np.argmax(lost)], snk)
         hit = np.flatnonzero(np.isfinite(dist[src_cells]))
         if not hit.size:
-            continue
+            unreachable_sinks.append(snk.id)
         paths, counts, lengths, costs = _corridors(surface, pred, snk.cell, src_cells[hit])
         for i, path, count, length_km, cost in zip(hit, paths, counts, lengths, costs):
             if not math.isfinite(cost):
@@ -222,8 +224,6 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
             per_source[i].append(CandidateEdge(
                 source_id=sources[i].id, sink_id=snk.id, path=tuple(path[:count].tolist()),
                 length_km=float(length_km), terrain_cost=float(cost)))
-        reached_sources[hit] = reached_sinks[j] = True
     report = ReachabilityReport(
-        unreachable_sources=[s.id for s, hit in zip(sources, reached_sources) if not hit],
-        unreachable_sinks=[k.id for k, hit in zip(sinks, reached_sinks) if not hit])
+        [s.id for s, row in zip(sources, per_source) if not row], unreachable_sinks)
     return [edge for row in per_source for edge in row], report

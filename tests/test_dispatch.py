@@ -106,6 +106,20 @@ def test_profile_length_mismatch_rejected():
         build_lp(spec, scenario)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 42])
+def test_solar_profile_zero_outside_daylight(seed):
+    """Solar output is exactly 0 from 18:00 to 06:00 and positive from 07:00
+    to 17:00.  At 18:00 sin(pi) is 1.2e-16, not 0, and used to put one
+    coefficient of about 5e-17 per day into the LP, which HiGHS drops with a
+    warning; now the smallest coefficient of a week's LP is 0.005."""
+    days = np.array(reference.solar_profile(24 * 14, seed)).reshape(14, 24)
+    assert np.all(days[:, :7] == 0.0) and np.all(days[:, 18:] == 0.0)
+    assert np.all(days[:, 7:18] > 0.0)
+    scenario = reference.netzero_scenario(horizon=168)
+    matrix = build_lp(reference.reference_system(scenario, seed=seed), scenario).matrix()
+    assert np.abs(matrix.data).min() == 0.005
+
+
 def test_structural_infeasibility_names_commodity():
     converter = ConversionUnit(id="maker", inputs={Commodity.HYDROGEN: 1.0},
                                outputs={Commodity.CEMENT: 1.0})

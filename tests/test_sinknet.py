@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from coplant.sinknet import network
 from coplant.sinknet.network import (
@@ -133,7 +133,15 @@ class TestRaster:
     @pytest.mark.parametrize("text, message", [
         ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n", ": no data section found"),
         ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1 1\n\n1 x 1\n1 1 1\n",
-         ":6: non-numeric cell value 'x'")])
+         ":6: non-numeric cell value 'x'"),
+        ("NCOLS 3\r\nNROWS 3\r\nCELLSIZE 1\r\n\r\n1 1 1\r\n\r\n\r\n1 1 1\r\n1 1 x\r\n",
+         ":9: non-numeric cell value 'x'"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1\n2\n\n3\nx\n4\n5\n6\n7\n",
+         ":8: non-numeric cell value 'x'"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n\n\nfoo 1 1\n1 1 1\n1 1 1\n",
+         ":6: non-numeric cell value 'foo'"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1\n\n\n1e 1\n",
+         ":7: non-numeric cell value '1e'")])
     def test_load_data_section_rejected(self, tmp_path, text, message):
         path = tmp_path / "g.asc"
         path.write_text(text)
@@ -155,6 +163,48 @@ class TestRaster:
         back = load_raster(path)
         assert back.cell_size == pytest.approx(0.24)
         assert np.array_equal(back.cells, surface.cells)
+
+    def test_write_read_round_trip_exact(self, tmp_path):
+        """Random float cells, cell size, corners and nodata value load back
+        bit for bit; `:g` keeps 6 digits, which changed them.  Values that
+        `:g` writes exactly, such as cells rounded to 3 decimals, keep its
+        form, so such a file's bytes are unchanged."""
+        rng = np.random.default_rng(12)
+        cells = rng.uniform(0.0, 5.0, size=(7, 9))
+        cells[rng.random((7, 9)) < 0.2] = -9876.54321
+        cells[0, :3] = [0.0, 1e-7 / 3, 12345678.9]
+        surface = make_surface(cells, cell_size=float(rng.uniform(0.1, 3.0)),
+                               nodata=-9876.54321, origin=(float(rng.uniform(-1e6, 1e6)), 1 / 3))
+        path = tmp_path / "g.asc"
+        write_raster(surface, path)
+        back = load_raster(path)
+        assert back.cells.tobytes() == surface.cells.tobytes()
+        assert (back.cell_size, back.origin, back.nodata) == \
+            (surface.cell_size, surface.origin, surface.nodata)
+        rounded = np.round(rng.uniform(1.0, 3.0, size=(4, 5)), 3)
+        rounded[1, 2:4] = -9999.0
+        write_raster(make_surface(rounded, cell_size=5.0), path)
+        assert path.read_text().splitlines()[2:] == [
+            "XLLCORNER 0", "YLLCORNER 0", "CELLSIZE 5", "NODATA_VALUE -9999",
+            *(" ".join(f"{v:g}" for v in row) for row in rounded)]
+
+    @pytest.mark.parametrize("data", [
+        "1e-3 2.5E+2 +1.5\n0 1E0 +0.25e1\n-9999 4.75 .5\n",
+        "1\t2.125\t3\n\t4 5\t6\n7 8 9\n",
+        "1 2 3\r\n4 5 6\r\n7 8 9\r\n",
+        "\n1 2 3\n\n\n4 5 6\n  \n7 8 9\n\n",
+        "1\n2\n3\n4\n5\n6\n7\n8\n9\n",
+        "1 2 3 4 5 6 7 8 9",
+        "0.1 0.2 0.30000000000000004\n1.7976931348623157e308 5e-324 2.2250738585072014e-308\n"
+        "123456789012345678901234567890 0.1e1 1_0\n"])
+    def test_parse_matches_float_per_token(self, tmp_path, data):
+        """The data section parses to what `float()` gives each token, bit
+        for bit: exponents, a leading '+', tabs, CRLF line ends, blank lines,
+        one value per line or all on one."""
+        path = tmp_path / "g.asc"
+        path.write_bytes(f"NCOLS 3\nNROWS 3\nCELLSIZE 1\n{data}".encode())
+        oracle = np.array([float(token) for token in data.split()]).reshape(3, 3)
+        assert load_raster(path).cells.tobytes() == oracle.tobytes()
 
 
 # ------------------------------------------------------------------ routing
@@ -358,6 +408,60 @@ def recording_limits(monkeypatch):
     return limits
 
 
+def recording_searches(monkeypatch):
+    """Patch `routing.dijkstra` to record the (sink cell, limit) of each
+    search, the limit None for an unlimited one, and return the list it
+    fills."""
+    searches = []
+
+    def recording(graph, **kwargs):
+        searches.append((kwargs["indices"], kwargs.get("limit")))
+        return dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(routing, "dijkstra", recording)
+    return searches
+
+
+def search_kinds(searches, sinks):
+    """(kind, first limit) of each sink's searches, in input order, from the
+    recorded searches: "accepted" for one limited search, "refused" for a
+    limited search run again without a limit, "unlimited" for one search
+    without a limit."""
+    kinds, at = [], 0
+    for snk in sinks:
+        cell, limit = searches[at]
+        assert cell == snk.cell
+        if limit is None:
+            kinds.append(("unlimited", None))
+        elif searches[at + 1:at + 2] == [(snk.cell, None)]:
+            kinds.append(("refused", limit))
+            at += 1
+        else:
+            kinds.append(("accepted", limit))
+        at += 1
+    assert at == len(searches)
+    return kinds
+
+
+def coo_cost_graph(surface):
+    """The step graph as a COO build gives it: each undirected step's cost
+    computed from the two cells, stored both ways, converted to CSR."""
+    cells, open_ = surface.cells, ~surface.is_nodata
+    index = np.arange(surface.n_cells, dtype=np.int32).reshape(cells.shape)
+    tails, heads, weights = [], [], []
+    for a, b, diag in ((np.s_[:, :-1], np.s_[:, 1:], 1.0), (np.s_[:-1, :], np.s_[1:, :], 1.0),
+                       (np.s_[:-1, :-1], np.s_[1:, 1:], SQRT2),
+                       (np.s_[:-1, 1:], np.s_[1:, :-1], SQRT2)):
+        keep = open_[a] & open_[b]
+        u, v = index[a][keep], index[b][keep]
+        w = 0.5 * (cells[a][keep] + cells[b][keep]) * surface.cell_size * diag
+        tails += [u, v]
+        heads += [v, u]
+        weights += [w, w]
+    return csr_array((np.concatenate(weights), (np.concatenate(tails), np.concatenate(heads))),
+                     shape=(surface.n_cells, surface.n_cells))
+
+
 def walled_instance(seed, n=28):
     """A random surface of `n` x `n` cells: multipliers in [0.5, 5] with one
     cell in five free, a block of free cells, short random walls and a
@@ -392,8 +496,9 @@ def walled_instance(seed, n=28):
 def tight_row_instance(seed):
     """One row of 24 random cells: source A at column 0, sinks K1 at 12 and
     K2 at 20, source B at 22.  K1 lies on A's corridor to K2 and K2 on B's
-    corridor to K1; A is K1's farthest source, so the triangle bound on
-    K2's search, d(A, K1) + d(K1, K2), is exactly A's distance from K2."""
+    corridor to K1; A is K1's farthest source, so a bound on K2's search by
+    the triangle inequality through K1, d(A, K1) + d(K1, K2), is exactly
+    A's distance from K2."""
     rng = np.random.default_rng(seed)
     surface = make_surface(np.round(rng.uniform(0.5, 5.0, size=(1, 24)), 3))
     sources = [SourceNode(id="A", cell=0, capturable=10, eq_capture_cost=30),
@@ -499,38 +604,112 @@ class TestCandidates:
         assert any(limit is not None for limit in limits)
         assert build_candidates(*instances[0])[1].unreachable_sinks == ["K0"]
 
-    def test_search_limits(self, monkeypatch):
-        """The first search has no limit.  A later sink's search is limited
-        to the triangle bound, R + d(K1, k) with R the farthest source K1
-        reached, plus the costliest step of the graph, and reaches at least
-        every source.  Where rounding leaves a source past the bound, the
-        sink is searched again without a limit."""
-        limits = recording_limits(monkeypatch)
-        surface = make_surface(np.round(
-            np.random.default_rng(5).uniform(0.5, 5.0, size=(20, 20)), 3))
-        rng = np.random.default_rng(6)
-        picks = rng.choice(surface.n_cells, size=12, replace=False)
-        sources = [SourceNode(id=f"S{i}", cell=int(c), capturable=10, eq_capture_cost=30)
-                   for i, c in enumerate(picks[:9])]
-        sinks = [SinkNode(id=f"K{j}", cell=int(c), capacity=10, sequestration_cost=5)
-                 for j, c in enumerate(picks[9:])]
-        build_candidates(surface, sources, sinks)
-        graph = step_graph(surface)
-        first = dijkstra(graph, indices=sinks[0].cell)
-        reach = max(first[s.cell] for s in sources)
-        step = graph.data.max()
-        assert limits[0] is None and len(limits) == len(sinks)
-        for snk, limit in zip(sinks[1:], limits[1:]):
-            farthest = max(dijkstra(graph, indices=snk.cell)[s.cell] for s in sources)
-            assert farthest <= limit <= reach + first[snk.cell] + step
-        again = []
-        for seed in range(8):
-            limits.clear()
-            build_candidates(*tight_row_instance(seed))
-            assert limits[0] is None and 0 < limits[1] < math.inf
-            assert limits[2:] in ([], [None])
-            again.append(limits[2:] == [None])
-        assert any(again) and not all(again)
+    def test_cost_graph_matches_coo_build(self):
+        """The directly written CSR graph has the arrays a COO build gives,
+        index dtypes and weight bits included: on walled rasters with free
+        cells, and on one cell, one row and one column."""
+        surfaces = [walled_instance(seed)[0] for seed in range(6)]
+        surfaces += [make_surface(cells) for cells in (
+            [[2.0]], [[1.0, 0.0, 3.0]], [[1.0], [-9999.0], [2.0], [0.5]], np.zeros((2, 2)))]
+        for surface in surfaces:
+            graph, coo = routing._cost_graph(surface), coo_cost_graph(surface)
+            for name in ("indptr", "indices", "data"):
+                built, expected = getattr(graph, name), getattr(coo, name)
+                assert built.dtype == expected.dtype
+                assert built.tobytes() == expected.tobytes()
+
+    def test_accepted_limits_pass_the_farthest_source(self, monkeypatch):
+        """Every limited search whose result stands was limited to at least
+        the distance of the sink's farthest reachable source, from an
+        unlimited csgraph search, plus the costliest step of the graph."""
+        searches = recording_searches(monkeypatch)
+        instances = [walled_instance(seed) for seed in range(6)]
+        instances += [tight_row_instance(seed) for seed in range(8)]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            surface = make_surface(np.round(rng.uniform(0.5, 5.0, size=(20, 20)), 3))
+            picks = rng.choice(surface.n_cells, size=12, replace=False)
+            instances.append((
+                surface,
+                [SourceNode(id=f"S{i}", cell=int(c), capturable=10, eq_capture_cost=30)
+                 for i, c in enumerate(picks[:9])],
+                [SinkNode(id=f"K{j}", cell=int(c), capacity=10, sequestration_cost=5)
+                 for j, c in enumerate(picks[9:])]))
+        accepted = 0
+        for surface, sources, sinks in instances:
+            searches.clear()
+            build_candidates(surface, sources, sinks)
+            graph = step_graph(surface)
+            for snk, (kind, limit) in zip(sinks, search_kinds(searches, sinks)):
+                if kind != "accepted":
+                    continue
+                dist = dijkstra(graph, indices=snk.cell)
+                farthest = max((dist[s.cell] for s in sources if np.isfinite(dist[s.cell])),
+                               default=0.0)
+                assert limit >= farthest + graph.data.max()
+                accepted += 1
+        assert accepted >= 40
+
+    def test_short_estimate_searched_again(self, monkeypatch):
+        """A wall across the raster whose only gap lies far from the straight
+        line: K1's estimate falls short of the detour to source A, so its
+        limited search is refused and run again without a limit.  That
+        search's detour ratio, 2.3, then lengthens K2's estimate, and
+        K2's limited search stands; with a ratio of 1 it would be refused
+        too.  The corridors are still those of `candidates_oracle`."""
+        searches = recording_searches(monkeypatch)
+        cells = np.round(np.random.default_rng(3).uniform(0.5, 1.5, size=(30, 30)), 3)
+        cells[:29, 15] = -9999.0
+        surface = make_surface(cells)
+        sources = [SourceNode(id="A", cell=surface.index(1, 4), capturable=10,
+                              eq_capture_cost=30),
+                   SourceNode(id="B", cell=surface.index(3, 26), capturable=10,
+                              eq_capture_cost=30)]
+        sinks = [SinkNode(id=f"K{j}", cell=surface.index(r, c), capacity=10,
+                          sequestration_cost=5) for j, (r, c) in enumerate([(2, 25), (4, 27)], 1)]
+        assert build_candidates(surface, sources, sinks) == \
+            candidates_oracle(surface, sources, sinks)
+        kinds = search_kinds(searches, sinks)
+        assert [kind for kind, _ in kinds] == ["refused", "accepted"]
+        dist = dijkstra(step_graph(surface), indices=sinks[1].cell)
+        walk = np.mean(cells[cells != -9999.0]) * (23 + (SQRT2 - 1) * 3)
+        assert routing.REACH_FACTOR * walk < dist[sources[0].cell] < kinds[1][1]
+
+    def test_one_refused_search_per_component(self, monkeypatch):
+        """With sources in several components, the first sink searched in a
+        component is refused, since a source elsewhere is out of its reach,
+        and searched again without a limit.  A later sink that search reached
+        checks only the sources it reached, so its limited search stands."""
+        searches = recording_searches(monkeypatch)
+        for seed in range(6):
+            surface, sources, sinks = walled_instance(seed)
+            searches.clear()
+            assert build_candidates(surface, sources, sinks) == \
+                candidates_oracle(surface, sources, sinks)
+            component = connected_components(step_graph(surface), directed=False)[1]
+            searched = set()
+            kinds = [kind for kind, _ in search_kinds(searches, sinks)]
+            for snk, kind in zip(sinks, kinds):
+                label = component[snk.cell]
+                assert kind == ("accepted" if label in searched else "refused"), f"seed {seed}"
+                searched.add(label)
+            assert 0 < kinds.count("refused") < len(sinks)
+
+    def test_non_finite_estimate_searches_without_limit(self, monkeypatch):
+        """Cells near the largest float make the mean multiplier, and so the
+        estimate, infinite: each sink is searched once, without a limit, and
+        no RuntimeWarning escapes."""
+        searches = recording_searches(monkeypatch)
+        surface = make_surface([[1e308, 1e308, 1.0, 2.0, 1.0]])
+        sources = [SourceNode(id="S", cell=2, capturable=10, eq_capture_cost=30)]
+        sinks = [SinkNode(id=f"K{j}", cell=c, capacity=10, sequestration_cost=5)
+                 for j, c in enumerate([4, 3])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = build_candidates(surface, sources, sinks)
+        with np.errstate(over="ignore"):    # the oracle's step between the 1e308 cells
+            assert found == candidates_oracle(surface, sources, sinks)
+        assert searches == [(4, None), (3, None)]
 
     def test_walled_off_nodes_reported(self):
         cells = np.ones((7, 7))
