@@ -213,14 +213,14 @@ def cmd_fleet(args) -> int:
     return EXIT_OK
 
 
-# (amount column, cost column) of each node file
-_NODE_COLUMNS = {"source": ("capturable", "capture_cost"),
-                 "sink": ("capacity", "sequestration_cost")}
+# (node class, amount column, cost column) of each node file
+_NODE_KINDS = {"source": (SourceNode, "capturable", "capture_cost"),
+               "sink": (SinkNode, "capacity", "sequestration_cost")}
 
 
-def _load_nodes(path: str, kind: str, surface):
-    """The rows of a node CSV as dicts of id, raster cell, amount and cost.
-    An error names the file line on which its row ends."""
+def _load_nodes(path: str, kind: str, surface) -> list:
+    """The rows of a node CSV as SourceNode or SinkNode, which check their
+    amount and cost.  An error names the file line on which its row ends."""
     try:
         with Path(path).open(newline="") as fh:
             reader = csv.DictReader(fh)
@@ -231,29 +231,28 @@ def _load_nodes(path: str, kind: str, surface):
     repeated = [c for c in columns if columns.count(c) > 1]
     if repeated:
         raise CliError(f"{path}:1: repeated {kind} column {repeated[0]!r}", EXIT_VALIDATION)
-    amount, cost = _NODE_COLUMNS[kind]
+    node_class, amount, cost = _NODE_KINDS[kind]
     nodes = []
     first_line: dict[str, int] = {}
     for lineno, row in rows:
         try:
-            node = dict(id=row["id"], row=int(row["row"]), col=int(row["col"]),
-                        amount=configio.finite_float(row[amount]),
-                        cost=configio.finite_float(row[cost]))
+            node_id, at = row["id"], (int(row["row"]), int(row["col"]))
+            values = configio.finite_float(row[amount]), configio.finite_float(row[cost])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path}:{lineno}: bad {kind} row: {exc}",
+            raise CliError(f"{path}:{lineno}: bad {kind} row: {exc}", EXIT_VALIDATION) from None
+        try:
+            cell = surface.index(*at)
+        except DomainError as exc:
+            raise CliError(f"{path}:{lineno}: {kind} {node_id!r} {exc}",
                            EXIT_VALIDATION) from None
         try:
-            node["cell"] = surface.index(node.pop("row"), node.pop("col"))
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {kind} {node['id']!r} {exc}",
-                           EXIT_VALIDATION) from None
-        if node["amount"] < 0:
-            raise CliError(f"{path}:{lineno}: {kind} {amount} must be >= 0, got "
-                           f"{row[amount].strip()}", EXIT_VALIDATION)
-        if node["id"] in first_line:
-            raise CliError(f"{path}:{lineno}: repeated {kind} id {node['id']!r} "
-                           f"(first on line {first_line[node['id']]})", EXIT_VALIDATION)
-        first_line[node["id"]] = lineno
+            node = node_class(node_id, cell, *values)
+        except DomainError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}", EXIT_VALIDATION) from None
+        if node.id in first_line:
+            raise CliError(f"{path}:{lineno}: repeated {kind} id {node.id!r} "
+                           f"(first on line {first_line[node.id]})", EXIT_VALIDATION)
+        first_line[node.id] = lineno
         nodes.append(node)
     return nodes
 
@@ -263,12 +262,8 @@ def cmd_netopt(args) -> int:
         surface = load_raster(args.surface)
     except OSError as exc:
         raise CliError(f"cannot read {args.surface}: {exc}", EXIT_IO) from None
-    sources = [SourceNode(id=n["id"], cell=n["cell"],
-                          capturable=n["amount"], eq_capture_cost=n["cost"])
-               for n in _load_nodes(args.sources, "source", surface)]
-    sinks = [SinkNode(id=n["id"], cell=n["cell"],
-                      capacity=n["amount"], sequestration_cost=n["cost"])
-             for n in _load_nodes(args.sinks, "sink", surface)]
+    sources = _load_nodes(args.sources, "source", surface)
+    sinks = _load_nodes(args.sinks, "sink", surface)
     edges, report = build_candidates(surface, sources, sinks)
     if not report.ok:
         print(f"warning: unreachable sources {report.unreachable_sources}, "

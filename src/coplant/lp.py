@@ -57,6 +57,11 @@ if TYPE_CHECKING:
 #: Primal and dual feasibility tolerance handed to HiGHS.
 FEASIBILITY_TOL = 1e-7
 
+#: HiGHS calls a matrix coefficient of HIGHS_MAX_COEFFICIENT or more a model
+#: error, and reads a cost, bound or right-hand side of HIGHS_INFINITY or more
+#: as infinite (its `large_matrix_value`, `infinite_cost` and `infinite_bound`).
+HIGHS_MAX_COEFFICIENT, HIGHS_INFINITY = 1e15, 1e20
+
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
 
@@ -206,6 +211,25 @@ def _check_basis_shape(basis: str, problem: LinearProgram) -> None:
             f"{problem.n_variables} columns and {problem.n_constraints} rows")
 
 
+def _check_highs_range(problem: LinearProgram, matrix: sparse.csr_matrix) -> None:
+    """Raise LpValidationError naming the first row or column that holds a
+    magnitude HiGHS would misread (HIGHS_MAX_COEFFICIENT, HIGHS_INFINITY)."""
+    big = np.flatnonzero(np.abs(matrix.data) >= HIGHS_MAX_COEFFICIENT)
+    if big.size:
+        row = int(np.searchsorted(matrix.indptr, big[0], side="right")) - 1
+        raise LpValidationError(
+            f"constraint {row} has coefficient {matrix.data[big[0]]:g} on variable "
+            f"{matrix.indices[big[0]]}; HiGHS takes magnitudes below {HIGHS_MAX_COEFFICIENT:g}")
+    for values, what in ((problem.cost, "variable {} has cost"),
+                         (problem.lower, "variable {} has lower bound"),
+                         (problem.upper, "variable {} has upper bound"),
+                         (problem.rhs, "constraint {} has rhs")):
+        bad = np.flatnonzero(np.isfinite(values) & (np.abs(values) >= HIGHS_INFINITY))
+        if bad.size:
+            raise LpValidationError(f"{what.format(bad[0])} {values[bad[0]]:g}; HiGHS reads "
+                                    f"a magnitude of {HIGHS_INFINITY:g} or more as infinite")
+
+
 def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
     """Minimize the problem; deterministic for a fixed input and basis.
 
@@ -213,15 +237,16 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
     `basis` is a starting basis from an earlier `LpSolution.basis` of an LP
     of the same shape; from it HiGHS runs primal simplex, which suits LPs
     that differ from the basis's LP in cost coefficients.  Raises
-    LpValidationError for malformed problems and for a basis of another
-    shape, and LpSolverError for any other solver outcome.
+    LpValidationError for malformed problems, magnitudes HiGHS misreads and
+    a basis of another shape, and LpSolverError for any other solver outcome.
     """
     problem.validate()
     if basis is not None:
         _check_basis_shape(basis, problem)
+    matrix = problem.matrix()
+    _check_highs_range(problem, matrix)
     # GE rows are negated into LE rows; EQ rows keep sign 1
     sign = np.where(problem.sense == GE, -1.0, 1.0)
-    matrix = problem.matrix()
     matrix.data *= np.repeat(sign, np.diff(matrix.indptr))
     rhs = sign * problem.rhs
     eq = problem.sense == EQ

@@ -22,7 +22,13 @@ falls short, so it cannot win.  Above either limit, steepest-descent local
 search over single-source moves starts from the greedy assignment, first
 closes any shortfall against the target, then lowers the cost.  Both keep
 an incumbent unless a candidate falls less short of the target, or as short
-and cheaper by more than 1e-9 $/yr (`_replaces`)."""
+and cheaper by more than 1e-9 $/yr (`_replaces`).
+
+No cost or sum here overflows a float: amounts and |costs| are at most
+B = `raster.MAX_MAGNITUDE` and terrain costs at most `routing.MAX_CORRIDOR_COST`
+(B^4), checked where nodes and corridors are made.  A flow then costs at most
+B^2 $/yr to capture or sequester and its pipes under 1e73 $/yr, so sums over
+fewer than 2^63 sources stay finite."""
 
 from __future__ import annotations
 
@@ -115,9 +121,7 @@ class RouteFlow:
 
 @dataclass
 class NetworkSolution:
-    source_flows: dict[str, float]
     routes: list[RouteFlow]
-    sink_inflows: dict[str, float]
     target: float
     cost_capture: float        # $/yr
     cost_pipeline: float
@@ -216,23 +220,18 @@ class _Instance:
         if _shortfall(remaining)[0] > 0:
             return None
         cost_capture, cost_pipeline, cost_seq, pipe = self.cost(digit, flow)
-        flows: dict[str, float] = {}
         routes: list[RouteFlow] = []
-        sink_in: dict[str, float] = {}
         for i in np.flatnonzero(flow[:, 0] > 0):
             src, f = self.sources[i], float(flow[i, 0])
             k = self.options[i][digit[i, 0]]
             edge = self.edges[(src.id, k)]
             cls, count, _ = size_pipeline(f, self.params.classes)
-            flows[src.id] = f
-            sink_in[k] = sink_in.get(k, 0.0) + f
             routes.append(RouteFlow(
                 source_id=src.id, sink_id=k, path=edge.path, length_km=edge.length_km,
                 diameter_class=cls.name, pipe_count=count, flow=f,
                 annual_cost=float(pipe[i, 0])))
         solution = NetworkSolution(
-            source_flows=flows, routes=routes, sink_inflows=sink_in,
-            target=self.target, cost_capture=float(cost_capture[0]),
+            routes=routes, target=self.target, cost_capture=float(cost_capture[0]),
             cost_pipeline=float(cost_pipeline[0]), cost_sequestration=float(cost_seq[0]))
         return solution.total_cost, solution
 
@@ -256,35 +255,6 @@ def _make_instance(sources: list[SourceNode], sinks: list[SinkNode],
             f"target {target:g} exceeds total sink capacity {sink_capacity:g} "
             "(binding side: sinks)")
     return inst
-
-
-def _check_finite(inst: _Instance, sinks: list[SinkNode]) -> None:
-    """Raise DomainError naming the first node or corridor whose cost, at
-    the most flow it can carry, takes the sum of all such costs past the
-    largest float: every cost the kernel sums is then finite."""
-    target, classes = inst.target, inst.params.classes
-    capacity = {k.id: k.capacity for k in sinks}
-    terms = []      # (what, most flow, its cost in $/yr at that flow)
-    for src in inst.sources:
-        flow = min(src.capturable, target)
-        terms.append((f"source {src.id}", flow, src.eq_capture_cost * flow))
-    for snk in sorted(sinks, key=lambda k: k.id):
-        flow = min(snk.capacity, target)
-        terms.append((f"sink {snk.id}", flow, snk.sequestration_cost * flow))
-    for src, opts in zip(inst.sources, inst.options):
-        for k in opts[1:]:
-            flow = min(src.capturable, capacity[k], target)
-            # the kernel prices the smallest class for an option that ships nothing
-            capex_km = max(size_pipeline(flow, classes)[2], classes[0].capex_per_km)
-            terrain = inst.edges[(src.id, k)].terrain_cost
-            terms.append((f"corridor {src.id} -> {k}", flow,
-                          capex_km * terrain * inst.params.annual_factor))
-    total = 0.0
-    for what, flow, cost in terms:
-        total += abs(cost)
-        if not math.isfinite(total):
-            raise DomainError(f"{what}: its cost at up to {flow:g} t/yr takes the "
-                              "network's cost bound past the largest float")
 
 
 def _shortfall(remaining: np.ndarray) -> np.ndarray:
@@ -323,10 +293,8 @@ def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
     last = {i: pos for pos, (_, i, _, _) in enumerate(inst.pairs)}
     bit = 1 << np.arange(n)
     # capturable supply of every set of open sources, a set as a bit mask;
-    # summed from scratch, so it is as exact as a sum of positives.  A sum of
-    # supply or room past the largest float is infinite: more than any target.
-    with np.errstate(over="ignore"):
-        supply = (np.arange(1 << n)[:, None] & bit > 0) @ inst.capturable
+    # summed from scratch, so it is as exact as a sum of positives
+    supply = (np.arange(1 << n)[:, None] & bit > 0) @ inst.capturable
     slack = 1e-6 + 1e-9 * inst.target
     connected = sum(1 << i for i in last)
     for prefix in itertools.product(*map(range, radix[:n_fixed])):
@@ -354,8 +322,7 @@ def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
                 mask = np.concatenate((mask, mask[new] & ~bit[i]))
                 if pos == last[i]:
                     mask &= ~bit[i]
-            with np.errstate(over="ignore"):
-                reach = np.minimum(supply[mask], room.sum(axis=0))
+            reach = np.minimum(supply[mask], room.sum(axis=0))
             keep = np.flatnonzero(remaining - reach <= slack)
             if keep.size < remaining.size:
                 remaining, room, digit, mask = (
@@ -388,10 +355,9 @@ def _solve_exact(inst: _Instance) -> tuple[float, NetworkSolution]:
             capture, pipeline, seq, _ = inst.cost(digit[:, feasible], flow[:, feasible])
             total = (capture + pipeline) + seq
             # A code that replaces a feasible incumbent undercuts every earlier
-            # feasible code, so only those, and the first feasible code while
-            # there is no incumbent, go through `_replaces` one by one.
+            # feasible code, and the first one undercuts best[1] = inf, so only
+            # those go through `_replaces` one by one.
             hits = total < np.fmin.accumulate(np.concatenate(([best[1]], total[:-1])))
-            hits[:1] |= best_code is None
             for h in np.flatnonzero(hits):
                 if _replaces((0.0, total[h]), best):
                     best, best_code = (0.0, float(total[h])), int(codes[feasible[h]])
@@ -452,16 +418,14 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     start first closes any shortfall, then lowers the cost, and returns a
     local optimum.  Raises NetworkInfeasible when the target exceeds supply
     or sink capacity, when no assignment reaches it, or when local search
-    stops short of it, and DomainError when a node or corridor may cost
-    more than a float holds (`_check_finite`).
+    stops short of it.
     """
     if not (math.isfinite(target) and target >= 0):
         raise DomainError(f"target must be a finite number >= 0: got {target}")
     inst = _make_instance(sources, sinks, candidates, target, NetworkParams())
-    _check_finite(inst, sinks)
     if target == 0:
-        return NetworkSolution(source_flows={}, routes=[], sink_inflows={}, target=0.0,
-                               cost_capture=0.0, cost_pipeline=0.0, cost_sequestration=0.0)
+        return NetworkSolution(routes=[], target=0.0, cost_capture=0.0, cost_pipeline=0.0,
+                               cost_sequestration=0.0)
     exact = (len(sources) <= EXACT_SOURCE_LIMIT
              and math.prod(inst.radix.tolist()) <= EXACT_CODE_LIMIT)
     return (_solve_exact if exact else _solve_local)(inst)[1]

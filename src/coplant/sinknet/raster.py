@@ -8,6 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
+from coplant.domain import DomainError
+
+#: The largest magnitude of any netopt input (cost cell, cell size, node amount or
+#: cost), checked where each enters; it keeps every sum of them finite (`routing`).
+MAX_MAGNITUDE = 1e15
+
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
@@ -19,8 +25,8 @@ class RasterFormatError(ValueError):
 class CostSurface:
     """Row-major raster of per-km cost multipliers; nodata cells are barriers.
 
-    Every cell is finite: either a non-negative multiplier or the (finite)
-    nodata value.  The cell size is finite and positive, the origin finite."""
+    Every cell is either a multiplier in [0, MAX_MAGNITUDE] or the (finite)
+    nodata value.  The cell size is in (0, MAX_MAGNITUDE], the origin finite."""
 
     ncols: int
     nrows: int
@@ -38,20 +44,21 @@ class CostSurface:
         if not (math.isfinite(self.cell_size) and self.cell_size > 0):
             raise RasterFormatError(
                 f"CELLSIZE must be a finite number > 0, got {self.cell_size}")
+        if self.cell_size > MAX_MAGNITUDE:
+            raise RasterFormatError(
+                f"CELLSIZE must be at most {MAX_MAGNITUDE:g}, got {self.cell_size}")
         if not all(map(math.isfinite, self.origin)):
             raise RasterFormatError(
                 f"XLLCORNER and YLLCORNER must be finite numbers, got {self.origin}")
         if not np.isfinite(self.nodata):
             raise RasterFormatError(
                 f"NODATA_VALUE must be a finite number, got {self.nodata}")
-        non_finite = np.argwhere(~np.isfinite(self.cells))
-        if non_finite.size:
-            r, c = non_finite[0]
-            raise RasterFormatError(
-                f"non-finite cost cell {self.cells[r, c]} at row {r}, col {c}; "
-                "mark barriers with NODATA_VALUE")
-        if np.any(self.cells[~self.is_nodata] < 0):
-            raise RasterFormatError("negative cost cells are not allowed")
+        bad = np.argwhere(~(self.is_nodata | ((self.cells >= 0) & (self.cells <= MAX_MAGNITUDE))))
+        if bad.size:
+            r, c = bad[0]
+            kind = "cost cell" if np.isfinite(self.cells[r, c]) else "non-finite cost cell"
+            raise RasterFormatError(f"{kind} {self.cells[r, c]} at row {r}, col {c} is outside "
+                                    f"[0, {MAX_MAGNITUDE:g}]; mark barriers with NODATA_VALUE")
 
     @property
     def is_nodata(self) -> np.ndarray:
@@ -63,8 +70,8 @@ class CostSurface:
 
     def index(self, row: int, col: int) -> int:
         if not (0 <= row < self.nrows and 0 <= col < self.ncols):
-            raise ValueError(f"cell (row {row}, col {col}) is outside the "
-                             f"{self.nrows}x{self.ncols} raster")
+            raise DomainError(f"cell (row {row}, col {col}) is outside the "
+                              f"{self.nrows}x{self.ncols} raster")
         return row * self.ncols + col
 
     def rowcol(self, cell: int) -> tuple[int, int]:

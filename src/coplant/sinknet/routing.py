@@ -15,6 +15,13 @@ unlimited search finds, to the bit.  Among equal-cost paths the one kept
 is the predecessor tree scipy's Dijkstra builds from the sink:
 deterministic for a given scipy, but not tied to cell indices.
 
+No sum here overflows a float, so every search reaches each cell of its
+sink's component.  Open cells and the cell size are at most B =
+`raster.MAX_MAGNITUDE`: a step costs at most sqrt(2) B^2 and a corridor, of
+fewer than 2^63 steps, about 1.3e49, below MAX_CORRIDOR_COST = B^4 with room
+for rounding.  The reach estimate is finite too: the mean of the n open
+cells is at least the costliest over n, so `detour` <= sqrt(2) n^2.
+
 `scipy.sparse` is imported when the first graph is built and
 `scipy.sparse.csgraph` on the first search, not with this module, so
 commands that route nothing never load them (nor the `scipy.linalg`
@@ -30,13 +37,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from coplant.sinknet.raster import CostSurface
+from coplant.domain import DomainError
+from coplant.sinknet.raster import MAX_MAGNITUDE, CostSurface
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 SQRT2 = math.sqrt(2.0)
 REACH_FACTOR = 1.25     # margin of a sink's reach estimate (`build_candidates`)
+
+#: The largest terrain cost of a `CandidateEdge`; see the module docstring.
+MAX_CORRIDOR_COST = MAX_MAGNITUDE ** 4
 
 # (first cells, their neighbours, distance factor, the step's slot among the
 # first cell's eight neighbours, its slot among the neighbour's) for the steps
@@ -62,9 +73,8 @@ def _cost_graph(surface: CostSurface) -> csr_array:
         has[(*a, out)] = has[(*b, back)] = keep
         degree[a] += keep
         degree[b] += keep
-        with np.errstate(over="ignore"):    # an infinite step is no edge to Dijkstra
-            weight[(*a, out)] = weight[(*b, back)] = (
-                0.5 * (cells[a] + cells[b]) * surface.cell_size * diag)
+        weight[(*a, out)] = weight[(*b, back)] = (
+            0.5 * (cells[a] + cells[b]) * surface.cell_size * diag)
     offsets = np.array([-ncols - 1, -ncols, 1 - ncols, -1, 1, ncols - 1, ncols, ncols + 1], index)
     indptr = np.concatenate(([0], np.cumsum(degree))).astype(index)
     heads = (np.arange(n, dtype=index).reshape(*cells.shape, 1) + offsets)[has]
@@ -75,17 +85,6 @@ def dijkstra(*args, **kwargs):
     """scipy's csgraph `dijkstra`, imported on the first call."""
     from scipy.sparse.csgraph import dijkstra
     return dijkstra(*args, **kwargs)
-
-
-def _components(graph: csr_array, step: float, n_cells: int) -> np.ndarray | None:
-    """Connected-component label of each cell when a corridor's cost may
-    overflow a float, as the costliest step times the cell count does; else
-    None.  scipy's Dijkstra leaves a cell whose distance overflows unreached,
-    so only the labels tell it from a cell behind a barrier."""
-    if math.isfinite(step * n_cells):
-        return None
-    from scipy.sparse.csgraph import connected_components
-    return connected_components(graph, directed=False)[1]
 
 
 def _corridors(surface: CostSurface, pred: np.ndarray, sink: int, cells: np.ndarray,
@@ -108,11 +107,21 @@ def _corridors(surface: CostSurface, pred: np.ndarray, sink: int, cells: np.ndar
     rows, cols = np.divmod(path, surface.ncols)
     diag = np.where((rows[:, :-1] != rows[:, 1:]) & (cols[:, :-1] != cols[:, 1:]), SQRT2, 1.0)
     c = surface.cells.ravel()[path]
-    with np.errstate(over="ignore"):    # the caller rejects a cost that overflows
-        length = np.cumsum(np.where(moving, surface.cell_size * diag, 0.0), axis=1)[:, -1]
-        cost = np.cumsum(np.where(
-            moving, 0.5 * (c[:, :-1] + c[:, 1:]) * surface.cell_size * diag, 0.0), axis=1)[:, -1]
+    length = np.cumsum(np.where(moving, surface.cell_size * diag, 0.0), axis=1)[:, -1]
+    cost = np.cumsum(np.where(
+        moving, 0.5 * (c[:, :-1] + c[:, 1:]) * surface.cell_size * diag, 0.0), axis=1)[:, -1]
     return path, 1 + moving.sum(axis=1), length, cost
+
+
+def _check_node(kind: str, amount_name: str, amount: float, cost_name: str, cost: float):
+    """Raise DomainError unless a node's amount and cost are finite numbers of
+    magnitude at most MAX_MAGNITUDE and its amount is >= 0."""
+    for name, value in ((amount_name, amount), (cost_name, cost)):
+        if not abs(value) <= MAX_MAGNITUDE:
+            raise DomainError(f"{kind} {name} must be a finite number of magnitude at "
+                              f"most {MAX_MAGNITUDE:g}, got {value}")
+    if amount < 0:
+        raise DomainError(f"{kind} {amount_name} must be >= 0, got {amount}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,9 @@ class SourceNode:
     capturable: float         # t CO2 / yr
     eq_capture_cost: float    # $/t CO2
 
+    def __post_init__(self) -> None:
+        _check_node("source", "capturable", self.capturable, "capture_cost", self.eq_capture_cost)
+
 
 @dataclass(frozen=True)
 class SinkNode:
@@ -129,6 +141,10 @@ class SinkNode:
     cell: int
     capacity: float           # t CO2 / yr
     sequestration_cost: float  # $/t CO2
+
+    def __post_init__(self) -> None:
+        _check_node("sink", "capacity", self.capacity,
+                    "sequestration_cost", self.sequestration_cost)
 
 
 @dataclass(frozen=True)
@@ -139,6 +155,12 @@ class CandidateEdge:
     length_km: float
     terrain_cost: float            # path cost = sum of per-km multipliers x km
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.terrain_cost <= MAX_CORRIDOR_COST:
+            raise DomainError(
+                f"corridor {self.source_id} -> {self.sink_id}: terrain cost must be a "
+                f"finite number in [0, {MAX_CORRIDOR_COST:g}], got {self.terrain_cost}")
+
 
 @dataclass
 class ReachabilityReport:
@@ -148,10 +170,6 @@ class ReachabilityReport:
     @property
     def ok(self) -> bool:
         return not self.unreachable_sources and not self.unreachable_sinks
-
-
-def _overflow(src: SourceNode, snk: SinkNode) -> ValueError:
-    return ValueError(f"corridor {src.id} -> {snk.id}: its terrain cost is not a finite float")
 
 
 def build_candidates(surface: CostSurface, sources: list[SourceNode],
@@ -170,26 +188,23 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
     the largest octile distance from k to a source.  Up to λ the search
     makes the unlimited one's heap operations in the same order, so every
     cell within λ keeps its distance and predecessor, ties included.  If a
-    source k can reach lies beyond λ, or λ is not finite, k is searched
-    again without a limit.  Once an unlimited search has reached k, the
-    sources it reached are those k can reach (before, all are), and
-    `detour` becomes at least the ratio of its farthest source's distance
-    to that source set's walk.
+    source k can reach lies beyond λ, k is searched again without a limit.
+    Once an unlimited search has reached k, the sources it reached are those
+    k can reach (before, all are), and `detour` becomes at least the ratio
+    of its farthest source's distance to that source set's walk.
 
     Pairs separated by nodata barriers are skipped; nodes unreachable from
-    every counterpart are listed in the reachability report.  A corridor
-    whose cost is not a finite float raises ValueError naming it.
+    every counterpart are listed in the reachability report.  A node on a
+    nodata cell raises DomainError naming it.
     """
     for node in list(sources) + list(sinks):
         if not surface.traversable(node.cell):
-            raise ValueError(f"node {node.id} sits on a nodata cell")
+            raise DomainError(f"node {node.id} sits on a nodata cell")
     graph = _cost_graph(surface)
     step = float(graph.data.max(initial=0.0))
-    component = _components(graph, step, surface.n_cells)
     src_cells = np.array([s.cell for s in sources], dtype=np.intp)
     src_at = np.stack(np.divmod(src_cells, surface.ncols), axis=1)     # (row, col)
-    with np.errstate(over="ignore"):    # an infinite mean makes no finite estimate
-        per_cell = float(surface.cells[~surface.is_nodata].mean()) * surface.cell_size
+    per_cell = float(surface.cells[~surface.is_nodata].mean()) * surface.cell_size
     per_source: list[list[CandidateEdge]] = [[] for _ in sources]
     unreachable_sinks: list[str] = []
     can_reach: list[np.ndarray] = [np.ones(len(sources), dtype=bool)] * len(sinks)
@@ -198,11 +213,9 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
         apart = np.abs(src_at - surface.rowcol(snk.cell))
         octile = apart.max(axis=1) + (SQRT2 - 1.0) * apart.min(axis=1)
         estimate = REACH_FACTOR * detour * per_cell * float(octile[can_reach[j]].max(initial=0.0))
-        limited = math.isfinite(estimate + step)
-        if limited:
-            dist, pred = dijkstra(graph, indices=snk.cell, return_predecessors=True,
-                                  limit=estimate + step)
-        if not limited or np.any(dist[src_cells[can_reach[j]]] > estimate):
+        dist, pred = dijkstra(graph, indices=snk.cell, return_predecessors=True,
+                              limit=estimate + step)
+        if np.any(dist[src_cells[can_reach[j]]] > estimate):
             dist, pred = dijkstra(graph, indices=snk.cell, return_predecessors=True)
             reach = np.isfinite(dist[src_cells])
             walk = per_cell * float(octile[reach].max(initial=0.0))
@@ -210,17 +223,11 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
                 detour = max(detour, float(dist[src_cells[reach]].max()) / walk)
             for k in np.flatnonzero(np.isfinite(dist[[other.cell for other in sinks]])):
                 can_reach[k] = reach
-            if component is not None:
-                lost = (component[src_cells] == component[snk.cell]) & ~reach
-                if lost.any():
-                    raise _overflow(sources[np.argmax(lost)], snk)
         hit = np.flatnonzero(np.isfinite(dist[src_cells]))
         if not hit.size:
             unreachable_sinks.append(snk.id)
         paths, counts, lengths, costs = _corridors(surface, pred, snk.cell, src_cells[hit])
         for i, path, count, length_km, cost in zip(hit, paths, counts, lengths, costs):
-            if not math.isfinite(cost):
-                raise _overflow(sources[i], snk)
             per_source[i].append(CandidateEdge(
                 source_id=sources[i].id, sink_id=snk.id, path=tuple(path[:count].tolist()),
                 length_km=float(length_km), terrain_cost=float(cost)))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from coplant import cli, configio, reference
-from coplant.sinknet.raster import CostSurface, write_raster
+from coplant.sinknet.raster import MAX_MAGNITUDE, CostSurface, write_raster
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +236,57 @@ def test_netopt_binding_sinks_above_exact_limit(tmp_path, capsys):
     assert sum(float(r.split(",")[2]) for r in rows) == pytest.approx(13e6, rel=1e-12)
     for sink in ("K1", "K2"):
         assert sum(float(r.split(",")[2]) for r in rows if r.split(",")[1] == sink) <= 7.15e6
+
+
+ABOVE_BOUND = math.nextafter(MAX_MAGNITUDE, math.inf)
+ABOVE_KINDS = ("cell", "cellsize", "capturable", "capture_cost", "capacity",
+               "sequestration_cost")
+
+
+def write_bound_inputs(root, above=None):
+    """netopt inputs with every open cell, the cell size, and each node's
+    amount and |cost| at the magnitude bound: a 12 x 12 raster with two
+    nodata walls, three sources and two sinks.  `above` names one value to
+    set one step above the bound instead: "cell" (row 3, col 3),
+    "cellsize", or the node column of source line 3 or sink line 2."""
+    def value(kind, sign=1.0):
+        return repr(sign * (ABOVE_BOUND if above == kind else MAX_MAGNITUDE))
+
+    cells = [[repr(MAX_MAGNITUDE)] * 12 for _ in range(12)]
+    cells[3][3] = value("cell")
+    for r in range(10):
+        cells[r][6] = "-9999"
+    for c in range(5):
+        cells[4][c] = "-9999"
+    (root / "cost.asc").write_text(
+        f"NCOLS 12\nNROWS 12\nCELLSIZE {value('cellsize')}\nNODATA_VALUE -9999\n"
+        + "".join(" ".join(row) + "\n" for row in cells))
+    (root / "sources.csv").write_text(
+        "id,row,col,capturable,capture_cost\n"
+        f"S1,0,0,{MAX_MAGNITUDE!r},{value('capture_cost', -1.0)}\n"
+        f"S2,7,2,{value('capturable')},{MAX_MAGNITUDE!r}\n"
+        f"S3,1,10,{MAX_MAGNITUDE!r},{MAX_MAGNITUDE!r}\n")
+    (root / "sinks.csv").write_text(
+        "id,row,col,capacity,sequestration_cost\n"
+        f"K1,0,11,{value('capacity')},{value('sequestration_cost')}\n"
+        f"K2,11,3,{MAX_MAGNITUDE!r},{-MAX_MAGNITUDE!r}\n")
+    return ["netopt", "--surface", root / "cost.asc", "--sources", root / "sources.csv",
+            "--sinks", root / "sinks.csv", "--target", "1.5e15", "-o", root / "net"]
+
+
+def test_netopt_inputs_at_the_bound(tmp_path, capsys):
+    """Every cell, the cell size, and every amount and |cost| at the bound:
+    no float overflows, no RuntimeWarning escapes, and the network costs a
+    finite $/t."""
+    argv = write_bound_inputs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    per_tonne = float(capsys.readouterr().out.split(" $/t")[0].split()[-1])
+    assert math.isfinite(per_tonne)
+    rows = (tmp_path / "net" / "network.csv").read_text().splitlines()[1:]
+    assert sum(float(r.split(",")[2]) for r in rows) == 1.5e15
+    assert all(math.isfinite(float(x)) for r in rows for x in r.split(",")[2:4])
 
 
 def test_fleet(workspace, tmp_path):
@@ -553,6 +605,27 @@ class TestExitCodes:
         assert "target must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("config, line, value, message", [
+        ("scenario.cfg", "transport_cost = 8.7", "transport_cost = 1e19",
+         "has cost 1.825e+21; HiGHS reads a magnitude of 1e+20 or more as infinite"),
+        ("system.cfg", "discharge_eff = 0.95", "discharge_eff = 1e-300",
+         "has coefficient 1e+300 on variable")], ids=["transport-cost", "discharge-eff"])
+    def test_solve_magnitude_highs_misreads(self, workspace, tmp_path, capsys, config, line,
+                                            value, message):
+        """A transport cost of 1e19 $/t puts a cost HiGHS reads as infinite
+        into the LP, which failed in HiGHS (exit 6); a battery discharge
+        efficiency of 1e-300 a coefficient of 1e300, which HiGHS read as
+        infeasible (exit 4).  Both are input errors, named before HiGHS runs."""
+        for name in ("scenario.cfg", "system.cfg", "solar.csv", "wind.csv"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        text = (tmp_path / config).read_text()
+        assert line in text.splitlines()
+        (tmp_path / config).write_text(text.replace(line, value))
+        assert run(["solve", "--spec", tmp_path / "system.cfg",
+                    "--scenario", tmp_path / "scenario.cfg", "-o", tmp_path / "x"]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x" / "solution.json").exists()
+
     def test_solve_empty_profile(self, workspace, tmp_path, capsys):
         system = (workspace / "system.cfg").read_text()
         assert "profile_file = solar.csv" in system
@@ -608,49 +681,66 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("kind, row, message", [
-        ("sinks", "K1,5,7,3.0e6,1e308", "sink K1: its cost at up to 2.5e+06 t/yr"),
-        ("sources", "S1,0,1,2.0e6,-1e308", "source S1: its cost at up to 2e+06 t/yr")],
-        ids=["sink", "source"])
+        ("sinks", "K1,5,7,3.0e6,1e308", "sinks.csv:2: sink sequestration_cost must be a "
+         "finite number of magnitude at most 1e+15, got 1e+308"),
+        ("sources", "S1,0,1,2.0e6,-1e308", "sources.csv:2: source capture_cost must be a "
+         "finite number of magnitude at most 1e+15, got -1e+308")], ids=["sink", "source"])
     def test_netopt_node_cost_overflow(self, workspace, tmp_path, capsys, kind, row,
                                        message):
-        """A node whose cost times the flow it can carry overflows a float is
-        named, where the run used to print an infinite $/t and exit 0."""
+        """A node cost whose product with the node's flow would overflow a
+        float is above the magnitude bound, and is rejected as its file is
+        read, with the file and line named."""
         nodes = {name: workspace / f"{name}.csv" for name in ("sources", "sinks")}
         lines = nodes[kind].read_text().splitlines()
         nodes[kind] = tmp_path / f"{kind}.csv"
         nodes[kind].write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["netopt", "--surface", workspace / "cost.asc",
-                        "--sources", nodes["sources"], "--sinks", nodes["sinks"],
-                        "--target", "2.5e6", "-o", tmp_path / "x"]) == 3
-        assert (f"invalid input: {message} takes the network's cost bound past the "
-                "largest float") in capsys.readouterr().err
+        assert run(["netopt", "--surface", workspace / "cost.asc",
+                    "--sources", nodes["sources"], "--sinks", nodes["sinks"],
+                    "--target", "2.5e6", "-o", tmp_path / "x"]) == 3
+        assert f"error: {tmp_path / message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("cost", [1e307, 1.7e308, 1e305], ids=[
         "path-sum-overflows", "step-overflows", "pipe-cost-overflows"])
     def test_netopt_corridor_cost_overflow(self, tmp_path, capsys, cost):
-        """A corridor whose terrain cost, or pipe cost, is not a finite float
-        is named: summed over 29 cells of 1e307 it overflows, one step
-        between two cells of 1.7e308 overflows, and 29 cells of 1e305 give
-        a terrain cost whose pipe costs more than the largest float.  The
-        first two used to leave the source unreachable (exit 4)."""
-        write_raster(CostSurface(ncols=30, nrows=1, cell_size=1.0, origin=(0.0, 0.0),
-                                 nodata=-9999.0, cells=np.full((1, 30), cost)),
-                     tmp_path / "cost.asc")
+        """Cost cells that gave corridors or pipes past the largest float (29
+        cells of 1e307 summed, one step between two cells of 1.7e308, a pipe
+        along 29 cells of 1e305) are above the magnitude bound, and the
+        raster is rejected as it is read, with the first such cell named."""
+        (tmp_path / "cost.asc").write_text(
+            "NCOLS 30\nNROWS 1\nCELLSIZE 1\nNODATA_VALUE -9999\n"
+            + " ".join(["1"] * 3 + [repr(cost)] * 27) + "\n")
         (tmp_path / "sources.csv").write_text(
             "id,row,col,capturable,capture_cost\nS1,0,0,1.0,1\n")
         (tmp_path / "sinks.csv").write_text(
             "id,row,col,capacity,sequestration_cost\nK1,0,29,1.0,1\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["netopt", "--surface", tmp_path / "cost.asc",
-                        "--sources", tmp_path / "sources.csv",
-                        "--sinks", tmp_path / "sinks.csv",
-                        "--target", "0.5", "-o", tmp_path / "x"]) == 3
-        assert "invalid input: corridor S1 -> K1: its " in capsys.readouterr().err
+        assert run(["netopt", "--surface", tmp_path / "cost.asc",
+                    "--sources", tmp_path / "sources.csv",
+                    "--sinks", tmp_path / "sinks.csv",
+                    "--target", "0.5", "-o", tmp_path / "x"]) == 3
+        assert (f"invalid input: {tmp_path / 'cost.asc'}: cost cell {cost} at row 0, col 3 "
+                "is outside [0, 1e+15]") in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("above, where, message", [
+        ("cell", "cost.asc", f"cost cell {ABOVE_BOUND!r} at row 3, col 3 is outside [0, 1e+15]"),
+        ("cellsize", "cost.asc", f"CELLSIZE must be at most 1e+15, got {ABOVE_BOUND!r}"),
+        ("capturable", "sources.csv:3", "source capturable"),
+        ("capture_cost", "sources.csv:2", "source capture_cost"),
+        ("capacity", "sinks.csv:2", "sink capacity"),
+        ("sequestration_cost", "sinks.csv:2", "sink sequestration_cost")],
+        ids=ABOVE_KINDS)
+    def test_netopt_input_above_the_bound(self, tmp_path, capsys, above, where, message):
+        """One step above the magnitude bound, each input kind is rejected
+        where it is read, naming the file and line, or the raster cell."""
+        argv = write_bound_inputs(tmp_path, above)
+        assert run(argv) == 3
+        if ".csv" in where:
+            sign = "-" if above == "capture_cost" else ""
+            message += (" must be a finite number of magnitude at most 1e+15, got "
+                        f"{sign}{ABOVE_BOUND!r}")
+        assert f"{tmp_path / where}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "net").exists()
 
     def test_netopt_negative_cost_accepted(self, workspace, tmp_path):
         """An equivalent capture cost below zero is a saving, not an error."""

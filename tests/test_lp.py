@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -163,6 +164,45 @@ def test_term_outside_block_rejected():
     with pytest.raises(LpValidationError):
         lp.add_rows(LE, [1.0], [(1, 0, 1.0)])  # row 1 of a one-row block
     assert lp.n_variables == 1 and lp.n_constraints == 0
+
+
+def magnitude_lp(a=1.0, cost=1.0, lower=0.0, upper=math.inf, rhs=1.0) -> LinearProgram:
+    """min cost*x0 + x1 subject to a*x0 + x1 >= rhs, lower <= x0 <= upper, x1 >= 0."""
+    lp = LinearProgram()
+    lp.add_columns(2, lower=[lower, 0.0], upper=[upper, math.inf], cost=[cost, 1.0])
+    lp.add_rows(GE, [rhs], [(0, [0, 1], [a, 1.0])])
+    return lp
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"a": 1e15}, "constraint 0 has coefficient 1e+15 on variable 0; HiGHS takes "
+                  "magnitudes below 1e+15"),
+    ({"a": -2e300}, "constraint 0 has coefficient -2e+300 on variable 0"),
+    ({"cost": -1e20}, "variable 0 has cost -1e+20; HiGHS reads a magnitude of 1e+20 or "
+                      "more as infinite"),
+    ({"upper": 1e20}, "variable 0 has upper bound 1e+20"),
+    ({"lower": -3e20}, "variable 0 has lower bound -3e+20"),
+    ({"rhs": 1e20}, "constraint 0 has rhs 1e+20")],
+    ids=["coefficient", "tiny-efficiency", "cost", "upper", "lower", "rhs"])
+def test_magnitudes_highs_misreads_rejected(fields, message):
+    """A coefficient HiGHS calls a model error (the LP read as infeasible
+    before), or a cost or finite bound it reads as infinite (an upper bound
+    of 1e20 read as unbounded), is named before HiGHS runs.  `validate`,
+    which MPS export shares, still accepts the LP."""
+    lp = magnitude_lp(**fields)
+    lp.validate()
+    with pytest.raises(LpValidationError, match=re.escape(message)):
+        solve_lp(lp)
+
+
+@pytest.mark.parametrize("fields", [
+    {"a": 9.99e14}, {"cost": 9.9e19}, {"upper": 1e19}, {"lower": -math.inf}],
+    ids=["coefficient", "cost", "upper", "infinite-lower"])
+def test_magnitudes_below_the_highs_limits_solve(fields):
+    """Just below each limit, and at an infinite bound, HiGHS solves."""
+    sol = solve_lp(magnitude_lp(**fields))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1 / 9.99e14 if "a" in fields else 1.0)
 
 
 def test_oracle_agreement_200_random_lps():

@@ -151,8 +151,7 @@ def _cell_greys(cells):
     nrows, ncols = cells.shape
     surface = CostSurface(ncols=ncols, nrows=nrows, cell_size=1.0,
                           origin=(0.0, 0.0), nodata=-9999.0, cells=cells)
-    empty = NetworkSolution(source_flows={}, routes=[], sink_inflows={}, target=0.0,
-                            cost_capture=0.0, cost_pipeline=0.0,
+    empty = NetworkSolution(routes=[], target=0.0, cost_capture=0.0, cost_pipeline=0.0,
                             cost_sequestration=0.0)
     root = ET.fromstring(reports.network_svg(empty, surface))
     (image,) = root.iter(SVG + "image")
@@ -190,9 +189,8 @@ def _route(source_id, sink_id, path):
 def test_network_svg_escapes_node_ids():
     surface = CostSurface(ncols=3, nrows=3, cell_size=1.0, origin=(0.0, 0.0),
                           nodata=-9999.0, cells=np.ones((3, 3)))
-    sol = NetworkSolution(source_flows={}, routes=[_route("A&B <1>", "K>1", (0, 4, 8))],
-                          sink_inflows={}, target=1.5, cost_capture=0.0,
-                          cost_pipeline=0.0, cost_sequestration=0.0)
+    sol = NetworkSolution(routes=[_route("A&B <1>", "K>1", (0, 4, 8))], target=1.5,
+                          cost_capture=0.0, cost_pipeline=0.0, cost_sequestration=0.0)
     svg = reports.network_svg(sol, surface,
                               sources=[SourceNode("A&B <1>", 0, 1.5, 40.0)],
                               sinks=[SinkNode("K>1", 8, 2.0, 5.0)])
@@ -204,10 +202,8 @@ def test_network_csvs_quote_fields_that_need_it(tmp_path):
     surface = CostSurface(ncols=3, nrows=3, cell_size=1.0, origin=(0.0, 0.0),
                           nodata=-9999.0, cells=np.ones((3, 3)))
     ids = ['S,1', 'say "hi"', "plain", "a\nb", "c\rd"]
-    sol = NetworkSolution(source_flows={}, routes=[_route(i, "K,1", (0, 4))
-                                                   for i in ids],
-                          sink_inflows={}, target=4.5, cost_capture=0.0,
-                          cost_pipeline=0.0, cost_sequestration=0.0)
+    sol = NetworkSolution(routes=[_route(i, "K,1", (0, 4)) for i in ids], target=4.5,
+                          cost_capture=0.0, cost_pipeline=0.0, cost_sequestration=0.0)
     table = tmp_path / "network.csv"
     reports.write_network_csv(table, sol)
     with table.open(newline="") as fh:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from coplant.domain import DomainError
 from coplant.sinknet import network
 from coplant.sinknet.network import (
     DEFAULT_PIPELINE_CLASSES,
@@ -28,9 +30,16 @@ from coplant.sinknet.network import (
     select_network,
     size_pipeline,
 )
-from coplant.sinknet.raster import CostSurface, RasterFormatError, load_raster, write_raster
+from coplant.sinknet.raster import (
+    MAX_MAGNITUDE,
+    CostSurface,
+    RasterFormatError,
+    load_raster,
+    write_raster,
+)
 from coplant.sinknet import routing
 from coplant.sinknet.routing import (
+    MAX_CORRIDOR_COST,
     CandidateEdge,
     ReachabilityReport,
     SinkNode,
@@ -79,6 +88,15 @@ class TestRaster:
         with pytest.raises(RasterFormatError):
             make_surface([[1, -2], [1, 1]])
 
+    @pytest.mark.parametrize("bad", [-2.0, math.nextafter(MAX_MAGNITUDE, math.inf), 1e300])
+    def test_cell_out_of_range_rejected(self, bad):
+        """An open cell below 0 or above the magnitude bound is named by
+        row and column; a cell at the bound and a nodata cell are not."""
+        make_surface([[1, MAX_MAGNITUDE], [-9999, 0]])
+        with pytest.raises(RasterFormatError, match=re.escape(
+                f"cost cell {bad!r} at row 1, col 0 is outside [0, 1e+15]")):
+            make_surface([[1, MAX_MAGNITUDE], [bad, 0]])
+
     @pytest.mark.parametrize("bad, nodata, message", [
         (math.nan, -9999.0, "non-finite cost cell nan at row 1, col 0"),
         (math.inf, -9999.0, "non-finite cost cell inf at row 1, col 0"),
@@ -107,7 +125,8 @@ class TestRaster:
         ({"cell_size": -5.0}, "CELLSIZE must be a finite number > 0, got -5.0"),
         ({"cell_size": 0.0}, "CELLSIZE must be a finite number > 0, got 0.0"),
         ({"origin": (math.nan, 0.0)}, "XLLCORNER and YLLCORNER must be finite numbers"),
-        ({"origin": (0.0, -math.inf)}, "XLLCORNER and YLLCORNER must be finite numbers")])
+        ({"origin": (0.0, -math.inf)}, "XLLCORNER and YLLCORNER must be finite numbers"),
+        ({"cell_size": 2e15}, "CELLSIZE must be at most 1e\\+15, got 2000000000000000.0")])
     def test_bad_geometry_rejected(self, geometry, message):
         with pytest.raises(RasterFormatError, match=message):
             make_surface([[1, 1], [1, 1]], **geometry)
@@ -196,15 +215,26 @@ class TestRaster:
         "1\n2\n3\n4\n5\n6\n7\n8\n9\n",
         "1 2 3 4 5 6 7 8 9",
         "0.1 0.2 0.30000000000000004\n1.7976931348623157e308 5e-324 2.2250738585072014e-308\n"
-        "123456789012345678901234567890 0.1e1 1_0\n"])
+        "123456789012345678901234567890 0.1e1 1_0\n",
+        "0.1 0.2 0.30000000000000004\n999999999999999.9 5e-324 2.2250738585072014e-308\n"
+        "123456789012345.678901234567890 0.1e1 1_0\n"])
     def test_parse_matches_float_per_token(self, tmp_path, data):
         """The data section parses to what `float()` gives each token, bit
         for bit: exponents, a leading '+', tabs, CRLF line ends, blank lines,
-        one value per line or all on one."""
+        one value per line or all on one.  A surface with a cell above the
+        magnitude bound is rejected, naming the first such cell by the exact
+        value `float()` gives it."""
         path = tmp_path / "g.asc"
         path.write_bytes(f"NCOLS 3\nNROWS 3\nCELLSIZE 1\n{data}".encode())
         oracle = np.array([float(token) for token in data.split()]).reshape(3, 3)
-        assert load_raster(path).cells.tobytes() == oracle.tobytes()
+        above = np.argwhere(oracle > MAX_MAGNITUDE)
+        if above.size:
+            r, c = above[0]
+            with pytest.raises(RasterFormatError, match=re.escape(
+                    f"cost cell {float(oracle[r, c])!r} at row {r}, col {c} is outside")):
+                load_raster(path)
+        else:
+            assert load_raster(path).cells.tobytes() == oracle.tobytes()
 
 
 # ------------------------------------------------------------------ routing
@@ -695,21 +725,67 @@ class TestCandidates:
                 searched.add(label)
             assert 0 < kinds.count("refused") < len(sinks)
 
-    def test_non_finite_estimate_searches_without_limit(self, monkeypatch):
-        """Cells near the largest float make the mean multiplier, and so the
-        estimate, infinite: each sink is searched once, without a limit, and
-        no RuntimeWarning escapes."""
+    def test_estimate_finite_at_the_bound(self, monkeypatch):
+        """Cells and cell size at the magnitude bound, and a mean multiplier
+        a fifth of the costliest, as a walled-off block of free cells makes
+        it: K1's estimate falls short, so its search is refused and run again
+        without a limit, and the detour ratio of 5 it records lets K2's
+        limited search stand.  Every limit is finite, no RuntimeWarning
+        escapes, and the corridors are those of `candidates_oracle`."""
         searches = recording_searches(monkeypatch)
-        surface = make_surface([[1e308, 1e308, 1.0, 2.0, 1.0]])
-        sources = [SourceNode(id="S", cell=2, capturable=10, eq_capture_cost=30)]
+        cells = np.zeros((6, 12))
+        cells[0] = MAX_MAGNITUDE
+        cells[1] = -9999.0
+        surface = make_surface(cells, cell_size=MAX_MAGNITUDE)
+        sources = [SourceNode(id="S", cell=0, capturable=10, eq_capture_cost=30)]
         sinks = [SinkNode(id=f"K{j}", cell=c, capacity=10, sequestration_cost=5)
-                 for j, c in enumerate([4, 3])]
+                 for j, c in enumerate([11, 10], 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             found = build_candidates(surface, sources, sinks)
-        with np.errstate(over="ignore"):    # the oracle's step between the 1e308 cells
-            assert found == candidates_oracle(surface, sources, sinks)
-        assert searches == [(4, None), (3, None)]
+        assert found == candidates_oracle(surface, sources, sinks)
+        assert [kind for kind, _ in search_kinds(searches, sinks)] == ["refused", "accepted"]
+        assert all(math.isfinite(limit) for _, limit in searches if limit is not None)
+        assert found[0][0].terrain_cost == pytest.approx(11 * MAX_MAGNITUDE ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda v: SourceNode("S", 0, v, 1.0), "source capturable"),
+        (lambda v: SourceNode("S", 0, 1.0, -v), "source capture_cost"),
+        (lambda v: SinkNode("K", 0, v, 1.0), "sink capacity"),
+        (lambda v: SinkNode("K", 0, 1.0, v), "sink sequestration_cost")],
+        ids=["capturable", "capture_cost", "capacity", "sequestration_cost"])
+    def test_nodes_check_the_bound(self, make, message):
+        """A node's amount and |cost| may sit at the magnitude bound; above
+        it, or not finite, they are rejected, and so is a negative amount."""
+        make(MAX_MAGNITUDE)
+        for bad in (math.nextafter(MAX_MAGNITUDE, math.inf), math.inf, math.nan):
+            with pytest.raises(DomainError, match=message + " must be a finite number of "
+                               "magnitude at most 1e\\+15"):
+                make(bad)
+        if message in ("source capturable", "sink capacity"):
+            with pytest.raises(DomainError, match=message + " must be >= 0, got -1.0"):
+                make(-1.0)
+        else:
+            make(-1.0)
+
+    @pytest.mark.parametrize("cost", [-1.0, math.nextafter(MAX_CORRIDOR_COST, math.inf),
+                                      math.nan])
+    def test_corridor_checks_the_bound(self, cost):
+        CandidateEdge("S", "K", (0, 1), 1.0, MAX_CORRIDOR_COST)
+        with pytest.raises(DomainError, match="corridor S -> K: terrain cost must be a "
+                           "finite number in \\[0, 1e\\+60\\]"):
+            CandidateEdge("S", "K", (0, 1), 1.0, cost)
+
+    def test_nodes_on_nodata_or_off_the_raster_rejected(self):
+        """A node on a nodata cell, or a cell off the raster, is an input
+        error (DomainError), not a bare ValueError."""
+        surface = make_surface([[1, -9999], [1, 1]])
+        sinks = [SinkNode(id="K", cell=3, capacity=1, sequestration_cost=1)]
+        with pytest.raises(DomainError, match="node S sits on a nodata cell"):
+            build_candidates(surface, [SourceNode(id="S", cell=1, capturable=1,
+                                                  eq_capture_cost=1)], sinks)
+        with pytest.raises(DomainError, match=r"cell \(row 2, col 0\) is outside the 2x2"):
+            surface.index(2, 0)
 
     def test_walled_off_nodes_reported(self):
         cells = np.ones((7, 7))
@@ -795,7 +871,6 @@ def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
 
     cost_capture = cost_pipeline = cost_seq = 0.0
     routes = []
-    sink_in = {}
     for s, f in sorted(flows.items()):
         k = assignment[s]
         edge = edge_of[(s, k)]
@@ -804,16 +879,23 @@ def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
         cost_capture += src[s].eq_capture_cost * f
         cost_seq += snk[k].sequestration_cost * f
         cost_pipeline += pipe_cost
-        sink_in[k] = sink_in.get(k, 0.0) + f
         routes.append(RouteFlow(
             source_id=s, sink_id=k, path=edge.path, length_km=edge.length_km,
             diameter_class=cls.name, pipe_count=count, flow=f,
             annual_cost=pipe_cost))
     solution = NetworkSolution(
-        source_flows=flows, routes=routes, sink_inflows=sink_in, target=target,
-        cost_capture=cost_capture, cost_pipeline=cost_pipeline,
-        cost_sequestration=cost_seq)
+        routes=routes, target=target, cost_capture=cost_capture,
+        cost_pipeline=cost_pipeline, cost_sequestration=cost_seq)
     return solution.total_cost, solution
+
+
+def flow_by(sol, node):
+    """Flow per source (`node` "source_id") or sink ("sink_id") over the
+    solution's routes."""
+    flows = {}
+    for r in sol.routes:
+        flows[getattr(r, node)] = flows.get(getattr(r, node), 0.0) + r.flow
+    return flows
 
 
 def source_options(src_id, edges):
@@ -1185,34 +1267,26 @@ class TestSelectNetwork:
         with pytest.raises(NetworkInfeasible, match="local search .* stopped 4 short"):
             solve_local([src], sinks, edges, 10)
 
-    def test_amounts_near_the_largest_float(self):
-        """Sources of 1e308 t/yr and sinks of 1.7e308: the supply and room
-        the exact search sums pass the largest float, which it reads as more
-        than any target, with no overflow warning."""
-        sources = [SourceNode(id=s, cell=i, capturable=1e308, eq_capture_cost=1e-300)
-                   for i, s in enumerate("AB")]
-        sinks = [SinkNode(id=k, cell=2 + j, capacity=1.7e308, sequestration_cost=1e-300)
-                 for j, k in enumerate(("K1", "K2"))]
+    def test_amounts_at_the_bound(self):
+        """Amounts and |costs| at the magnitude bound and corridors at
+        MAX_CORRIDOR_COST: both searches give the scalar oracle's network
+        at a finite cost, with no overflow warning."""
+        sources = [SourceNode(id=s, cell=i, capturable=MAX_MAGNITUDE,
+                              eq_capture_cost=sign * MAX_MAGNITUDE)
+                   for i, (s, sign) in enumerate((("A", -1.0), ("B", 1.0)))]
+        sinks = [SinkNode(id=k, cell=2 + j, capacity=MAX_MAGNITUDE,
+                          sequestration_cost=MAX_MAGNITUDE) for j, k in enumerate(("K1", "K2"))]
         edges = [CandidateEdge(source_id=s.id, sink_id=k.id, path=(s.cell, k.cell),
-                               length_km=1.0, terrain_cost=1.0 + j)
+                               length_km=1.0, terrain_cost=MAX_CORRIDOR_COST / (1 + j))
                  for s in sources for j, k in enumerate(sinks)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = select_network(sources, sinks, edges, 1.5e308)
-        assert sum(r.flow for r in sol.routes) == 1.5e308
-        assert math.isfinite(sol.total_cost)
-
-    def test_exact_keeps_first_feasible_at_infinite_cost(self):
-        """Every feasible assignment costs inf: the first one is kept, as the
-        scalar loop keeps it, instead of none."""
-        src = SourceNode(id="S", cell=0, capturable=10.0, eq_capture_cost=math.inf)
-        sinks = [SinkNode(id=k, cell=c, capacity=10.0, sequestration_cost=5.0)
-                 for k, c in (("K1", 1), ("K2", 2))]
-        edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
-                               length_km=1.0, terrain_cost=1.0) for k in sinks]
-        sol = solve_exact([src], sinks, edges, 10.0)
-        assert sol == product_order_oracle([src], sinks, edges, 10.0)[1]
-        assert sol.sink_inflows == {"K1": 10.0}
+            exact = solve_exact(sources, sinks, edges, 1.5 * MAX_MAGNITUDE)
+            local = solve_local(sources, sinks, edges, 1.5 * MAX_MAGNITUDE)
+        assert exact == product_order_oracle(sources, sinks, edges, 1.5 * MAX_MAGNITUDE)[1]
+        assert local.total_cost == exact.total_cost
+        assert sum(r.flow for r in exact.routes) == 1.5 * MAX_MAGNITUDE
+        assert math.isfinite(exact.total_cost)
 
     @pytest.mark.parametrize("delta, sink", [(0.0, "K1"), (5e-10, "K1"), (2e-9, "K2")])
     def test_mirror_sinks_tie_keeps_first(self, delta, sink):
@@ -1251,7 +1325,7 @@ class TestSelectNetwork:
         edges = [CandidateEdge(source_id=s.id, sink_id="K", path=(s.cell, 2),
                                length_km=1.0, terrain_cost=3.0) for s in sources]
         sol = solve_exact(sources, [snk], edges, 10.0)
-        assert sol.source_flows == {"S2": 10.0}
+        assert flow_by(sol, "source_id") == {"S2": 10.0}
 
     def test_heuristic_parity_up_to_12_sources(self):
         """[PRIMARY] local search gap 0 vs exact on <=12-source instances."""
@@ -1305,8 +1379,8 @@ class TestSelectNetwork:
                                length_km=10.0, terrain_cost=10.0 + s.cell)
                  for s in sources for k in sinks]
         sol = select_network(sources, sinks, edges, 13e6)
-        assert sum(sol.source_flows.values()) == pytest.approx(13e6, rel=1e-12)
-        assert all(v <= 7.15e6 for v in sol.sink_inflows.values())
+        assert sum(r.flow for r in sol.routes) == pytest.approx(13e6, rel=1e-12)
+        assert all(v <= 7.15e6 for v in flow_by(sol, "sink_id").values())
         assert len(sol.routes) == 13
         assert sol == scalar_evaluate(
             sources, sinks, edges, 13e6, {r.source_id: r.sink_id for r in sol.routes})[1]
@@ -1318,13 +1392,14 @@ class TestSelectNetwork:
                          sum(k.capacity for k in sinks))
         target = 0.7 * max_target
         sol = select_network(sources, sinks, edges, target)
-        assert sum(sol.source_flows.values()) == pytest.approx(target, abs=1e-6)
-        assert sum(sol.sink_inflows.values()) == pytest.approx(target, abs=1e-6)
+        inflows = flow_by(sol, "sink_id")
+        assert sum(flow_by(sol, "source_id").values()) == pytest.approx(target, abs=1e-6)
+        assert sum(inflows.values()) == pytest.approx(target, abs=1e-6)
         for route in sol.routes:
             src = next(s for s in sources if s.id == route.source_id)
             snk = next(k for k in sinks if k.id == route.sink_id)
             assert route.flow <= src.capturable + 1e-9
-            assert sol.sink_inflows[snk.id] <= snk.capacity + 1e-9
+            assert inflows[snk.id] <= snk.capacity + 1e-9
             cls = next(c for c in DEFAULT_PIPELINE_CLASSES if c.name == route.diameter_class)
             assert route.flow <= cls.capacity * route.pipe_count + 1e-9
 
@@ -1350,4 +1425,4 @@ class TestSelectNetwork:
                                length_km=1.0, terrain_cost=1.0)
                  for s in (cheap_small, dear_big)]
         sol = select_network([cheap_small, dear_big], [snk], edges, target=5.0)
-        assert sol.source_flows == {"small": pytest.approx(5.0)}
+        assert flow_by(sol, "source_id") == {"small": pytest.approx(5.0)}
