@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve, sweep, fleet, netopt, report.  Exit codes:
-0 success, 2 usage error, 3 input validation error, 4 infeasible or
-unbounded model, 5 file I/O error, 6 solver failure (HiGHS ended with a
-status other than optimal, infeasible or unbounded) or every plant of a
-fleet failed.
+Subcommands: solve, sweep, fleet, netopt, report.  Exit codes: 0 success,
+2 usage error (argparse), 5 file I/O error (any OSError), and otherwise the
+`exit_code` of the CoplantError raised: 3 invalid input, 4 infeasible or
+unbounded model, 6 solver failure (HiGHS ended with a status other than
+optimal, infeasible or unbounded, or its optimum breaks a balance) or every
+plant of a fleet failed.  A file that is not UTF-8, or a solution.json
+that is not JSON, is invalid input that names the file.  Any other
+exception is a bug and shows its traceback.
 
 COPLANT_WORKERS sets the process count for fleet runs (default 1); a value
 that is not an integer >= 1 exits 3.
@@ -13,54 +16,33 @@ that is not an integer >= 1 exits 3.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import os
 import sys
 from pathlib import Path
 
 from coplant import configio, costing, dispatch, fleet, lp, reports
-from coplant.domain import DomainError
-from coplant.lp import LpSolverError, LpStatusError, LpValidationError
-from coplant.sinknet.network import NetworkInfeasible, select_network
-from coplant.sinknet.raster import RasterFormatError, load_raster
+from coplant.domain import CoplantError
+from coplant.sinknet.network import select_network
+from coplant.sinknet.raster import load_raster
 from coplant.sinknet.routing import SinkNode, SourceNode, build_candidates
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_VALIDATION = 3
-EXIT_INFEASIBLE = 4
-EXIT_IO = 5
-EXIT_SOLVER = 6
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
+#: The message prefix of each CoplantError exit code.
+_LABELS = {3: "invalid input", 4: "infeasible", 6: "error"}
 
 
 def _load_scenario(path: str):
-    return configio.parse_scenario(_read(path), source=path)
+    return configio.parse_scenario(configio.read_text(path), source=path)
 
 
 def _load_system(path: str, horizon: int):
-    return configio.parse_system(_read(path), horizon,
+    return configio.parse_system(configio.read_text(path), horizon,
                                  base_dir=Path(path).parent, source=path)
 
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {path}: {exc}", EXIT_IO)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -100,17 +82,17 @@ def cmd_solve(args) -> int:
     reports.save_solution(out / "solution.json", sol)
     _write_solution_reports(out, spec, scenario, sol)
     print(f"objective {sol.objective:.6g} $/yr; reports in {out}")
-    return EXIT_OK
+    return 0
 
 
 def _check_solution_fits(path: str, sol, spec, scenario) -> None:
-    """Raise CliError (exit 3) unless a saved solution fits the spec and
+    """Raise CoplantError (exit 3) unless a saved solution fits the spec and
     scenario: the scenario's horizon, a capacity for every priced asset and
     a series for every unit and store, none for an asset the system lacks,
     and `horizon` entries in every series."""
     if sol.horizon != scenario.horizon_hours:
-        raise CliError(f"{path}: horizon is {sol.horizon} hours, but the scenario's "
-                       f"horizon_hours is {scenario.horizon_hours}", EXIT_VALIDATION)
+        raise CoplantError(f"{path}: horizon is {sol.horizon} hours, but the scenario's "
+                           f"horizon_hours is {scenario.horizon_hours}")
     stores = [s.id for s in spec.storage_units]
     assets = {"capacity": (list(dispatch.capacity_prices(spec, scenario)), sol.capacities),
               "activity": ([u.id for u in spec.conversion_units], sol.activity),
@@ -118,12 +100,10 @@ def _check_solution_fits(path: str, sol, spec, scenario) -> None:
     for kind, (ids, saved) in assets.items():
         for asset in ids:
             if asset not in saved:
-                raise CliError(f"{path}: no {kind} for {asset!r}, which the system has",
-                               EXIT_VALIDATION)
+                raise CoplantError(f"{path}: no {kind} for {asset!r}, which the system has")
         for asset in saved:
             if asset not in ids:
-                raise CliError(f"{path}: {kind} for {asset!r}, which the system lacks",
-                               EXIT_VALIDATION)
+                raise CoplantError(f"{path}: {kind} for {asset!r}, which the system lacks")
     series = {f"{kind} {key!r}": values
               for kind in ("activity", "charge", "discharge", "soc")
               for key, values in getattr(sol, kind).items()}
@@ -131,35 +111,26 @@ def _check_solution_fits(path: str, sol, spec, scenario) -> None:
                   ("curtailment", "vented_o2", "emitted_co2", "sequestered_co2"))
     for name, values in series.items():
         if values.shape != (sol.horizon,):
-            raise CliError(f"{path}: {name} has {values.size} entries, but the "
-                           f"horizon is {sol.horizon} hours", EXIT_VALIDATION)
+            raise CoplantError(f"{path}: {name} has {values.size} entries, but the "
+                               f"horizon is {sol.horizon} hours")
 
 
 def cmd_report(args) -> int:
     scenario = _load_scenario(args.scenario)
     spec = _load_system(args.system, scenario.horizon_hours)
-    try:
-        sol = reports.load_solution(args.solution)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.solution}: {exc}", EXIT_IO) from None
+    sol = reports.load_solution(args.solution)
     _check_solution_fits(args.solution, sol, spec, scenario)
     out = _out_dir(args.out)
     _write_solution_reports(out, spec, scenario, sol)
     print(f"reports regenerated in {out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario)
     spec = _load_system(args.system, scenario.horizon_hours)
-    try:
-        x_values = [configio.finite_float(v) for v in args.x.split(",") if v.strip()]
-    except ValueError:
-        raise CliError(f"bad --x list: {args.x!r}", EXIT_USAGE) from None
-    if not x_values:
-        raise CliError("--x needs at least one value", EXIT_USAGE)
     out = _out_dir(args.out)
-    rows = costing.sweep_stoichiometry(spec, scenario, x_values)
+    rows = costing.sweep_stoichiometry(spec, scenario, args.x)
     reports.write_sweep_csv(out / "stoichiometry_sweep.csv", rows)
     feasible = [(r.x, r.abatement) for r in rows if r.feasible]
     if len(feasible) >= 2:
@@ -167,7 +138,7 @@ def cmd_sweep(args) -> int:
             {"abatement": feasible}, "abatement cost vs cement:methanol ratio",
             x_label="t cement per t methanol", y_label="$/t CO2"))
     print(f"swept {len(rows)} ratios; {sum(r.feasible for r in rows)} feasible")
-    return EXIT_OK
+    return 0
 
 
 def _workers() -> int:
@@ -178,18 +149,14 @@ def _workers() -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        raise CliError(f"COPLANT_WORKERS must be an integer >= 1, got {raw!r}",
-                       EXIT_VALIDATION)
+        raise CoplantError(f"COPLANT_WORKERS must be an integer >= 1, got {raw!r}")
     return workers
 
 
 def cmd_fleet(args) -> int:
     scenario = _load_scenario(args.scenario)
     template = _load_system(args.system, scenario.horizon_hours)
-    try:
-        plants = fleet.load_plants(args.plants)
-    except FileNotFoundError as exc:
-        raise CliError(str(exc), EXIT_IO) from None
+    plants = fleet.load_plants(args.plants)
     workers = _workers()
     out = _out_dir(args.out)
     result = fleet.run_fleet(plants, template, scenario, args.profiles,
@@ -210,7 +177,7 @@ def cmd_fleet(args) -> int:
                 y_label="$/t CO2"))
     failures = sum(1 for r in result.per_plant if r.error)
     print(f"fleet: {len(result.per_plant)} plants, {failures} failed")
-    return EXIT_OK
+    return 0
 
 
 # (node class, amount column, cost column) of each node file
@@ -220,48 +187,43 @@ _NODE_KINDS = {"source": (SourceNode, "capturable", "capture_cost"),
 
 def _load_nodes(path: str, kind: str, surface) -> list:
     """The rows of a node CSV as SourceNode or SinkNode, which check their
-    amount and cost.  An error names the file line on which its row ends."""
-    try:
-        with Path(path).open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = [(reader.line_num, row) for row in reader]
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
-    columns = reader.fieldnames or []
+    amount and cost.  The first line names the columns; blank lines after
+    it are skipped.  An error names the file line on which its row ends."""
+    rows = configio.read_csv(path, CoplantError)
+    columns = rows[0][1] if rows else []
     repeated = [c for c in columns if columns.count(c) > 1]
     if repeated:
-        raise CliError(f"{path}:1: repeated {kind} column {repeated[0]!r}", EXIT_VALIDATION)
+        raise CoplantError(f"{path}:1: repeated {kind} column {repeated[0]!r}")
     node_class, amount, cost = _NODE_KINDS[kind]
     nodes = []
     first_line: dict[str, int] = {}
-    for lineno, row in rows:
+    for lineno, fields in rows[1:]:
+        if not fields:
+            continue
+        row = dict(itertools.zip_longest(columns, fields))   # a missing field is None
         try:
             node_id, at = row["id"], (int(row["row"]), int(row["col"]))
             values = configio.finite_float(row[amount]), configio.finite_float(row[cost])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path}:{lineno}: bad {kind} row: {exc}", EXIT_VALIDATION) from None
+            raise CoplantError(f"{path}:{lineno}: bad {kind} row: {exc}") from None
         try:
             cell = surface.index(*at)
-        except DomainError as exc:
-            raise CliError(f"{path}:{lineno}: {kind} {node_id!r} {exc}",
-                           EXIT_VALIDATION) from None
+        except CoplantError as exc:
+            raise CoplantError(f"{path}:{lineno}: {kind} {node_id!r} {exc}") from None
         try:
             node = node_class(node_id, cell, *values)
-        except DomainError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}", EXIT_VALIDATION) from None
+        except CoplantError as exc:
+            raise CoplantError(f"{path}:{lineno}: {exc}") from None
         if node.id in first_line:
-            raise CliError(f"{path}:{lineno}: repeated {kind} id {node.id!r} "
-                           f"(first on line {first_line[node.id]})", EXIT_VALIDATION)
+            raise CoplantError(f"{path}:{lineno}: repeated {kind} id {node.id!r} "
+                               f"(first on line {first_line[node.id]})")
         first_line[node.id] = lineno
         nodes.append(node)
     return nodes
 
 
 def cmd_netopt(args) -> int:
-    try:
-        surface = load_raster(args.surface)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.surface}: {exc}", EXIT_IO) from None
+    surface = load_raster(args.surface)
     sources = _load_nodes(args.sources, "source", surface)
     sinks = _load_nodes(args.sinks, "sink", surface)
     edges, report = build_candidates(surface, sources, sinks)
@@ -276,7 +238,18 @@ def cmd_netopt(args) -> int:
         reports.network_svg(sol, surface, sources=sources, sinks=sinks))
     print(f"network: {len(sol.routes)} routes, "
           f"{sol.cost_per_tonne:.4g} $/t, reports in {out}")
-    return EXIT_OK
+    return 0
+
+
+def _x_list(text: str) -> list[float]:
+    """The finite ratios of a comma-separated `--x` list, at least one."""
+    try:
+        values = [configio.finite_float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad --x list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("--x needs at least one value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep the cement:methanol ratio")
     common(p)
-    p.add_argument("--x", required=True,
+    p.add_argument("--x", required=True, type=_x_list,
                    help="comma-separated list of ratios, e.g. 2.77,5,9.76")
     p.set_defaults(func=cmd_sweep)
 
@@ -336,26 +309,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (dispatch.StructuralInfeasibility, LpStatusError,
-            NetworkInfeasible) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (LpSolverError, fleet.FleetFailedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (configio.ConfigError, DomainError, LpValidationError,
-            RasterFormatError, reports.ReportError, ValueError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except CoplantError as exc:
+        print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return 5
 
 
 if __name__ == "__main__":

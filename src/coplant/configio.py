@@ -23,24 +23,40 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from dataclasses import MISSING, Field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
-from coplant.domain import (
-    Commodity,
-    ConversionUnit,
-    DomainError,
-    RenewableSource,
-    Scenario,
-    StorageUnit,
-    SystemSpec,
-)
+from coplant.domain import (Commodity, ConversionUnit, CoplantError, DomainError,
+                            RenewableSource, Scenario, StorageUnit, SystemSpec)
 
-class ConfigError(ValueError):
+class ConfigError(CoplantError, ValueError):
     pass
+
+
+def read_text(path: str | Path, error: type[CoplantError] = ConfigError,
+              newline: str | None = None) -> str:
+    """The text of a UTF-8 file, its line ends translated as `open` does with
+    `newline`; other bytes raise `error` naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_csv(path: str | Path, error: type[CoplantError]) -> list[tuple[int, list[str]]]:
+    """(line, fields) of each row of a UTF-8 CSV file, `line` being the file
+    line on which the row ends.  Bytes that are not UTF-8 and a field longer
+    than `csv.field_size_limit()` raise `error` naming the file (and line)."""
+    reader = csv.reader(io.StringIO(read_text(path, error, newline=""), newline=""))
+    try:
+        return [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise error(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def parse_sections(text: str, source: str = "<config>") -> list[tuple[str, dict[str, str]]]:
@@ -174,23 +190,21 @@ def read_profile_csv(path: Path, horizon: int) -> tuple[float, ...]:
     """The first `horizon` values of the first column of a CSV file with one
     header line; blank lines are skipped.
 
-    Raises ValueError for an empty or too short file, and for a value that is
-    not a number, naming its file and line.
+    Raises ConfigError for an empty or too short file, and for a value that
+    is not a number, naming its file and line.
     """
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise ValueError(f"profile {path} is empty")
-        values = []
-        for row in reader:
-            if any(field.strip() for field in row):
-                try:
-                    values.append(float(row[0]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: not a number: {row[0]!r}") from None
+    rows = read_csv(path, ConfigError)
+    if not rows:
+        raise ConfigError(f"profile {path} is empty")
+    values = []
+    for lineno, row in rows[1:]:
+        if any(field.strip() for field in row):
+            try:
+                values.append(float(row[0]))
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: not a number: {row[0]!r}") from None
     if len(values) < horizon:
-        raise ValueError(f"profile {path} has {len(values)} hours, need {horizon}")
+        raise ConfigError(f"profile {path} has {len(values)} hours, need {horizon}")
     return tuple(values[:horizon])
 
 
@@ -205,10 +219,7 @@ def _parse_renewable(block: dict[str, str], base_dir: Path, horizon: int,
         path = base_dir / profile_file
         if not path.exists():
             raise ConfigError(f"profile file not found: {path}")
-        try:
-            profile = read_profile_csv(path, horizon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        profile = read_profile_csv(path, horizon)
     else:
         from coplant.reference import solar_profile, wind_profile
         try:

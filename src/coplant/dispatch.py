@@ -29,20 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from coplant.domain import (
-    Commodity,
-    DomainError,
-    Scenario,
-    SystemSpec,
-)
-from coplant.lp import EQ, GE, LE, LinearProgram, LpSolution
+from coplant.domain import Commodity, CoplantError, DomainError, Scenario, SystemSpec
+from coplant.lp import EQ, GE, LE, LinearProgram, LpSolution, LpSolverError
 
 HOURS_PER_YEAR = 8760.0
 BALANCE_TOL = 1e-6
 
 
-class StructuralInfeasibility(ValueError):
+class StructuralInfeasibility(CoplantError, ValueError):
     """A commodity is consumed but nothing in the system can supply it."""
+
+    exit_code = 4
 
     def __init__(self, commodity: Commodity):
         super().__init__(
@@ -439,7 +436,8 @@ def extract_solution(spec: SystemSpec, scenario: Scenario,
 
 
 def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolution) -> None:
-    """Check every commodity/hour residual against BALANCE_TOL."""
+    """Check every commodity/hour residual against BALANCE_TOL; a residual
+    above it raises LpSolverError, numerical trouble in the solve."""
     commodities = sorted(
         (_produced_commodities(spec) | _consumed_commodities(spec)) - {Commodity.BIOMASS},
         key=lambda c: c.value)
@@ -452,7 +450,7 @@ def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolu
         limit = BALANCE_TOL * np.maximum(1.0, np.abs(stack).max(axis=0))
         worst = int(np.argmax(residual - limit))
         if residual[worst] > limit[worst]:
-            raise ValueError(
+            raise LpSolverError(
                 f"balance violated for {c.value} at hour {worst}: "
                 f"residual {residual[worst]:.3e} > {limit[worst]:.3e}")
 

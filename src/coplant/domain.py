@@ -15,7 +15,17 @@ import enum
 from dataclasses import dataclass, field
 
 
-class DomainError(ValueError):
+class CoplantError(Exception):
+    """Base of every error that bad input or a failed solve raises.
+
+    `exit_code` is the CLI's exit status for it: 3 invalid input, 4
+    infeasible model, 6 solver failure.  Each subclass also keeps a builtin
+    base (ValueError, RuntimeError) for callers that catch those."""
+
+    exit_code = 3
+
+
+class DomainError(CoplantError, ValueError):
     """Invalid value for a domain quantity (negative mass, bad fraction, ...)."""
 
 

@@ -11,16 +11,15 @@ Profiles:            <profiles_dir>/<ref>.csv, one column of hourly capacity
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from coplant import dispatch, lp
-from coplant.configio import finite_float, read_profile_csv
+from coplant.configio import finite_float, read_csv, read_profile_csv
 from coplant.costing import solution_abatement_cost
-from coplant.domain import Scenario, SystemSpec
+from coplant.domain import CoplantError, Scenario, SystemSpec
 
 logger = logging.getLogger(__name__)
 
@@ -37,15 +36,17 @@ PERTURBATIONS = {f"{p}:{sign}{DELTA:.0%}": (p, factor)
                  for p in SENSITIVITY_PARAMETERS
                  for sign, factor in (("+", 1.0 + DELTA), ("-", 1.0 - DELTA))}
 
-_PLANT_ERRORS = (OSError, ValueError, lp.LpStatusError)
+_PLANT_ERRORS = (OSError, CoplantError)
 
 
-class PlantsSchemaError(ValueError):
+class PlantsSchemaError(CoplantError, ValueError):
     pass
 
 
-class FleetFailedError(RuntimeError):
+class FleetFailedError(CoplantError, RuntimeError):
     """Every plant of a non-empty fleet failed to solve."""
+
+    exit_code = 6
 
 
 @dataclass(frozen=True)
@@ -94,54 +95,50 @@ def load_plants(csv_path: str | Path) -> list[PlantSite]:
     row that the capacity range drops.  The line is the file line on which
     the row ends, so a quoted field that spans lines does not shift it."""
     path = Path(csv_path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PlantsSchemaError(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != PLANTS_HEADER:
-            raise PlantsSchemaError(
-                f"{path}: header {header} does not match {PLANTS_HEADER}")
-        plants: list[PlantSite] = []
-        excluded = 0
-        first_line: dict[str, int] = {}
-        for row in reader:
-            lineno = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(PLANTS_HEADER):
-                raise PlantsSchemaError(f"{path}:{lineno}: expected "
-                                        f"{len(PLANTS_HEADER)} columns, got {len(row)}")
-            values = {}
-            for col, cell in zip(PLANTS_HEADER, row):
-                cell = cell.strip()
-                if col in ("lat", "lon", "clinker_tpd"):
-                    try:
-                        values[col] = finite_float(cell)
-                    except ValueError:
-                        raise PlantsSchemaError(
-                            f"{path}:{lineno}: column '{col}' is not a finite number: "
-                            f"{cell!r}") from None
-                else:
-                    values[col] = cell
-            if values["id"] in first_line:
-                raise PlantsSchemaError(
-                    f"{path}:{lineno}: repeated plant id {values['id']!r} "
-                    f"(first on line {first_line[values['id']]})")
-            first_line[values["id"]] = lineno
-            try:
-                plant = PlantSite(
-                    id=values["id"], latitude=values["lat"], longitude=values["lon"],
-                    clinker_capacity=values["clinker_tpd"],
-                    solar_profile_ref=values["solar_ref"],
-                    wind_profile_ref=values["wind_ref"])
-            except PlantsSchemaError as exc:
-                raise PlantsSchemaError(f"{path}:{lineno}: {exc}") from None
-            if MIN_CLINKER_TPD <= plant.clinker_capacity <= MAX_CLINKER_TPD:
-                plants.append(plant)
+    rows = read_csv(path, PlantsSchemaError)
+    if not rows:
+        raise PlantsSchemaError(f"{path}: file is empty")
+    header = rows[0][1]
+    if [h.strip() for h in header] != PLANTS_HEADER:
+        raise PlantsSchemaError(f"{path}: header {header} does not match {PLANTS_HEADER}")
+    plants: list[PlantSite] = []
+    excluded = 0
+    first_line: dict[str, int] = {}
+    for lineno, row in rows[1:]:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(PLANTS_HEADER):
+            raise PlantsSchemaError(f"{path}:{lineno}: expected "
+                                    f"{len(PLANTS_HEADER)} columns, got {len(row)}")
+        values = {}
+        for col, cell in zip(PLANTS_HEADER, row):
+            cell = cell.strip()
+            if col in ("lat", "lon", "clinker_tpd"):
+                try:
+                    values[col] = finite_float(cell)
+                except ValueError:
+                    raise PlantsSchemaError(
+                        f"{path}:{lineno}: column '{col}' is not a finite number: "
+                        f"{cell!r}") from None
             else:
-                excluded += 1
+                values[col] = cell
+        if values["id"] in first_line:
+            raise PlantsSchemaError(
+                f"{path}:{lineno}: repeated plant id {values['id']!r} "
+                f"(first on line {first_line[values['id']]})")
+        first_line[values["id"]] = lineno
+        try:
+            plant = PlantSite(
+                id=values["id"], latitude=values["lat"], longitude=values["lon"],
+                clinker_capacity=values["clinker_tpd"],
+                solar_profile_ref=values["solar_ref"],
+                wind_profile_ref=values["wind_ref"])
+        except PlantsSchemaError as exc:
+            raise PlantsSchemaError(f"{path}:{lineno}: {exc}") from None
+        if MIN_CLINKER_TPD <= plant.clinker_capacity <= MAX_CLINKER_TPD:
+            plants.append(plant)
+        else:
+            excluded += 1
     if excluded:
         logger.info("excluded %d plant(s) outside [%g, %g] t clinker/day",
                     excluded, MIN_CLINKER_TPD, MAX_CLINKER_TPD)
@@ -188,10 +185,11 @@ def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
     (`dispatch.build_lp`); each perturbation re-prices the own-mode LP's
     capacity columns (`dispatch.reprice_capacity`).
 
-    Unreadable or short profiles and invalid or infeasible site models are
-    recorded in PlantResult.error as "<ExceptionType>: <message>", for the
-    site (which then has no perturbed results) or for one perturbation;
-    anything else raises.
+    Unreadable or short profiles, invalid or infeasible site models and
+    solver failures (an OSError or a CoplantError) are recorded in
+    PlantResult.error as "<ExceptionType>: <message>", for the site (which
+    then has no perturbed results) or for one perturbation; anything else
+    raises.
     """
     own = scenario.flexibility_mode
     other = "inflexible" if own == "flexible" else "flexible"

@@ -51,6 +51,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from coplant.domain import CoplantError
+
 if TYPE_CHECKING:
     from scipy import sparse
 
@@ -66,21 +68,25 @@ LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
 
 
-class LpValidationError(ValueError):
+class LpValidationError(CoplantError, ValueError):
     """The problem description itself is malformed (NaN, reversed bounds, ...)."""
 
 
-class LpStatusError(RuntimeError):
+class LpStatusError(CoplantError, RuntimeError):
     """An operation required an optimal solution but did not get one."""
+
+    exit_code = 4
 
     def __init__(self, status: str):
         super().__init__(f"LP solution status is '{status}', expected 'optimal'")
         self.status = status
 
 
-class LpSolverError(RuntimeError):
+class LpSolverError(CoplantError, RuntimeError):
     """HiGHS stopped without proving optimality, infeasibility or unboundedness
     (iteration limit, numerical trouble, ...)."""
+
+    exit_code = 6
 
 
 class LinearProgram:
@@ -129,11 +135,13 @@ class LinearProgram:
         `sense` is one sense for every new row or one per row.  Each term
         `(rows, cols, vals)` puts coefficient `vals[k]` at row `rows[k]` of the
         block (counted from 0) and column `cols[k]`; scalars are broadcast.
+        With no terms, the rows have no coefficients.
         """
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         sense = np.broadcast_to(sense, rhs.shape)
-        rows, cols, vals = (np.concatenate(part) for part in
-                            zip(*(map(np.ravel, np.broadcast_arrays(*term)) for term in terms)))
+        no_term = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+        rows, cols, vals = (np.concatenate(part) for part in zip(
+            *(map(np.ravel, np.broadcast_arrays(*term)) for term in (no_term, *terms))))
         if rows.size and (rows.min() < 0 or rows.max() >= rhs.size):
             raise LpValidationError(f"a term addresses a row outside the block of {rhs.size}")
         first = self.n_constraints

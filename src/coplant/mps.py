@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from coplant.domain import CoplantError
 from coplant.lp import EQ, GE, LE, LinearProgram
 
 MAX_NAME = 8
 _ROW_TYPE = {LE: "L", GE: "G", EQ: "E"}
 
 
-class MpsFormatError(ValueError):
+class MpsFormatError(CoplantError, ValueError):
     """The LP does not fit the fixed-column MPS layout."""
 
 

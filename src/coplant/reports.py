@@ -16,15 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
+from coplant.configio import read_text
 from coplant.costing import CostBreakdown, MoleculeCost, SweepRow
 from coplant.dispatch import DispatchSolution, commodity_balance
-from coplant.domain import Commodity, Scenario, SystemSpec
+from coplant.domain import Commodity, CoplantError, Scenario, SystemSpec
 from coplant.fleet import FleetResult
 from coplant.sinknet.network import NetworkSolution
 from coplant.sinknet.raster import CostSurface
 
 
-class ReportError(ValueError):
+class ReportError(CoplantError, ValueError):
     pass
 
 
@@ -374,5 +375,8 @@ def save_solution(path: str | Path, sol: DispatchSolution) -> None:
 
 
 def load_solution(path: str | Path) -> DispatchSolution:
-    with Path(path).open() as fh:
-        return solution_from_dict(json.load(fh))
+    try:
+        data = json.loads(read_text(path, ReportError))
+    except json.JSONDecodeError as exc:
+        raise ReportError(f"{path}: not JSON: {exc}") from None
+    return solution_from_dict(data)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coplant.dispatch import capital_recovery_factor
-from coplant.domain import DomainError
+from coplant.domain import CoplantError, DomainError
 from coplant.sinknet.routing import CandidateEdge, SinkNode, SourceNode
 
 #: The exact search runs on at most this many sources, as `_tight_codes`
@@ -55,8 +55,8 @@ EXACT_BLOCK = 4096
 #: Most codes one pass of the exact search spans; bounds its frontier.
 EXACT_PASS = 1 << 16
 
-class NetworkInfeasible(ValueError):
-    pass
+class NetworkInfeasible(CoplantError, ValueError):
+    exit_code = 4
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from coplant.domain import DomainError
+from coplant.configio import read_text
+from coplant.domain import CoplantError, DomainError
 
 #: The largest magnitude of any netopt input (cost cell, cell size, node amount or
 #: cost), checked where each enters; it keeps every sum of them finite (`routing`).
@@ -17,7 +19,7 @@ MAX_MAGNITUDE = 1e15
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-class RasterFormatError(ValueError):
+class RasterFormatError(CoplantError, ValueError):
     pass
 
 
@@ -86,8 +88,7 @@ def load_raster(path: str | Path) -> CostSurface:
     """Parse an ESRI ASCII grid; errors carry the offending line number."""
     path = Path(path)
     header: dict[str, float] = {}
-    with path.open() as fh:
-        lines = fh.readlines()
+    lines = io.StringIO(read_text(path, RasterFormatError)).readlines()
     data_start = None
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()

@@ -200,6 +200,8 @@ def build_candidates(surface: CostSurface, sources: list[SourceNode],
     for node in list(sources) + list(sinks):
         if not surface.traversable(node.cell):
             raise DomainError(f"node {node.id} sits on a nodata cell")
+    if not (sources and sinks):     # no corridor, and perhaps no open cell to average
+        return [], ReachabilityReport([s.id for s in sources], [k.id for k in sinks])
     graph = _cost_graph(surface)
     step = float(graph.data.max(initial=0.0))
     src_cells = np.array([s.cell for s in sources], dtype=np.intp)

@@ -576,13 +576,15 @@ class TestExitCodes:
         ('{0}\n"X\nY"{rest}\n{bad}\n', "{kind}.csv:4: bad {node} row"),
         ("{0}\n{1}\n\n{1}\n", "{kind}.csv:4: repeated {node} id {id!r} (first on line 2)"),
         ('{0}\n"X\nY"{rest}\n"X\nY"{rest}\n',
-         "{kind}.csv:5: repeated {node} id 'X\\nY' (first on line 3)")],
+         "{kind}.csv:5: repeated {node} id 'X\\nY' (first on line 3)"),
+        ("\n{0}\n{1}\n", "{kind}.csv:2: bad {node} row: 'id'")],
         ids=["bad-after-blank", "bad-after-multiline", "repeated-after-blank",
-             "repeated-multiline"])
+             "repeated-multiline", "blank-before-header"])
     def test_netopt_node_error_names_file_line(self, workspace, tmp_path, capsys, kind,
                                                layout, message):
         """A node error names the file line on which its row ends, past blank
-        lines and quoted fields that span lines."""
+        lines and quoted fields that span lines.  The first line is the
+        header, blank or not."""
         nodes = {name: workspace / f"{name}.csv" for name in ("sources", "sinks")}
         lines = nodes[kind].read_text().splitlines()
         fields = lines[2].split(",")
@@ -655,7 +657,7 @@ class TestExitCodes:
                         "--sources", tmp_path / "sources.csv",
                         "--sinks", tmp_path / "sinks.csv",
                         "--target", "0.5", "-o", tmp_path / "x"]) == 3
-            assert (f"error: {tmp_path / kind}s.csv:3: {kind} '{node_id}' cell "
+            assert (f"invalid input: {tmp_path / kind}s.csv:3: {kind} '{node_id}' cell "
                     f"(row {row}, col {col}) is outside the 3x3 raster"
                     ) in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
@@ -697,7 +699,7 @@ class TestExitCodes:
         assert run(["netopt", "--surface", workspace / "cost.asc",
                     "--sources", nodes["sources"], "--sinks", nodes["sinks"],
                     "--target", "2.5e6", "-o", tmp_path / "x"]) == 3
-        assert f"error: {tmp_path / message}" in capsys.readouterr().err
+        assert f"invalid input: {tmp_path / message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("cost", [1e307, 1.7e308, 1e305], ids=[
@@ -821,7 +823,7 @@ class TestExitCodes:
         assert run(["report", "--spec", workspace / "system.cfg",
                     "--scenario", workspace / "scenario.cfg",
                     "--solution", tmp_path / "solution.json", "-o", tmp_path / "x"]) == 3
-        assert f"error: {tmp_path / 'solution.json'}: {message}" in capsys.readouterr().err
+        assert f"invalid input: {tmp_path / 'solution.json'}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_fleet_repeated_plant_id(self, workspace, tmp_path, capsys):

@@ -19,7 +19,7 @@ from coplant.domain import (
     StorageUnit,
     SystemSpec,
 )
-from coplant.lp import EQ, GE, LE, solve_lp
+from coplant.lp import EQ, GE, LE, LpSolverError, solve_lp
 
 
 def captured_co2(spec, sol):
@@ -87,7 +87,7 @@ def test_extract_rejects_short_or_unbalanced_x():
         dispatch.extract_solution(spec, scenario, short)
     x = res.x.copy()
     x[build_index(spec, scenario).act["maker"] + 5] += 0.5
-    with pytest.raises(ValueError, match="^balance violated for cement at hour 5: "):
+    with pytest.raises(LpSolverError, match="^balance violated for cement at hour 5: "):
         dispatch.extract_solution(spec, scenario, dataclasses.replace(res, x=x))
 
 

@@ -197,9 +197,9 @@ class TestRunFleet:
         result = run_fleet(plants, template, scenario, tmp_path)
         errors = {r.plant.id: r.error for r in result.per_plant}
         assert errors["G"] is None
-        assert errors["empty"].startswith("ValueError: profile ")
+        assert errors["empty"].startswith("ConfigError: profile ")
         assert errors["empty"].endswith("empty.csv is empty")
-        assert errors["header"].startswith("ValueError: profile ")
+        assert errors["header"].startswith("ConfigError: profile ")
         assert "has 0 hours" in errors["header"]
         assert len(result.curve) == 1
 
@@ -214,7 +214,7 @@ class TestRunFleet:
         good = dataclasses.replace(plant, id="G", solar_profile_ref="w1")
         result = run_fleet([good, plant], template, scenario, tmp_path)
         errors = {r.plant.id: r.error for r in result.per_plant}
-        assert errors == {"G": None, "P": f"ValueError: {tmp_path / 'bad.csv'}:6: "
+        assert errors == {"G": None, "P": f"ConfigError: {tmp_path / 'bad.csv'}:6: "
                                           "not a number: 'abc'"}
 
     def test_all_failed_raises(self, fleet_env):

@@ -165,6 +165,16 @@ def test_term_outside_block_rejected():
         lp.add_rows(LE, [1.0], [(1, 0, 1.0)])  # row 1 of a one-row block
     assert lp.n_variables == 1 and lp.n_constraints == 0
 
+def test_rows_without_terms():
+    """A row block with no terms has no coefficients: 0 = 0 holds, 0 = 1 does not."""
+    lp = LinearProgram()
+    lp.add_columns(1, cost=1.0)
+    lp.add_rows(EQ, [0.0], [])
+    assert solve_lp(lp).status == "optimal"
+    lp.add_rows(EQ, [1.0], [])
+    assert lp.matrix().nnz == 0
+    assert solve_lp(lp).status == "infeasible"
+
 
 def magnitude_lp(a=1.0, cost=1.0, lower=0.0, upper=math.inf, rhs=1.0) -> LinearProgram:
     """min cost*x0 + x1 subject to a*x0 + x1 >= rhs, lower <= x0 <= upper, x1 >= 0."""
