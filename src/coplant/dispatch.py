@@ -47,6 +47,10 @@ class StructuralInfeasibility(CoplantError, ValueError):
             "(no producing unit, renewable, or import)")
         self.commodity = commodity
 
+    def __reduce__(self):
+        """Pickle by the commodity, which `__init__` takes, not by the message."""
+        return type(self), (self.commodity,)
+
 
 def capital_recovery_factor(rate: float, lifetime: float) -> float:
     """Annuity coefficient rate / (1 - (1 + rate)^-lifetime); the zero-rate

@@ -230,12 +230,14 @@ def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
 def _cost_capacity_curve(results: list[PlantResult]) -> list[tuple[float, float]]:
     """Cumulative capacity against abatement, cheapest plant first.
 
-    Ties in abatement break by plant id.  Raises FleetFailedError when there
-    are results and none of them succeeded.
+    Ties in abatement break by plant id.  Raises FleetFailedError, naming
+    each plant and its error, when there are results and none of them
+    succeeded.
     """
     succeeded = [r for r in results if r.error is None]
     if results and not succeeded:
-        raise FleetFailedError("every plant in the fleet failed; see per-plant errors")
+        raise FleetFailedError("every plant in the fleet failed: " + "; ".join(
+            f"{r.plant.id}: {r.error}" for r in results))
     curve = []
     cumulative = 0.0
     for r in sorted(succeeded, key=lambda r: (r.abatement, r.plant.id)):

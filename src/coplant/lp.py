@@ -81,6 +81,10 @@ class LpStatusError(CoplantError, RuntimeError):
         super().__init__(f"LP solution status is '{status}', expected 'optimal'")
         self.status = status
 
+    def __reduce__(self):
+        """Pickle by the status, which `__init__` takes, not by the message."""
+        return type(self), (self.status,)
+
 
 class LpSolverError(CoplantError, RuntimeError):
     """HiGHS stopped without proving optimality, infeasibility or unboundedness

@@ -12,17 +12,20 @@ even the exact search finds the cheapest network under the rule, not the
 cost-minimal one in general.  One numpy kernel (`_Instance.allocate` and
 `_Instance.cost`) applies that rule to a block of assignments; both searches
 and the one-assignment `evaluate` run on it.
-The instance's size picks the search.  Up to EXACT_SOURCE_LIMIT (12)
-sources and EXACT_CODE_LIMIT (4^12) assignments, the exact search returns
-the winner of an enumeration of every assignment but runs only the tight
-ones through the kernel: assignments in which every source given a sink
-ships flow and the target is still reachable.  Any other assignment ships
-what a tight one earlier in the enumeration ships, at the same cost, or
-falls short, so it cannot win.  Above either limit, steepest-descent local
-search over single-source moves starts from the greedy assignment, first
-closes any shortfall against the target, then lowers the cost.  Both keep
-an incumbent unless a candidate falls less short of the target, or as short
-and cheaper by more than 1e-9 $/yr (`_replaces`).
+The instance's size picks the search.  Up to EXACT_SOURCE_LIMIT (12) sources
+and EXACT_CODE_LIMIT (4^12) assignments, the exact search returns the first
+assignment in enumeration order whose total is within 1e-9 $/yr of the least
+total of any that reaches the target.  It runs only tight assignments
+through the kernel, those in which every source given a sink ships flow and
+the target is still reachable; any other assignment ships what a tight one
+earlier in the enumeration ships, at the same cost, or falls short.  Of
+those it runs only the ones a branch and bound keeps: a partial assignment
+is dropped once a lower bound on its cost exceeds the least total found so
+far by more than 1e-9.  Above either limit, steepest-descent local search
+over single-source moves starts from the greedy assignment, first closes any
+shortfall against the target, then lowers the cost; it keeps its incumbent
+unless a candidate falls less short of the target, or as short and cheaper
+by more than 1e-9 $/yr (`_replaces`).
 
 No cost or sum here overflows a float: amounts and |costs| are at most
 B = `raster.MAX_MAGNITUDE` and terrain costs at most `routing.MAX_CORRIDOR_COST`
@@ -105,6 +108,14 @@ def size_pipeline(flow: float, classes: tuple[PipelineClass, ...] = DEFAULT_PIPE
     largest = classes[-1]
     count = math.ceil(flow / largest.capacity)
     return largest, count, count * largest.capex_per_km
+
+
+def _capex_km(flow: np.ndarray, classes: tuple[PipelineClass, ...]) -> np.ndarray:
+    """Capex per km of the pipes that carry each flow, as `size_pipeline` sizes them."""
+    capex_km = np.ceil(flow / classes[-1].capacity) * classes[-1].capex_per_km
+    for cls in reversed(classes):
+        capex_km = np.where(flow <= cls.capacity, cls.capex_per_km, capex_km)
+    return capex_km
 
 
 @dataclass
@@ -202,10 +213,8 @@ class _Instance:
         pipe = np.zeros(flow.shape)
         for i, (f, d) in enumerate(zip(flow, digit)):
             shipped = f > 0
-            capex_km = np.ceil(f / classes[-1].capacity) * classes[-1].capex_per_km
-            for cls in reversed(classes):
-                capex_km = np.where(f <= cls.capacity, cls.capex_per_km, capex_km)
-            pipe[i] = np.where(shipped, capex_km * self.terrain[i, d] * annual_factor, 0.0)
+            pipe[i] = np.where(shipped, _capex_km(f, classes) * self.terrain[i, d] * annual_factor,
+                               0.0)
             cost_capture += np.where(shipped, self.capture[i] * f, 0.0)
             cost_pipeline += pipe[i]
             cost_seq += np.where(shipped, self.seq[i, d] * f, 0.0)
@@ -263,17 +272,27 @@ def _shortfall(remaining: np.ndarray) -> np.ndarray:
 
 
 def _replaces(candidate: tuple[float, float], incumbent: tuple[float, float]) -> bool:
-    """The replacement rule of both searches, on (shortfall, cost) keys: a
+    """The replacement rule of local search, on (shortfall, cost) keys: a
     candidate replaces the incumbent when it falls less short of the target,
     or as short and cheaper by more than 1e-9."""
     return candidate[0] < incumbent[0] or (
         candidate[0] == incumbent[0] and candidate[1] < incumbent[1] - 1e-9)
 
 
-def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
+def _greedy_start(inst: _Instance) -> np.ndarray:
+    """Option digits that give every source its cheapest linear-rate sink, ties
+    to the lower sink id: each source's first pair."""
+    digits = np.zeros(len(inst.sources), dtype=int)
+    for _, i, j, _ in inst.pairs:
+        digits[i] = digits[i] or j
+    return digits
+
+
+def _tight_codes(inst: _Instance, bound: float | None = None) -> Iterator[np.ndarray]:
     """The codes that `_solve_exact` runs through the kernel, in ascending
     arrays, one per pass: every tight code (each source given a sink ships
-    flow under `allocate`) that may still reach the target.
+    flow under `allocate`) that may still reach the target and, given
+    `bound`, that may do so at a total of at most `bound` + 1e-9.
 
     A pass fixes the digits of the most significant sources, so that it spans
     at most EXACT_PASS codes, and expands a frontier of partial assignments
@@ -285,7 +304,32 @@ def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
     than 1e-6 + 1e-9 * target, both the summed room of the sinks and the
     capturable supply of the sources still open (undecided, with a pair to
     come): it cannot reach the target.  Each frontier row is a distinct code
-    of the pass, so a pass holds at most EXACT_PASS rows."""
+    of the pass, so a pass holds at most EXACT_PASS rows.
+
+    Given `bound`, an upper bound on the least total of any feasible code,
+    the passes are a branch and bound.  A row is dropped once a lower bound
+    on the total of every feasible code it can still become exceeds the cut,
+    at first `bound` + 1e-9 + tol.  After pair pos that lower bound is the
+    sum of three parts:
+    - `spent`, the capture, sequestration and pipe cost of the flows the row
+      has assigned;
+    - the linear cost of later flows.  They run at rates of at least r, the
+      rate of pair pos + 1, as `pairs` ascend by rate; they sum to at most
+      `remaining`, and a feasible code ships at least `remaining` - 1e-6.  So
+      they cost at least r * max(remaining - 1e-6, 0) when r >= 0, and
+      r * remaining when r < 0;
+    - while `remaining` > 1e-6, the pipe of the later pair that must still
+      ship: at least the least, over later pairs, of the cheapest class's
+      capex per km * terrain * annual factor.
+    A row whose `remaining` is at most 1e-12 ships nothing more: with its
+    undecided sources unused it is a feasible code whose total is its
+    `spent`, so the cut falls to `spent` + 1e-9 + tol, for this pass and
+    the later ones, if that is lower.
+    tol is 1e-9 of a bound on the summed magnitudes of the terms of any
+    total (flows sum to at most the target, and a source's pipe carries at
+    most the target).  It covers the round-off of `spent`, of the bound and
+    of the kernel's total, also where costs of opposite signs cancel, so no
+    code whose total is within 1e-9 of the least is dropped."""
     n, radix = len(inst.options), inst.radix
     n_fixed = 0
     while math.prod(radix[n_fixed:].tolist()) > EXACT_PASS:
@@ -297,13 +341,25 @@ def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
     supply = (np.arange(1 << n)[:, None] & bit > 0) @ inst.capturable
     slack = 1e-6 + 1e-9 * inst.target
     connected = sum(1 << i for i in last)
+    # the parts of the cost bound that come from the pairs after each one:
+    # the next pair's rate and the least pipe of any of them; 0 after the last
+    classes, annual_factor = inst.params.classes, inst.params.annual_factor
+    terrain = np.array([inst.terrain[i, j] for _, i, j, _ in inst.pairs])
+    least_pipe = min(c.capex_per_km for c in classes) * terrain * annual_factor
+    later_pipe = np.append(np.minimum.accumulate(least_pipe[::-1])[::-1][1:], 0.0)
+    later_rate = np.append([rate for rate, _, _, _ in inst.pairs][1:], 0.0)
+    dearest_pipe = max(c.capex_per_km for c in classes) * np.ceil(
+        np.minimum(inst.capturable, inst.target) / classes[-1].capacity)
+    tol = 1e-9 * (inst.target * (np.abs(inst.capture)[:, None] + np.abs(inst.seq)).max()
+                  + (dearest_pipe * inst.terrain.max(axis=1) * annual_factor).sum())
+    cut = math.inf if bound is None else bound + 1e-9 + tol
     for prefix in itertools.product(*map(range, radix[:n_fixed])):
-        remaining = np.array([float(inst.target)])
+        remaining, spent = np.array([float(inst.target)]), np.zeros(1)
         room = inst.capacity[:, None].copy()                  # (sink, row)
         digit = np.zeros((n, 1), dtype=np.min_scalar_type(radix.max()))
         # a fixed source is open only when the prefix gives it a sink
         mask = np.array([connected & ~sum(1 << i for i, d in enumerate(prefix) if d == 0)])
-        for pos, (_, i, j, k) in enumerate(inst.pairs):
+        for pos, (rate, i, j, k) in enumerate(inst.pairs):
             if i < n_fixed and prefix[i] != j:
                 continue
             f = np.minimum(np.minimum(inst.capturable[i], room[k]), remaining)
@@ -312,58 +368,70 @@ def _tight_codes(inst: _Instance) -> Iterator[np.ndarray]:
             new_room, new_digit = room[:, new], digit[:, new]
             new_room[k] -= f
             new_digit[i] = j
+            new_spent = spent[new] + (
+                rate * f + _capex_km(f, classes) * inst.terrain[i, j] * annual_factor)
             if i < n_fixed:     # the prefix gives source i this sink: it must ship here
-                remaining, room, digit, mask = (
-                    remaining[new] - f, new_room, new_digit, mask[new] & ~bit[i])
+                remaining, spent, room, digit, mask = (
+                    remaining[new] - f, new_spent, new_room, new_digit, mask[new] & ~bit[i])
             else:
                 remaining = np.concatenate((remaining, remaining[new] - f))
+                spent = np.concatenate((spent, new_spent))
                 room = np.concatenate((room, new_room), axis=1)
                 digit = np.concatenate((digit, new_digit), axis=1)
                 mask = np.concatenate((mask, mask[new] & ~bit[i]))
                 if pos == last[i]:
                     mask &= ~bit[i]
-            reach = np.minimum(supply[mask], room.sum(axis=0))
-            keep = np.flatnonzero(remaining - reach <= slack)
+            keep = remaining - np.minimum(supply[mask], room.sum(axis=0)) <= slack
+            if bound is not None:
+                done = remaining <= 1e-12
+                if done.any():
+                    cut = min(cut, spent[done].min() + 1e-9 + tol)
+                r = later_rate[pos]
+                keep &= spent + r * (np.maximum(remaining - 1e-6, 0.0) if r >= 0 else remaining) \
+                    + np.where(remaining > 1e-6, later_pipe[pos], 0.0) <= cut
+            keep = np.flatnonzero(keep)
             if keep.size < remaining.size:
-                remaining, room, digit, mask = (
-                    remaining[keep], room[:, keep], digit[:, keep], mask[keep])
+                remaining, spent, room, digit, mask = (
+                    remaining[keep], spent[keep], room[:, keep], digit[:, keep], mask[keep])
+                if not keep.size:
+                    break
         yield np.sort(inst.stride @ digit)
 
 
 def _solve_exact(inst: _Instance) -> tuple[float, NetworkSolution]:
-    """Best assignment in `itertools.product` order over each source's
-    options (sources by id, the first most significant) under `_replaces`:
-    the first one that reaches the target wins unless a later one is cheaper
-    by more than 1e-9.  Assignments are numbered by that order.
+    """The first assignment in `itertools.product` order over each source's
+    options (sources by id, the first most significant) among those whose
+    total is within 1e-9 $/yr of the least total of any assignment that
+    reaches the target.  Assignments are numbered by that order.
 
     Only the codes of `_tight_codes` go through the kernel, EXACT_BLOCK at a
-    time, and the winner is that of all codes.  A code that gives some
-    source a sink it ships nothing to has the flows, and bit for bit the
-    cost, of its tight representative, the same code with those sources set
-    to no sink; the representative has the smaller code, so under
-    `_replaces` the other can never replace the incumbent, and the first
-    feasible code is tight.  The codes left out otherwise cannot reach the
-    target."""
+    time, bounded by the greedy start's total (`_greedy_start`) if it reaches
+    the target.  A code that gives some source a sink it ships nothing to has
+    the flows, and bit for bit the cost, of its tight representative, the
+    same code with those sources set to no sink; the representative has the
+    smaller code, so the winner is tight.  The codes left out otherwise
+    cannot reach the target, or cost more than the least total by more than
+    1e-9, so no code within 1e-9 of it is left out."""
     radix, stride = inst.radix, inst.stride
-    best, best_code = (math.inf, math.inf), None
-    for tight in _tight_codes(inst):
+    greedy = inst.evaluate(inst.assignment(_greedy_start(inst)))
+    least = greedy[0] if greedy else math.inf
+    # the feasible codes seen so far whose total is within 1e-9 of `least`
+    band, totals = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for tight in _tight_codes(inst, least):
         for start in range(0, tight.size, EXACT_BLOCK):
             codes = tight[start:start + EXACT_BLOCK]
             digit = codes // stride[:, None] % radix[:, None]      # (source, code)
             remaining, flow = inst.allocate(digit)
             feasible = np.flatnonzero(_shortfall(remaining) == 0)
             capture, pipeline, seq, _ = inst.cost(digit[:, feasible], flow[:, feasible])
-            total = (capture + pipeline) + seq
-            # A code that replaces a feasible incumbent undercuts every earlier
-            # feasible code, and the first one undercuts best[1] = inf, so only
-            # those go through `_replaces` one by one.
-            hits = total < np.fmin.accumulate(np.concatenate(([best[1]], total[:-1])))
-            for h in np.flatnonzero(hits):
-                if _replaces((0.0, total[h]), best):
-                    best, best_code = (0.0, float(total[h])), int(codes[feasible[h]])
-    if best_code is None:
+            band = np.concatenate((band, codes[feasible]))
+            totals = np.concatenate((totals, (capture + pipeline) + seq))
+            least = min(least, totals.min(initial=math.inf))
+            keep = totals <= least + 1e-9
+            band, totals = band[keep], totals[keep]
+    if not band.size:
         raise NetworkInfeasible("no assignment reaches the target")
-    return inst.evaluate(inst.assignment(best_code // stride % radix))
+    return inst.evaluate(inst.assignment(band[0] // stride % radix))
 
 
 def _solve_local(inst: _Instance) -> tuple[float, NetworkSolution]:
@@ -377,9 +445,7 @@ def _solve_local(inst: _Instance) -> tuple[float, NetworkSolution]:
     goes on: such a source could otherwise take up room that a move frees
     and so block it.  The result is then a local optimum of the routes it
     reports."""
-    current = np.zeros(len(inst.sources), dtype=int)
-    for _, i, j, _ in inst.pairs:       # each source's first pair is its cheapest
-        current[i] = current[i] or j
+    current = _greedy_start(inst)
     rows = np.repeat(np.arange(len(inst.options)), [len(o) for o in inst.options])
     options = np.concatenate([np.arange(len(o)) for o in inst.options])
     while True:
@@ -411,10 +477,10 @@ def select_network(sources: list[SourceNode], sinks: list[SinkNode],
     """Choose sources, corridors and flows meeting the sequestration target.
 
     Up to EXACT_SOURCE_LIMIT sources and EXACT_CODE_LIMIT assignments, the
-    winner is that of an enumeration of every assignment, optimal over
-    assignments under the allocation rule; only the tight assignments that
-    can reach the target are evaluated, as no other one can replace it
-    (`_solve_exact`).  Above either limit, local search from the greedy
+    winner is the first assignment in enumeration order whose total is within
+    1e-9 of the least, optimal over assignments under the allocation rule;
+    only the tight assignments that can reach the target at such a total are
+    evaluated (`_solve_exact`).  Above either limit, local search from the greedy
     start first closes any shortfall, then lowers the cost, and returns a
     local optimum.  Raises NetworkInfeasible when the target exceeds supply
     or sink capacity, when no assignment reaches it, or when local search

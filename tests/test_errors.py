@@ -10,6 +10,7 @@ import contextlib
 import csv
 import io
 import math
+import pickle
 import re
 import shutil
 import tempfile
@@ -20,7 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coplant import cli, configio, dispatch, fleet, lp, reference
+# every module that defines an error is imported, for `every_subclass`
+from coplant import cli, configio, dispatch, fleet, lp, mps, reference, reports  # noqa: F401
+from coplant.domain import Commodity, CoplantError
+from coplant.sinknet import network, raster  # noqa: F401
 from coplant.sinknet.raster import CostSurface, write_raster
 
 
@@ -162,6 +166,44 @@ def test_fleet_records_every_solver_failure(inputs, tmp_path, monkeypatch, capsy
     assert "every plant in the fleet failed" in capsys.readouterr().err
     assert len(recorded) == 2
     assert all(e.startswith("LpSolverError: LP solver failed (status 4)") for e in recorded)
+
+
+def test_fleet_failure_names_each_plant(inputs, tmp_path, capsys):
+    """With no plant left, the exit-6 message gives each plant's own error,
+    here a missing profile for P1 and a bad one for P2."""
+    plants = TWO_PLANTS.replace(b"P1,30,110,4000,solar", b"P1,30,110,4000,gone") \
+        .replace(b"P2,30,111,5000,wind", b"P2,30,111,5000,bad")
+    copy_inputs(inputs, tmp_path, {"plants.csv": plants, "bad.csv": b"abc\n"})
+    assert run("fleet", tmp_path) == 6
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: every plant in the fleet failed: "
+        f"P1: FileNotFoundError: profile 'gone' not found at {tmp_path / 'gone.csv'}; "
+        f"P2: ConfigError: profile {tmp_path / 'bad.csv'} has 0 hours, need 24")
+
+
+def every_subclass(cls):
+    """The subclasses of `cls`, theirs, and so on."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from every_subclass(sub)
+
+
+#: Constructor arguments of the errors that take something other than a message.
+ERROR_ARGS = {dispatch.StructuralInfeasibility: (Commodity.CEMENT,),
+              lp.LpStatusError: ("infeasible",)}
+
+
+@pytest.mark.parametrize("error", sorted(set(every_subclass(CoplantError)),
+                                         key=lambda c: c.__qualname__),
+                         ids=lambda c: c.__qualname__)
+def test_error_survives_pickling(error):
+    """Every error can cross the fleet's worker pool: a pickle round trip keeps
+    its type, message, exit code and attributes."""
+    original = error(*ERROR_ARGS.get(error, ("a message",)))
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is error
+    assert (str(copy), copy.exit_code, vars(copy)) == \
+        (str(original), original.exit_code, vars(original))
 
 
 def test_one_solver_failure_does_not_sink_the_fleet(inputs, tmp_path, monkeypatch):

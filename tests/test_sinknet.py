@@ -990,12 +990,30 @@ def block_instances():
             yield trial, integer, sources, sinks, edges, target
 
 
-def corridor_instance(rng, n_sources, n_sinks, integer=False):
+def negative_instances():
+    """Block-test-shaped instances from `corridor_instance` with negative
+    capture costs, target at 30-100% of the most the connected sources and
+    the sinks can take."""
+    rng = np.random.default_rng(1960)
+    for trial in range(20):
+        integer = trial % 2 == 1
+        sources, sinks, edges = corridor_instance(
+            rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)), integer, negative=True)
+        connected = {e.source_id for e in edges}
+        target = float(rng.uniform(0.3, 1.0)) * min(
+            sum(s.capturable for s in sources if s.id in connected),
+            sum(k.capacity for k in sinks))
+        if target > 0:
+            yield f"negative {trial}", integer, sources, sinks, edges, target
+
+
+def corridor_instance(rng, n_sources, n_sinks, integer=False, negative=False):
     """Nodes joined by random corridors instead of a raster: about a quarter
     of the pairs have no corridor, and on the larger scale flows pass the
     27 Mt/yr of the largest pipe.  Sources are listed out of id order.  With
     `integer`, amounts are ints and unit costs are ints from three values
-    each, so linear rates often tie."""
+    each, so linear rates often tie.  With `negative`, capture costs start at
+    -60 instead of 10, so most linear rates are negative."""
     scale = float(rng.choice([3e6, 9e7]))
 
     def amount():
@@ -1006,7 +1024,7 @@ def corridor_instance(rng, n_sources, n_sinks, integer=False):
         return int(rng.integers(lo, lo + 3)) if integer else float(rng.uniform(lo, hi))
 
     sources = [SourceNode(id=f"S{i:02d}", cell=i, capturable=amount(),
-                          eq_capture_cost=unit_cost(10, 80))
+                          eq_capture_cost=unit_cost(-60, 10) if negative else unit_cost(10, 80))
                for i in rng.permutation(n_sources)]
     sinks = [SinkNode(id=f"K{j}", cell=100 + j, capacity=amount(),
                       sequestration_cost=unit_cost(2, 12))
@@ -1174,6 +1192,50 @@ class TestSelectNetwork:
         assert max(p for p, _, _ in sizes) > 1
         assert sum(f for _, _, f in sizes) > 1000, sizes
 
+    def test_bounded_tight_codes_keep_the_least_band(self, monkeypatch):
+        """[PRIMARY] on every block-test instance and on corridor instances
+        with negative capture costs, at the default pass size and at 64 codes
+        a pass, `_tight_codes` bounded by the least total of any assignment
+        (that of `every_code_exact`), or by none found yet, still yields
+        every feasible tight code whose total is within 1e-9 of that least
+        total; the bound drops most of the others."""
+        kept = total = negative = 0
+        for trial, integer, sources, sinks, edges, target in itertools.chain(
+                block_instances(), negative_instances()):
+            inst = _make_instance(sources, sinks, edges, target, NetworkParams())
+            best = every_code_exact(inst)
+            if best is None:
+                continue
+            negative += best.total_cost < 0
+            codes = np.arange(math.prod(inst.radix.tolist()))
+            digit = codes // inst.stride[:, None] % inst.radix[:, None]
+            remaining, flow = inst.allocate(digit)
+            capture, pipeline, seq, _ = inst.cost(digit, flow)
+            tight = ((digit == 0) | (flow > 0)).all(axis=0) & (_shortfall(remaining) == 0)
+            band = codes[tight & ((capture + pipeline) + seq <= best.total_cost + 1e-9)]
+            assert band.size, f"trial {trial}"
+            for small, bound in itertools.product((False, True), (best.total_cost, math.inf)):
+                with monkeypatch.context() as patch:
+                    if small:
+                        small_passes(patch)
+                    found = np.concatenate(list(_tight_codes(inst, bound)))
+                assert np.isin(band, found).all(), f"trial {trial}, small passes {small}"
+                kept += found.size
+                total += tight.sum()
+        assert negative >= 10 and kept < total / 4, (negative, kept, total)
+
+    def test_exact_matches_oracle_with_negative_costs(self):
+        """[PRIMARY] where capture costs, and so linear rates and totals, are
+        negative, the exact search returns the product-order oracle's network,
+        or finds none where it does."""
+        for trial, integer, sources, sinks, edges, target in negative_instances():
+            oracle = product_order_oracle(sources, sinks, edges, target)
+            if oracle is None:
+                with pytest.raises(NetworkInfeasible, match="no assignment reaches"):
+                    solve_exact(sources, sinks, edges, target)
+            else:
+                assert solve_exact(sources, sinks, edges, target) == oracle[1], f"trial {trial}"
+
     def test_exact_search_in_several_passes(self):
         """[PRIMARY] 12 sources and 2 sinks, 3^12 = 531,441 codes, searched in
         several passes: the NetworkSolution of the enumeration of every code,
@@ -1229,6 +1291,20 @@ class TestSelectNetwork:
             ("S07", "K0", "0x1.2590e3792b649p+21"), ("S08", "K0", "0x1.e74c6fb317dd3p+20"),
             ("S09", "K1", "0x1.5cc63aa89e404p+21"), ("S10", "K1", "0x1.24a6a00dd920fp+21"),
             ("S11", "K1", "0x1.89911669776b1p+19")]
+
+    def test_exact_search_at_the_code_limit_runs_few_codes(self, monkeypatch):
+        """Of the 4.78 M tight assignments of the 12 x 3 stress instance, the
+        cost bound lets under 1% through the kernel."""
+        columns = []
+        allocate = network._Instance.allocate
+
+        def recording(inst, digit):
+            columns.append(digit.shape[1])
+            return allocate(inst, digit)
+
+        monkeypatch.setattr(network._Instance, "allocate", recording)
+        select_network(*stress_instance(12, 3))
+        assert 0 < sum(columns) < 0.01 * 4.78e6, columns
 
     @pytest.mark.parametrize("integer", [False, True])
     def test_evaluate_matches_scalar(self, integer):
@@ -1301,6 +1377,22 @@ class TestSelectNetwork:
         sol = solve_exact([src], sinks, edges, 1.0)
         assert [(r.source_id, r.sink_id) for r in sol.routes] == [("S", sink)]
         assert sol == product_order_oracle([src], sinks, edges, 1.0)[1]
+
+    def test_chain_of_near_ties_keeps_first_of_the_band(self):
+        """K2 costs 6e-10 less than K1 and K3 6e-10 less than K2: the least
+        total is K3's, and K2 is the first option within 1e-9 of it.  A chain
+        of replacements, each by more than 1e-9, would keep K1 over K2 and
+        then take K3."""
+        src = SourceNode(id="S", cell=0, capturable=1.0, eq_capture_cost=30.0)
+        sinks = [SinkNode(id=f"K{n}", cell=n, capacity=1.0, sequestration_cost=5.0 - delta)
+                 for n, delta in ((1, 0.0), (2, 6e-10), (3, 1.2e-9))]
+        edges = [CandidateEdge(source_id="S", sink_id=k.id, path=(0, k.cell),
+                               length_km=1.0, terrain_cost=1.0)
+                 for k in sinks]
+        sol = solve_exact([src], sinks, edges, 1.0)
+        assert [(r.source_id, r.sink_id) for r in sol.routes] == [("S", "K2")]
+        chain = product_order_oracle([src], sinks, edges, 1.0)[1]
+        assert [(r.source_id, r.sink_id) for r in chain.routes] == [("S", "K3")]
 
     def test_local_search_starts_at_cheapest_sink(self):
         """The greedy start sends each source to its cheapest linear-rate
