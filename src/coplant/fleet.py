@@ -171,15 +171,18 @@ def _failed(plant: PlantSite, exc: Exception) -> PlantResult:
 
 
 def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
-                 profiles_dir: str | Path,
-                 perturbations: tuple[tuple[str, float], ...] = ()) -> PlantResult:
+                 profiles_dir: str | Path, perturbations: tuple[tuple[str, float], ...] = (),
+                 basis: str | None = None) -> tuple[PlantResult, str | None]:
     """One site's whole job: its abatement in the scenario's own mode, its
     flexible/inflexible cost ratio, and in PlantResult.perturbed its
-    abatement under each (parameter, factor) of `perturbations`.
+    abatement under each (parameter, factor) of `perturbations`.  Returns
+    the PlantResult and the own mode's optimal basis (None on failure).
 
-    The profiles are read and the own-mode LP is built once and solved cold.
-    Every other solve starts from that optimal basis by primal simplex
-    (`lp.solve_lp`), which may stop at another optimal vertex than a cold
+    The profiles are read and the own-mode LP is built once and solved
+    from `basis`, another site's own-mode basis for the same template and
+    scenario, or cold when that is None.  Every other solve starts from
+    this site's own-mode basis.  A warm solve runs primal simplex
+    (`lp.solve_lp`) and may stop at another optimal vertex than a cold
     solve, with other capacities.  The other mode's LP has the same shape
     and differs in methanol synthesis's min-load coefficients
     (`dispatch.build_lp`); each perturbation re-prices the own-mode LP's
@@ -199,13 +202,13 @@ def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
         wind = load_profile(profiles_dir, plant.wind_profile_ref, scenario.horizon_hours)
         spec = _site_spec(template, scenario, plant, solar, wind)
         problem = dispatch.build_lp(spec, scenario)
-        start = lp.solve_lp(problem)
+        start = lp.solve_lp(problem, basis, keep_basis=True)
         sols = {own: dispatch.extract_solution(spec, scenario, start),
                 other: dispatch.extract_solution(spec, other_scenario, lp.solve_lp(
                     dispatch.build_lp(spec, other_scenario), start.basis))}
         abate = solution_abatement_cost(sols[own], spec, scenario, include_transport=False)
     except _PLANT_ERRORS as exc:  # must not sink the batch
-        return _failed(plant, exc)
+        return _failed(plant, exc), None
     capacity = plant.cement_demand_tph(scenario) * dispatch.HOURS_PER_YEAR
     perturbed = []
     for parameter, factor in perturbations:
@@ -224,7 +227,7 @@ def _solve_plant(template: SystemSpec, scenario: Scenario, plant: PlantSite,
         cement_capacity=capacity,
         flex_inflex_ratio=sols["flexible"].objective / sols["inflexible"].objective,
         perturbed=tuple(perturbed),
-    )
+    ), start.basis
 
 
 def _cost_capacity_curve(results: list[PlantResult]) -> list[tuple[float, float]]:
@@ -249,23 +252,29 @@ def _cost_capacity_curve(results: list[PlantResult]) -> list[tuple[float, float]
 def run_fleet(plants: list[PlantSite], template: SystemSpec, scenario: Scenario,
               profiles_dir: str | Path, workers: int = 1,
               sensitivity: bool = False) -> FleetResult:
-    """Optimize every site independently and sort the cost-capacity curve.
+    """Optimize every site and sort the cost-capacity curve.
 
     Results are keyed/ordered by plant id, so shuffling the input list does
     not change the output.  With `sensitivity`, each site's job also solves
-    the PERTURBATIONS and FleetResult.sensitivity holds their curves.  With
-    workers > 1, the jobs run in one process pool; the result order is still
-    by plant id.
+    the PERTURBATIONS and FleetResult.sensitivity holds their curves.  The
+    first plant by id runs first, in this process; every later plant's job
+    starts its own-mode solve from that plant's optimal basis, or cold when
+    the first plant failed.  With workers > 1 and more than one later
+    plant, the later jobs run in one process pool, each from the same
+    basis, so the results do not depend on scheduling.
     """
     perturbations = tuple(PERTURBATIONS.values()) if sensitivity else ()
     jobs = [(template, scenario, p, str(profiles_dir), perturbations)
             for p in sorted(plants, key=lambda p: p.id)]
-    if workers > 1 and len(jobs) > 1:
+    solved = [_solve_plant(*job) for job in jobs[:1]]
+    later = [(*job, solved[0][1]) for job in jobs[1:]]
+    if workers > 1 and len(later) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_plant, *zip(*jobs)))
+            solved += pool.map(_solve_plant, *zip(*later))
     else:
-        results = [_solve_plant(*job) for job in jobs]
+        solved += [_solve_plant(*job) for job in later]
+    results = [result for result, _ in solved]
     result = FleetResult(per_plant=results, curve=_cost_capacity_curve(results))
     if sensitivity:
         result.sensitivity = sensitivity_sweep(result)

@@ -5,32 +5,38 @@ the dispatch builder, the MPS exporter and the solver all speak it.
 Solving is delegated to scipy's HiGHS backend behind a stable interface;
 the test suite checks it against an independent vertex-enumeration oracle.
 
-Warm starts: an optimal solve returns HiGHS's final basis as the text of a
-HiGHS basis file (`LpSolution.basis`), and `solve_lp(problem, basis)` starts
-the simplex from such a text.  It is meant for a family of LPs of one shape
-that differ in a few coefficients, such as a capex perturbation that moves
-one cost entry.  A cost change leaves the old optimal basis primal feasible
-but not dual feasible, so a warm start runs primal simplex (HiGHS's
-`simplex_strategy` 4), which resumes from that basis; the default dual
-simplex would first have to win dual feasibility back.  `fleet` also starts
-one flexibility mode's LP from the other's basis, a change of matrix
-coefficients that may leave the basis primal infeasible.  Measured both
-ways on the reference plant and the benchmark's sites, it still took
-0-691 iterations against 1,400-1,732 cold at 48 h, and 1,679-3,253
-against 4,793-6,429 at 168 h.  A family that moves
-right-hand sides instead, such as `costing.sweep_stoichiometry`, keeps dual
-feasibility, yet dual simplex measured slower on it: warm-starting each of
-8 ratios of the 168 h reference plant from the previous ratio's basis, it
-took fewer iterations than primal (111-233 against 422-680) but more time
-(0.32-0.40 s per solve against 0.20-0.30 s).  No such family is
-warm-started today.  Cold solves keep HiGHS's default strategy.  The
-objective is the same as a cold solve's, but where the optimum is not
-unique the warm start may stop at a different optimal vertex, so `x` can
-differ.  The basis travels through scipy's `linprog` as
-HiGHS's own `read_basis_file` and `write_basis_file` options, in a
-temporary directory.  This was verified on scipy 1.17.1 with HiGHS 1.12;
-on a HiGHS that writes no basis file, `basis` stays None and every solve
-is cold.
+Warm starts: asked with `keep_basis`, an optimal solve returns HiGHS's
+final basis as the text of a HiGHS basis file (`LpSolution.basis`), and
+`solve_lp(problem, basis)` starts the simplex from such a text.  HiGHS
+writes the file only when asked: in a zero-iteration warm solve of the
+reference plant it took 1.2 of 11 ms at 48 h and 3.5 of 29 ms at 168 h.
+A warm start is meant for a family of LPs of one shape, such as a capex
+perturbation that moves one cost entry.  A cost change leaves the old
+optimal basis primal feasible but not dual feasible, so a warm start runs
+primal simplex (HiGHS's `simplex_strategy` 4), which resumes from that
+basis; the default dual simplex would first have to win dual feasibility
+back.  `fleet` also starts one flexibility mode's LP from the other's
+basis, a change of matrix coefficients that may leave the basis primal
+infeasible.  Measured both ways on the reference plant and the
+benchmark's sites, it still took 0-691 iterations against 1,400-1,732
+cold at 48 h, and 1,679-3,253 against 4,793-6,429 at 168 h.  `fleet`
+starts each later plant's own mode from the first plant's basis too:
+another site's profiles and demand move coefficients and right-hand
+sides, and on the benchmark's 48 h sites that took 554-1,042 iterations
+against 1,363-1,687 cold.  A family that moves right-hand sides only,
+such as `costing.sweep_stoichiometry`, keeps dual feasibility, yet dual
+simplex measured slower on it: warm-starting each of 8 ratios of the
+168 h reference plant from the previous ratio's basis, it took fewer
+iterations than primal (111-233 against 422-680) but more time
+(0.32-0.40 s per solve against 0.20-0.30 s), so the sweep solves cold.
+Cold solves keep HiGHS's default strategy.  The objective is the same as
+a cold solve's, but where the optimum is not unique the warm start may
+stop at a different optimal vertex, so `x` can differ.  The basis travels
+through scipy's `linprog` as HiGHS's own `read_basis_file` and
+`write_basis_file` options, in a temporary directory, made only when a
+basis is read or kept.  This was verified on scipy 1.17.1 with HiGHS
+1.12; on a HiGHS that writes no basis file, `basis` stays None and every
+solve is cold.
 
 `scipy.sparse` is imported by the first `matrix()` call and
 `scipy.optimize` on the first solve, not with this module, so commands
@@ -41,6 +47,7 @@ each solve: tests and the benchmark's tracer patch it to watch or stub HiGHS.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import tempfile
@@ -197,7 +204,7 @@ class LpSolution:
     iterations: int = 0             # HiGHS simplex or IPM iterations
     solver_status: int | None = None  # scipy linprog status code
     solver_message: str = ""        # HiGHS model status as linprog reports it
-    basis: str | None = None        # HiGHS basis-file text, when optimal
+    basis: str | None = None        # HiGHS basis-file text, when optimal and asked for
 
     def require_optimal(self) -> None:
         if self.status != "optimal":
@@ -242,15 +249,19 @@ def _check_highs_range(problem: LinearProgram, matrix: sparse.csr_matrix) -> Non
                                     f"a magnitude of {HIGHS_INFINITY:g} or more as infinite")
 
 
-def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
+def solve_lp(problem: LinearProgram, basis: str | None = None, *,
+             keep_basis: bool = False) -> LpSolution:
     """Minimize the problem; deterministic for a fixed input and basis.
 
     Returns a solution with status 'optimal', 'infeasible' or 'unbounded'.
     `basis` is a starting basis from an earlier `LpSolution.basis` of an LP
     of the same shape; from it HiGHS runs primal simplex, which suits LPs
-    that differ from the basis's LP in cost coefficients.  Raises
-    LpValidationError for malformed problems, magnitudes HiGHS misreads and
-    a basis of another shape, and LpSolverError for any other solver outcome.
+    that differ from the basis's LP in cost coefficients.  With
+    `keep_basis`, an optimal solution carries its final basis in
+    `LpSolution.basis`; otherwise that is None and HiGHS writes no basis
+    file.  Raises LpValidationError for malformed problems, magnitudes
+    HiGHS misreads and a basis of another shape, and LpSolverError for any
+    other solver outcome.
     """
     problem.validate()
     if basis is not None:
@@ -269,11 +280,13 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
     if eq.any():
         kwargs["A_eq"], kwargs["b_eq"] = matrix[eq], rhs[eq]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        final = Path(tmp, "final.bas")
-        options = {"primal_feasibility_tolerance": FEASIBILITY_TOL,
-                   "dual_feasibility_tolerance": FEASIBILITY_TOL,
-                   "write_basis_file": str(final)}
+    options = {"primal_feasibility_tolerance": FEASIBILITY_TOL,
+               "dual_feasibility_tolerance": FEASIBILITY_TOL}
+    files = basis is not None or keep_basis
+    with tempfile.TemporaryDirectory() if files else contextlib.nullcontext() as tmp:
+        if keep_basis:
+            final = Path(tmp, "final.bas")
+            options["write_basis_file"] = str(final)
         if basis is not None:
             start = Path(tmp, "start.bas")
             start.write_text(basis)
@@ -286,7 +299,8 @@ def solve_lp(problem: LinearProgram, basis: str | None = None) -> LpSolution:
                                     OptimizeWarning)
             res = linprog(problem.cost, bounds=np.column_stack([problem.lower, problem.upper]),
                           method="highs", options=options, **kwargs)
-        final_basis = final.read_text() if res.status == 0 and final.exists() else None
+        final_basis = (final.read_text() if keep_basis and res.status == 0 and final.exists()
+                       else None)
 
     if res.status not in (0, 2, 3):
         raise LpSolverError(f"LP solver failed (status {res.status}): {res.message}")

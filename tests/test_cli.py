@@ -331,7 +331,7 @@ def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
     """COPLANT_WORKERS reaches the one run_fleet call and its one pool of
     per-plant jobs, which also solve the perturbations."""
     from coplant import fleet
-    runs, pools = [], []
+    runs, pools, starts = [], [], []
     run_fleet = fleet.run_fleet
 
     def recording_run_fleet(plants, template, scenario, profiles_dir, workers=1,
@@ -354,12 +354,15 @@ def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
             pools.append((self.max_workers, len(jobs)))
             return [fn(*job) for job in jobs]
 
-    def fake_solve_plant(template, scenario, plant, profiles_dir, perturbations=()):
+    def fake_solve_plant(template, scenario, plant, profiles_dir, perturbations=(),
+                         basis=None):
         assert perturbations == tuple(fleet.PERTURBATIONS.values())
+        starts.append((plant.id, basis))
         moved = fleet.PlantResult(plant=plant, abatement=50.0, cement_capacity=1.0,
                                   flex_inflex_ratio=float("nan"))
         return fleet.PlantResult(plant=plant, abatement=50.0, cement_capacity=1.0,
-                                 flex_inflex_ratio=1.0, perturbed=(moved,) * 6)
+                                 flex_inflex_ratio=1.0, perturbed=(moved,) * 6), \
+            f"basis of {plant.id}"
 
     monkeypatch.setattr(fleet, "run_fleet", recording_run_fleet)
     monkeypatch.setattr(fleet, "_solve_plant", fake_solve_plant)
@@ -367,14 +370,15 @@ def test_fleet_sensitivity_uses_workers(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("COPLANT_WORKERS", "2")
     plants = tmp_path / "plants.csv"
     plants.write_text("id,lat,lon,clinker_tpd,solar_ref,wind_ref\n"
-                      "P1,30,110,4000,s1,w1\nP2,31,111,5000,s1,w1\n")
+                      "P1,30,110,4000,s1,w1\nP2,31,111,5000,s1,w1\nP3,32,112,6000,s1,w1\n")
     code = run(["fleet", "--spec", workspace / "system.cfg",
                 "--scenario", workspace / "scenario.cfg", "--plants", plants,
                 "--profiles", tmp_path, "--sensitivity", "-o", tmp_path / "out"])
     assert code == 0
     assert runs == [(2, True)]
-    # one job per plant, each with its 6 perturbed solves
+    # P1 first in this process; one pooled job for each later plant, from P1's basis
     assert pools == [(2, 2)]
+    assert starts == [("P1", None), ("P2", "basis of P1"), ("P3", "basis of P1")]
 
 
 def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monkeypatch):
@@ -384,9 +388,9 @@ def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monke
     calls = []
     solve_lp = lp.solve_lp
 
-    def counting(problem, basis=None):
+    def counting(problem, basis=None, *, keep_basis=False):
         calls.append(1)
-        return solve_lp(problem, basis)
+        return solve_lp(problem, basis, keep_basis=keep_basis)
 
     monkeypatch.setattr(lp, "solve_lp", counting)
     code = run(["fleet", "--spec", workspace / "system.cfg",
@@ -394,6 +398,29 @@ def test_fleet_sensitivity_solves_eight_lps_per_plant(workspace, tmp_path, monke
                 "--profiles", profiles, "--sensitivity", "-o", tmp_path / "out"])
     assert code == 0
     assert len(calls) == 8 * 2
+
+
+def test_only_fleet_own_mode_solves_keep_a_basis(workspace, tmp_path, monkeypatch):
+    """`solve` and `sweep` ask HiGHS for no basis file; a fleet asks for one
+    per plant, the basis its later solves start from."""
+    from coplant import lp
+    linprog = lp.linprog
+    written = []
+
+    def recording(*args, options, **kwargs):
+        written.append("write_basis_file" in options)
+        return linprog(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", recording)
+    config = ["--spec", workspace / "system.cfg", "--scenario", workspace / "scenario.cfg"]
+    assert run(["solve", *config, "-o", tmp_path / "solve"]) == 0
+    assert run(["sweep", *config, "--x", "2.77,9.76", "-o", tmp_path / "sweep"]) == 0
+    assert written == [False] * 3
+    written.clear()
+    plants, profiles = write_fleet_inputs(tmp_path, 3)
+    assert run(["fleet", *config, "--plants", plants, "--profiles", profiles,
+                "--sensitivity", "-o", tmp_path / "fleet"]) == 0
+    assert written == ([True] + [False] * 7) * 3
 
 
 def test_fleet_sensitivity_builds_at_most_two_lps_per_plant(workspace, tmp_path,

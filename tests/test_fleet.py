@@ -16,6 +16,7 @@ from coplant.fleet import (
 )
 
 HORIZON = 24
+SOLVE_LP = lp.solve_lp
 
 
 @pytest.fixture(scope="module")
@@ -270,13 +271,13 @@ class TestRunFleet:
 
 @pytest.fixture(scope="module")
 def reference_plants(tmp_path_factory):
-    """48 h reference plants P176-P178, each on the profiles of
+    """48 h reference plants P176-P179, each on the profiles of
     `reference_system(seed=...)`, written so that they read back exactly.
     Seeds 176 and 178 run methanol synthesis flat when flexible; 177 does not."""
     profiles = tmp_path_factory.mktemp("reference_profiles")
     scenario = reference.netzero_scenario(horizon=48)
     plants = {}
-    for seed in (176, 177, 178):
+    for seed in (176, 177, 178, 179):
         solar, wind = (r.profile for r in
                        reference.reference_system(scenario, seed=seed).renewables)
         for ref, values in ((f"s{seed}", solar), (f"w{seed}", wind)):
@@ -318,7 +319,8 @@ class TestFlexRatio:
     @pytest.mark.parametrize("seed", [176, 177])
     def test_solves_per_plant(self, reference_plants, monkeypatch, seed, own):
         """Each plant builds both modes' LPs, its own mode first, solves its
-        own mode cold and the other from the own mode's optimal basis."""
+        own mode cold (the plant is the first of its fleet), keeping the
+        basis, and the other from the own mode's optimal basis."""
         profiles, scenario, plants = reference_plants
         scenario = dataclasses.replace(scenario, flexibility_mode=own)
         modes, solves = [], []
@@ -328,9 +330,9 @@ class TestFlexRatio:
             modes.append(scenario.flexibility_mode)
             return build_lp(spec, scenario)
 
-        def counting(problem, basis=None):
-            res = solve_lp(problem, basis)
-            solves.append((basis, res.basis))
+        def counting(problem, basis=None, *, keep_basis=False):
+            res = solve_lp(problem, basis, keep_basis=keep_basis)
+            solves.append((basis, keep_basis, res.basis))
             return res
 
         monkeypatch.setattr(dispatch, "build_lp", recording)
@@ -340,18 +342,35 @@ class TestFlexRatio:
         assert result.per_plant[0].error is None
         other = "inflexible" if own == "flexible" else "flexible"
         assert modes == [own, other]
-        (cold, own_basis), (warm, _) = solves
+        (cold, kept, own_basis), (warm, warm_kept, _) = solves
         assert [cold, warm] == [None, own_basis]
+        assert [kept, warm_kept] == [True, False]
 
 
 def two_plants():
+    return fleet_plants(2)
+
+
+def fleet_plants(n):
+    """Plants P0..P<n-1> of the 24 h fleet environment."""
     return [
         PlantSite(id=f"P{i}", latitude=30, longitude=110 + i,
                   clinker_capacity=3000 + 500 * i,
                   solar_profile_ref=["s1", "s2"][i % 2],
                   wind_profile_ref=["w1", "w2"][i % 2])
-        for i in range(2)
+        for i in range(n)
     ]
+
+
+def recording_solves(monkeypatch, calls, cold=False):
+    """Patch `lp.solve_lp` to append (basis, keep_basis, solution) for each
+    solve to `calls`; with `cold`, the solve ignores the basis."""
+    def recording(problem, basis=None, *, keep_basis=False):
+        res = SOLVE_LP(problem, None if cold else basis, keep_basis=keep_basis)
+        calls.append((basis, keep_basis, res))
+        return res
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
 
 
 class TestSensitivity:
@@ -384,7 +403,7 @@ class TestSensitivity:
         plant = PlantSite(id="P", latitude=30, longitude=110,
                           clinker_capacity=4000, solar_profile_ref="s1",
                           wind_profile_ref="w1")
-        result = fleet._solve_plant(
+        result, _ = fleet._solve_plant(
             template, scenario, plant, profiles,
             perturbations=tuple((p, 1.0) for p in fleet.SENSITIVITY_PARAMETERS))
         assert len(result.perturbed) == 3
@@ -429,16 +448,17 @@ class TestSensitivity:
         def failing(at):
             warm = []
 
-            def solve(problem, basis=None):
+            def solve(problem, basis=None, *, keep_basis=False):
                 if basis is not None:
                     warm.append(1)
                     if len(warm) - 1 in at:
                         return lp.LpSolution(status="infeasible")
-                return solve_lp(problem, basis)
+                return solve_lp(problem, basis, keep_basis=keep_basis)
             return solve
 
-        # serial jobs in id order, seven warm-started solves each (the other
-        # mode, then the six perturbations): P0's wind +20%
+        # serial jobs in id order: P0's own mode cold, then seven warm-started
+        # solves (the other mode, then the six perturbations); P1's own mode
+        # starts from P0's basis too, so P1 has eight.  3 is P0's wind +20%
         monkeypatch.setattr(lp, "solve_lp", failing({3}))
         with caplog.at_level("WARNING", logger="coplant.fleet"):
             result = run_fleet(plants, template, scenario, profiles, sensitivity=True)
@@ -451,47 +471,84 @@ class TestSensitivity:
                 assert caps == [capacity["P1"]]
             else:
                 assert caps[-1] == pytest.approx(sum(capacity.values()), rel=1e-12)
-        monkeypatch.setattr(lp, "solve_lp", failing({3, 10}))
+        monkeypatch.setattr(lp, "solve_lp", failing({3, 11}))    # and P1's
         with pytest.raises(FleetFailedError):
             run_fleet(plants, template, scenario, profiles, sensitivity=True)
 
     def test_workers_match_serial(self, fleet_env):
+        """Plants P1-P3 run in the pool, each from P0's basis."""
         _, profiles, scenario, template = fleet_env
-        plants = two_plants()
+        plants = fleet_plants(4)
         serial = run_fleet(plants, template, scenario, profiles, sensitivity=True)
         pooled = run_fleet(plants, template, scenario, profiles, workers=2,
                            sensitivity=True)
         assert pooled.sensitivity == serial.sensitivity
         assert pooled.curve == serial.curve
+        assert [(r.abatement, r.flex_inflex_ratio) for r in pooled.per_plant] == \
+            [(r.abatement, r.flex_inflex_ratio) for r in serial.per_plant]
 
-    def test_without_bases_matches_warm_start(self, fleet_env, monkeypatch):
-        """The other-mode and perturbed solves start from their plant's own-mode
-        optimal basis.  Cold solves give the same curves as the warm-started ones."""
+    def test_without_bases_matches_warm_start(self, fleet_env, reference_plants,
+                                              monkeypatch):
+        """The first plant by id solves its own mode cold.  Every later
+        plant's own mode starts from that plant's optimal basis, and each
+        plant's other mode and six perturbations from its own.  Solves that
+        ignore every basis give each plant the same own-mode objective, flex
+        ratio and abatements, in both flexibility modes."""
         _, profiles, scenario, template = fleet_env
-        plants = two_plants()
+        reference_profiles, reference_scenario, reference_sites = reference_plants
+        fleets = [(two_plants(), template, scenario, profiles),
+                  ([dataclasses.replace(p, clinker_capacity=3000.0 + 1500 * i)
+                    for i, p in enumerate(reference_sites.values())],
+                   reference.reference_system(reference_scenario), reference_scenario,
+                   reference_profiles)]
+        for plants, template, scenario, profiles in fleets:
+            for mode in ("flexible", "inflexible"):
+                scenario = dataclasses.replace(scenario, flexibility_mode=mode)
+                runs = {}
+                for cold in (False, True):
+                    calls = runs[cold] = []
+                    recording_solves(monkeypatch, calls, cold)
+                    runs[cold, "result"] = run_fleet(plants, template, scenario, profiles,
+                                                     sensitivity=True)
+                warm = runs[False]
+                first = warm[0][2].basis
+                if first is None:
+                    pytest.skip("this HiGHS writes no basis file")
+                assert len(warm) == len(runs[True]) == 8 * len(plants)
+                for i in range(0, len(warm), 8):
+                    own = warm[i][2].basis
+                    assert [(basis, keep) for basis, keep, _ in warm[i:i + 8]] == \
+                        [(None if i == 0 else first, True)] + [(own, False)] * 7
+                for (_, _, w), (_, _, c) in zip(warm, runs[True]):
+                    assert w.objective == pytest.approx(c.objective, rel=1e-9)
+                for w, c in zip(runs[False, "result"].per_plant, runs[True, "result"].per_plant):
+                    assert w.error is c.error is None
+                    assert w.flex_inflex_ratio == pytest.approx(c.flex_inflex_ratio, rel=1e-9)
+                    assert [r.abatement for r in (w, *w.perturbed)] == pytest.approx(
+                        [r.abatement for r in (c, *c.perturbed)], rel=1e-9)
+
+    def test_failed_first_plant_leaves_the_others_cold(self, fleet_env, monkeypatch):
+        """When the first plant by id fails, every other plant solves its own
+        mode cold, and their results are those of a fleet without it."""
+        _, profiles, scenario, template = fleet_env
+        plants = fleet_plants(3)
+        missing = PlantSite(id="A", latitude=30, longitude=110, clinker_capacity=4000,
+                            solar_profile_ref="nope", wind_profile_ref="w1")
         calls = []
-        solve_lp = lp.solve_lp
-
-        def recording(problem, basis=None):
-            res = solve_lp(problem, basis)
-            calls.append((basis, res.basis))
-            return res
-
-        monkeypatch.setattr(lp, "solve_lp", recording)
-        warm = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
-        if calls[0][1] is None:
-            pytest.skip("this HiGHS writes no basis file")
-        starts = [basis for basis, _ in calls]
-        assert len(calls) == 8 * len(plants)
-        for i in range(0, len(calls), 8):
-            # a plant's own mode cold, then its other mode and six perturbations
-            assert starts[i:i + 8] == [None] + [calls[i][1]] * 7
-
-        monkeypatch.setattr(lp, "solve_lp", lambda problem, basis=None: solve_lp(problem))
-        cold = run_fleet(plants, template, scenario, profiles, sensitivity=True).sensitivity
-        assert warm.keys() == cold.keys()
-        for label, curve in warm.items():
-            np.testing.assert_allclose(curve, cold[label], rtol=1e-9)
+        recording_solves(monkeypatch, calls)
+        result = run_fleet([missing, *plants], template, scenario, profiles,
+                           sensitivity=True)
+        assert [basis for basis, keep, _ in calls if keep] == [None] * len(plants)
+        assert result.per_plant[0].error.startswith("FileNotFoundError")
+        without = run_fleet(plants, template, scenario, profiles, sensitivity=True)
+        for r, w in zip(result.per_plant[1:], without.per_plant, strict=True):
+            assert r.error is w.error is None
+            assert r.flex_inflex_ratio == pytest.approx(w.flex_inflex_ratio, rel=1e-9)
+            assert [m.abatement for m in (r, *r.perturbed)] == pytest.approx(
+                [m.abatement for m in (w, *w.perturbed)], rel=1e-9)
+        for label, curve in result.sensitivity.items():
+            np.testing.assert_allclose(curve, without.sensitivity[label], rtol=1e-9)
+        np.testing.assert_allclose(result.curve, without.curve, rtol=1e-9)
 
     def test_repriced_lp_matches_fresh_build(self, reference_plants):
         """Re-pricing one built LP through all six perturbations in turn gives

@@ -316,7 +316,7 @@ def netzero48_lp():
     scenario = reference.netzero_scenario(horizon=48)
     spec = reference.reference_system(scenario)
     lp = build_lp(spec, scenario)
-    return spec, scenario, solve_lp(lp)
+    return spec, scenario, solve_lp(lp, keep_basis=True)
 
 
 @pytest.mark.parametrize("factor", [0.8, 1.2])
@@ -330,7 +330,7 @@ def test_warm_start_matches_cold_on_capex_perturbations(netzero48_lp, parameter,
     spec, scenario, base = netzero48_lp
     lp = build_lp(_perturbed(spec, parameter, factor), scenario)
     cold = solve_lp(lp)
-    warm = solve_lp(lp, base.basis)
+    warm = solve_lp(lp, base.basis, keep_basis=True)
     assert cold.status == warm.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
     if base.basis is not None:
@@ -354,7 +354,7 @@ def test_warm_start_runs_primal_simplex(monkeypatch):
     lp = LinearProgram()
     lp.add_columns(2, cost=[1.0, 2.0])
     lp.add_rows(GE, [1.0], [(0, [0, 1], 1.0)])
-    base = solve_lp(lp)
+    base = solve_lp(lp, keep_basis=True)
     if base.basis is None:
         pytest.skip("this HiGHS writes no basis file")
     lp.cost = np.array([3.0, 2.0])
@@ -387,9 +387,52 @@ def test_warm_start_keeps_infeasible_and_unbounded_status():
         lp.add_rows(sense, rhs, [([0, 1], 0, 1.0)])
         return lp
 
-    base = solve_lp(one_column(1.0, [GE, LE], [1.0, 5.0]))
+    base = solve_lp(one_column(1.0, [GE, LE], [1.0, 5.0]), keep_basis=True)
     assert base.status == "optimal"
-    infeasible = solve_lp(one_column(1.0, [GE, LE], [6.0, 5.0]), base.basis)
+    infeasible = solve_lp(one_column(1.0, [GE, LE], [6.0, 5.0]), base.basis, keep_basis=True)
     assert infeasible.status == "infeasible" and infeasible.basis is None
-    unbounded = solve_lp(one_column(-1.0, [GE, GE], [1.0, 0.0]), base.basis)
+    unbounded = solve_lp(one_column(-1.0, [GE, GE], [1.0, 0.0]), base.basis,
+                         keep_basis=True)
     assert unbounded.status == "unbounded" and unbounded.basis is None
+
+
+def test_basis_only_on_request(monkeypatch, tmp_path):
+    """HiGHS writes a basis file, and the solve makes a temporary directory,
+    only when the solve keeps the basis or starts from one."""
+    import tempfile
+
+    from coplant import lp as lp_module
+    calls = []
+    linprog, temporary = lp_module.linprog, tempfile.TemporaryDirectory
+
+    def recording(*args, options, **kwargs):
+        calls.append(("linprog", options))
+        return linprog(*args, options=options, **kwargs)
+
+    def directory(*args, **kwargs):
+        calls.append(("directory", None))
+        return temporary(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "linprog", recording)
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", directory)
+    lp = LinearProgram()
+    lp.add_columns(2, cost=[1.0, 2.0])
+    lp.add_rows(GE, [1.0], [(0, [0, 1], 1.0)])
+    plain = solve_lp(lp)
+    assert plain.status == "optimal" and plain.basis is None
+    assert [kind for kind, _ in calls] == ["linprog"]
+    assert not {"write_basis_file", "read_basis_file"} & calls[0][1].keys()
+
+    calls.clear()
+    kept = solve_lp(lp, keep_basis=True)
+    assert [kind for kind, _ in calls] == ["directory", "linprog"]
+    assert "write_basis_file" in calls[1][1] and "read_basis_file" not in calls[1][1]
+    if kept.basis is None:
+        pytest.skip("this HiGHS writes no basis file")
+    assert kept.basis.startswith("HiGHS_basis_file")
+
+    calls.clear()
+    warm = solve_lp(lp, kept.basis)
+    assert warm.objective == plain.objective and warm.basis is None
+    assert [kind for kind, _ in calls] == ["directory", "linprog"]
+    assert "read_basis_file" in calls[1][1] and "write_basis_file" not in calls[1][1]
