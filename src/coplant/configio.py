@@ -40,9 +40,11 @@ class ConfigError(CoplantError, ValueError):
 def read_text(path: str | Path, error: type[CoplantError] = ConfigError,
               newline: str | None = None) -> str:
     """The text of a UTF-8 file, its line ends translated as `open` does with
-    `newline`; other bytes raise `error` naming the file."""
+    `newline`; other bytes raise `error` naming the file.  A byte order mark
+    at the start, as Excel's "CSV UTF-8" writes, is dropped; one anywhere
+    else is text."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None

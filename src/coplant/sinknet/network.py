@@ -195,29 +195,29 @@ class _Instance:
         flow = np.zeros(digit.shape)
         for _, i, j, k in self.pairs:
             f = np.minimum(np.minimum(self.capturable[i], room[k]), remaining)
-            f = np.where((digit[i] == j) & (remaining > 1e-12) & (f > 0), f, 0.0)
+            f *= (digit[i] == j) & (remaining > 1e-12)
             room[k] -= f
             remaining -= f
             flow[i] += f
         return remaining, flow
 
     def cost(self, digit: np.ndarray, flow: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Capture, pipeline and sequestration cost per assignment, summed
-        source by source in id order, and pipeline cost per (source, assignment).
+        """Capture, pipeline and sequestration cost per assignment, and
+        pipeline cost per (source, assignment).
 
+        Each total is np.cumsum over sources from a prepended zero row: the
+        sources' terms added one by one in id order, starting from +0.0.
         A pipe is the smallest class that carries the flow, or parallel pipes
         of the largest class."""
-        classes = self.params.classes
-        annual_factor = self.params.annual_factor
-        cost_capture, cost_pipeline, cost_seq = (np.zeros(digit.shape[1]) for _ in range(3))
-        pipe = np.zeros(flow.shape)
-        for i, (f, d) in enumerate(zip(flow, digit)):
-            shipped = f > 0
-            pipe[i] = np.where(shipped, _capex_km(f, classes) * self.terrain[i, d] * annual_factor,
-                               0.0)
-            cost_capture += np.where(shipped, self.capture[i] * f, 0.0)
-            cost_pipeline += pipe[i]
-            cost_seq += np.where(shipped, self.seq[i, d] * f, 0.0)
+        rows = np.arange(len(digit))[:, None]
+        shipped = flow > 0
+        pipe = np.where(shipped, _capex_km(flow, self.params.classes) * self.terrain[rows, digit]
+                        * self.params.annual_factor, 0.0)
+        capture = np.where(shipped, self.capture[:, None] * flow, 0.0)
+        seq = np.where(shipped, self.seq[rows, digit] * flow, 0.0)
+        zero = np.zeros((1, digit.shape[1]))
+        cost_capture, cost_pipeline, cost_seq = (
+            np.cumsum(np.concatenate((zero, term)), axis=0)[-1] for term in (capture, pipe, seq))
         return cost_capture, cost_pipeline, cost_seq, pipe
 
     def evaluate(self, assignment: dict[str, str | None]) -> tuple[float, NetworkSolution] | None:
@@ -453,7 +453,7 @@ def _solve_local(inst: _Instance) -> tuple[float, NetworkSolution]:
         digit[rows, np.arange(1, options.size + 1)] = options
         remaining, flow = inst.allocate(digit)
         capture, pipeline, seq, _ = inst.cost(digit, flow)
-        keys = list(zip(_shortfall(remaining), (capture + pipeline) + seq))
+        keys = list(zip(_shortfall(remaining).tolist(), ((capture + pipeline) + seq).tolist()))
         pick = 0
         for h in range(1, len(keys)):
             if _replaces(keys[h], keys[pick]):

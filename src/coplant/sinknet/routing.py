@@ -3,7 +3,9 @@
 8-neighbor movement; stepping between adjacent cells costs the mean of the
 two cell multipliers times the cell size (times sqrt(2) on diagonals).
 Nodata cells are hard barriers; zero-cost cells are ordinary, free steps.
-The surface becomes one symmetric sparse graph, and scipy's Dijkstra
+The surface becomes one symmetric sparse graph of eight slots per cell, a
+slot with no step being a zero-weight loop that no search relaxes and that
+could lower no distance if one did (`_cost_graph`), and scipy's Dijkstra
 searches it once from each sink (the target end of a corridor): in that
 search's predecessor tree each cell's predecessor is its next hop toward
 the sink, so a corridor is walked from the source with no reversal.  All
@@ -59,26 +61,30 @@ _STEPS = ((np.s_[:, :-1], np.s_[:, 1:], 1.0, 4, 3),
 
 
 def _cost_graph(surface: CostSurface) -> csr_array:
-    """Directed 8-neighbour step graph of the surface, its CSR arrays written
-    directly; nodata cells have no edges.  Zero-cost steps stay explicit
-    edges (the routing tests pin it)."""
+    """Directed 8-neighbour step graph of the surface: a CSR with exactly
+    eight slots per cell, NW to SE, its weight and head arrays raveled into
+    it.  A slot with no step (off the raster, or either cell nodata) is a
+    zero-weight loop on its own cell.  scipy's Dijkstra marks a cell scanned
+    before it relaxes the cell's edges, so it never relaxes a loop, and
+    `val + 0` would not lower `val` anyway: every search makes the heap
+    operations of the graph without the loops, ties included.  Zero-cost
+    steps stay explicit edges (the routing tests pin it).  Nodata cells
+    enter the step sums as 0, so no nodata value, however large, overflows."""
     from scipy.sparse import csr_array
-    cells, open_, n, ncols = surface.cells, ~surface.is_nodata, surface.n_cells, surface.ncols
+    open_, n = ~surface.is_nodata, surface.n_cells
+    cells = np.where(open_, surface.cells, 0.0)
     index = np.int32 if 8 * n < 2**31 else np.int64     # scipy takes int32 where it fits
-    has = np.zeros((*cells.shape, 8), dtype=bool)
-    weight = np.empty((*cells.shape, 8))
-    degree = np.zeros(cells.shape, dtype=index)
+    cell = np.arange(n, dtype=index).reshape(cells.shape)
+    heads = np.repeat(cell[..., None], 8, axis=2)
+    weight = np.zeros((*cells.shape, 8))
     for a, b, diag, out, back in _STEPS:
         keep = open_[a] & open_[b]
-        has[(*a, out)] = has[(*b, back)] = keep
-        degree[a] += keep
-        degree[b] += keep
-        weight[(*a, out)] = weight[(*b, back)] = (
-            0.5 * (cells[a] + cells[b]) * surface.cell_size * diag)
-    offsets = np.array([-ncols - 1, -ncols, 1 - ncols, -1, 1, ncols - 1, ncols, ncols + 1], index)
-    indptr = np.concatenate(([0], np.cumsum(degree))).astype(index)
-    heads = (np.arange(n, dtype=index).reshape(*cells.shape, 1) + offsets)[has]
-    return csr_array((weight[has], heads, indptr), shape=(n, n))
+        weight[(*a, out)] = weight[(*b, back)] = np.where(
+            keep, 0.5 * (cells[a] + cells[b]) * surface.cell_size * diag, 0.0)
+        heads[(*a, out)] = np.where(keep, cell[b], cell[a])
+        heads[(*b, back)] = np.where(keep, cell[a], cell[b])
+    indptr = np.arange(0, 8 * n + 1, 8, dtype=index)
+    return csr_array((weight.ravel(), heads.ravel(), indptr), shape=(n, n))
 
 
 def dijkstra(*args, **kwargs):

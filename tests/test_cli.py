@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -475,6 +476,63 @@ def test_solve_mps_builds_lp_once(workspace, tmp_path, monkeypatch):
     assert len(built) == 1
     assert mps.read_text().startswith("NAME")
     assert (tmp_path / "out" / "solution.json").exists()
+
+
+BOM = "\ufeff".encode()
+
+
+def bom_inputs(workspace, saved_solution, root):
+    """A copy of the workspace's inputs under root, with a one-plant fleet's
+    plants and profiles and the saved solution, and the argv, bar `-o`, of
+    each command that reads them."""
+    shutil.copytree(workspace, root)
+    plants, profiles = write_fleet_inputs(root, 1)
+    solution = root / "solution.json"
+    shutil.copyfile(saved_solution, solution)
+    plant = ["--spec", root / "system.cfg", "--scenario", root / "scenario.cfg"]
+    return {"solve": ["solve", *plant],
+            "fleet": ["fleet", *plant, "--plants", plants, "--profiles", profiles],
+            "netopt": ["netopt", "--surface", root / "cost.asc", "--sources",
+                       root / "sources.csv", "--sinks", root / "sinks.csv", "--target", "2.5e6"],
+            "report": ["report", *plant, "--solution", solution]}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("solve", "scenario.cfg"), ("solve", "system.cfg"), ("fleet", "plants.csv"),
+    ("fleet", "profiles/s1.csv"), ("netopt", "sources.csv"), ("netopt", "sinks.csv"),
+    ("netopt", "cost.asc"), ("report", "solution.json")])
+def test_leading_byte_order_mark_is_dropped(workspace, saved_solution, tmp_path, command, name):
+    """Every reader of an outside file takes a UTF-8 byte order mark at its
+    start, as Excel's "CSV UTF-8" writes, and writes the files it writes
+    without one."""
+    argv = bom_inputs(workspace, saved_solution, tmp_path / "in")[command]
+    assert run([*argv, "-o", tmp_path / "plain"]) == 0
+    path = tmp_path / "in" / name
+    path.write_bytes(BOM + path.read_bytes())
+    assert run([*argv, "-o", tmp_path / "bom"]) == 0
+    written = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "bom").iterdir())
+    for file in written:
+        assert (tmp_path / "plain" / file).read_bytes() == \
+            (tmp_path / "bom" / file).read_bytes(), file
+
+
+@pytest.mark.parametrize("command, name, line, message", [
+    ("netopt", "sources.csv", 0, "sources.csv:2: bad source row: 'id'"),
+    ("netopt", "cost.asc", 1, "missing header key NROWS"),
+    ("solve", "scenario.cfg", 1, "missing required key 'stoichiometry_x'")])
+def test_byte_order_mark_past_the_start_is_text(workspace, saved_solution, tmp_path, capsys,
+                                                command, name, line, message):
+    """A byte order mark after the first one, or at the start of a later
+    line, is text, and here makes a bad header or key."""
+    argv = bom_inputs(workspace, saved_solution, tmp_path / "in")[command]
+    path = tmp_path / "in" / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line] = BOM * (line == 0) + BOM + lines[line]
+    path.write_bytes(b"".join(lines))
+    assert run([*argv, "-o", tmp_path / "x"]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 class TestExitCodes:

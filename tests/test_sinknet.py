@@ -21,6 +21,8 @@ from coplant.sinknet.network import (
     NetworkParams,
     NetworkSolution,
     RouteFlow,
+    _greedy_start,
+    _Instance,
     _make_instance,
     _replaces,
     _shortfall,
@@ -492,6 +494,14 @@ def coo_cost_graph(surface):
                      shape=(surface.n_cells, surface.n_cells))
 
 
+def graph_surfaces():
+    """The rasters of the step-graph tests: the surfaces of
+    `walled_instance` seeds 0-5, then one cell, one row, a column cut by a
+    nodata cell and a 2 x 2 block of free cells."""
+    return [walled_instance(seed)[0] for seed in range(6)] + [make_surface(cells) for cells in (
+        [[2.0]], [[1.0, 0.0, 3.0]], [[1.0], [-9999.0], [2.0], [0.5]], np.zeros((2, 2)))]
+
+
 def walled_instance(seed, n=28):
     """A random surface of `n` x `n` cells: multipliers in [0.5, 5] with one
     cell in five free, a block of free cells, short random walls and a
@@ -635,18 +645,50 @@ class TestCandidates:
         assert build_candidates(*instances[0])[1].unreachable_sinks == ["K0"]
 
     def test_cost_graph_matches_coo_build(self):
-        """The directly written CSR graph has the arrays a COO build gives,
-        index dtypes and weight bits included: on walled rasters with free
-        cells, and on one cell, one row and one column."""
-        surfaces = [walled_instance(seed)[0] for seed in range(6)]
-        surfaces += [make_surface(cells) for cells in (
-            [[2.0]], [[1.0, 0.0, 3.0]], [[1.0], [-9999.0], [2.0], [0.5]], np.zeros((2, 2)))]
-        for surface in surfaces:
+        """The step graph has exactly eight entries per cell; its loops all
+        weigh +0.0, and with them dropped its arrays are those a COO build
+        gives, index dtypes and weight bits included: on walled rasters with
+        free cells, and on one cell, one row and one column."""
+        for surface in graph_surfaces():
             graph, coo = routing._cost_graph(surface), coo_cost_graph(surface)
-            for name in ("indptr", "indices", "data"):
-                built, expected = getattr(graph, name), getattr(coo, name)
+            assert (np.diff(graph.indptr) == 8).all()
+            tails = np.repeat(np.arange(surface.n_cells), 8)
+            loop = graph.indices == tails
+            assert graph.data[loop].tobytes() == np.zeros(loop.sum()).tobytes()
+            indptr = np.concatenate(([0], np.cumsum((~loop).reshape(-1, 8).sum(axis=1))))
+            dropped = {"indptr": indptr.astype(graph.indptr.dtype),
+                       "indices": graph.indices[~loop], "data": graph.data[~loop]}
+            for name, built in dropped.items():
+                expected = getattr(coo, name)
                 assert built.dtype == expected.dtype
                 assert built.tobytes() == expected.tobytes()
+
+    def test_searches_match_coo_build(self):
+        """[PRIMARY] A search over the step graph, loops and all, gives the
+        distances and predecessors, to the bit, of the same search over the
+        COO build without loops: from every sink of the walled and one-row
+        instances and from every cell of the small rasters, unlimited and
+        limited to several fractions of the farthest distance and to the
+        exact distance of a reached cell."""
+        starts = [(surface, [k.cell for k in sinks]) for surface, _, sinks in
+                  [walled_instance(seed) for seed in range(6)]
+                  + [tight_row_instance(seed) for seed in range(8)]]
+        starts += [(surface, range(surface.n_cells)) for surface in graph_surfaces()[6:]]
+        limited = 0
+        for surface, cells in starts:
+            graph, coo = routing._cost_graph(surface), coo_cost_graph(surface)
+            for cell in cells:
+                full = dijkstra(coo, indices=cell)
+                reached = np.sort(full[np.isfinite(full)])
+                for limit in (np.inf, *(f * reached[-1] for f in (0.0, 0.3, 0.7)),
+                              reached[len(reached) // 2]):
+                    got = dijkstra(graph, indices=cell, return_predecessors=True, limit=limit)
+                    want = dijkstra(coo, indices=cell, return_predecessors=True, limit=limit)
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes(), (cell, limit)
+                    cut = np.isinf(want[0]).sum() > np.isinf(full).sum()
+                    limited += bool(np.isfinite(limit) and cut)
+        assert limited >= 50
 
     def test_accepted_limits_pass_the_farthest_source(self, monkeypatch):
         """Every limited search whose result stands was limited to at least
@@ -748,6 +790,21 @@ class TestCandidates:
         assert all(math.isfinite(limit) for _, limit in searches if limit is not None)
         assert found[0][0].terrain_cost == pytest.approx(11 * MAX_MAGNITUDE ** 2, rel=1e-15)
 
+    @pytest.mark.parametrize("nodata", [np.finfo(float).max, -np.finfo(float).max])
+    def test_largest_nodata_value_raises_no_warning(self, nodata):
+        """Adjacent nodata cells whose value would overflow any sum give no
+        RuntimeWarning, and the corridors are those of `candidates_oracle`."""
+        cells = np.ones((3, 4))
+        cells[0, 1:3] = cells[1, 1:3] = nodata
+        surface = make_surface(cells, nodata=nodata)
+        sources = [SourceNode(id="S", cell=0, capturable=10, eq_capture_cost=30)]
+        sinks = [SinkNode(id="K", cell=3, capacity=10, sequestration_cost=5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = build_candidates(surface, sources, sinks)
+        assert found == candidates_oracle(surface, sources, sinks)
+        assert found[0][0].path == (0, 4, 9, 10, 7, 3)
+
     @pytest.mark.parametrize("make, message", [
         (lambda v: SourceNode("S", 0, v, 1.0), "source capturable"),
         (lambda v: SourceNode("S", 0, 1.0, -v), "source capture_cost"),
@@ -837,12 +894,14 @@ class TestConversions:
 
 # ------------------------------------------------------------------ network
 
-def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
-    """Reference allocation and cost of one assignment (source id -> sink id
-    or None), one source at a time: sources with a sink take flow in
+def scalar_column(sources, sinks, edges, target, assignment, params=None):
+    """Reference allocation and costing of one assignment (source id -> sink
+    id or None), one source at a time: sources with a sink take flow in
     ascending linear rate (capture + sequestration), ties to the lower id,
-    each min(capturable, sink room, remaining); then each shipping source
-    adds its capture, pipeline and sequestration cost in id order.  None if more than 1e-6 of the target is left."""
+    each min(capturable, sink room, remaining) while more than 1e-12 remains;
+    then each shipping source adds its capture, pipeline and sequestration
+    cost in id order.  Returns (remaining target, flow and pipe cost per
+    shipping source id, (capture, pipeline, sequestration) totals)."""
     params = params or NetworkParams()
     src = {s.id: s for s in sources}
     snk = {k.id: k for k in sinks}
@@ -866,23 +925,35 @@ def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
         flows[s] = f
         sink_room[k] -= f
         remaining -= f
-    if remaining > 1e-6:
-        return None
 
     cost_capture = cost_pipeline = cost_seq = 0.0
-    routes = []
+    pipes = {}
     for s, f in sorted(flows.items()):
         k = assignment[s]
-        edge = edge_of[(s, k)]
-        cls, count, capex_km = size_pipeline(f, params.classes)
-        pipe_cost = capex_km * edge.terrain_cost * params.annual_factor
+        _, _, capex_km = size_pipeline(f, params.classes)
+        pipes[s] = capex_km * edge_of[(s, k)].terrain_cost * params.annual_factor
         cost_capture += src[s].eq_capture_cost * f
         cost_seq += snk[k].sequestration_cost * f
-        cost_pipeline += pipe_cost
+        cost_pipeline += pipes[s]
+    return remaining, flows, pipes, (cost_capture, cost_pipeline, cost_seq)
+
+
+def scalar_evaluate(sources, sinks, edges, target, assignment, params=None):
+    """`scalar_column` as a NetworkSolution; None if more than 1e-6 of the
+    target is left."""
+    params = params or NetworkParams()
+    remaining, flows, pipes, (cost_capture, cost_pipeline, cost_seq) = scalar_column(
+        sources, sinks, edges, target, assignment, params)
+    if remaining > 1e-6:
+        return None
+    edge_of = {(e.source_id, e.sink_id): e for e in edges}
+    routes = []
+    for s, f in sorted(flows.items()):
+        edge = edge_of[(s, assignment[s])]
+        cls, count, _ = size_pipeline(f, params.classes)
         routes.append(RouteFlow(
-            source_id=s, sink_id=k, path=edge.path, length_km=edge.length_km,
-            diameter_class=cls.name, pipe_count=count, flow=f,
-            annual_cost=pipe_cost))
+            source_id=s, sink_id=edge.sink_id, path=edge.path, length_km=edge.length_km,
+            diameter_class=cls.name, pipe_count=count, flow=f, annual_cost=pipes[s]))
     solution = NetworkSolution(
         routes=routes, target=target, cost_capture=cost_capture,
         cost_pipeline=cost_pipeline, cost_sequestration=cost_seq)
@@ -967,6 +1038,22 @@ def small_passes(monkeypatch):
 def solve_local(sources, sinks, edges, target):
     """The local search, whatever the source count."""
     return _solve_local(_make_instance(sources, sinks, edges, target, NetworkParams()))[1]
+
+
+def local_search_block(inst, rng, columns=50):
+    """At least `columns` assignments shaped like local-search steps: around
+    the assignment with no sink, the greedy start and then random
+    assignments, each step the assignment itself and then every
+    single-source move from it (sources by id, options in order)."""
+    rows = np.array([i for i, r in enumerate(inst.radix) for _ in range(r)], dtype=int)
+    options = np.array([d for r in inst.radix for d in range(r)], dtype=int)
+    steps, current = [], np.zeros(len(inst.radix), dtype=int)
+    while sum(step.shape[1] for step in steps) < columns:
+        step = np.repeat(current[:, None], options.size + 1, axis=1)
+        step[rows, np.arange(1, options.size + 1)] = options
+        steps.append(step)
+        current = _greedy_start(inst) if len(steps) == 1 else rng.integers(0, inst.radix)
+    return np.concatenate(steps, axis=1)
 
 
 def block_instances():
@@ -1235,6 +1322,43 @@ class TestSelectNetwork:
                     solve_exact(sources, sinks, edges, target)
             else:
                 assert solve_exact(sources, sinks, edges, target) == oracle[1], f"trial {trial}"
+
+    def test_kernel_matches_scalar_columns(self):
+        """[PRIMARY] `allocate` and `cost` give each column of a block shaped
+        like local search the remaining target, flows, pipe costs and totals
+        of `scalar_column`, to the bit: on the block-test instances, those
+        with negative capture costs and one without sources.  A column in
+        which no source ships totals +0.0, and one whose sources leave
+        0.1 + 0.2 - 0.1 - 0.2, under 1e-12, of the target stops there."""
+        rng = np.random.default_rng(4)
+        sinks = [SinkNode(id="K0", cell=0, capacity=10, sequestration_cost=5)]
+        sources = [SourceNode(id=f"S{i}", cell=i + 1, capturable=amount, eq_capture_cost=10 * i)
+                   for i, amount in enumerate((0.1, 0.2, 1.0))]
+        edges = [CandidateEdge(source_id=src.id, sink_id="K0", path=(src.cell, 0),
+                               length_km=1.0, terrain_cost=2.0) for src in sources]
+        instances = [*block_instances(), *negative_instances(),
+                     ("no source", False, [], sinks, [], 5.0),
+                     ("remainder", False, sources, sinks, edges, 0.1 + 0.2)]
+        idle = 0
+        for trial, integer, sources, sinks, edges, target in instances:
+            inst = _Instance(sources, sinks, edges, target, NetworkParams())
+            digit = local_search_block(inst, rng)
+            remaining, flow = inst.allocate(digit)
+            *totals, pipe = inst.cost(digit, flow)
+            for h in range(digit.shape[1]):
+                left, flows, pipes, expected = scalar_column(
+                    sources, sinks, edges, target, inst.assignment(digit[:, h]))
+                ids = [src.id for src in inst.sources]
+                for got, want in ((remaining[h], left),
+                                  (flow[:, h], [flows.get(i, 0.0) for i in ids]),
+                                  (pipe[:, h], [pipes.get(i, 0.0) for i in ids]),
+                                  ([t[h] for t in totals], expected)):
+                    assert np.asarray(got).tobytes() == np.array(want, dtype=float).tobytes(), \
+                        f"trial {trial}, column {h}"
+                if not flows:
+                    assert not np.signbit([t[h] for t in totals]).any()
+                    idle += 1
+        assert idle >= len(instances)
 
     def test_exact_search_in_several_passes(self):
         """[PRIMARY] 12 sources and 2 sinks, 3^12 = 531,441 codes, searched in
