@@ -6,8 +6,8 @@ Subcommands: solve, sweep, fleet, netopt, report.  Exit codes: 0 success,
 unbounded model, 6 solver failure (HiGHS ended with a status other than
 optimal, infeasible or unbounded, or its optimum breaks a balance) or every
 plant of a fleet failed.  A file that is not UTF-8, or a solution.json
-that is not JSON, is invalid input that names the file.  Any other
-exception is a bug and shows its traceback.
+that is not JSON or holds a NaN or an infinity, is invalid input that
+names the file.  Any other exception is a bug and shows its traceback.
 
 COPLANT_WORKERS sets the process count for fleet runs (default 1); a value
 that is not an integer >= 1 exits 3.
@@ -93,22 +93,19 @@ def _check_solution_fits(path: str, sol, spec, scenario) -> None:
     if sol.horizon != scenario.horizon_hours:
         raise CoplantError(f"{path}: horizon is {sol.horizon} hours, but the scenario's "
                            f"horizon_hours is {scenario.horizon_hours}")
-    stores = [s.id for s in spec.storage_units]
-    assets = {"capacity": (list(dispatch.capacity_prices(spec, scenario)), sol.capacities),
-              "activity": ([u.id for u in spec.conversion_units], sol.activity),
-              **{kind: (stores, getattr(sol, kind)) for kind in ("charge", "discharge", "soc")}}
-    for kind, (ids, saved) in assets.items():
+    index = dispatch.build_index(spec, scenario)
+    for name in dispatch.ASSET_LEDGERS:
+        kind = name if name in dispatch.ASSET_SERIES else "capacity"
+        ids, saved = getattr(index, name), getattr(sol, name)
         for asset in ids:
             if asset not in saved:
                 raise CoplantError(f"{path}: no {kind} for {asset!r}, which the system has")
         for asset in saved:
             if asset not in ids:
                 raise CoplantError(f"{path}: {kind} for {asset!r}, which the system lacks")
-    series = {f"{kind} {key!r}": values
-              for kind in ("activity", "charge", "discharge", "soc")
-              for key, values in getattr(sol, kind).items()}
-    series.update((kind, getattr(sol, kind)) for kind in
-                  ("curtailment", "vented_o2", "emitted_co2", "sequestered_co2"))
+    series = {f"{name} {key!r}": values for name in dispatch.ASSET_SERIES
+              for key, values in getattr(sol, name).items()}
+    series.update((name, getattr(sol, name)) for name in dispatch.SYSTEM_SERIES)
     for name, values in series.items():
         if values.shape != (sol.horizon,):
             raise CoplantError(f"{path}: {name} has {values.size} entries, but the "

@@ -6,14 +6,17 @@
 columns cost these prices, and `costing` reads them to report annual costs.
 
 Variable layout (in order), with U conversion units, S storage units,
-R renewables and horizon T:
+R renewables and horizon T.  `build_index` numbers it in blocks, each named
+by the `DispatchSolution` field it fills:
 
-    capacities:   U + S + R
-    activities:   U * T
-    storage:      S * T charge, S * T discharge, S * T state of charge
-    curtailment:  T            (present when R > 0)
-    O2 venting:   T            (present when oxygen_gas can be produced)
-    sequestration sink: T      (present when co2_sequestration can be produced)
+    capacities:       U + S + R  (one per unit, store and renewable)
+    activity:         U * T
+    charge:           S * T
+    discharge:        S * T
+    soc:              S * T      (state of charge)
+    curtailment:      T          (present when R > 0)
+    vented_o2:        T          (present when oxygen_gas can be produced)
+    sequestered_co2:  T          (present when co2_sequestration can be produced)
 
 For the canonical toy (1 renewable, 1 storage, 1 converter, T=24, no O2 or
 sequestration commodities) this gives 3 + 24*4 + 24 = 123 variables.
@@ -25,7 +28,7 @@ horizon length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,36 +90,32 @@ def reprice_capacity(problem: LinearProgram, spec: SystemSpec, scenario: Scenari
     """Give the capacity columns of `problem`, built from a spec that differs
     from `spec` in capex only, the costs `build_lp(spec, scenario)` gives them."""
     prices = capacity_prices(spec, scenario)
-    problem.cost[:len(prices)] = list(prices.values())
+    problem.cost[list(build_index(spec, scenario).capacities.values())] = list(prices.values())
 
 
 @dataclass
 class DispatchIndex:
-    """Deterministic variable numbering shared by builder and extractor."""
+    """Deterministic variable numbering shared by builder and extractor.
 
-    cap_unit: dict[str, int] = field(default_factory=dict)
-    cap_store: dict[str, int] = field(default_factory=dict)
-    cap_renew: dict[str, int] = field(default_factory=dict)
-    act: dict[str, int] = field(default_factory=dict)      # uid -> first index
-    charge: dict[str, int] = field(default_factory=dict)
-    discharge: dict[str, int] = field(default_factory=dict)
-    soc: dict[str, int] = field(default_factory=dict)
-    curtail: int = -1
-    vent_o2: int = -1
-    seq: int = -1
-    n_variables: int = 0
+    Each block is named by the DispatchSolution ledger it fills and maps an
+    asset id, or in `series` a system-wide series the system has, to its
+    first column.  A capacity is one column, in `capacity_prices` order;
+    every other block is `horizon` columns."""
 
-    @property
-    def has_curtail(self) -> bool:
-        return self.curtail >= 0
+    capacities: dict[str, int]
+    activity: dict[str, int]
+    charge: dict[str, int]
+    discharge: dict[str, int]
+    soc: dict[str, int]
+    series: dict[str, int]
+    n_variables: int
 
-    @property
-    def has_vent(self) -> bool:
-        return self.vent_o2 >= 0
 
-    @property
-    def has_seq(self) -> bool:
-        return self.seq >= 0
+#: Each system-wide series that is an LP column: the commodity it draws off
+#: and its term's label in `commodity_balance`.
+_SINKS = {"curtailment": (Commodity.ELECTRICITY, "curtailment"),
+          "vented_o2": (Commodity.OXYGEN_GAS, "vented"),
+          "sequestered_co2": (Commodity.CO2_SEQUESTRATION, "sequestration")}
 
 
 def _produced_commodities(spec: SystemSpec) -> set[Commodity]:
@@ -142,43 +141,33 @@ def _consumed_commodities(spec: SystemSpec) -> set[Commodity]:
     return used
 
 
+def _balanced_commodities(spec: SystemSpec) -> list[Commodity]:
+    """The commodities with an hourly balance row, by name: all produced or
+    consumed but biomass, which is bought."""
+    return sorted((_produced_commodities(spec) | _consumed_commodities(spec))
+                  - {Commodity.BIOMASS}, key=lambda c: c.value)
+
+
 def build_index(spec: SystemSpec, scenario: Scenario) -> DispatchIndex:
     T = scenario.horizon_hours
-    idx = DispatchIndex()
-    n = 0
-    for u in spec.conversion_units:
-        idx.cap_unit[u.id] = n
-        n += 1
-    for s in spec.storage_units:
-        idx.cap_store[s.id] = n
-        n += 1
-    for r in spec.renewables:
-        idx.cap_renew[r.id] = n
-        n += 1
-    for u in spec.conversion_units:
-        idx.act[u.id] = n
-        n += T
-    for s in spec.storage_units:
-        idx.charge[s.id] = n
-        n += T
-    for s in spec.storage_units:
-        idx.discharge[s.id] = n
-        n += T
-    for s in spec.storage_units:
-        idx.soc[s.id] = n
-        n += T
-    if spec.renewables:
-        idx.curtail = n
-        n += T
+    units = [u.id for u in spec.conversion_units]
+    stores = [s.id for s in spec.storage_units]
     produced = _produced_commodities(spec)
-    if Commodity.OXYGEN_GAS in produced:
-        idx.vent_o2 = n
-        n += T
-    if Commodity.CO2_SEQUESTRATION in produced:
-        idx.seq = n
-        n += T
-    idx.n_variables = n
-    return idx
+    present = {"curtailment": bool(spec.renewables),
+               "vented_o2": Commodity.OXYGEN_GAS in produced,
+               "sequestered_co2": Commodity.CO2_SEQUESTRATION in produced}
+    blocks = {"capacities": dict.fromkeys(units + stores + [r.id for r in spec.renewables], 1),
+              "activity": dict.fromkeys(units, T),
+              "charge": dict.fromkeys(stores, T),
+              "discharge": dict.fromkeys(stores, T),
+              "soc": dict.fromkeys(stores, T),
+              "series": {name: T for name, has in present.items() if has}}
+    n = 0
+    for block in blocks.values():   # each width becomes its block's first column
+        for key, width in block.items():
+            block[key] = n
+            n += width
+    return DispatchIndex(**blocks, n_variables=n)
 
 
 def _validate_inputs(spec: SystemSpec, scenario: Scenario) -> None:
@@ -227,28 +216,22 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
     hours = np.arange(T)
     lp = LinearProgram()
 
-    prices = capacity_prices(spec, scenario)
-    lp.add_columns(len(prices), cost=list(prices.values()))
+    lp.add_columns(idx.n_variables)  # free of cost and bounded below by 0
+    reprice_capacity(lp, spec, scenario)
     for u in spec.conversion_units:
-        lp.add_columns(T, cost=(u.var_om + spec.biomass_price
-                                * u.inputs.get(Commodity.BIOMASS, 0.0)) * scale)
-    lp.add_columns(3 * len(spec.storage_units) * T)  # charge, discharge, state of charge
-    lp.add_columns((idx.has_curtail + idx.has_vent) * T)  # curtailment, O2 venting
-    if idx.has_seq:
-        lp.add_columns(T, upper=np.inf if scenario.sequestration_allowed else 0.0,
-                       cost=scenario.co2_charge * scale)
-    assert lp.n_variables == idx.n_variables
+        lp.cost[idx.activity[u.id] + hours] = (
+            u.var_om + spec.biomass_price * u.inputs.get(Commodity.BIOMASS, 0.0)) * scale
+    if "sequestered_co2" in idx.series:
+        seq = idx.series["sequestered_co2"] + hours
+        lp.upper[seq] = np.inf if scenario.sequestration_allowed else 0.0
+        lp.cost[seq] = scenario.co2_charge * scale
 
-    balance_commodities = sorted(
-        (_produced_commodities(spec) | _consumed_commodities(spec)) - {Commodity.BIOMASS},
-        key=lambda c: c.value)
-
-    for c in balance_commodities:
+    for c in _balanced_commodities(spec):
         terms = []  # (hour, column, coefficient)
         for u in spec.conversion_units:
             coef = u.outputs.get(c, 0.0) - u.inputs.get(c, 0.0)
             if coef != 0.0:
-                terms.append((hours, idx.act[u.id] + hours, coef))
+                terms.append((hours, idx.activity[u.id] + hours, coef))
         for s in spec.storage_units:
             if s.commodity is c:
                 terms.append((hours, idx.discharge[s.id] + hours, 1.0))
@@ -263,20 +246,17 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
             for r in spec.renewables:
                 cf = np.asarray(r.profile)
                 sunny = np.flatnonzero(cf > 0)
-                terms.append((sunny, idx.cap_renew[r.id], cf[sunny]))
-            if idx.has_curtail:
-                terms.append((hours, idx.curtail + hours, -1.0))
-        if c is Commodity.OXYGEN_GAS and idx.has_vent:
-            terms.append((hours, idx.vent_o2 + hours, -1.0))
-        if c is Commodity.CO2_SEQUESTRATION and idx.has_seq:
-            terms.append((hours, idx.seq + hours, -1.0))
+                terms.append((sunny, idx.capacities[r.id], cf[sunny]))
+        for name, first in idx.series.items():
+            if _SINKS[name][0] is c:
+                terms.append((hours, first + hours, -1.0))
         demand = {Commodity.CEMENT: spec.demand_cement,
                   Commodity.METHANOL: spec.demand_methanol}.get(c, 0.0)
         lp.add_rows(EQ, np.full(T, demand), terms)
 
     for u in spec.conversion_units:
-        cap = idx.cap_unit[u.id]
-        act = idx.act[u.id] + hours
+        cap = idx.capacities[u.id]
+        act = idx.activity[u.id] + hours
         # a unit with min_load_frac = 1 runs at capacity in either mode
         pinned = u.min_load_frac == 1.0
         if pinned:
@@ -301,7 +281,7 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
                          (rup + 1, a0, 1.0), (rup + 1, a1, -1.0), (rup + 1, cap, -ramp)])
 
     for s in spec.storage_units:
-        cap = idx.cap_store[s.id]
+        cap = idx.capacities[s.id]
         soc = idx.soc[s.id] + hours
         steps = hours if s.cyclic else hours[:-1]
         lp.add_rows(EQ, np.zeros(steps.size),
@@ -310,16 +290,25 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
                      (steps, idx.discharge[s.id] + steps, 1.0 / s.discharge_eff)])
         lp.add_rows(LE, np.zeros(T), [(hours, soc, 1.0), (hours, cap, -1.0)])
 
-    if scenario.net_zero and idx.has_seq:
-        terms = [(0, idx.seq + hours, 1.0)]
+    if scenario.net_zero and "sequestered_co2" in idx.series:
+        terms = [(0, idx.series["sequestered_co2"] + hours, 1.0)]
         for u in spec.conversion_units:
             burden = u.co2_emitted + (u.inputs.get(Commodity.CO2_GAS, 0.0)
                                       if Commodity.METHANOL in u.outputs else 0.0)
             if burden > 0:
-                terms.append((0, idx.act[u.id] + hours, -burden))
+                terms.append((0, idx.activity[u.id] + hours, -burden))
         lp.add_rows(GE, [0.0], terms)
 
     return lp
+
+
+#: DispatchSolution's ledgers, in field and column order.  `capacities` and
+#: the ASSET_SERIES map an asset id to one number or to an hourly series;
+#: each of SYSTEM_SERIES is one hourly series, an LP column where the system
+#: has it, except `emitted_co2`, which `extract_solution` computes.
+ASSET_SERIES = ("activity", "charge", "discharge", "soc")
+ASSET_LEDGERS = ("capacities", *ASSET_SERIES)
+SYSTEM_SERIES = ("curtailment", "vented_o2", "emitted_co2", "sequestered_co2")
 
 
 @dataclass
@@ -363,7 +352,7 @@ def hourly_utilized_co2(spec: SystemSpec, solution: DispatchSolution) -> np.ndar
     return out
 
 
-def commodity_balance(spec: SystemSpec, scenario: Scenario, solution: DispatchSolution,
+def commodity_balance(spec: SystemSpec, solution: DispatchSolution,
                       commodity: Commodity) -> dict[str, np.ndarray]:
     """Signed hourly ledger for one commodity: positive = supply, negative = use."""
     T = solution.horizon
@@ -388,11 +377,9 @@ def commodity_balance(spec: SystemSpec, scenario: Scenario, solution: DispatchSo
     if commodity is Commodity.ELECTRICITY:
         for r in spec.renewables:
             _add(r.id, solution.capacities[r.id] * np.asarray(r.profile))
-        _add("curtailment", -solution.curtailment)
-    if commodity is Commodity.OXYGEN_GAS:
-        _add("vented", -solution.vented_o2)
-    if commodity is Commodity.CO2_SEQUESTRATION:
-        _add("sequestration", -solution.sequestered_co2)
+    for name, (drawn, label) in _SINKS.items():
+        if drawn is commodity:
+            _add(label, -getattr(solution, name))
     if commodity is Commodity.CEMENT and spec.demand_cement > 0:
         _add("demand", np.full(T, -spec.demand_cement))
     if commodity is Commodity.METHANOL and spec.demand_methanol > 0:
@@ -414,39 +401,29 @@ def extract_solution(spec: SystemSpec, scenario: Scenario,
         raise ValueError(
             f"solution has {x.shape[0]} values, expected {idx.n_variables}")
 
+    series = {name: np.zeros(T) for name in SYSTEM_SERIES}
+    series.update((name, x[j:j + T].copy()) for name, j in idx.series.items())
     sol = DispatchSolution(
         horizon=T,
-        capacities={uid: float(x[j]) for uid, j in
-                    {**idx.cap_unit, **idx.cap_store, **idx.cap_renew}.items()},
-        activity={uid: x[j:j + T].copy() for uid, j in idx.act.items()},
-        charge={sid: x[j:j + T].copy() for sid, j in idx.charge.items()},
-        discharge={sid: x[j:j + T].copy() for sid, j in idx.discharge.items()},
-        soc={sid: x[j:j + T].copy() for sid, j in idx.soc.items()},
-        curtailment=(x[idx.curtail:idx.curtail + T].copy() if idx.has_curtail
-                     else np.zeros(T)),
-        vented_o2=(x[idx.vent_o2:idx.vent_o2 + T].copy() if idx.has_vent
-                   else np.zeros(T)),
-        emitted_co2=np.zeros(T),
-        sequestered_co2=(x[idx.seq:idx.seq + T].copy() if idx.has_seq
-                         else np.zeros(T)),
+        capacities={asset: float(x[j]) for asset, j in idx.capacities.items()},
+        **{name: {asset: x[j:j + T].copy() for asset, j in getattr(idx, name).items()}
+           for name in ASSET_SERIES},
+        **series,
         objective=float(lp_solution.objective),
     )
     for u in spec.conversion_units:
         if u.co2_emitted > 0:
             sol.emitted_co2 = sol.emitted_co2 + u.co2_emitted * sol.activity[u.id]
 
-    verify_balances(spec, scenario, sol)
+    verify_balances(spec, sol)
     return sol
 
 
-def verify_balances(spec: SystemSpec, scenario: Scenario, solution: DispatchSolution) -> None:
+def verify_balances(spec: SystemSpec, solution: DispatchSolution) -> None:
     """Check every commodity/hour residual against BALANCE_TOL; a residual
     above it raises LpSolverError, numerical trouble in the solve."""
-    commodities = sorted(
-        (_produced_commodities(spec) | _consumed_commodities(spec)) - {Commodity.BIOMASS},
-        key=lambda c: c.value)
-    for c in commodities:
-        terms = commodity_balance(spec, scenario, solution, c)
+    for c in _balanced_commodities(spec):
+        terms = commodity_balance(spec, solution, c)
         if not terms:
             continue
         stack = np.vstack(list(terms.values()))

@@ -142,29 +142,22 @@ def reference_storages(include_co2_storage: bool = True) -> list[StorageUnit]:
     return stores
 
 
-def reference_renewables(hours: int, seed: int = 42,
-                         solar: tuple[float, ...] | None = None,
-                         wind: tuple[float, ...] | None = None,
-                         solar_capex: float = 550e3,
-                         wind_capex: float = 1.05e6) -> list[RenewableSource]:
+def reference_renewables(hours: int, seed: int = 42) -> list[RenewableSource]:
     return [
-        RenewableSource(id="solar", profile=solar or solar_profile(hours, seed),
-                        capex=solar_capex, fixed_om_frac=0.02, lifetime=25.0),
-        RenewableSource(id="wind", profile=wind or wind_profile(hours, seed + 1),
-                        capex=wind_capex, fixed_om_frac=0.025, lifetime=25.0),
+        RenewableSource(id="solar", profile=solar_profile(hours, seed),
+                        capex=550e3, fixed_om_frac=0.02, lifetime=25.0),
+        RenewableSource(id="wind", profile=wind_profile(hours, seed + 1),
+                        capex=1.05e6, fixed_om_frac=0.025, lifetime=25.0),
     ]
 
 
 def reference_system(scenario: Scenario, demand_cement: float = 100.0,
-                     seed: int = 42, include_co2_storage: bool = True,
-                     solar: tuple[float, ...] | None = None,
-                     wind: tuple[float, ...] | None = None) -> SystemSpec:
+                     seed: int = 42, include_co2_storage: bool = True) -> SystemSpec:
     """Full co-production plant matching the scenario's stoichiometry."""
     return SystemSpec(
         conversion_units=tuple(reference_units(scenario)),
         storage_units=tuple(reference_storages(include_co2_storage)),
-        renewables=tuple(reference_renewables(scenario.horizon_hours, seed,
-                                              solar=solar, wind=wind)),
+        renewables=tuple(reference_renewables(scenario.horizon_hours, seed)),
         demand_cement=demand_cement,
         demand_methanol=demand_cement / scenario.stoichiometry_x,
         biomass_price=80.0,

@@ -18,7 +18,8 @@ import numpy as np
 
 from coplant.configio import read_text
 from coplant.costing import CostBreakdown, MoleculeCost, SweepRow
-from coplant.dispatch import DispatchSolution, commodity_balance
+from coplant.dispatch import (ASSET_LEDGERS, ASSET_SERIES, SYSTEM_SERIES,
+                              DispatchSolution, commodity_balance)
 from coplant.domain import Commodity, CoplantError, Scenario, SystemSpec
 from coplant.fleet import FleetResult
 from coplant.sinknet.network import NetworkSolution
@@ -79,7 +80,7 @@ def write_hourly_balances_csv(path: str | Path, spec: SystemSpec, scenario: Scen
     """Long-format signed ledger; terms for one commodity-hour sum to zero."""
     rows = []
     for commodity in Commodity:
-        terms = commodity_balance(spec, scenario, solution, commodity)
+        terms = commodity_balance(spec, solution, commodity)
         for label in sorted(terms):
             series = terms[label]
             for hour in range(solution.horizon):
@@ -328,43 +329,38 @@ def network_svg(sol: NetworkSolution, surface: CostSurface,
 # ------------------------------------------------------ solution persistence
 
 def solution_to_dict(sol: DispatchSolution) -> dict:
-    def arrays(d):
-        return {k: list(map(float, v)) for k, v in d.items()}
-
-    return {
-        "horizon": sol.horizon,
-        "capacities": {k: float(v) for k, v in sol.capacities.items()},
-        "activity": arrays(sol.activity),
-        "charge": arrays(sol.charge),
-        "discharge": arrays(sol.discharge),
-        "soc": arrays(sol.soc),
-        "curtailment": list(map(float, sol.curtailment)),
-        "vented_o2": list(map(float, sol.vented_o2)),
-        "emitted_co2": list(map(float, sol.emitted_co2)),
-        "sequestered_co2": list(map(float, sol.sequestered_co2)),
-        "objective": float(sol.objective),
-    }
+    data = {"horizon": sol.horizon, "objective": float(sol.objective)}
+    for name in ASSET_LEDGERS:
+        data[name] = {k: np.asarray(v, dtype=float).tolist()
+                      for k, v in getattr(sol, name).items()}
+    for name in SYSTEM_SERIES:
+        data[name] = np.asarray(getattr(sol, name), dtype=float).tolist()
+    return data
 
 
 def solution_from_dict(data: dict) -> DispatchSolution:
-    def arrays(d):
-        return {k: np.asarray(v, dtype=float) for k, v in d.items()}
+    """The solution `solution_to_dict` wrote.  A missing or malformed field,
+    or a nan or an infinity, raises ReportError naming the field and asset."""
+    def finite(value, name: str):
+        bad = np.asarray(value)[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"{name} is {bad[0]}, not a finite number")
+        return value
+
+    def series(values) -> np.ndarray:
+        return np.asarray(values, dtype=float)
 
     try:
-        return DispatchSolution(
-            horizon=int(data["horizon"]),
-            capacities={k: float(v) for k, v in data["capacities"].items()},
-            activity=arrays(data["activity"]),
-            charge=arrays(data["charge"]),
-            discharge=arrays(data["discharge"]),
-            soc=arrays(data["soc"]),
-            curtailment=np.asarray(data["curtailment"], dtype=float),
-            vented_o2=np.asarray(data["vented_o2"], dtype=float),
-            emitted_co2=np.asarray(data["emitted_co2"], dtype=float),
-            sequestered_co2=np.asarray(data["sequestered_co2"], dtype=float),
-            objective=float(data["objective"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        ledgers = {}
+        for name in ASSET_LEDGERS:   # capacities are numbers, the rest series
+            read = series if name in ASSET_SERIES else float
+            ledgers[name] = {k: finite(read(v), f"{name} {k!r}") for k, v in data[name].items()}
+        for name in SYSTEM_SERIES:
+            ledgers[name] = finite(series(data[name]), name)
+        return DispatchSolution(horizon=int(data["horizon"]),
+                                objective=finite(float(data["objective"]), "objective"),
+                                **ledgers)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ReportError(f"malformed solution file: {exc}") from None
 
 
@@ -379,4 +375,7 @@ def load_solution(path: str | Path) -> DispatchSolution:
         data = json.loads(read_text(path, ReportError))
     except json.JSONDecodeError as exc:
         raise ReportError(f"{path}: not JSON: {exc}") from None
-    return solution_from_dict(data)
+    try:
+        return solution_from_dict(data)
+    except ReportError as exc:
+        raise ReportError(f"{path}: {exc}") from None

@@ -65,7 +65,7 @@ def test_conservation_suite(solved_week):
     cases.append((spec336, scenario336, solve_dispatch(spec336, scenario336)))
     for spec, scenario, sol in cases:
         for commodity in Commodity:
-            terms = commodity_balance(spec, scenario, sol, commodity)
+            terms = commodity_balance(spec, sol, commodity)
             if not terms:
                 continue
             stack = np.vstack(list(terms.values()))

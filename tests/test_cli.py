@@ -896,10 +896,16 @@ class TestExitCodes:
         (lambda d: d["discharge"].update(ghost_tank=d["discharge"]["battery"]),
          "discharge for 'ghost_tank', which the system lacks"),
         (lambda d: d["soc"].update(ghost_tank=d["soc"]["battery"]),
-         "soc for 'ghost_tank', which the system lacks")],
+         "soc for 'ghost_tank', which the system lacks"),
+        (lambda d: d["capacities"].update(asu=math.nan),
+         "malformed solution file: capacities 'asu' is nan, not a finite number"),
+        (lambda d: d["activity"]["asu"].__setitem__(5, math.inf),
+         "malformed solution file: activity 'asu' is inf, not a finite number"),
+        (lambda d: d["curtailment"].__setitem__(0, -math.inf),
+         "malformed solution file: curtailment is -inf, not a finite number")],
         ids=["horizon", "capacity", "activity", "activity-length", "curtailment-length",
              "extra-capacity", "extra-activity", "extra-charge", "extra-discharge",
-             "extra-soc"])
+             "extra-soc", "nan-capacity", "inf-activity", "minus-inf-curtailment"])
     def test_report_solution_for_another_system(self, workspace, saved_solution, tmp_path,
                                                 capsys, cut, message):
         data = json.loads(saved_solution.read_text())

@@ -95,8 +95,8 @@ class TestBreakdown:
         spec, scenario, sol = netzero48
         free = dataclasses.replace(scenario, transport_cost=0.0, storage_cost=0.0)
         idx = dispatch.build_index(spec, free)
-        seq = slice(idx.seq, idx.seq + free.horizon_hours)
-        assert sol.annual_sequestered > 0 and idx.has_seq
+        seq = idx.series["sequestered_co2"] + np.arange(free.horizon_hours)
+        assert sol.annual_sequestered > 0 and "sequestered_co2" in idx.series
         assert (dispatch.build_lp(spec, scenario).cost[seq] > 0).all()
         assert not dispatch.build_lp(spec, free).cost[seq].any()
         assert cost_breakdown(sol, spec, free).categories["co2_sequestration"] == 0.0

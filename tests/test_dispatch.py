@@ -61,13 +61,54 @@ def test_capacity_prices_are_the_lp_capacity_costs(system):
         spec = reference.reference_system(scenario)
     prices = dispatch.capacity_prices(spec, scenario)
     index = build_index(spec, scenario)
-    offsets = {**index.cap_unit, **index.cap_store, **index.cap_renew}
+    offsets = index.capacities
     assert [offsets[asset_id] for asset_id in prices] == list(range(len(offsets)))
     assert list(build_lp(spec, scenario).cost[:len(prices)]) == list(prices.values())
     if system == "toy":
         batt = spec.storage_units[0]
         crf = dispatch.capital_recovery_factor(scenario.discount_rate, batt.lifetime)
         assert prices["batt"] == pytest.approx((crf + batt.fixed_om_frac) * 10.0)
+
+
+def layout_system(name):
+    """A 24 h system for the layout tests: the toy, the reference plant, or
+    the reference plant without its renewables, its O2 producers or its
+    sequestration compressor."""
+    if name == "toy":
+        return toy_system(24)
+    scenario = reference.netzero_scenario(horizon=24)
+    spec = reference.reference_system(scenario)
+    if name == "no renewable":
+        spec = dataclasses.replace(spec, renewables=())
+    for dropped, output in (("no O2 producer", Commodity.OXYGEN_GAS),
+                            ("no sequestration compressor", Commodity.CO2_SEQUESTRATION)):
+        if name == dropped:
+            spec = dataclasses.replace(spec, conversion_units=tuple(
+                u for u in spec.conversion_units if output not in u.outputs))
+    return spec, scenario
+
+
+@pytest.mark.parametrize("system, missing", [
+    ("toy", {"vented_o2", "sequestered_co2"}), ("reference", set()),
+    ("no renewable", {"curtailment"}), ("no O2 producer", {"vented_o2"}),
+    ("no sequestration compressor", {"sequestered_co2"})])
+def test_index_blocks_cover_every_column_once(system, missing):
+    """The index's blocks, in DispatchSolution field order, number the
+    columns 0 to n_variables - 1 once each; capacities come in
+    capacity_prices order, and a series the system lacks has no block."""
+    spec, scenario = layout_system(system)
+    index = build_index(spec, scenario)
+    T = scenario.horizon_hours
+    blocks = [(name, first, T if name in dispatch.ASSET_SERIES else 1)
+              for name in dispatch.ASSET_LEDGERS for first in getattr(index, name).values()]
+    blocks += [(name, first, T) for name, first in index.series.items()]
+    columns = [c for _, first, width in blocks for c in range(first, first + width)]
+    assert columns == list(range(index.n_variables))
+    fields = [f.name for f in dataclasses.fields(dispatch.DispatchSolution)]
+    order = [fields.index(name) for name, _, _ in blocks]
+    assert order == sorted(order)
+    assert list(index.capacities) == list(dispatch.capacity_prices(spec, scenario))
+    assert set(index.series) == {"curtailment", "vented_o2", "sequestered_co2"} - missing
 
 
 def test_toy_solves_and_balances():
@@ -86,7 +127,7 @@ def test_extract_rejects_short_or_unbalanced_x():
     with pytest.raises(ValueError, match="^solution has 122 values, expected 123$"):
         dispatch.extract_solution(spec, scenario, short)
     x = res.x.copy()
-    x[build_index(spec, scenario).act["maker"] + 5] += 0.5
+    x[build_index(spec, scenario).activity["maker"] + 5] += 0.5
     with pytest.raises(LpSolverError, match="^balance violated for cement at hour 5: "):
         dispatch.extract_solution(spec, scenario, dataclasses.replace(res, x=x))
 
@@ -144,13 +185,13 @@ def test_min_load_rows_reference_capacity():
     spec = reference.reference_system(scenario)
     lp = build_lp(spec, scenario)
     index = build_index(spec, scenario)
-    act = index.act["electrolyzer"]
+    act = index.activity["electrolyzer"]
     matrix = lp.matrix()
     # the min-load rows are the GE rows on the electrolyzer's hourly activity
     touches = np.diff(matrix[:, act:act + 24].tocsr().indptr) > 0
     rows = np.flatnonzero(touches & (lp.sense == GE))
     assert rows.size == 24, "expected one electrolyzer min-load row per hour"
-    cap_idx = index.cap_unit["electrolyzer"]
+    cap_idx = index.capacities["electrolyzer"]
     for row in rows:
         coeff = matrix[row, cap_idx]
         assert coeff == pytest.approx(0.05) or coeff == pytest.approx(-0.05)
@@ -167,7 +208,7 @@ def test_conservation_and_cyclic_soc(netzero48):
     spec, scenario, sol = netzero48
     T = sol.horizon
     for commodity in Commodity:
-        terms = dispatch.commodity_balance(spec, scenario, sol, commodity)
+        terms = dispatch.commodity_balance(spec, sol, commodity)
         if not terms:
             continue
         stack = np.vstack(list(terms.values()))
@@ -219,8 +260,8 @@ def test_inflexible_lp_matches_pinned_oracle(kind, horizon):
     index = build_index(spec, flexible)
     hours = np.arange(horizon)
     oracle.add_rows(EQ, np.zeros(horizon),
-                    [(hours, index.act["meoh_synthesis"] + hours, 1.0),
-                     (hours, index.cap_unit["meoh_synthesis"], -1.0)])
+                    [(hours, index.activity["meoh_synthesis"] + hours, 1.0),
+                     (hours, index.capacities["meoh_synthesis"], -1.0)])
     assert solve_lp(problem).objective == pytest.approx(solve_lp(oracle).objective,
                                                         rel=1e-9)
 
@@ -243,8 +284,8 @@ def test_min_load_one_pins_a_unit(flexible):
     def capacity_rows(uid):
         """Sense, capacity coefficient and number of activity terms of each
         row that holds both the unit's capacity and its activity."""
-        cap = matrix[:, [index.cap_unit[uid]]].toarray().ravel()
-        n_act = np.diff(matrix[:, index.act[uid]:index.act[uid] + T].tocsr().indptr)
+        cap = matrix[:, [index.capacities[uid]]].toarray().ravel()
+        n_act = np.diff(matrix[:, index.activity[uid]:index.activity[uid] + T].tocsr().indptr)
         rows = np.flatnonzero((cap != 0) & (n_act > 0))
         return problem.sense[rows], cap[rows], n_act[rows]
 

@@ -1,5 +1,9 @@
 import base64
 import csv
+import dataclasses
+import json
+import math
+import re
 import struct
 import xml.etree.ElementTree as ET
 import zlib
@@ -8,8 +12,8 @@ import numpy as np
 import pytest
 
 from coplant import costing, reports
-from coplant.domain import Commodity
-from coplant.dispatch import commodity_balance
+from coplant.dispatch import commodity_balance, solve_dispatch
+from coplant.domain import Commodity, ConversionUnit, Scenario, SystemSpec
 from coplant.reports import (
     ReportError,
     heatmap_svg,
@@ -90,26 +94,53 @@ def test_csv_and_svg_deterministic(tmp_path, netzero48):
     assert reports.waterfall_svg(bd) == reports.waterfall_svg(bd)
 
 
+def biomass_plant():
+    """24 h plant with no renewable, O2 or sequestration: it lacks every
+    optional series."""
+    kiln = ConversionUnit(id="kiln", inputs={Commodity.BIOMASS: 1.0},
+                          outputs={Commodity.CEMENT: 1.0}, capex=100.0)
+    spec = SystemSpec(conversion_units=(kiln,), storage_units=(), renewables=(),
+                      demand_cement=1.0, demand_methanol=0.0)
+    scenario = Scenario(stoichiometry_x=2.77, horizon_hours=24)
+    return spec, scenario, solve_dispatch(spec, scenario)
+
+
 def test_solution_json_round_trip(tmp_path, netzero48):
-    spec, scenario, sol = netzero48
-    path = tmp_path / "sol.json"
-    save_solution(path, sol)
-    back = load_solution(path)
-    assert back.objective == sol.objective
-    assert back.horizon == sol.horizon
-    for uid in sol.activity:
-        assert np.array_equal(back.activity[uid], sol.activity[uid])
-    # ledgers recomputed from the round trip match
-    for commodity in Commodity:
-        t1 = commodity_balance(spec, scenario, sol, commodity)
-        t2 = commodity_balance(spec, scenario, back, commodity)
-        assert set(t1) == set(t2)
+    """Every field of a solution reads back bit for bit, also where the
+    system lacks the optional series."""
+    for spec, scenario, sol in (netzero48, biomass_plant()):
+        path = tmp_path / "sol.json"
+        save_solution(path, sol)
+        back = load_solution(path)
+        for f in dataclasses.fields(sol):
+            saved, read = getattr(sol, f.name), getattr(back, f.name)
+            if isinstance(saved, dict):
+                assert saved.keys() == read.keys(), f.name
+                saved, read = list(saved.values()), [read[k] for k in saved]
+            assert np.asarray(read).dtype == np.asarray(saved).dtype, f.name
+            assert np.asarray(read).tobytes() == np.asarray(saved).tobytes(), f.name
+        # ledgers recomputed from the round trip match
+        for commodity in Commodity:
+            t1 = commodity_balance(spec, sol, commodity)
+            t2 = commodity_balance(spec, back, commodity)
+            assert set(t1) == set(t2)
 
 
 def test_malformed_solution_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"horizon": 24}')
     with pytest.raises(ReportError):
+        load_solution(path)
+
+
+@pytest.mark.parametrize("field, value", [("capacities", []), ("horizon", math.inf)],
+                         ids=["ledger-not-a-map", "infinite-horizon"])
+def test_malformed_solution_field_names_the_file(tmp_path, netzero48, field, value):
+    data = reports.solution_to_dict(netzero48[2])
+    data[field] = value
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ReportError, match=f"^{re.escape(str(path))}: malformed solution file: "):
         load_solution(path)
 
 
