@@ -53,7 +53,7 @@ def _write_solution_reports(out: Path, spec, scenario, sol) -> None:
         out / "electricity_allocation.csv", breakdown)
     reports.write_molecule_costs_csv(
         out / "molecule_costs.csv", costing.molecule_costs(sol, spec, scenario))
-    reports.write_hourly_balances_csv(out / "hourly_balances.csv", spec, scenario, sol)
+    reports.write_hourly_balances_csv(out / "hourly_balances.csv", spec, sol)
     reports.write_storage_cycles_csv(
         out / "storage_cycles.csv", costing.storage_cycle_counts(sol))
 

@@ -20,7 +20,7 @@ from coplant.configio import read_text
 from coplant.costing import CostBreakdown, MoleculeCost, SweepRow
 from coplant.dispatch import (ASSET_LEDGERS, ASSET_SERIES, SYSTEM_SERIES,
                               DispatchSolution, commodity_balance)
-from coplant.domain import Commodity, CoplantError, Scenario, SystemSpec
+from coplant.domain import Commodity, CoplantError, SystemSpec
 from coplant.fleet import FleetResult
 from coplant.sinknet.network import NetworkSolution
 from coplant.sinknet.raster import CostSurface
@@ -75,7 +75,7 @@ def write_molecule_costs_csv(path: str | Path, molecules: list[MoleculeCost]) ->
                        "component", "component_cost"], rows)
 
 
-def write_hourly_balances_csv(path: str | Path, spec: SystemSpec, scenario: Scenario,
+def write_hourly_balances_csv(path: str | Path, spec: SystemSpec,
                               solution: DispatchSolution) -> None:
     """Long-format signed ledger; terms for one commodity-hour sum to zero."""
     rows = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,11 +83,33 @@ class CostSurface:
         return self.cells[r, c] != self.nodata
 
 
+def _cells(text: str) -> np.ndarray:
+    """The whitespace-separated cell values of `text`, one line, in order, by
+    numpy's C tokenizer: a decimal or exponent float, `nan` or `inf`, and
+    nothing else (no `_` digit separator, no comment).  ValueError on any
+    other token."""
+    return np.loadtxt([text], ndmin=1, comments=None)
+
+
+def _first_bad(tokens: list[str]) -> str:
+    """The first of `tokens`, which `_cells` refuses together, that it
+    refuses alone, found by halving so a long line costs two parses of it."""
+    while len(tokens) > 1:
+        half = len(tokens) // 2
+        try:
+            _cells(" ".join(tokens[:half]))
+        except ValueError:
+            tokens = tokens[:half]
+        else:
+            tokens = tokens[half:]
+    return tokens[0]
+
+
 def load_raster(path: str | Path) -> CostSurface:
     """Parse an ESRI ASCII grid; errors carry the offending line number."""
     path = Path(path)
     header: dict[str, float] = {}
-    lines = io.StringIO(read_text(path, RasterFormatError)).readlines()
+    lines = read_text(path, RasterFormatError).split("\n")
     data_start = None
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
@@ -119,19 +140,20 @@ def load_raster(path: str | Path) -> CostSurface:
     nodata = header.get("nodata_value", -9999.0)
     if data_start is None:
         raise RasterFormatError(f"{path}: no data section found")
-    tokens = "".join(lines[data_start - 1:]).split()
+    data = lines[data_start - 1:]
     try:
-        values = np.fromiter(map(float, tokens), float, len(tokens))
+        values = _cells(" ".join(data))
     except ValueError:
-        # the slow way, once, to name the line that holds the bad token
-        for lineno, line in enumerate(lines[data_start - 1:], start=data_start):
-            for token in line.split():
-                try:
-                    float(token)
-                except ValueError:
-                    raise RasterFormatError(
-                        f"{path}:{lineno}: non-numeric cell value {token!r}") from None
-        raise
+        # the slow way, once, with the same parser, to name the line and the token
+        for lineno, line in enumerate(data, start=data_start):
+            if not line.strip():  # no cells, on which numpy warns
+                continue
+            try:
+                _cells(line)
+            except ValueError:
+                raise RasterFormatError(f"{path}:{lineno}: non-numeric cell value "
+                                        f"{_first_bad(line.split())!r}") from None
+        raise  # not reached: the join merges no tokens, so some line fails alone
     expected = nrows * ncols
     if len(values) != expected:
         raise RasterFormatError(

@@ -263,6 +263,9 @@ PRINTED = re.compile(r"(?<![a-z])[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+
 # which LinearProgram.add_rows failed on with a plain ValueError
 @example(target=("solve", "system.cfg"), slot=46, value=b"0")
 @example(target=("fleet", "solar.csv"), slot=0, value=b"\xff")
+# the raster's cell on line 8 made `1,2`: the data section's parse fails, and
+# the search for the bad token, by the same parser, names its line
+@example(target=("netopt", "cost.asc"), slot=13, value=b"1,2")
 @given(target=st.sampled_from([(c, f) for c, files in MUTABLE.items() for f in files]),
        slot=st.integers(0, 10_000), value=st.sampled_from(VALUES))
 def test_one_changed_value_exits_with_a_code(inputs, target, slot, value):

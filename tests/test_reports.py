@@ -58,9 +58,9 @@ class TestHeatmap:
 
 
 def test_balance_csv_rows_sum_to_zero(tmp_path, netzero48):
-    spec, scenario, sol = netzero48
+    spec, _, sol = netzero48
     path = tmp_path / "balances.csv"
-    write_hourly_balances_csv(path, spec, scenario, sol)
+    write_hourly_balances_csv(path, spec, sol)
     lines = path.read_text().splitlines()
     assert lines[0] == "commodity,hour,term,value"
     sums: dict[tuple[str, str], float] = {}

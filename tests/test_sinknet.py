@@ -9,6 +9,7 @@ import pytest
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from coplant import cli
 from coplant.domain import DomainError
 from coplant.sinknet import network
 from coplant.sinknet.network import (
@@ -162,13 +163,52 @@ class TestRaster:
         ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n\n\nfoo 1 1\n1 1 1\n1 1 1\n",
          ":6: non-numeric cell value 'foo'"),
         ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1\n\n\n1e 1\n",
-         ":7: non-numeric cell value '1e'")])
+         ":7: non-numeric cell value '1e'"),
+        # a comment sign is a token like any other, not the end of the line
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1 1\n1 # 1\n1 1 1\n",
+         ":5: non-numeric cell value '#'"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1 1\n1 1 1\n1 1 1 #\n",
+         ":6: non-numeric cell value '#'"),
+        # float() takes these two, numpy's tokenizer does not
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1 1\n1 1_000 1\n1 1 1\n",
+         ":5: non-numeric cell value '1_000'"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1 1\n1 1 1\n1 1 \u0661\u0662\n",
+         ":6: non-numeric cell value '\u0661\u0662'"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n1 1 1\n1,2 1\n1 1 1\n",
+         ":5: non-numeric cell value '1,2'"),
+        ("NCOLS 3\nNROWS 3\nCELLSIZE 1\n" + " ".join(["1"] * 500 + ["0x1"] + ["1"] * 99),
+         ":4: non-numeric cell value '0x1'")])
     def test_load_data_section_rejected(self, tmp_path, text, message):
         path = tmp_path / "g.asc"
         path.write_text(text)
         with pytest.raises(RasterFormatError) as err:
             load_raster(path)
         assert str(err.value) == f"{path}{message}"
+
+    def test_non_numeric_cell_exits_3_naming_its_line(self, tmp_path, capsys):
+        """`1_000`, which `float()` reads, is refused as input (exit 3) with
+        its file and line, and no traceback."""
+        (tmp_path / "cost.asc").write_text("NCOLS 3\nNROWS 2\nCELLSIZE 1\n1 1 1\n1 1_000 1\n")
+        (tmp_path / "sources.csv").write_text("id,row,col,capturable,capture_cost\n")
+        (tmp_path / "sinks.csv").write_text("id,row,col,capacity,sequestration_cost\n")
+        assert cli.main(["netopt", "--surface", str(tmp_path / "cost.asc"),
+                         "--sources", str(tmp_path / "sources.csv"),
+                         "--sinks", str(tmp_path / "sinks.csv"),
+                         "--target", "0", "-o", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'cost.asc'}:5: non-numeric cell value '1_000'" in err
+        assert "Traceback" not in err
+
+    def test_write_read_round_trip_random_bits(self, tmp_path):
+        """10,000 random bit patterns, all finite values in [0, MAX_MAGNITUDE]
+        from subnormals up, load back bit for bit."""
+        bits = np.random.default_rng(34).integers(0, 2**63, size=40_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        cells = values[values <= MAX_MAGNITUDE][:10_000].reshape(100, 100)
+        surface = make_surface(cells, nodata=-1.0)
+        path = tmp_path / "g.asc"
+        write_raster(surface, path)
+        assert load_raster(path).cells.tobytes() == cells.tobytes()
 
     def test_repeated_header_key_rejected(self, tmp_path):
         path = tmp_path / "g.asc"
@@ -216,16 +256,17 @@ class TestRaster:
         "\n1 2 3\n\n\n4 5 6\n  \n7 8 9\n\n",
         "1\n2\n3\n4\n5\n6\n7\n8\n9\n",
         "1 2 3 4 5 6 7 8 9",
+        "1 2\n3\n4 5\n6\n7 8\n9\n",
         "0.1 0.2 0.30000000000000004\n1.7976931348623157e308 5e-324 2.2250738585072014e-308\n"
-        "123456789012345678901234567890 0.1e1 1_0\n",
+        "123456789012345678901234567890 0.1e1 -0.0\n",
         "0.1 0.2 0.30000000000000004\n999999999999999.9 5e-324 2.2250738585072014e-308\n"
-        "123456789012345.678901234567890 0.1e1 1_0\n"])
+        "123456789012345.678901234567890 0.1e1 -0.0\n"])
     def test_parse_matches_float_per_token(self, tmp_path, data):
         """The data section parses to what `float()` gives each token, bit
-        for bit: exponents, a leading '+', tabs, CRLF line ends, blank lines,
-        one value per line or all on one.  A surface with a cell above the
-        magnitude bound is rejected, naming the first such cell by the exact
-        value `float()` gives it."""
+        for bit: exponents, a leading '+', `-0.0`, tabs, CRLF line ends, blank
+        lines, one value per line, all on one or each row over two.  A surface
+        with a cell above the magnitude bound is rejected, naming the first
+        such cell by the exact value `float()` gives it."""
         path = tmp_path / "g.asc"
         path.write_bytes(f"NCOLS 3\nNROWS 3\nCELLSIZE 1\n{data}".encode())
         oracle = np.array([float(token) for token in data.split()]).reshape(3, 3)
