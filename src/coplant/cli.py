@@ -89,7 +89,8 @@ def _check_solution_fits(path: str, sol, spec, scenario) -> None:
     """Raise CoplantError (exit 3) unless a saved solution fits the spec and
     scenario: the scenario's horizon, a capacity for every priced asset and
     a series for every unit and store, none for an asset the system lacks,
-    and `horizon` entries in every series."""
+    `horizon` entries in every series, and every commodity's hourly balance
+    closed as `dispatch.verify_balances` checks it."""
     if sol.horizon != scenario.horizon_hours:
         raise CoplantError(f"{path}: horizon is {sol.horizon} hours, but the scenario's "
                            f"horizon_hours is {scenario.horizon_hours}")
@@ -110,6 +111,10 @@ def _check_solution_fits(path: str, sol, spec, scenario) -> None:
         if values.shape != (sol.horizon,):
             raise CoplantError(f"{path}: {name} has {values.size} entries, but the "
                                f"horizon is {sol.horizon} hours")
+    try:
+        dispatch.verify_balances(spec, sol)
+    except lp.LpSolverError as exc:
+        raise CoplantError(f"{path}: {exc}") from None
 
 
 def cmd_report(args) -> int:

@@ -2,6 +2,8 @@
 
 `build_lp` translates a (SystemSpec, Scenario) pair into a LinearProgram;
 `extract_solution` maps an optimal LP solution back into typed ledgers.
+Each commodity's hourly balance is written once, in `_balance_terms`:
+`build_lp` makes its balance rows of it and `commodity_balance` its ledger.
 `capacity_prices` is the one place capacity is priced: the LP's capacity
 columns cost these prices, and `costing` reads them to report annual costs.
 
@@ -111,13 +113,6 @@ class DispatchIndex:
     n_variables: int
 
 
-#: Each system-wide series that is an LP column: the commodity it draws off
-#: and its term's label in `commodity_balance`.
-_SINKS = {"curtailment": (Commodity.ELECTRICITY, "curtailment"),
-          "vented_o2": (Commodity.OXYGEN_GAS, "vented"),
-          "sequestered_co2": (Commodity.CO2_SEQUESTRATION, "sequestration")}
-
-
 def _produced_commodities(spec: SystemSpec) -> set[Commodity]:
     out: set[Commodity] = set()
     for u in spec.conversion_units:
@@ -134,11 +129,13 @@ def _consumed_commodities(spec: SystemSpec) -> set[Commodity]:
     for s in spec.storage_units:
         if s.charge_electricity > 0 or s.discharge_electricity > 0:
             used.add(Commodity.ELECTRICITY)
-    if spec.demand_cement > 0:
-        used.add(Commodity.CEMENT)
-    if spec.demand_methanol > 0:
-        used.add(Commodity.METHANOL)
+    used.update(c for c, demand in _demands(spec).items() if demand > 0)
     return used
+
+
+def _demands(spec: SystemSpec) -> dict[Commodity, float]:
+    """The fixed hourly demand of each product."""
+    return {Commodity.CEMENT: spec.demand_cement, Commodity.METHANOL: spec.demand_methanol}
 
 
 def _balanced_commodities(spec: SystemSpec) -> list[Commodity]:
@@ -146,6 +143,33 @@ def _balanced_commodities(spec: SystemSpec) -> list[Commodity]:
     consumed but biomass, which is bought."""
     return sorted((_produced_commodities(spec) | _consumed_commodities(spec))
                   - {Commodity.BIOMASS}, key=lambda c: c.value)
+
+
+def _balance_terms(spec: SystemSpec, c: Commodity) -> list[tuple]:
+    """One commodity's hourly balance as (label, ledger, key, coefficient)
+    terms, positive for supply: the coefficient times entry `key` of
+    `ledger`, a DispatchIndex block and DispatchSolution ledger (`series`
+    names the system-wide series, each a ledger of its own).  A renewable's
+    coefficient is its profile, on its capacity; any other is a nonzero
+    number.  The demand and biomass purchase are not terms."""
+    terms = [(u.id, "activity", u.id, u.outputs.get(c, 0.0) - u.inputs.get(c, 0.0))
+             for u in spec.conversion_units]
+    for s in spec.storage_units:
+        if s.commodity is c:
+            terms += [(f"{s.id}:discharge", "discharge", s.id, 1.0),
+                      (f"{s.id}:charge", "charge", s.id, -1.0)]
+        if c is Commodity.ELECTRICITY:   # compression or liquefaction overheads
+            terms += [(f"{s.id}:processing", "charge", s.id, -s.charge_electricity),
+                      (f"{s.id}:processing", "discharge", s.id, -s.discharge_electricity)]
+    terms = [t for t in terms if t[3] != 0.0]
+    if c is Commodity.ELECTRICITY:
+        terms += [(r.id, "capacities", r.id, np.asarray(r.profile)) for r in spec.renewables]
+    # the series that draws the commodity off
+    return terms + {
+        Commodity.ELECTRICITY: [("curtailment", "series", "curtailment", -1.0)],
+        Commodity.OXYGEN_GAS: [("vented", "series", "vented_o2", -1.0)],
+        Commodity.CO2_SEQUESTRATION: [("sequestration", "series", "sequestered_co2", -1.0)],
+    }.get(c, [])
 
 
 def build_index(spec: SystemSpec, scenario: Scenario) -> DispatchIndex:
@@ -228,31 +252,16 @@ def build_lp(spec: SystemSpec, scenario: Scenario) -> LinearProgram:
 
     for c in _balanced_commodities(spec):
         terms = []  # (hour, column, coefficient)
-        for u in spec.conversion_units:
-            coef = u.outputs.get(c, 0.0) - u.inputs.get(c, 0.0)
-            if coef != 0.0:
-                terms.append((hours, idx.activity[u.id] + hours, coef))
-        for s in spec.storage_units:
-            if s.commodity is c:
-                terms.append((hours, idx.discharge[s.id] + hours, 1.0))
-                terms.append((hours, idx.charge[s.id] + hours, -1.0))
-            if c is Commodity.ELECTRICITY:
-                if s.charge_electricity > 0:
-                    terms.append((hours, idx.charge[s.id] + hours, -s.charge_electricity))
-                if s.discharge_electricity > 0:
-                    terms.append((hours, idx.discharge[s.id] + hours,
-                                  -s.discharge_electricity))
-        if c is Commodity.ELECTRICITY:
-            for r in spec.renewables:
-                cf = np.asarray(r.profile)
-                sunny = np.flatnonzero(cf > 0)
-                terms.append((sunny, idx.capacities[r.id], cf[sunny]))
-        for name, first in idx.series.items():
-            if _SINKS[name][0] is c:
-                terms.append((hours, first + hours, -1.0))
-        demand = {Commodity.CEMENT: spec.demand_cement,
-                  Commodity.METHANOL: spec.demand_methanol}.get(c, 0.0)
-        lp.add_rows(EQ, np.full(T, demand), terms)
+        for _, ledger, key, coef in _balance_terms(spec, c):
+            first = getattr(idx, ledger).get(key)
+            if first is None:   # a series the system lacks
+                continue
+            if ledger == "capacities":   # a profile on a capacity: its nonzero hours
+                producing = np.flatnonzero(coef)
+                terms.append((producing, first, coef[producing]))
+            else:
+                terms.append((hours, first + hours, coef))
+        lp.add_rows(EQ, np.full(T, _demands(spec).get(c, 0.0)), terms)
 
     for u in spec.conversion_units:
         cap = idx.capacities[u.id]
@@ -354,40 +363,23 @@ def hourly_utilized_co2(spec: SystemSpec, solution: DispatchSolution) -> np.ndar
 
 def commodity_balance(spec: SystemSpec, solution: DispatchSolution,
                       commodity: Commodity) -> dict[str, np.ndarray]:
-    """Signed hourly ledger for one commodity: positive = supply, negative = use."""
-    T = solution.horizon
+    """Signed hourly ledger for one commodity: positive = supply, negative = use.
+
+    Each term of `_balance_terms` on the solution's ledgers, those that
+    share a label summed, then the demand and, for biomass, the purchase
+    that closes the balance.  A term that is zero every hour is left out."""
     terms: dict[str, np.ndarray] = {}
-
-    def _add(label: str, series: np.ndarray) -> None:
-        if np.any(series != 0.0):
-            terms[label] = series
-
-    for u in spec.conversion_units:
-        coef = u.outputs.get(commodity, 0.0) - u.inputs.get(commodity, 0.0)
-        if coef != 0.0:
-            _add(u.id, coef * solution.activity[u.id])
-    for s in spec.storage_units:
-        if s.commodity is commodity:
-            _add(f"{s.id}:discharge", solution.discharge[s.id])
-            _add(f"{s.id}:charge", -solution.charge[s.id])
-        if commodity is Commodity.ELECTRICITY:
-            overhead = (s.charge_electricity * solution.charge[s.id]
-                        + s.discharge_electricity * solution.discharge[s.id])
-            _add(f"{s.id}:processing", -overhead)
-    if commodity is Commodity.ELECTRICITY:
-        for r in spec.renewables:
-            _add(r.id, solution.capacities[r.id] * np.asarray(r.profile))
-    for name, (drawn, label) in _SINKS.items():
-        if drawn is commodity:
-            _add(label, -getattr(solution, name))
-    if commodity is Commodity.CEMENT and spec.demand_cement > 0:
-        _add("demand", np.full(T, -spec.demand_cement))
-    if commodity is Commodity.METHANOL and spec.demand_methanol > 0:
-        _add("demand", np.full(T, -spec.demand_methanol))
-    if commodity is Commodity.BIOMASS and terms:
+    for label, ledger, key, coef in _balance_terms(spec, commodity):
+        values = getattr(solution, key) if ledger == "series" else getattr(solution, ledger)[key]
+        term = coef * values
+        terms[label] = terms[label] + term if label in terms else term
+    demand = _demands(spec).get(commodity, 0.0)
+    if demand:
+        terms["demand"] = np.full(solution.horizon, -demand)
+    if commodity is Commodity.BIOMASS:
         # biomass is bought on the open market, not produced in-system
-        _add("purchase", -np.sum(list(terms.values()), axis=0))
-    return terms
+        terms["purchase"] = -np.sum(list(terms.values()), axis=0)
+    return {label: series for label, series in terms.items() if np.any(series != 0.0)}
 
 
 def extract_solution(spec: SystemSpec, scenario: Scenario,

@@ -15,6 +15,13 @@ import enum
 from dataclasses import dataclass, field
 
 
+#: The largest magnitude of any netopt input (cost cell, cell size, node amount or
+#: cost), of a unit's coefficient or a store's electricity overhead, and of any
+#: value of a saved solution, checked where each enters.  It keeps every sum of
+#: the netopt inputs (`sinknet.routing`) and every balance term finite.
+MAX_MAGNITUDE = 1e15
+
+
 class CoplantError(Exception):
     """Base of every error that bad input or a failed solve raises.
 
@@ -92,8 +99,9 @@ class ConversionUnit:
     def __post_init__(self) -> None:
         for coll, label in ((self.inputs, "input"), (self.outputs, "output")):
             for c, v in coll.items():
-                if v < 0:
-                    raise DomainError(f"{self.id}: {label} coefficient for {c} is negative")
+                if not 0 <= v <= MAX_MAGNITUDE:
+                    raise DomainError(f"{self.id}: {label} coefficient for {c} is {v}, "
+                                      f"outside [0, {MAX_MAGNITUDE:g}]")
         _check_fraction(f"{self.id}.min_load_frac", self.min_load_frac)
         _check_fraction(f"{self.id}.ramp_frac_per_hour", self.ramp_frac_per_hour, lo_open=True)
         if self.lifetime <= 0:
@@ -124,8 +132,10 @@ class StorageUnit:
     def __post_init__(self) -> None:
         _check_fraction(f"{self.id}.charge_eff", self.charge_eff, lo_open=True)
         _check_fraction(f"{self.id}.discharge_eff", self.discharge_eff, lo_open=True)
-        if self.charge_electricity < 0 or self.discharge_electricity < 0:
-            raise DomainError(f"{self.id}: electricity overheads must be >= 0")
+        for overhead in (self.charge_electricity, self.discharge_electricity):
+            if not 0 <= overhead <= MAX_MAGNITUDE:
+                raise DomainError(f"{self.id}: electricity overheads must be in "
+                                  f"[0, {MAX_MAGNITUDE:g}], got {overhead}")
         if self.capex_capacity < 0:
             raise DomainError(f"{self.id}: capex_capacity must be >= 0")
         if self.lifetime <= 0:

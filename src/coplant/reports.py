@@ -20,7 +20,7 @@ from coplant.configio import read_text
 from coplant.costing import CostBreakdown, MoleculeCost, SweepRow
 from coplant.dispatch import (ASSET_LEDGERS, ASSET_SERIES, SYSTEM_SERIES,
                               DispatchSolution, commodity_balance)
-from coplant.domain import Commodity, CoplantError, SystemSpec
+from coplant.domain import MAX_MAGNITUDE, Commodity, CoplantError, SystemSpec
 from coplant.fleet import FleetResult
 from coplant.sinknet.network import NetworkSolution
 from coplant.sinknet.raster import CostSurface
@@ -31,7 +31,8 @@ class ReportError(CoplantError, ValueError):
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.10g}"
+    """Ten significant digits; a zero of either sign is `0`."""
+    return f"{value + 0.0:.10g}"
 
 
 def _field(value) -> str:
@@ -340,11 +341,14 @@ def solution_to_dict(sol: DispatchSolution) -> dict:
 
 def solution_from_dict(data: dict) -> DispatchSolution:
     """The solution `solution_to_dict` wrote.  A missing or malformed field,
-    or a nan or an infinity, raises ReportError naming the field and asset."""
-    def finite(value, name: str):
-        bad = np.asarray(value)[~np.isfinite(value)]
+    or a nan, an infinity or a magnitude above MAX_MAGNITUDE, raises
+    ReportError naming the field and asset."""
+    def bounded(value, name: str):
+        bad = np.asarray(value)[~(np.abs(value) <= MAX_MAGNITUDE)]
         if bad.size:
-            raise ValueError(f"{name} is {bad[0]}, not a finite number")
+            raise ValueError(f"{name} is {bad[0]}, " + (
+                f"above {MAX_MAGNITUDE:g} in magnitude" if np.isfinite(bad[0])
+                else "not a finite number"))
         return value
 
     def series(values) -> np.ndarray:
@@ -354,11 +358,11 @@ def solution_from_dict(data: dict) -> DispatchSolution:
         ledgers = {}
         for name in ASSET_LEDGERS:   # capacities are numbers, the rest series
             read = series if name in ASSET_SERIES else float
-            ledgers[name] = {k: finite(read(v), f"{name} {k!r}") for k, v in data[name].items()}
+            ledgers[name] = {k: bounded(read(v), f"{name} {k!r}") for k, v in data[name].items()}
         for name in SYSTEM_SERIES:
-            ledgers[name] = finite(series(data[name]), name)
+            ledgers[name] = bounded(series(data[name]), name)
         return DispatchSolution(horizon=int(data["horizon"]),
-                                objective=finite(float(data["objective"]), "objective"),
+                                objective=bounded(float(data["objective"]), "objective"),
                                 **ledgers)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ReportError(f"malformed solution file: {exc}") from None

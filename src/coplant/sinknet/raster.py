@@ -9,11 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from coplant.configio import read_text
-from coplant.domain import CoplantError, DomainError
-
-#: The largest magnitude of any netopt input (cost cell, cell size, node amount or
-#: cost), checked where each enters; it keeps every sum of them finite (`routing`).
-MAX_MAGNITUDE = 1e15
+from coplant.domain import MAX_MAGNITUDE, CoplantError, DomainError
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 

@@ -902,10 +902,15 @@ class TestExitCodes:
         (lambda d: d["activity"]["asu"].__setitem__(5, math.inf),
          "malformed solution file: activity 'asu' is inf, not a finite number"),
         (lambda d: d["curtailment"].__setitem__(0, -math.inf),
-         "malformed solution file: curtailment is -inf, not a finite number")],
+         "malformed solution file: curtailment is -inf, not a finite number"),
+        (lambda d: d["activity"]["electrolyzer"].__setitem__(3, 1e308),
+         "malformed solution file: activity 'electrolyzer' is 1e+308, above 1e+15 in magnitude"),
+        (lambda d: d["curtailment"].__setitem__(1, d["curtailment"][1] + 50.0),
+         "balance violated for electricity at hour 1: residual 5.000e+01 > ")],
         ids=["horizon", "capacity", "activity", "activity-length", "curtailment-length",
              "extra-capacity", "extra-activity", "extra-charge", "extra-discharge",
-             "extra-soc", "nan-capacity", "inf-activity", "minus-inf-curtailment"])
+             "extra-soc", "nan-capacity", "inf-activity", "minus-inf-curtailment",
+             "huge-activity", "unbalanced"])
     def test_report_solution_for_another_system(self, workspace, saved_solution, tmp_path,
                                                 capsys, cut, message):
         data = json.loads(saved_solution.read_text())
@@ -915,6 +920,23 @@ class TestExitCodes:
                     "--scenario", workspace / "scenario.cfg",
                     "--solution", tmp_path / "solution.json", "-o", tmp_path / "x"]) == 3
         assert f"invalid input: {tmp_path / 'solution.json'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_report_solution_for_another_wind_profile(self, workspace, saved_solution,
+                                                       tmp_path, capsys):
+        """With every wind capacity factor halved, the saved dispatch breaks
+        the electricity balance: exit 3 naming the solution file, the
+        commodity and the hour, and no reports."""
+        for name in ("system.cfg", "scenario.cfg", "solar.csv"):
+            shutil.copy(workspace / name, tmp_path)
+        header, *values = (workspace / "wind.csv").read_text().splitlines()
+        (tmp_path / "wind.csv").write_text(
+            "\n".join([header, *(repr(float(v) / 2) for v in values)]) + "\n")
+        assert run(["report", "--spec", tmp_path / "system.cfg",
+                    "--scenario", tmp_path / "scenario.cfg",
+                    "--solution", saved_solution, "-o", tmp_path / "x"]) == 3
+        assert (f"invalid input: {saved_solution}: balance violated for electricity at hour "
+                in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     def test_fleet_repeated_plant_id(self, workspace, tmp_path, capsys):

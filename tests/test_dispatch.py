@@ -19,7 +19,7 @@ from coplant.domain import (
     StorageUnit,
     SystemSpec,
 )
-from coplant.lp import EQ, GE, LE, LpSolverError, solve_lp
+from coplant.lp import EQ, GE, LE, LpSolution, LpSolverError, solve_lp
 
 
 def captured_co2(spec, sol):
@@ -109,6 +109,50 @@ def test_index_blocks_cover_every_column_once(system, missing):
     assert order == sorted(order)
     assert list(index.capacities) == list(dispatch.capacity_prices(spec, scenario))
     assert set(index.series) == {"curtailment", "vented_o2", "sequestered_co2"} - missing
+
+
+def balance_system(name):
+    """A 24 h system for the balance tests: the reference plant in either
+    flexibility mode, the biomass-only plant of the report tests, or the toy
+    with a battery that has both electricity overheads, an H2 tank, and one
+    unit that takes in and gives out electricity (net 1 MWh per t) and H2
+    (net 0, so the H2 row has no term)."""
+    if name in ("flexible", "inflexible"):
+        scenario = reference.netzero_scenario(horizon=24, flexible=name == "flexible")
+        return reference.reference_system(scenario), scenario
+    if name == "biomass":
+        from test_reports import biomass_plant
+        return biomass_plant()[:2]
+    spec, scenario = toy_system(24)
+    maker = ConversionUnit(
+        id="maker", inputs={Commodity.ELECTRICITY: 1.5, Commodity.HYDROGEN: 0.1},
+        outputs={Commodity.CEMENT: 1.0, Commodity.ELECTRICITY: 0.5, Commodity.HYDROGEN: 0.1})
+    battery = StorageUnit(id="batt", commodity=Commodity.ELECTRICITY,
+                          charge_electricity=0.05, discharge_electricity=0.02)
+    tank = StorageUnit(id="tank", commodity=Commodity.HYDROGEN,
+                       charge_electricity=0.3, discharge_electricity=0.1)
+    return dataclasses.replace(spec, conversion_units=(maker,),
+                               storage_units=(battery, tank)), scenario
+
+
+@pytest.mark.parametrize("system", ["flexible", "inflexible", "biomass", "overheads"])
+def test_balance_rows_are_the_ledger_away_from_the_optimum(system, monkeypatch):
+    """At a random nonnegative point, not an optimum, each balanced
+    commodity-hour's row activity minus its right-hand side equals the sum
+    of `commodity_balance`'s terms, demand included."""
+    spec, scenario = balance_system(system)
+    problem = build_lp(spec, scenario)
+    x = np.random.default_rng(7).uniform(0.0, 10.0, problem.n_variables)
+    monkeypatch.setattr(dispatch, "verify_balances", lambda spec, solution: None)
+    sol = dispatch.extract_solution(spec, scenario, LpSolution("optimal", x=x, objective=0.0))
+    T = scenario.horizon_hours
+    commodities = dispatch._balanced_commodities(spec)
+    assert np.all(problem.sense[:len(commodities) * T] == EQ)
+    residual = (problem.matrix() @ x - problem.rhs)[:len(commodities) * T].reshape(-1, T)
+    for c, row in zip(commodities, residual):
+        terms = dispatch.commodity_balance(spec, sol, c)
+        scale = max([1.0, *(np.abs(t).max() for t in terms.values())])
+        assert np.abs(row - sum(terms.values(), np.zeros(T))).max() <= 1e-12 * scale, c
 
 
 def test_toy_solves_and_balances():

@@ -67,6 +67,26 @@ class TestTypes:
         with pytest.raises(DomainError):
             StorageUnit(id="s", commodity=Commodity.ELECTRICITY, charge_eff=1.5)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nextafter(domain.MAX_MAGNITUDE, math.inf),
+                                       1e308, math.nan])
+    def test_balance_coefficients_bounded(self, value):
+        """A unit's coefficients and a store's electricity overheads lie in
+        [0, MAX_MAGNITUDE], so that every balance term of a bounded solution
+        is finite."""
+        big = domain.MAX_MAGNITUDE
+        ConversionUnit(id="u", inputs={Commodity.ELECTRICITY: big},
+                       outputs={Commodity.CEMENT: big})
+        StorageUnit(id="s", commodity=Commodity.HYDROGEN, charge_electricity=big,
+                    discharge_electricity=big)
+        with pytest.raises(DomainError, match="^u: input coefficient for electricity is "):
+            ConversionUnit(id="u", inputs={Commodity.ELECTRICITY: value})
+        with pytest.raises(DomainError, match="^u: output coefficient for cement is "):
+            ConversionUnit(id="u", outputs={Commodity.CEMENT: value})
+        for overhead in ("charge_electricity", "discharge_electricity"):
+            with pytest.raises(DomainError, match=r"^s: electricity overheads must be in "
+                                                  r"\[0, 1e\+15\], got "):
+                StorageUnit(id="s", commodity=Commodity.HYDROGEN, **{overhead: value})
+
     def test_transport_per_tonne(self):
         assert Scenario(stoichiometry_x=5.0).co2_charge == pytest.approx(8.7 + 5.8)
 

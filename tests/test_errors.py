@@ -248,7 +248,8 @@ def test_netopt_without_open_cells(tmp_path):
 #: The files each command of the property test reads.
 MUTABLE = {"solve": ("scenario.cfg", "system.cfg", "solar.csv", "wind.csv"),
            "fleet": ("scenario.cfg", "system.cfg", "plants.csv", "solar.csv", "wind.csv"),
-           "netopt": ("cost.asc", "sources.csv", "sinks.csv")}
+           "netopt": ("cost.asc", "sources.csv", "sinks.csv"),
+           "report": ("solution.json", "system.cfg", "wind.csv")}
 #: A number in a config, CSV or raster file.
 NUMBER = re.compile(rb"(?<![\w.+-])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 VALUES = (b"0", b"-1", b"1e308", b"nan", b"inf", b"-inf", b"", b"abc", b"1e20", b"x:y",
@@ -266,6 +267,11 @@ PRINTED = re.compile(r"(?<![a-z])[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+
 # the raster's cell on line 8 made `1,2`: the data section's parse fails, and
 # the search for the bad token, by the same parser, names its line
 @example(target=("netopt", "cost.asc"), slot=13, value=b"1,2")
+# the first electrolyzer activity of the solution, or the electrolyzer's
+# electricity coefficient in the system, made 1e308: either overflowed in the
+# balance ledger
+@example(target=("report", "solution.json"), slot=48, value=b"1e308")
+@example(target=("report", "system.cfg"), slot=3, value=b"1e308")
 @given(target=st.sampled_from([(c, f) for c, files in MUTABLE.items() for f in files]),
        slot=st.integers(0, 10_000), value=st.sampled_from(VALUES))
 def test_one_changed_value_exits_with_a_code(inputs, target, slot, value):

@@ -74,6 +74,18 @@ def test_balance_csv_rows_sum_to_zero(tmp_path, netzero48):
         assert abs(total) <= 1e-6 * scale[key], key
 
 
+def test_zero_prints_as_0(tmp_path, netzero48):
+    """A zero of either sign is the field `0`; any other value keeps its
+    sign.  The ledger of an optimum, where HiGHS returns some zeros as
+    -0.0, has no `-0`."""
+    assert [reports._field(v) for v in (0.0, -0.0, np.float64(-0.0), -1e-300, -2.5)] == \
+        ["0", "0", "0", "-1e-300", "-2.5"]
+    spec, _, sol = netzero48
+    path = tmp_path / "balances.csv"
+    write_hourly_balances_csv(path, spec, sol)
+    assert [line for line in path.read_text().splitlines() if line.endswith(",-0")] == []
+
+
 def test_cost_breakdown_csv(tmp_path, netzero48):
     spec, scenario, sol = netzero48
     bd = costing.cost_breakdown(sol, spec, scenario)
